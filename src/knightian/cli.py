@@ -46,6 +46,52 @@ def _schema_check(config: dict, required: set[str], optional: set[str], where: s
         )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_bitstring(value) -> bool:
+    return isinstance(value, str) and set(value) <= {"0", "1"}
+
+
+def _is_rational(value) -> bool:
+    if isinstance(value, bool):
+        return False
+    try:
+        _fraction(value)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+# what each solomonoff config key must hold: (description, test)
+SOLOMONOFF_TYPES = {
+    "bound": ("an integer", _is_int),
+    "n": ("an integer", _is_int),
+    "history": ("a bitstring", _is_bitstring),
+    "sequence": ("a bitstring", _is_bitstring),
+    "q": ("a bitstring", _is_bitstring),
+    "eps": (
+        "a list of rationals",
+        lambda value: isinstance(value, list) and all(map(_is_rational, value)),
+    ),
+    "snapshot": ("a boolean", lambda value: isinstance(value, bool)),
+    "step_budget": ("an integer", _is_int),
+    "rand_budget": ("an integer", _is_int),
+    "output_budget": ("an integer", _is_int),
+}
+
+
+def _solomonoff_check(config: dict, required: set[str], optional: set[str], where: str) -> None:
+    _schema_check(config, required, optional, where)
+    for key in sorted(config):
+        kind, ok = SOLOMONOFF_TYPES[key]
+        if not ok(config[key]):
+            raise KnightianError(
+                f"config key {key!r} for {where} must be {kind}, got {config[key]!r}"
+            )
+
+
 def _fraction(value) -> Fraction:
     return Fraction(str(value))
 
@@ -170,11 +216,11 @@ def _cmd_freestate_clone_check(config: dict, seed, rng_unused) -> dict:
 
 
 def _cmd_solomonoff_predict(config: dict, seed, rng_unused) -> dict:
-    _schema_check(
+    _solomonoff_check(
         config, {"bound", "history"}, MACHINE_KEYS | {"snapshot"}, "solomonoff predict"
     )
     cfg = _machine_config(config)
-    mixture = prior.build_mixture(int(config["bound"]), cfg)
+    mixture = prior.build_mixture(config["bound"], cfg)
     for bit in config["history"]:
         mixture = prior.update(mixture, bit)
     p = prior.predict_next(mixture)
@@ -185,9 +231,9 @@ def _cmd_solomonoff_predict(config: dict, seed, rng_unused) -> dict:
 
 
 def _cmd_solomonoff_regret(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, {"bound", "q", "sequence", "eps"}, MACHINE_KEYS, "solomonoff regret")
+    _solomonoff_check(config, {"bound", "q", "sequence", "eps"}, MACHINE_KEYS, "solomonoff regret")
     cfg = _machine_config(config)
-    mixture = prior.build_mixture(int(config["bound"]), cfg)
+    mixture = prior.build_mixture(config["bound"], cfg)
     q = toyvm.decode(config["q"])
     report = prior.regret_report(
         q, config["sequence"], mixture, [_fraction(e) for e in config["eps"]]
@@ -218,10 +264,10 @@ def _cmd_solomonoff_regret(config: dict, seed, rng_unused) -> dict:
 
 
 def _cmd_solomonoff_diagonal(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, {"bound", "n"}, MACHINE_KEYS, "solomonoff diagonal")
+    _solomonoff_check(config, {"bound", "n"}, MACHINE_KEYS, "solomonoff diagonal")
     cfg = _machine_config(config)
-    mixture = prior.build_mixture(int(config["bound"]), cfg)
-    bits, steps = prior.diagonal_sequence(mixture, int(config["n"]))
+    mixture = prior.build_mixture(config["bound"], cfg)
+    bits, steps = prior.diagonal_sequence(mixture, config["n"])
     return {
         "bits": bits,
         "per_step": [
@@ -232,10 +278,10 @@ def _cmd_solomonoff_diagonal(config: dict, seed, rng_unused) -> dict:
 
 
 def _cmd_solomonoff_omega(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, {"bound"}, MACHINE_KEYS, "solomonoff omega")
+    _solomonoff_check(config, {"bound"}, MACHINE_KEYS, "solomonoff omega")
     cfg = _machine_config(config)
-    value = prior.omega_truncated(int(config["bound"]), cfg)
-    return {"omega": _rat(value), "bound": int(config["bound"]), "step_budget": cfg.step_budget}
+    value = prior.omega_truncated(config["bound"], cfg)
+    return {"omega": _rat(value), "bound": config["bound"], "step_budget": cfg.step_budget}
 
 
 # -- soph family ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import KnightianError
 
@@ -328,6 +327,17 @@ def _vec_herm(v: np.ndarray, d: int) -> np.ndarray:
     m[iu] += re + 1j * im
     m[(iu[1], iu[0])] += re - 1j * im
     return m
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use.
+
+    Importing scipy costs more than most CLI commands; only the LPs below
+    need it.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def hull_contains(s: Freestate, rho: DensityMatrix, tol: float = TOL_HULL) -> bool:

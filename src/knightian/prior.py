@@ -6,6 +6,13 @@ the Kraft normalizer over the enumerated class.  Prediction is Bayesian
 conditioning: the estimate for the next bit is the joint-probability ratio
 Pr[history + "1"] / Pr[history] under the mixture.
 
+Control flow never reads the random stream, so a program's whole
+contribution is its output template, its halting flag and its length.  The
+mixture is therefore kept as a census of template classes: each distinct
+template carries the integer weight sum of 2**(L - len(P)) over the
+programs that produce it.  Queries sum over classes, not programs, and give
+the same Fractions as the per-program sum.
+
 Everything here is exact dyadic-rational arithmetic (fractions.Fraction):
 the toy machine only ever produces probabilities 2**-k, so log-domain floats
 would buy nothing and cost exactness.  All reported quantities are relative
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from . import toyvm
 from .errors import KnightianError
@@ -39,6 +47,44 @@ class UnsupportedSequence(KnightianError):
 
 
 @dataclass(frozen=True)
+class Census:
+    """All programs of length <= bound, grouped by output template.
+
+    Weights are integers on the scale 2**bound: a program P weighs
+    2**(bound - len(P)).  Each class is (template length, literal-slot mask,
+    literal bits, weight), with slot i of the template at bit length - 1 - i
+    of the mask and the bits.
+    """
+
+    classes: tuple[tuple[int, int, int, int], ...]
+    total: int  # Kraft normalizer C times 2**bound
+    halted: int  # weight of the programs that surely halt
+
+
+@lru_cache(maxsize=8)
+def census(bound: int, cfg: MachineConfig) -> Census:
+    """Run every program of length <= bound once and group them by template."""
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    weights: dict[tuple, int] = {}
+    halted = 0
+    for p in toyvm.enumerate_programs(bound):  # enforces ENUMERATION_GUARD
+        slots, halts = toyvm.output_template(p, cfg)
+        w = 1 << (bound - len(p))
+        weights[slots] = weights.get(slots, 0) + w
+        if halts:
+            halted += w
+    classes = []
+    for slots, w in weights.items():
+        mask = bits = 0
+        for kind, bit in slots:
+            mask = mask << 1 | (kind == "lit")
+            bits = bits << 1 | (bit == "1")
+        classes.append((len(slots), mask, bits, w))
+    return Census(tuple(classes), sum(weights.values()), halted)
+
+
+@dataclass(frozen=True)
 class Hypothesis:
     program: Program
     prior: Fraction
@@ -47,23 +93,36 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class Mixture:
-    hypotheses: tuple[Hypothesis, ...]
-    normalizer: Fraction  # C = sum of 2**-len(P) over the class
+    census: Census
     history: str
     cfg: MachineConfig
     bound: int  # enumeration bound L, quoted in all reports
+
+    @property
+    def normalizer(self) -> Fraction:
+        """C = sum of 2**-len(P) over the class."""
+        return Fraction(self.census.total, 2**self.bound)
+
+    @property
+    def hypotheses(self) -> tuple[Hypothesis, ...]:
+        """Every enumerated program with its prior and its posterior given the history.
+
+        Derived program by program on each access; queries never need it.
+        """
+        evidence = joint_probability(self, self.history)
+        hyps = []
+        for p in toyvm.enumerate_programs(self.bound):
+            weight = Fraction(1 << (self.bound - len(p)), self.census.total)
+            likelihood = toyvm.prefix_probability(p, self.history, self.cfg)
+            posterior = weight * likelihood / evidence if evidence else Fraction(0)
+            hyps.append(Hypothesis(p, weight, posterior))
+        return tuple(hyps)
 
 
 def build_mixture(bound: int, cfg: MachineConfig | None = None) -> Mixture:
     """Mixture over all programs of length <= bound, fresh (empty history)."""
     cfg = cfg or MachineConfig()
-    programs = toyvm.enumerate_programs(bound)
-    normalizer = toyvm.kraft_sum(programs)
-    hyps = tuple(
-        Hypothesis(p, Fraction(1, 2 ** len(p)) / normalizer, Fraction(1, 2 ** len(p)) / normalizer)
-        for p in programs
-    )
-    return Mixture(hyps, normalizer, "", cfg, bound)
+    return Mixture(census(bound, cfg), "", cfg, bound)
 
 
 def mixture_snapshot(mixture: Mixture) -> list[dict]:
@@ -84,10 +143,21 @@ def joint_probability(mixture: Mixture, prefix: str) -> Fraction:
     Hypotheses that cannot emit len(prefix) bits within budget abstain and
     contribute nothing, to either this prefix or any extension of it.
     """
-    total = Fraction(0)
-    for h in mixture.hypotheses:
-        total += h.prior * toyvm.prefix_probability(h.program, prefix, mixture.cfg)
-    return total
+    toyvm.check_bits(prefix)
+    n = len(prefix)
+    target = int(prefix, 2) if prefix else 0
+    mass = 0
+    for length, mask, bits, weight in mixture.census.classes:
+        if length >= n:
+            shift = length - n
+            literals = mask >> shift
+            if ((bits >> shift) ^ target) & literals == 0:
+                # the class matches with probability 2**-k, k = RAND slots
+                # among the first n; on the scale 2**n that is 2**(n - k)
+                mass += weight << literals.bit_count()
+    if mass == 0:
+        return Fraction(0)
+    return Fraction(mass, mixture.census.total << n)
 
 
 def predict_next(mixture: Mixture) -> Fraction:
@@ -107,23 +177,14 @@ def predict_next(mixture: Mixture) -> Fraction:
 
 
 def update(mixture: Mixture, bit: str) -> Mixture:
-    """Condition on one observed bit; zero-mass hypotheses stay at weight 0."""
+    """Condition on one observed bit.
+
+    Queries weigh classes by the history itself, so conditioning only
+    records the bit; zero-mass hypotheses get posterior 0.
+    """
     if bit not in ("0", "1"):
         raise ValueError(f"bit must be '0' or '1', got {bit!r}")
-    history = mixture.history + bit
-    raw = [
-        h.prior * toyvm.prefix_probability(h.program, history, mixture.cfg)
-        for h in mixture.hypotheses
-    ]
-    total = sum(raw, Fraction(0))
-    if total > 0:
-        posts = [w / total for w in raw]
-    else:
-        posts = raw  # dead mixture: all-zero posteriors, predictions will raise
-    hyps = tuple(
-        replace(h, posterior=w) for h, w in zip(mixture.hypotheses, posts)
-    )
-    return Mixture(hyps, mixture.normalizer, history, mixture.cfg, mixture.bound)
+    return replace(mixture, history=mixture.history + bit)
 
 
 @dataclass(frozen=True)
@@ -153,7 +214,7 @@ def regret_report(
     mixture: Mixture,
     eps_list: list[Fraction],
 ) -> RegretReport:
-    if not any(h.program.code == q.code for h in mixture.hypotheses):
+    if len(q) > mixture.bound:
         raise ValueError("designated hypothesis is not in the mixture")
     if toyvm.prefix_probability(q, sequence, mixture.cfg) == 0:
         raise UnsupportedSequence(
@@ -240,8 +301,4 @@ def omega_truncated(bound: int, cfg: MachineConfig | None = None) -> Fraction:
     value at bound 1 is exactly 1/2.
     """
     cfg = cfg or MachineConfig()
-    total = Fraction(0)
-    for p in toyvm.enumerate_programs(bound):
-        if toyvm.sure_halts(p, cfg):
-            total += Fraction(1, 2 ** len(p))
-    return total
+    return Fraction(census(bound, cfg).halted, 2**bound)

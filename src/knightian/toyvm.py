@@ -100,7 +100,7 @@ class LimitExceeded(KnightianError):
     """Requested enumeration bound is beyond the desk-scale guard."""
 
 
-def _check_bits(bits: str) -> None:
+def check_bits(bits: str) -> None:
     if not all(c in "01" for c in bits):
         raise ValueError(f"not a bitstring: {bits!r}")
 
@@ -143,7 +143,7 @@ class Program:
 
 def decode(bits: str) -> Program:
     """Parse bits as exactly one program (header + body, nothing more)."""
-    _check_bits(bits)
+    check_bits(bits)
     length, pos = gamma_decode(bits)
     body_len = length - 1
     expected = pos + body_len
@@ -154,7 +154,7 @@ def decode(bits: str) -> Program:
 
 def from_body(body: str) -> Program:
     """Build the unique valid program with the given body."""
-    _check_bits(body)
+    check_bits(body)
     return Program(code=gamma_encode(len(body) + 1) + body, body=body)
 
 
@@ -191,12 +191,17 @@ def run(program: Program, cfg: MachineConfig, rand_stream: str) -> RunResult:
     Deterministic in (program, cfg, rand_stream).  The stream must cover the
     whole rand budget so a run can never block on missing bits.
     """
-    _check_bits(rand_stream)
+    check_bits(rand_stream)
     if len(rand_stream) < cfg.rand_budget:
         raise ValueError(
             f"rand_stream must supply at least rand_budget={cfg.rand_budget} bits"
         )
-    body = program.body
+    return _execute(program.body, cfg, rand_stream)
+
+
+def _execute(body: str, cfg: MachineConfig, rand_stream: str) -> RunResult:
+    # The interpreter behind run(), without its input checks.  RAND copies
+    # stream symbols verbatim, which lets _template pass non-bit markers.
     n_instr = len(body) // OPCODE_WIDTH
     out: list[str] = []
     pc = 0
@@ -294,18 +299,16 @@ def kraft_sum(programs: list[Program]) -> Fraction:
 # control flow never reads the stream: ('lit', b) or ('rand', None) per bit,
 # plus whether the run halted.
 
+_RAND_MARK = "?"
+_SLOTS = {"0": ("lit", "0"), "1": ("lit", "1"), _RAND_MARK: ("rand", None)}
+
 
 @lru_cache(maxsize=None)
 def _template(body: str, cfg: MachineConfig) -> tuple[tuple[tuple[str, str | None], ...], bool]:
-    # Two runs with complementary streams; a position fed by RAND is exactly
-    # a position where the outputs differ (RAND is write-through).
-    marked = run(from_body(body), cfg, "0" * cfg.rand_budget)
-    alt = run(from_body(body), cfg, "1" * cfg.rand_budget)
-    slots = tuple(
-        ("rand", None) if a != b else ("lit", a)
-        for a, b in zip(marked.output, alt.output)
-    )
-    return slots, marked.halted
+    # One run on a stream of markers: RAND is write-through, so every marker
+    # in the output is a RAND slot and every other symbol a literal bit.
+    r = _execute(body, cfg, _RAND_MARK * cfg.rand_budget)
+    return tuple(_SLOTS[c] for c in r.output), r.halted
 
 
 def output_template(program: Program, cfg: MachineConfig) -> tuple[tuple[tuple[str, str | None], ...], bool]:
@@ -318,7 +321,7 @@ def prefix_probability(program: Program, prefix: str, cfg: MachineConfig) -> Fra
 
     Zero when the program cannot emit that many bits within budget.
     """
-    _check_bits(prefix)
+    check_bits(prefix)
     slots, _halted = output_template(program, cfg)
     if len(slots) < len(prefix):
         return Fraction(0)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +199,46 @@ def test_solomonoff_diagonal(tmp_path, capsys):
     config = write_config(tmp_path, {"bound": 16, "n": 8})
     report = invoke_json(capsys, "solomonoff", "diagonal", "--config", config)
     assert report["result"]["bits"] == "10000111"
+
+
+EMIT_ZERO_Q = "00111001100"  # QUOTE "00", the hypothesis of the regret test above
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("predict", {"bound": 12, "history": 5}, "history"),
+        ("predict", {"bound": 12, "history": "01x"}, "history"),
+        ("predict", {"bound": "12", "history": ""}, "bound"),
+        ("predict", {"bound": True, "history": ""}, "bound"),
+        ("predict", {"bound": 12.0, "history": ""}, "bound"),
+        ("predict", {"bound": 12, "history": "", "snapshot": "yes"}, "snapshot"),
+        ("predict", {"bound": 12, "history": "", "step_budget": "64"}, "step_budget"),
+        ("regret", {"bound": 12, "q": 5, "sequence": "00", "eps": []}, "q"),
+        ("regret", {"bound": 12, "q": EMIT_ZERO_Q, "sequence": 0, "eps": []}, "sequence"),
+        ("regret", {"bound": 12, "q": EMIT_ZERO_Q, "sequence": "00", "eps": "1/2"}, "eps"),
+        ("regret", {"bound": 12, "q": EMIT_ZERO_Q, "sequence": "00", "eps": ["half"]}, "eps"),
+        ("regret", {"bound": 12, "q": EMIT_ZERO_Q, "sequence": "00", "eps": [False]}, "eps"),
+        ("diagonal", {"bound": 12, "n": 8.5}, "n"),
+        ("omega", {"bound": "20"}, "bound"),
+    ],
+)
+def test_solomonoff_config_types_are_strict(tmp_path, capsys, command, config, key):
+    path = write_config(tmp_path, config)
+    code, out, err = invoke(capsys, "solomonoff", command, "--config", path)
+    assert code == 1, err
+    assert repr(key) in err
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, knightian.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_soph_subcommands(tmp_path, capsys):

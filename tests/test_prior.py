@@ -6,6 +6,8 @@ import pytest
 from knightian import prior, toyvm as tv
 
 CFG = tv.MachineConfig()
+# budgets small enough that runs stop on every budget within bound 16
+TIGHT = tv.MachineConfig(step_budget=8, rand_budget=2, output_budget=5)
 
 
 def mixture_oracle_probability(mixture, prefix):
@@ -19,6 +21,61 @@ def mixture_oracle_probability(mixture, prefix):
             if len(r.output) >= len(prefix) and r.output[: len(prefix)] == prefix:
                 total += h.prior * weight_stream
     return total
+
+
+def reference_priors(bound, cfg):
+    """The per-program mixture: every program with weight 2**-len(P) / C."""
+    programs = tv.enumerate_programs(bound)
+    normalizer = tv.kraft_sum(programs)
+    return [(p, Fraction(1, 2 ** len(p)) / normalizer) for p in programs]
+
+
+def reference_joint(priors, prefix, cfg):
+    return sum((w * tv.prefix_probability(p, prefix, cfg) for p, w in priors), Fraction(0))
+
+
+def reference_posteriors(priors, history, cfg):
+    """The per-program update chain: reweigh every prior, then normalize, bit by bit."""
+    posts = [w for _, w in priors]
+    for i in range(1, len(history) + 1):
+        raw = [w * tv.prefix_probability(p, history[:i], cfg) for p, w in priors]
+        total = sum(raw, Fraction(0))
+        posts = [r / total for r in raw] if total > 0 else raw
+    return posts
+
+
+@pytest.mark.parametrize("cfg", [CFG, TIGHT])
+def test_census_matches_per_program_sums(cfg):
+    priors = reference_priors(16, cfg)
+    m = prior.build_mixture(16, cfg)
+    for n in range(7):
+        for prefix in map("".join, itertools.product("01", repeat=n)):
+            assert prior.joint_probability(m, prefix) == reference_joint(priors, prefix, cfg)
+    halting = [Fraction(1, 2 ** len(p)) for p, _ in priors if tv.sure_halts(p, cfg)]
+    assert prior.omega_truncated(16, cfg) == sum(halting, Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "cfg,history",
+    [(CFG, ""), (CFG, "1"), (CFG, "0110"), (CFG, "101101"), (TIGHT, "0101"), (TIGHT, "000000")],
+)
+def test_snapshot_posteriors_match_the_update_chain(cfg, history):
+    priors = reference_priors(16, cfg)
+    m = prior.build_mixture(16, cfg)
+    for b in history:
+        m = prior.update(m, b)
+    expected = [
+        {"program": p.code, "prior": str(w), "posterior": str(post)}
+        for (p, w), post in zip(priors, reference_posteriors(priors, history, cfg))
+    ]
+    assert prior.mixture_snapshot(m) == expected
+
+
+def test_negative_bound_is_rejected():
+    with pytest.raises(ValueError):
+        prior.build_mixture(-1, CFG)
+    with pytest.raises(ValueError):
+        prior.omega_truncated(-1, CFG)
 
 
 def test_single_hypothesis_mixture():

@@ -241,6 +241,25 @@ def test_prefix_probability_agrees_with_distribution():
     assert tv.prefix_probability(p, "00", cfg) == 0  # second bit is a literal 1
 
 
+def two_stream_template(program, cfg):
+    """Oracle: a RAND slot is exactly where runs on complementary streams differ."""
+    zeros = tv.run(program, cfg, "0" * cfg.rand_budget)
+    ones = tv.run(program, cfg, "1" * cfg.rand_budget)
+    assert zeros.halted == ones.halted
+    slots = tuple(
+        ("rand", None) if a != b else ("lit", a) for a, b in zip(zeros.output, ones.output)
+    )
+    return slots, zeros.halted
+
+
+@pytest.mark.parametrize(
+    "cfg", [CFG, tv.MachineConfig(step_budget=8, rand_budget=2, output_budget=5)]
+)
+def test_output_template_matches_two_stream_oracle(cfg):
+    for p in tv.enumerate_programs(16):
+        assert tv.output_template(p, cfg) == two_stream_template(p, cfg), p.code
+
+
 def test_mirror_is_a_length_preserving_involution():
     for p in tv.enumerate_programs(16):
         m = tv.mirror(p)
