@@ -32,6 +32,9 @@ from .errors import KnightianError
 
 HORIZON_GUARD = 20
 FREEBIT_GUARD = 16
+# clopper_pearson multiplies math.comb(trials, i) by floats; 1029 is the largest
+# trials for which every comb(trials, i) converts to a float
+TRIALS_GUARD = 1029
 
 
 class SubjectSpecError(KnightianError):
@@ -408,6 +411,8 @@ class GameConfig:
             raise ValueError("epsilon and delta must lie in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.trials > TRIALS_GUARD:
+            raise BudgetTooLarge(f"trials = {self.trials} exceeds {TRIALS_GUARD}")
         if self.adversary not in ("adaptive", "oblivious"):
             raise ValueError("adversary must be 'adaptive' or 'oblivious'")
 

@@ -1,11 +1,14 @@
 """Batch front-end: one subcommand per experiment family.
 
 JSON config in, JSON (or CSV, where a table is the natural shape) out.
-Configs are validated against a strict per-subcommand schema: unknown keys
-are rejected by name, so golden outputs stay stable.  Every report embeds
-the artifact version, the machine spec version, the seed, and an echo of
-the config; identical (config, seed, version) triples produce byte-identical
-reports.
+Every command has one entry in ``COMMANDS``: its handler, its config schema
+and, for the tabular commands, its CSV rows.  ``dispatch`` checks the config
+against the schema before the handler runs: unknown and missing keys, and
+values of the wrong type (a float where an integer belongs, a number where a
+bitstring belongs), are rejected by name, so handlers read typed values and
+golden outputs stay stable.  Every report embeds the artifact version, the
+machine spec version, the seed, and an echo of the config; identical
+(config, seed, version) triples produce byte-identical reports.
 
 Exit codes: 0 success, 1 validation/usage error, 2 internal error.
 """
@@ -13,10 +16,10 @@ Exit codes: 0 success, 1 validation/usage error, 2 internal error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__, arena, complexity, freestate, gadgets, prior, toyvm
 from .errors import KnightianError
@@ -33,25 +36,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageExit(f"{message}\n\n{self.format_usage()}")
 
 
-def _schema_check(config: dict, required: set[str], optional: set[str], where: str) -> None:
-    unknown = set(config) - required - optional
-    if unknown:
-        raise KnightianError(
-            f"unknown config key(s) for {where}: {', '.join(sorted(unknown))}"
-        )
-    missing = required - set(config)
-    if missing:
-        raise KnightianError(
-            f"missing config key(s) for {where}: {', '.join(sorted(missing))}"
-        )
+def _fraction(value) -> Fraction:
+    return Fraction(str(value))
+
+
+def _rat(f: Fraction) -> dict:
+    return {"exact": str(f), "float": float(f)}
+
+
+# -- config schemas -----------------------------------------------------------------
+#
+# A value kind is one of: a Kind, a leaf test; a one-item list [k], a list of any
+# length whose every item is a k; a tuple (k1, k2, ...), a list of exactly those
+# kinds in order; a dict, an object with exactly these keys, each required
+# unless its kind is wrapped in Opt; or an Either of two object schemas.  Kind,
+# Opt and Either are plain classes: a dataclass adds about 1 ms to every CLI start.
+
+
+class Kind:
+    def __init__(self, name: str, test: Callable[[object], bool]):
+        self.name = name  # what the value must be, for the error message
+        self.test = test
+
+
+class Opt:
+    def __init__(self, kind):
+        self.kind = kind
+
+
+class Either:
+    """`present` when the object holds the key `lead`, `absent` otherwise."""
+
+    def __init__(self, lead: str, present: dict, absent: dict):
+        self.lead, self.present, self.absent = lead, present, absent
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_bitstring(value) -> bool:
-    return isinstance(value, str) and set(value) <= {"0", "1"}
 
 
 def _is_rational(value) -> bool:
@@ -64,72 +85,88 @@ def _is_rational(value) -> bool:
     return True
 
 
-# what each solomonoff config key must hold: (description, test)
-SOLOMONOFF_TYPES = {
-    "bound": ("an integer", _is_int),
-    "n": ("an integer", _is_int),
-    "history": ("a bitstring", _is_bitstring),
-    "sequence": ("a bitstring", _is_bitstring),
-    "q": ("a bitstring", _is_bitstring),
-    "eps": (
-        "a list of rationals",
-        lambda value: isinstance(value, list) and all(map(_is_rational, value)),
-    ),
-    "snapshot": ("a boolean", lambda value: isinstance(value, bool)),
-    "step_budget": ("an integer", _is_int),
-    "rand_budget": ("an integer", _is_int),
-    "output_budget": ("an integer", _is_int),
+INT = Kind("an integer", _is_int)
+REAL = Kind("a real number", lambda v: _is_int(v) or isinstance(v, float))
+BITS = Kind("a bitstring", lambda v: isinstance(v, str) and set(v) <= {"0", "1"})
+RATIONAL = Kind("a rational", _is_rational)
+BOOL = Kind("a boolean", lambda v: isinstance(v, bool))
+STRING = Kind("a string", lambda v: isinstance(v, str))
+LIST = Kind("a list", lambda v: isinstance(v, list))
+SUBJECT = Kind("a stock subject name or a subject object", lambda v: isinstance(v, (str, dict)))
+
+MACHINE = {"step_budget": Opt(INT), "rand_budget": Opt(INT), "output_budget": Opt(INT)}
+MATRIX = [[(REAL, REAL)]]  # rows of [re, im] entries
+CLASSICAL = {"n": INT, "generators": [[RATIONAL]]}
+FREESTATE = {"dim": INT, "generators": [MATRIX]}
+PREDICTOR = {"kind": STRING, "name": Opt(STRING), "context": Opt(INT), "family": Opt([SUBJECT])}
+INPUT_MODEL = {"kind": STRING, "bits": Opt(BITS)}
+GAME = {
+    "t": INT, "u": INT, "epsilon": RATIONAL, "delta": RATIONAL, "trials": INT,
+    "input_model": Opt(INPUT_MODEL), "adversary": Opt(STRING),
 }
 
 
-def _solomonoff_check(config: dict, required: set[str], optional: set[str], where: str) -> None:
-    _schema_check(config, required, optional, where)
-    for key in sorted(config):
-        kind, ok = SOLOMONOFF_TYPES[key]
-        if not ok(config[key]):
-            raise KnightianError(
-                f"config key {key!r} for {where} must be {kind}, got {config[key]!r}"
-            )
+def _bad(path: str, what: str, value) -> KnightianError:
+    return KnightianError(f"{path} must be {what}, got {value!r}")
 
 
-def _fraction(value) -> Fraction:
-    return Fraction(str(value))
+def _check(value, kind, path: str = "config") -> None:
+    """Raise KnightianError naming the offending key unless value is of kind.
 
-
-def _rat(f: Fraction) -> dict:
-    return {"exact": str(f), "float": float(f)}
+    path is the subscript chain from the config root, e.g. config['game']['t'].
+    """
+    if isinstance(kind, Opt):
+        kind = kind.kind
+    if isinstance(kind, Either):
+        kind = kind.present if isinstance(value, dict) and kind.lead in value else kind.absent
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise _bad(path, "an object", value)
+        required = {key for key, k in kind.items() if not isinstance(k, Opt)}
+        for problem, keys in (
+            ("unknown", value.keys() - kind.keys()),
+            ("missing", required - value.keys()),
+        ):
+            if keys:
+                raise KnightianError(
+                    f"{problem} key(s) in {path}: {', '.join(map(repr, sorted(keys)))}"
+                )
+        for key in sorted(value):
+            _check(value[key], kind[key], f"{path}[{key!r}]")
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise _bad(path, "a list", value)
+        for i, item in enumerate(value):
+            _check(item, kind[0], f"{path}[{i}]")
+    elif isinstance(kind, tuple):
+        if not (isinstance(value, list) and len(value) == len(kind)):
+            raise _bad(path, f"a list of {len(kind)} values", value)
+        for i, (item, item_kind) in enumerate(zip(value, kind)):
+            _check(item, item_kind, f"{path}[{i}]")
+    elif not kind.test(value):
+        raise _bad(path, kind.name, value)
 
 
 def _machine_config(config: dict) -> toyvm.MachineConfig:
-    kwargs = {}
-    for key in ("step_budget", "rand_budget", "output_budget"):
-        if key in config:
-            kwargs[key] = int(config[key])
-    return toyvm.MachineConfig(**kwargs)
-
-
-MACHINE_KEYS = {"step_budget", "rand_budget", "output_budget"}
+    return toyvm.MachineConfig(**{k: v for k, v in config.items() if k in MACHINE})
 
 
 # -- freestate family ---------------------------------------------------------------
 
 
-def _cmd_freestate_interval(config: dict, seed, rng_unused) -> dict:
+def _cmd_freestate_interval(config: dict, seed) -> dict:
     if "classical" in config:
-        _schema_check(config, {"classical", "event"}, set(), "freestate interval")
         s = freestate.classical_from_payload(config["classical"])
-        lo, hi = freestate.event_interval(s, [int(i) for i in config["event"]])
+        lo, hi = freestate.event_interval(s, config["event"])
         return {"lo": float(lo), "hi": float(hi), "lo_exact": str(lo), "hi_exact": str(hi)}
-    _schema_check(config, {"freestate", "effect"}, set(), "freestate interval")
     s = freestate.freestate_from_payload(config["freestate"])
     e = freestate.effect_from_payload(config["effect"])
     lo, hi = freestate.effect_interval(s, e)
     return {"lo": lo, "hi": hi}
 
 
-def _cmd_freestate_or(config: dict, seed, rng_unused) -> dict:
+def _cmd_freestate_or(config: dict, seed) -> dict:
     if "classicals" in config:
-        _schema_check(config, {"classicals"}, set(), "freestate or")
         states = [freestate.classical_from_payload(p) for p in config["classicals"]]
         if len(states) < 2:
             raise KnightianError("need at least two freestates")
@@ -137,7 +174,6 @@ def _cmd_freestate_or(config: dict, seed, rng_unused) -> dict:
         for s in states[1:]:
             out = freestate.classical_or(out, s)
         return {"classical": freestate.classical_to_payload(out)}
-    _schema_check(config, {"freestates"}, set(), "freestate or")
     states = [freestate.freestate_from_payload(p) for p in config["freestates"]]
     if len(states) < 2:
         raise KnightianError("need at least two freestates")
@@ -147,8 +183,7 @@ def _cmd_freestate_or(config: dict, seed, rng_unused) -> dict:
     return {"freestate": freestate.freestate_to_payload(out)}
 
 
-def _cmd_freestate_mix(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, {"components"}, set(), "freestate mix")
+def _cmd_freestate_mix(config: dict, seed) -> dict:
     comps = config["components"]
     if not comps:
         raise KnightianError("need at least one component")
@@ -166,17 +201,14 @@ def _cmd_freestate_mix(config: dict, seed, rng_unused) -> dict:
     return {"freestate": freestate.freestate_to_payload(freestate.prob_mix(pairs))}
 
 
-def _cmd_freestate_witness(config: dict, seed, rng_unused) -> dict:
-    _schema_check(
-        config, {"freestate_a", "freestate_b"}, {"tol", "restarts"}, "freestate witness"
-    )
+def _cmd_freestate_witness(config: dict, seed) -> dict:
     a = freestate.freestate_from_payload(config["freestate_a"])
     b = freestate.freestate_from_payload(config["freestate_b"])
     w = freestate.separating_witness(
         a,
         b,
-        tol=float(config.get("tol", 1e-6)),
-        restarts=int(config.get("restarts", 64)),
+        tol=config.get("tol", 1e-6),
+        restarts=config.get("restarts", 64),
         seed=seed or 0,
     )
     if w is None:
@@ -198,9 +230,7 @@ def _cmd_freestate_witness(config: dict, seed, rng_unused) -> dict:
     }
 
 
-def _cmd_freestate_clone_check(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, {"psi", "phi"}, set(), "freestate clone-check")
-
+def _cmd_freestate_clone_check(config: dict, seed) -> dict:
     def state(rows):
         amps = [complex(re, im) for re, im in rows]
         return freestate.PureState(len(amps), amps)
@@ -215,12 +245,8 @@ def _cmd_freestate_clone_check(config: dict, seed, rng_unused) -> dict:
 # -- solomonoff family ----------------------------------------------------------------
 
 
-def _cmd_solomonoff_predict(config: dict, seed, rng_unused) -> dict:
-    _solomonoff_check(
-        config, {"bound", "history"}, MACHINE_KEYS | {"snapshot"}, "solomonoff predict"
-    )
-    cfg = _machine_config(config)
-    mixture = prior.build_mixture(config["bound"], cfg)
+def _cmd_solomonoff_predict(config: dict, seed) -> dict:
+    mixture = prior.build_mixture(config["bound"], _machine_config(config))
     for bit in config["history"]:
         mixture = prior.update(mixture, bit)
     p = prior.predict_next(mixture)
@@ -230,10 +256,8 @@ def _cmd_solomonoff_predict(config: dict, seed, rng_unused) -> dict:
     return result
 
 
-def _cmd_solomonoff_regret(config: dict, seed, rng_unused) -> dict:
-    _solomonoff_check(config, {"bound", "q", "sequence", "eps"}, MACHINE_KEYS, "solomonoff regret")
-    cfg = _machine_config(config)
-    mixture = prior.build_mixture(config["bound"], cfg)
+def _cmd_solomonoff_regret(config: dict, seed) -> dict:
+    mixture = prior.build_mixture(config["bound"], _machine_config(config))
     q = toyvm.decode(config["q"])
     report = prior.regret_report(
         q, config["sequence"], mixture, [_fraction(e) for e in config["eps"]]
@@ -263,10 +287,17 @@ def _cmd_solomonoff_regret(config: dict, seed, rng_unused) -> dict:
     }
 
 
-def _cmd_solomonoff_diagonal(config: dict, seed, rng_unused) -> dict:
-    _solomonoff_check(config, {"bound", "n"}, MACHINE_KEYS, "solomonoff diagonal")
-    cfg = _machine_config(config)
-    mixture = prior.build_mixture(config["bound"], cfg)
+def _regret_csv(result: dict):
+    yield "step,bit,p_U,p_Q,ratio,cum_ratio"
+    for row in result["curve"]:
+        yield (
+            f"{row['step']},{row['bit']},{row['p_U']['exact']},{row['p_Q']['exact']},"
+            f"{row['ratio']['exact']},{row['cum_ratio']['exact']}"
+        )
+
+
+def _cmd_solomonoff_diagonal(config: dict, seed) -> dict:
+    mixture = prior.build_mixture(config["bound"], _machine_config(config))
     bits, steps = prior.diagonal_sequence(mixture, config["n"])
     return {
         "bits": bits,
@@ -277,8 +308,7 @@ def _cmd_solomonoff_diagonal(config: dict, seed, rng_unused) -> dict:
     }
 
 
-def _cmd_solomonoff_omega(config: dict, seed, rng_unused) -> dict:
-    _solomonoff_check(config, {"bound"}, MACHINE_KEYS, "solomonoff omega")
+def _cmd_solomonoff_omega(config: dict, seed) -> dict:
     cfg = _machine_config(config)
     value = prior.omega_truncated(config["bound"], cfg)
     return {"omega": _rat(value), "bound": config["bound"], "step_budget": cfg.step_budget}
@@ -307,108 +337,90 @@ def _complexity_payload(result) -> dict:
     return out
 
 
-def _cmd_soph_k(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, {"x", "bound"}, MACHINE_KEYS, "soph k")
+def _cmd_soph_k(config: dict, seed) -> dict:
     return _complexity_payload(
-        complexity.kolmogorov(config["x"], int(config["bound"]), _machine_config(config))
+        complexity.kolmogorov(config["x"], config["bound"], _machine_config(config))
     )
 
 
-def _cmd_soph_kset(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, {"elements", "bound"}, MACHINE_KEYS, "soph kset")
+def _cmd_soph_kset(config: dict, seed) -> dict:
     listing = complexity.SetListing(tuple(config["elements"]))
     return _complexity_payload(
-        complexity.set_complexity(listing, int(config["bound"]), _machine_config(config))
+        complexity.set_complexity(listing, config["bound"], _machine_config(config))
     )
 
 
-def _cmd_soph_soph(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, {"x", "c", "bound"}, MACHINE_KEYS, "soph soph")
+def _cmd_soph_soph(config: dict, seed) -> dict:
     return _complexity_payload(
         complexity.sophistication(
-            config["x"], int(config["c"]), int(config["bound"]), _machine_config(config)
+            config["x"], config["c"], config["bound"], _machine_config(config)
         )
     )
 
 
-def _cmd_soph_table(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, {"lengths", "cs", "bound"}, MACHINE_KEYS, "soph table")
+def _cmd_soph_table(config: dict, seed) -> dict:
     rows = complexity.tabulate(
-        [int(n) for n in config["lengths"]],
-        [int(c) for c in config["cs"]],
-        int(config["bound"]),
-        _machine_config(config),
+        config["lengths"], config["cs"], config["bound"], _machine_config(config)
     )
-    return {"rows": rows, "cs": [int(c) for c in config["cs"]]}
+    return {"rows": rows, "cs": config["cs"]}
+
+
+def _table_csv(result: dict):
+    cs = result["cs"]
+    yield "x,k," + ",".join(f"soph_{c}" for c in cs)
+    for row in result["rows"]:
+        cells = [row["x"], "" if row["k"] is None else str(row["k"])]
+        for c in cs:
+            v = row[f"soph_{c}"]
+            cells.append("" if v is None else str(v))
+        yield ",".join(cells)
 
 
 # -- arena family ----------------------------------------------------------------------
 
 
+def _stock_subject(name: str):
+    if name not in arena.STOCK_SUBJECTS:
+        raise KnightianError(
+            f"unknown stock subject {name!r}; have {sorted(arena.STOCK_SUBJECTS)}"
+        )
+    return arena.STOCK_SUBJECTS[name]
+
+
 def _subject_factory(spec):
     if isinstance(spec, str):
-        if spec not in arena.STOCK_SUBJECTS:
-            raise KnightianError(
-                f"unknown stock subject {spec!r}; have {sorted(arena.STOCK_SUBJECTS)}"
-            )
-        return arena.STOCK_SUBJECTS[spec]
+        return _stock_subject(spec)
     subject = arena.subject_from_payload(spec)
     return lambda: subject
 
 
 def _predictor_factory(spec: dict):
-    kind = spec.get("kind")
+    kind = spec["kind"]
     if kind == "table":
-        context = int(spec.get("context", 1))
+        context = spec.get("context", 1)
         return lambda: arena.TablePredictor(context)
     if kind == "bayes":
-        family = []
-        for member in spec["family"]:
-            if isinstance(member, str):
-                family.append(arena.subject_to_payload(arena.STOCK_SUBJECTS[member]()))
-            else:
-                family.append(member)
+        family = [
+            arena.subject_to_payload(_stock_subject(m)()) if isinstance(m, str) else m
+            for m in spec["family"]
+        ]
         return lambda: arena.BayesPredictor(family)
     raise KnightianError(f"unknown predictor kind {kind!r}")
 
 
-def _game_config(game: dict, seed: int) -> arena.GameConfig:
-    _schema_check(
-        game,
-        {"t", "u", "epsilon", "delta", "trials"},
-        {"input_model", "adversary"},
-        "arena game",
-    )
-    return arena.GameConfig(
-        t=int(game["t"]),
-        u=int(game["u"]),
-        epsilon=_fraction(game["epsilon"]),
-        delta=_fraction(game["delta"]),
-        trials=int(game["trials"]),
-        seed=seed,
-        input_model=game.get("input_model", {"kind": "uniform"}),
-        adversary=game.get("adversary", "adaptive"),
-    )
-
-
-def _cmd_arena_run(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, {"subject", "predictor", "game"}, set(), "arena run")
+def _cmd_arena_run(config: dict, seed) -> dict:
     if seed is None:
         raise KnightianError("arena run is stochastic: --seed is required")
-    cfg = _game_config(config["game"], seed)
+    game = config["game"]
+    rationals = {k: _fraction(game[k]) for k in ("epsilon", "delta")}
+    cfg = arena.GameConfig(**{**game, **rationals}, seed=seed)
     verdict = arena.run_game(
         _subject_factory(config["subject"]), _predictor_factory(config["predictor"]), cfg
     )
     return {"verdict": verdict.to_payload()}
 
 
-def _cmd_arena_classify(config: dict, seed, rng_unused) -> dict:
-    _schema_check(
-        config,
-        {"class", "predictors", "schedule", "trials", "horizon"},
-        {"input_model"},
-        "arena classify",
-    )
+def _cmd_arena_classify(config: dict, seed) -> dict:
     if seed is None:
         raise KnightianError("arena classify is stochastic: --seed is required")
     subjects = [_subject_factory(s) for s in config["class"]]
@@ -416,26 +428,22 @@ def _cmd_arena_classify(config: dict, seed, rng_unused) -> dict:
         (spec.get("name", spec["kind"]), _predictor_factory(spec))
         for spec in config["predictors"]
     ]
-    schedule = [
-        (int(t), _fraction(eps), _fraction(delta)) for t, eps, delta in config["schedule"]
-    ]
-    report = arena.classify(
+    schedule = [(t, _fraction(eps), _fraction(delta)) for t, eps, delta in config["schedule"]]
+    return arena.classify(
         subjects,
         predictors,
         schedule,
-        trials=int(config["trials"]),
+        trials=config["trials"],
         seed=seed,
         input_model=config.get("input_model"),
-        horizon=int(config["horizon"]),
+        horizon=config["horizon"],
     )
-    return report
 
 
 # -- gadgets family ----------------------------------------------------------------------
 
 
-def _cmd_gadgets_chsh_classical(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, set(), set(), "gadgets chsh-classical")
+def _cmd_gadgets_chsh_classical(config: dict, seed) -> dict:
     result = gadgets.chsh_classical_optimum()
     return {
         "value": _rat(result.value),
@@ -451,12 +459,16 @@ def _cmd_gadgets_chsh_classical(config: dict, seed, rng_unused) -> dict:
     }
 
 
-def _cmd_gadgets_chsh_quantum(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, set(), {"alice", "bob"}, "gadgets chsh-quantum")
+def _chsh_csv(result: dict):
+    yield "a0,a1,b0,b1,value"
+    for row in result["table"]:
+        alice, bob = row["alice"], row["bob"]
+        yield f"{alice[0]},{alice[1]},{bob[0]},{bob[1]},{row['value']['exact']}"
+
+
+def _cmd_gadgets_chsh_quantum(config: dict, seed) -> dict:
     alice = tuple(float(a) for a in config.get("alice", gadgets.CHSH_OPTIMAL_ALICE))
     bob = tuple(float(b) for b in config.get("bob", gadgets.CHSH_OPTIMAL_BOB))
-    if len(alice) != 2 or len(bob) != 2:
-        raise KnightianError("each player needs exactly two measurement angles")
     return {
         "alice": list(alice),
         "bob": list(bob),
@@ -464,38 +476,18 @@ def _cmd_gadgets_chsh_quantum(config: dict, seed, rng_unused) -> dict:
     }
 
 
-def _cmd_gadgets_bostrom(config: dict, seed, rng_unused) -> dict:
+def _cmd_gadgets_bostrom(config: dict, seed) -> dict:
     if "variant" in config:
-        _schema_check(config, {"variant"}, set(), "gadgets bostrom")
-        variant = int(config["variant"])
-        if variant == 1:
-            puzzle = gadgets.bostrom_variant_one()
-        elif variant == 2:
-            puzzle = gadgets.bostrom_variant_two()
-        else:
-            raise KnightianError("variant must be 1 or 2")
+        variants = {1: gadgets.bostrom_variant_one, 2: gadgets.bostrom_variant_two}
+        puzzle = variants[config["variant"]]()
     else:
-        _schema_check(
-            config,
-            {
-                "prior_heads",
-                "copies_if_heads",
-                "copies_if_tails",
-                "heads_colors",
-                "tails_colors",
-                "observed_color",
-            },
-            {"counting_rule"},
-            "gadgets bostrom",
-        )
         puzzle = gadgets.RoomPuzzle(
-            prior_heads=_fraction(config["prior_heads"]),
-            copies_if_heads=int(config["copies_if_heads"]),
-            copies_if_tails=int(config["copies_if_tails"]),
-            heads_colors=tuple(config["heads_colors"]),
-            tails_colors=tuple(config["tails_colors"]),
-            observed_color=config["observed_color"],
-            counting_rule=config.get("counting_rule", "copy-weighted"),
+            **{
+                **config,
+                "prior_heads": _fraction(config["prior_heads"]),
+                "heads_colors": tuple(config["heads_colors"]),
+                "tails_colors": tuple(config["tails_colors"]),
+            }
         )
     post = gadgets.bostrom_posterior(puzzle)
     return {
@@ -508,12 +500,9 @@ def _cmd_gadgets_bostrom(config: dict, seed, rng_unused) -> dict:
     }
 
 
-def _cmd_gadgets_newcomb(config: dict, seed, rng_unused) -> dict:
-    _schema_check(
-        config, {"policy", "accuracy"}, {"box_one", "box_two"}, "gadgets newcomb"
-    )
-    box_one = int(config.get("box_one", 1_000_000))
-    box_two = int(config.get("box_two", 1_000))
+def _cmd_gadgets_newcomb(config: dict, seed) -> dict:
+    box_one = config.get("box_one", 1_000_000)
+    box_two = config.get("box_two", 1_000)
     value = gadgets.newcomb_expected(
         config["policy"], _fraction(config["accuracy"]), box_one, box_two
     )
@@ -524,11 +513,10 @@ def _cmd_gadgets_newcomb(config: dict, seed, rng_unused) -> dict:
     }
 
 
-def _cmd_gadgets_causal(config: dict, seed, rng_unused) -> dict:
-    _schema_check(config, {"nodes", "edges"}, {"check_disjoint_macro"}, "gadgets causal")
+def _cmd_gadgets_causal(config: dict, seed) -> dict:
     graph = gadgets.graph_from_payload(config)
     violations = gadgets.causal_validate(
-        graph, check_disjoint_macro=bool(config.get("check_disjoint_macro", True))
+        graph, check_disjoint_macro=config.get("check_disjoint_macro", True)
     )
     return {
         "ok": not violations,
@@ -540,66 +528,74 @@ def _cmd_gadgets_causal(config: dict, seed, rng_unused) -> dict:
     }
 
 
-HANDLERS = {
-    ("freestate", "interval"): _cmd_freestate_interval,
-    ("freestate", "witness"): _cmd_freestate_witness,
-    ("freestate", "or"): _cmd_freestate_or,
-    ("freestate", "mix"): _cmd_freestate_mix,
-    ("freestate", "clone-check"): _cmd_freestate_clone_check,
-    ("solomonoff", "predict"): _cmd_solomonoff_predict,
-    ("solomonoff", "regret"): _cmd_solomonoff_regret,
-    ("solomonoff", "diagonal"): _cmd_solomonoff_diagonal,
-    ("solomonoff", "omega"): _cmd_solomonoff_omega,
-    ("soph", "k"): _cmd_soph_k,
-    ("soph", "kset"): _cmd_soph_kset,
-    ("soph", "soph"): _cmd_soph_soph,
-    ("soph", "table"): _cmd_soph_table,
-    ("arena", "run"): _cmd_arena_run,
-    ("arena", "classify"): _cmd_arena_classify,
-    ("gadgets", "chsh-classical"): _cmd_gadgets_chsh_classical,
-    ("gadgets", "chsh-quantum"): _cmd_gadgets_chsh_quantum,
-    ("gadgets", "bostrom"): _cmd_gadgets_bostrom,
-    ("gadgets", "newcomb"): _cmd_gadgets_newcomb,
-    ("gadgets", "causal"): _cmd_gadgets_causal,
+# -- the command table ---------------------------------------------------------------
+
+INTERVAL = Either(
+    "classical",
+    {"classical": CLASSICAL, "event": [INT]},
+    {"freestate": FREESTATE, "effect": {"dim": INT, "entries": MATRIX}},
+)
+WITNESS = {
+    "freestate_a": FREESTATE, "freestate_b": FREESTATE, "tol": Opt(REAL), "restarts": Opt(INT)
 }
-
-CSV_SUBCOMMANDS = {
-    ("gadgets", "chsh-classical"),
-    ("solomonoff", "regret"),
-    ("soph", "table"),
+OR = Either("classicals", {"classicals": [CLASSICAL]}, {"freestates": [FREESTATE]})
+COMPONENT = Either(
+    "classical",
+    {"weight": RATIONAL, "classical": CLASSICAL},
+    {"weight": RATIONAL, "freestate": FREESTATE},
+)
+CLONE_CHECK = {"psi": [(REAL, REAL)], "phi": [(REAL, REAL)]}
+PREDICT = {"bound": INT, "history": BITS, "snapshot": Opt(BOOL), **MACHINE}
+REGRET = {"bound": INT, "q": BITS, "sequence": BITS, "eps": [RATIONAL], **MACHINE}
+DIAGONAL = {"bound": INT, "n": INT, **MACHINE}
+SOPH_TABLE = {"lengths": [INT], "cs": [INT], "bound": INT, **MACHINE}
+ARENA_RUN = {"subject": SUBJECT, "predictor": PREDICTOR, "game": GAME}
+CLASSIFY = {
+    "class": [SUBJECT], "predictors": [PREDICTOR], "trials": INT, "horizon": INT,
+    "schedule": [(INT, RATIONAL, RATIONAL)],  # [t, epsilon, delta] rows
+    "input_model": Opt(INPUT_MODEL),
 }
+CHSH_QUANTUM = {"alice": Opt((REAL, REAL)), "bob": Opt((REAL, REAL))}
+BOSTROM = Either(
+    "variant",
+    {"variant": Kind("1 or 2", lambda v: _is_int(v) and v in (1, 2))},
+    {
+        "prior_heads": RATIONAL, "copies_if_heads": INT, "copies_if_tails": INT,
+        "heads_colors": [STRING], "tails_colors": [STRING], "observed_color": STRING,
+        "counting_rule": Opt(STRING),
+    },
+)
+NEWCOMB = {"policy": STRING, "accuracy": RATIONAL, "box_one": Opt(INT), "box_two": Opt(INT)}
+CAUSAL = {"nodes": LIST, "edges": LIST, "check_disjoint_macro": Opt(BOOL)}
 
-
-def _to_csv(group: str, cmd: str, result: dict) -> str:
-    out = io.StringIO()
-    if (group, cmd) == ("gadgets", "chsh-classical"):
-        out.write("a0,a1,b0,b1,value\n")
-        for row in result["table"]:
-            out.write(
-                f"{row['alice'][0]},{row['alice'][1]},{row['bob'][0]},{row['bob'][1]},{row['value']['exact']}\n"
-            )
-    elif (group, cmd) == ("solomonoff", "regret"):
-        out.write("step,bit,p_U,p_Q,ratio,cum_ratio\n")
-        for row in result["curve"]:
-            out.write(
-                f"{row['step']},{row['bit']},{row['p_U']['exact']},{row['p_Q']['exact']},"
-                f"{row['ratio']['exact']},{row['cum_ratio']['exact']}\n"
-            )
-    else:  # soph table
-        cs = result["cs"]
-        out.write("x,k," + ",".join(f"soph_{c}" for c in cs) + "\n")
-        for row in result["rows"]:
-            cells = [row["x"], "" if row["k"] is None else str(row["k"])]
-            for c in cs:
-                v = row[f"soph_{c}"]
-                cells.append("" if v is None else str(v))
-            out.write(",".join(cells) + "\n")
-    return out.getvalue()
+# (group, command) -> (handler(config, seed), config schema, CSV rows or None)
+COMMANDS = {
+    ("freestate", "interval"): (_cmd_freestate_interval, INTERVAL, None),
+    ("freestate", "witness"): (_cmd_freestate_witness, WITNESS, None),
+    ("freestate", "or"): (_cmd_freestate_or, OR, None),
+    ("freestate", "mix"): (_cmd_freestate_mix, {"components": [COMPONENT]}, None),
+    ("freestate", "clone-check"): (_cmd_freestate_clone_check, CLONE_CHECK, None),
+    ("solomonoff", "predict"): (_cmd_solomonoff_predict, PREDICT, None),
+    ("solomonoff", "regret"): (_cmd_solomonoff_regret, REGRET, _regret_csv),
+    ("solomonoff", "diagonal"): (_cmd_solomonoff_diagonal, DIAGONAL, None),
+    ("solomonoff", "omega"): (_cmd_solomonoff_omega, {"bound": INT, **MACHINE}, None),
+    ("soph", "k"): (_cmd_soph_k, {"x": BITS, "bound": INT, **MACHINE}, None),
+    ("soph", "kset"): (_cmd_soph_kset, {"elements": [BITS], "bound": INT, **MACHINE}, None),
+    ("soph", "soph"): (_cmd_soph_soph, {"x": BITS, "c": INT, "bound": INT, **MACHINE}, None),
+    ("soph", "table"): (_cmd_soph_table, SOPH_TABLE, _table_csv),
+    ("arena", "run"): (_cmd_arena_run, ARENA_RUN, None),
+    ("arena", "classify"): (_cmd_arena_classify, CLASSIFY, None),
+    ("gadgets", "chsh-classical"): (_cmd_gadgets_chsh_classical, {}, _chsh_csv),
+    ("gadgets", "chsh-quantum"): (_cmd_gadgets_chsh_quantum, CHSH_QUANTUM, None),
+    ("gadgets", "bostrom"): (_cmd_gadgets_bostrom, BOSTROM, None),
+    ("gadgets", "newcomb"): (_cmd_gadgets_newcomb, NEWCOMB, None),
+    ("gadgets", "causal"): (_cmd_gadgets_causal, CAUSAL, None),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="knightian", description=__doc__)
-    parser.add_argument("group", choices=sorted({g for g, _ in HANDLERS}))
+    parser.add_argument("group", choices=sorted({g for g, _ in COMMANDS}))
     parser.add_argument("command")
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="64-bit experiment seed")
@@ -613,25 +609,23 @@ def dispatch(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         key = (args.group, args.command)
-        if key not in HANDLERS:
-            known = sorted(c for g, c in HANDLERS if g == args.group)
+        if key not in COMMANDS:
+            known = sorted(c for g, c in COMMANDS if g == args.group)
             raise UsageExit(
                 f"unknown subcommand {args.command!r} for {args.group!r}; have {known}"
             )
+        handler, schema, csv_rows = COMMANDS[key]
         config = {}
         if args.config:
             with open(args.config) as fh:
                 config = json.load(fh)
-        if not isinstance(config, dict):
-            raise KnightianError("config must be a JSON object")
-        if args.format == "csv" and key not in CSV_SUBCOMMANDS:
-            raise KnightianError(
-                f"csv output is only available for: "
-                f"{', '.join(sorted(' '.join(k) for k in CSV_SUBCOMMANDS))}"
-            )
-        result = HANDLERS[key](config, args.seed, None)
+        _check(config, schema)
+        if args.format == "csv" and csv_rows is None:
+            tabular = sorted(" ".join(k) for k, entry in COMMANDS.items() if entry[2])
+            raise KnightianError(f"csv output is only available for: {', '.join(tabular)}")
+        result = handler(config, args.seed)
         if args.format == "csv":
-            text = _to_csv(args.group, args.command, result)
+            text = "".join(f"{line}\n" for line in csv_rows(result))
         else:
             envelope = {
                 "artifact_version": __version__,

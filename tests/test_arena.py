@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -269,6 +270,20 @@ def test_clopper_pearson_brackets_the_estimate():
     lo, hi = arena.clopper_pearson(5, 10)
     assert lo == pytest.approx(0.187086, abs=1e-4)
     assert hi == pytest.approx(0.812914, abs=1e-4)
+
+
+def test_trials_guard():
+    guard = arena.TRIALS_GUARD
+    # clopper_pearson multiplies comb(trials, i) by floats: each must convert
+    assert all(float(math.comb(guard, i)) for i in range(guard + 1))
+    with pytest.raises(OverflowError):
+        float(math.comb(guard + 1, (guard + 1) // 2))
+    assert arena.clopper_pearson(0, guard)[0] == 0.0
+    assert arena.clopper_pearson(guard, guard)[1] == 1.0
+    game = dict(t=1, u=2, epsilon=F(1, 10), delta=F(1, 10), seed=0)
+    assert arena.GameConfig(trials=guard, **game).trials == guard
+    with pytest.raises(arena.BudgetTooLarge, match="trials"):
+        arena.GameConfig(trials=guard + 1, **game)
 
 
 def test_classify_labels():

@@ -202,32 +202,152 @@ def test_solomonoff_diagonal(tmp_path, capsys):
 
 
 EMIT_ZERO_Q = "00111001100"  # QUOTE "00", the hypothesis of the regret test above
+PROJECTOR_0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+QUBIT_0 = {"dim": 2, "generators": [PROJECTOR_0]}
+QUBIT_MIXED = {"dim": 2, "generators": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}
+WITNESS = {"freestate_a": QUBIT_0, "freestate_b": QUBIT_MIXED}
+REGRET = {"bound": 12, "q": EMIT_ZERO_Q, "sequence": "00"}
+GAME = {"t": 4, "u": 6, "epsilon": "0.1", "delta": "0.1", "trials": 2}
+RUN = {"subject": "parrot", "predictor": {"kind": "table"}, "game": GAME}
+CLASSIFY = {
+    "class": ["parrot"],
+    "predictors": [{"kind": "table"}],
+    "schedule": [[2, "0.1", "0.1"]],
+    "trials": 2,
+    "horizon": 6,
+}
+NEWCOMB = {"policy": "one-box", "accuracy": "0.9"}
+CAUSAL_GRAPH = {
+    "nodes": [{"id": "f", "kind": "micro", "time": 0}, {"id": "F", "kind": "macro", "time": 1}],
+    "edges": [["F", "f"]],
+}
 
 
+# The name predates the other four groups; it is kept so the solomonoff ids stay stable.
 @pytest.mark.parametrize(
     "command, config, key",
     [
-        ("predict", {"bound": 12, "history": 5}, "history"),
-        ("predict", {"bound": 12, "history": "01x"}, "history"),
-        ("predict", {"bound": "12", "history": ""}, "bound"),
-        ("predict", {"bound": True, "history": ""}, "bound"),
-        ("predict", {"bound": 12.0, "history": ""}, "bound"),
-        ("predict", {"bound": 12, "history": "", "snapshot": "yes"}, "snapshot"),
-        ("predict", {"bound": 12, "history": "", "step_budget": "64"}, "step_budget"),
-        ("regret", {"bound": 12, "q": 5, "sequence": "00", "eps": []}, "q"),
-        ("regret", {"bound": 12, "q": EMIT_ZERO_Q, "sequence": 0, "eps": []}, "sequence"),
-        ("regret", {"bound": 12, "q": EMIT_ZERO_Q, "sequence": "00", "eps": "1/2"}, "eps"),
-        ("regret", {"bound": 12, "q": EMIT_ZERO_Q, "sequence": "00", "eps": ["half"]}, "eps"),
-        ("regret", {"bound": 12, "q": EMIT_ZERO_Q, "sequence": "00", "eps": [False]}, "eps"),
-        ("diagonal", {"bound": 12, "n": 8.5}, "n"),
-        ("omega", {"bound": "20"}, "bound"),
+        (("solomonoff", "predict"), {"bound": 12, "history": 5}, "history"),
+        (("solomonoff", "predict"), {"bound": 12, "history": "01x"}, "history"),
+        (("solomonoff", "predict"), {"bound": "12", "history": ""}, "bound"),
+        (("solomonoff", "predict"), {"bound": True, "history": ""}, "bound"),
+        (("solomonoff", "predict"), {"bound": 12.0, "history": ""}, "bound"),
+        (("solomonoff", "predict"), {"bound": 12, "history": "", "snapshot": "yes"}, "snapshot"),
+        (("solomonoff", "predict"), {"bound": 12, "history": "", "step_budget": "64"}, "step_budget"),
+        (("solomonoff", "regret"), {"bound": 12, "q": 5, "sequence": "00", "eps": []}, "q"),
+        (("solomonoff", "regret"), {**REGRET, "sequence": 0, "eps": []}, "sequence"),
+        (("solomonoff", "regret"), {**REGRET, "eps": "1/2"}, "eps"),
+        (("solomonoff", "regret"), {**REGRET, "eps": ["half"]}, "eps"),
+        (("solomonoff", "regret"), {**REGRET, "eps": [False]}, "eps"),
+        (("solomonoff", "diagonal"), {"bound": 12, "n": 8.5}, "n"),
+        (("solomonoff", "omega"), {"bound": "20"}, "bound"),
+        (("soph", "k"), {"x": 7, "bound": 12}, "x"),
+        (("soph", "k"), {"x": "0", "bound": 12.9}, "bound"),
+        (("soph", "table"), {"lengths": ["2"], "cs": [6], "bound": 12}, "lengths"),
+        (("soph", "kset"), {"elements": "01", "bound": 12}, "elements"),
+        (("arena", "run"), {**RUN, "game": {**GAME, "trials": 2.7}}, "trials"),
+        (("arena", "run"), {**RUN, "predictor": {"kind": "table", "oops": 1}}, "predictor"),
+        (("arena", "classify"), {**CLASSIFY, "schedule": [[2.5, "0.1", "0.1"]]}, "schedule"),
+        (("gadgets", "bostrom"), {"variant": "1"}, "variant"),
+        (("gadgets", "bostrom"), {"variant": True}, "variant"),
+        (("gadgets", "newcomb"), {**NEWCOMB, "box_one": 1.5}, "box_one"),
+        (("gadgets", "causal"), {**CAUSAL_GRAPH, "check_disjoint_macro": "no"}, "check_disjoint_macro"),
+        (("freestate", "interval"), {**KNIGHT_CLASSICAL, "event": ["1"]}, "event"),
+        (("freestate", "witness"), {**WITNESS, "restarts": 2.5}, "restarts"),
     ],
+    ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
 def test_solomonoff_config_types_are_strict(tmp_path, capsys, command, config, key):
     path = write_config(tmp_path, config)
-    code, out, err = invoke(capsys, "solomonoff", command, "--config", path)
+    code, out, err = invoke(capsys, *command, "--config", path, "--seed", "1")
     assert code == 1, err
     assert repr(key) in err
+
+
+ROOM_PUZZLE = {
+    "prior_heads": "1/2",
+    "copies_if_heads": 2,
+    "copies_if_tails": 1,
+    "heads_colors": ["blue", "white"],
+    "tails_colors": ["white"],
+    "observed_color": "white",
+    "counting_rule": "branch-weighted",
+}
+CLASSICAL = KNIGHT_CLASSICAL["classical"]
+MACHINE = {"step_budget": 64, "rand_budget": 4, "output_budget": 8}
+BAYES = {"kind": "bayes", "name": "b", "family": ["parrot", "fair-coin"]}
+GAME_OPTIONS = {"input_model": {"kind": "uniform"}, "adversary": "oblivious"}
+# one cheap config per command (both sides of each either/or), every optional key set
+GOOD_CONFIGS = [
+    ("freestate", "interval", KNIGHT_CLASSICAL),
+    ("freestate", "interval", {"freestate": QUBIT_0, "effect": {"dim": 2, "entries": PROJECTOR_0}}),
+    ("freestate", "witness", {**WITNESS, "tol": 1e-6, "restarts": 4}),
+    ("freestate", "or", {"classicals": [CLASSICAL, CLASSICAL]}),
+    ("freestate", "or", {"freestates": [QUBIT_0, QUBIT_MIXED]}),
+    ("freestate", "mix", {"components": [{"weight": "1", "classical": CLASSICAL}]}),
+    ("freestate", "mix", {"components": [{"weight": 1, "freestate": QUBIT_0}]}),
+    ("freestate", "clone-check", {"psi": [[1, 0], [0, 0]], "phi": [[0, 0], [1, 0]]}),
+    ("solomonoff", "predict", {"bound": 12, "history": "0", "snapshot": True, **MACHINE}),
+    ("solomonoff", "regret", {**REGRET, "eps": ["1/2"]}),
+    ("solomonoff", "diagonal", {"bound": 12, "n": 2}),
+    ("solomonoff", "omega", {"bound": 12}),
+    ("soph", "k", {"x": "0", "bound": 12}),
+    ("soph", "kset", {"elements": ["0", "1"], "bound": 12}),
+    ("soph", "soph", {"x": "0", "c": 1, "bound": 12}),
+    ("soph", "table", {"lengths": [1], "cs": [1], "bound": 12}),
+    ("arena", "run", {**RUN, "predictor": BAYES, "game": {**GAME, **GAME_OPTIONS}}),
+    ("arena", "classify", {**CLASSIFY, "input_model": {"kind": "fixed", "bits": "01"}}),
+    ("gadgets", "chsh-classical", {}),
+    ("gadgets", "chsh-quantum", {"alice": [0.2, 0.2], "bob": [0.2, 0.2]}),
+    ("gadgets", "bostrom", {"variant": 1}),
+    ("gadgets", "bostrom", ROOM_PUZZLE),
+    ("gadgets", "newcomb", {**NEWCOMB, "box_one": 10, "box_two": 1}),
+    ("gadgets", "causal", {**CAUSAL_GRAPH, "check_disjoint_macro": False}),
+]
+
+
+def test_good_configs_cover_every_command():
+    assert {(group, command) for group, command, _ in GOOD_CONFIGS} == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("group, command, config", GOOD_CONFIGS)
+def test_every_config_key_is_typed(tmp_path, capsys, group, command, config):
+    argv = [group, command, "--seed", "1", "--config"]
+    code, out, err = invoke(capsys, *argv, write_config(tmp_path, config))
+    assert code == 0, err
+    for key in config:
+        code, out, err = invoke(capsys, *argv, write_config(tmp_path, {**config, key: None}))
+        assert (code, repr(key) in err) == (1, True), (key, err)
+
+
+def test_missing_nested_key_is_named(tmp_path, capsys):
+    game = {k: v for k, v in GAME.items() if k != "trials"}
+    path = write_config(tmp_path, {**RUN, "game": game})
+    code, out, err = invoke(capsys, "arena", "run", "--config", path, "--seed", "1")
+    assert code == 1, err
+    assert "missing key(s) in config['game']: 'trials'" in err
+
+
+def test_unknown_stock_subject_is_named(tmp_path, capsys):
+    for config in (
+        {**RUN, "subject": "nope"},
+        {**RUN, "predictor": {"kind": "bayes", "family": ["nope"]}},
+    ):
+        path = write_config(tmp_path, config)
+        code, out, err = invoke(capsys, "arena", "run", "--config", path, "--seed", "1")
+        assert code == 1, err
+        assert "unknown stock subject 'nope'; have ['fair-coin', 'gerbil', 'parrot']" in err
+
+
+def test_arena_trials_guard_over_the_cli(tmp_path, capsys):
+    for command, config in (
+        ("run", {**RUN, "game": {**GAME, "trials": 1030}}),
+        ("classify", {**CLASSIFY, "trials": 1030}),
+    ):
+        path = write_config(tmp_path, config)
+        code, out, err = invoke(capsys, "arena", command, "--config", path, "--seed", "1")
+        assert code == 1, err
+        assert "trials" in err
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
@@ -370,10 +490,12 @@ def test_arena_classify_over_the_cli(tmp_path, capsys):
 
 
 def test_internal_errors_exit_two(tmp_path, capsys, monkeypatch):
-    def boom(config, seed, rng):
+    def boom(config, seed):
         raise RuntimeError("wires crossed")
 
-    monkeypatch.setitem(cli.HANDLERS, ("gadgets", "chsh-classical"), boom)
+    key = ("gadgets", "chsh-classical")
+    _, schema, csv_rows = cli.COMMANDS[key]
+    monkeypatch.setitem(cli.COMMANDS, key, (boom, schema, csv_rows))
     code, out, err = invoke(capsys, "gadgets", "chsh-classical")
     assert code == 2
     assert "internal error" in err
