@@ -276,13 +276,12 @@ def adversary_resolution(
             f"budget {subject.freebit_budget} exceeds {FREEBIT_GUARD}"
         )
     fdist = forecast_distribution(forecast, inputs, t, u)
-    best: tuple[tuple[int, ...], Fraction] | None = None
-    for assignment in itertools.product((0, 1), repeat=subject.freebit_budget):
-        d = variation_distance(fdist, true_distribution(subject, inputs, t, u, assignment))
-        if best is None or d > best[1]:
-            best = (assignment, d)
-    assert best is not None
-    return best
+    scored = (
+        (a, variation_distance(fdist, true_distribution(subject, inputs, t, u, a)))
+        for a in itertools.product((0, 1), repeat=subject.freebit_budget)
+    )
+    # max keeps the first of equal distances, and product counts up from all zeros
+    return max(scored, key=lambda pair: pair[1])
 
 
 # -- predictors --------------------------------------------------------------------
@@ -336,6 +335,8 @@ class BayesPredictor:
     """
 
     def __init__(self, family: list[dict]):
+        if not family:
+            raise SubjectSpecError("a Bayes predictor needs a nonempty 'family'")
         self.candidates = [subject_from_payload(p) for p in family]
         self.weights = [Fraction(1, len(self.candidates))] * len(self.candidates)
         self.states = [c.initial for c in self.candidates]
@@ -423,6 +424,8 @@ def draw_inputs(model: dict, length: int, rng: random.Random) -> str:
         return "".join(rng.choice("01") for _ in range(length))
     if kind == "fixed":
         pattern = model["bits"]
+        if not pattern:
+            raise ValueError("a fixed input model needs a nonempty 'bits' pattern")
         reps = -(-length // len(pattern))
         return (pattern * reps)[:length]
     raise ValueError(f"unknown input model {kind!r}")

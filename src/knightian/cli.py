@@ -49,8 +49,9 @@ def _rat(f: Fraction) -> dict:
 # A value kind is one of: a Kind, a leaf test; a one-item list [k], a list of any
 # length whose every item is a k; a tuple (k1, k2, ...), a list of exactly those
 # kinds in order; a dict, an object with exactly these keys, each required
-# unless its kind is wrapped in Opt; or an Either of two object schemas.  Kind,
-# Opt and Either are plain classes: a dataclass adds about 1 ms to every CLI start.
+# unless its kind is wrapped in Opt; or an Either of an object schema and any
+# kind, itself possibly an Either.  Kind, Opt and Either are plain classes: a
+# dataclass adds about 1 ms to every CLI start.
 
 
 class Kind:
@@ -65,9 +66,9 @@ class Opt:
 
 
 class Either:
-    """`present` when the object holds the key `lead`, `absent` otherwise."""
+    """`present` when the value is an object holding the key `lead`, `absent` otherwise."""
 
-    def __init__(self, lead: str, present: dict, absent: dict):
+    def __init__(self, lead: str, present: dict, absent):
         self.lead, self.present, self.absent = lead, present, absent
 
 
@@ -92,12 +93,20 @@ RATIONAL = Kind("a rational", _is_rational)
 BOOL = Kind("a boolean", lambda v: isinstance(v, bool))
 STRING = Kind("a string", lambda v: isinstance(v, str))
 LIST = Kind("a list", lambda v: isinstance(v, list))
-SUBJECT = Kind("a stock subject name or a subject object", lambda v: isinstance(v, (str, dict)))
 
 MACHINE = {"step_budget": Opt(INT), "rand_budget": Opt(INT), "output_budget": Opt(INT)}
 MATRIX = [[(REAL, REAL)]]  # rows of [re, im] entries
 CLASSICAL = {"n": INT, "generators": [[RATIONAL]]}
 FREESTATE = {"dim": INT, "generators": [MATRIX]}
+LITERAL_BIT = Kind('"0", "1", {"prob": rational} or {"freebit": int}', lambda v: v in ("0", "1"))
+EMIT = Either("prob", {"prob": RATIONAL}, Either("freebit", {"freebit": INT}, LITERAL_BIT))
+EDGE = {"from": STRING, "on_input": STRING, "to": STRING, "emit": EMIT}
+SUBJECT_OBJECT = {
+    "states": [STRING], "initial": STRING, "edges": [EDGE],
+    "kind": Opt(STRING), "freebit_budget": Opt(INT),
+}
+STOCK_NAME = Kind("a stock subject name or an object with 'states'", lambda v: isinstance(v, str))
+SUBJECT = Either("states", SUBJECT_OBJECT, STOCK_NAME)
 PREDICTOR = {"kind": STRING, "name": Opt(STRING), "context": Opt(INT), "family": Opt([SUBJECT])}
 INPUT_MODEL = {"kind": STRING, "bits": Opt(BITS)}
 GAME = {
@@ -117,7 +126,7 @@ def _check(value, kind, path: str = "config") -> None:
     """
     if isinstance(kind, Opt):
         kind = kind.kind
-    if isinstance(kind, Either):
+    while isinstance(kind, Either):
         kind = kind.present if isinstance(value, dict) and kind.lead in value else kind.absent
     if isinstance(kind, dict):
         if not isinstance(value, dict):

@@ -1,10 +1,16 @@
 """Desk-scale description complexity over the toy machine.
 
-K(x) is the length of the shortest deterministic program (no RAND in its
-instruction stream) that halts with output exactly x, searched exhaustively
-over all programs up to a stated length bound.  The bound and step budget
-are part of every result: these are time-bounded, machine-relative numbers,
-never quotable without their regime.
+K(x) is the length of the shortest deterministic program that halts with
+output exactly x, searched exhaustively over all programs up to a stated
+length bound.  The bound and step budget are part of every result: these are
+time-bounded, machine-relative numbers, never quotable without their regime.
+
+The witnesses come from toyvm.census, the one run of the enumerated class
+that the mixture and Omega read too.  Deterministic means the run halts
+without executing RAND.  That picks the same shortest, lex-first witnesses as
+a static scan for RAND: jumps go back at most one instruction, so the
+instructions a run never executes form a suffix of the body, and cutting it
+off gives a strictly shorter program with the same run.
 
 Set-listing convention ("fixed in docs"): a program *lists* a set of
 equal-length strings by emitting
@@ -22,6 +28,7 @@ integer arithmetic as 2**K(S) * |S| <= 2**(K(x) + c).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -98,7 +105,7 @@ def parse_listing(bits: str) -> SetListing:
     if not rest:
         if width > LISTING_MAX_WIDTH:
             raise UnparseableConvention(f"width {width} beyond {LISTING_MAX_WIDTH}")
-        cube = ["".join(b) for b in _all_strings(width)]
+        cube = ["".join(b) for b in itertools.product("01", repeat=width)]
         return SetListing(tuple(cube))
     if len(rest) % width != 0:
         raise UnparseableConvention("element block not a multiple of the width")
@@ -117,54 +124,31 @@ def render_listing(listing: SetListing) -> str:
     )
 
 
-def _all_strings(n: int):
-    import itertools
-
-    return itertools.product("01", repeat=n)
-
-
-@lru_cache(maxsize=8)
-def _deterministic_outputs(bound: int, cfg: MachineConfig) -> dict[str, Program]:
-    """Map each reachable output to its shortest deterministic halting program.
-
-    Enumeration order is length-then-lex, so the first writer wins the tie
-    and the map is deterministic.
-    """
-    table: dict[str, Program] = {}
-    stream = "0" * cfg.rand_budget
-    for p in toyvm.enumerate_programs(bound):
-        if toyvm.contains_rand(p):
-            continue
-        r = toyvm.run(p, cfg, stream)
-        if r.halted and r.output not in table:
-            table[r.output] = p
-    return table
-
-
 def kolmogorov(
     x: str, bound: int, cfg: MachineConfig | None = None
 ) -> ComplexityResult | NotFound:
     """Shortest deterministic program halting with output exactly x."""
     cfg = cfg or MachineConfig()
-    witness = _deterministic_outputs(bound, cfg).get(x)
+    return _result(toyvm.census(bound, cfg).witnesses.get(x), bound, cfg)
+
+
+def _result(witness: Program | None, bound: int, cfg: MachineConfig) -> ComplexityResult | NotFound:
     if witness is None:
         return NotFound(bound, cfg.step_budget)
     return ComplexityResult(len(witness), witness, bound, cfg.step_budget)
 
 
 @lru_cache(maxsize=8)
-def _listable_sets(
-    bound: int, cfg: MachineConfig
-) -> dict[tuple[str, ...], Program]:
-    """Every parseable set reachable at the bound, with its shortest lister."""
+def _listable_sets(bound: int, cfg: MachineConfig) -> dict[tuple[str, ...], Program]:
+    """Every parseable set reachable at the bound with its shortest lister, sorted by set."""
     table: dict[tuple[str, ...], Program] = {}
-    for output, program in _deterministic_outputs(bound, cfg).items():
+    for output, program in toyvm.census(bound, cfg).witnesses.items():
         try:
             listing = parse_listing(output)
         except UnparseableConvention:
             continue
         table.setdefault(listing.elements, program)
-    return table
+    return dict(sorted(table.items()))
 
 
 def set_complexity(
@@ -172,10 +156,7 @@ def set_complexity(
 ) -> ComplexityResult | NotFound:
     """Shortest deterministic program whose parsed output equals s as a set."""
     cfg = cfg or MachineConfig()
-    witness = _listable_sets(bound, cfg).get(s.elements)
-    if witness is None:
-        return NotFound(bound, cfg.step_budget)
-    return ComplexityResult(len(witness), witness, bound, cfg.step_budget)
+    return _result(_listable_sets(bound, cfg).get(s.elements), bound, cfg)
 
 
 @dataclass(frozen=True)
@@ -197,19 +178,16 @@ def sophistication(
     if isinstance(kx, NotFound):
         return kx
     budget = 2 ** (kx.value + c)
-    best: tuple[int, tuple[str, ...], Program] | None = None
-    for elements, program in sorted(_listable_sets(bound, cfg).items()):
-        if x not in elements:
-            continue
-        k_s = len(program)
-        if (2**k_s) * len(elements) > budget:
-            continue
-        if best is None or k_s < best[0]:
-            best = (k_s, elements, program)
-    if best is None:
+    qualifying = [
+        (len(program), elements, program)
+        for elements, program in _listable_sets(bound, cfg).items()
+        if x in elements and 2 ** len(program) * len(elements) <= budget
+    ]
+    if not qualifying:
         return NotFound(bound, cfg.step_budget)
+    k_s, elements, program = min(qualifying, key=lambda q: q[0])  # the first least K(S)
     return SophisticationResult(
-        best[0], SetListing(best[1]), best[2], kx.value, bound, cfg.step_budget
+        k_s, SetListing(elements), program, kx.value, bound, cfg.step_budget
     )
 
 
@@ -241,7 +219,7 @@ def tabulate(
     cfg = cfg or MachineConfig()
     rows = []
     for n in lengths:
-        for tup in _all_strings(n):
+        for tup in itertools.product("01", repeat=n):
             x = "".join(tup)
             kx = kolmogorov(x, bound, cfg)
             row: dict = {"x": x, "k": None if isinstance(kx, NotFound) else kx.value}

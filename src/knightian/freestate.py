@@ -278,7 +278,8 @@ def effect_interval(s: Freestate, effect: Effect) -> tuple[float, float]:
     values = [expectation(g, effect) for g in s.generators]
     lo, hi = min(values), max(values)
     # validation slack on states/effects can compound to a few dim * 1e-9
-    assert lo > -1e-7 and hi < 1 + 1e-7, "effect expectation left [0, 1]"
+    if not (lo > -1e-7 and hi < 1 + 1e-7):
+        raise KnightianError(f"effect expectation left [0, 1]: [{lo}, {hi}]")
     return max(lo, 0.0), min(hi, 1.0)
 
 

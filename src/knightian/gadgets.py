@@ -205,6 +205,8 @@ def newcomb_expected(
 
 def newcomb_crossover(box_one: int = 1_000_000, box_two: int = 1_000) -> Fraction:
     """Predictor accuracy at which one-boxing starts to pay."""
+    if box_one <= 0:
+        raise ValueError(f"'box_one' must be positive, got {box_one}")
     return Fraction(box_one + box_two, 2 * box_one)
 
 

@@ -8,10 +8,11 @@ Pr[history + "1"] / Pr[history] under the mixture.
 
 Control flow never reads the random stream, so a program's whole
 contribution is its output template, its halting flag and its length.  The
-mixture is therefore kept as a census of template classes: each distinct
-template carries the integer weight sum of 2**(L - len(P)) over the
-programs that produce it.  Queries sum over classes, not programs, and give
-the same Fractions as the per-program sum.
+mixture reads toyvm.census, the one cached run of the enumerated class that
+also feeds omega_truncated and complexity's K: each distinct template
+carries the integer weight sum of 2**(L - len(P)) over the programs that
+produce it.  Queries sum over classes, not programs, and give the same
+Fractions as the per-program sum.
 
 Everything here is exact dyadic-rational arithmetic (fractions.Fraction):
 the toy machine only ever produces probabilities 2**-k, so log-domain floats
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from . import toyvm
 from .errors import KnightianError
@@ -47,44 +47,6 @@ class UnsupportedSequence(KnightianError):
 
 
 @dataclass(frozen=True)
-class Census:
-    """All programs of length <= bound, grouped by output template.
-
-    Weights are integers on the scale 2**bound: a program P weighs
-    2**(bound - len(P)).  Each class is (template length, literal-slot mask,
-    literal bits, weight), with slot i of the template at bit length - 1 - i
-    of the mask and the bits.
-    """
-
-    classes: tuple[tuple[int, int, int, int], ...]
-    total: int  # Kraft normalizer C times 2**bound
-    halted: int  # weight of the programs that surely halt
-
-
-@lru_cache(maxsize=8)
-def census(bound: int, cfg: MachineConfig) -> Census:
-    """Run every program of length <= bound once and group them by template."""
-    if bound < 0:
-        raise ValueError(f"bound must be >= 0, got {bound}")
-    weights: dict[tuple, int] = {}
-    halted = 0
-    for p in toyvm.enumerate_programs(bound):  # enforces ENUMERATION_GUARD
-        slots, halts = toyvm.output_template(p, cfg)
-        w = 1 << (bound - len(p))
-        weights[slots] = weights.get(slots, 0) + w
-        if halts:
-            halted += w
-    classes = []
-    for slots, w in weights.items():
-        mask = bits = 0
-        for kind, bit in slots:
-            mask = mask << 1 | (kind == "lit")
-            bits = bits << 1 | (bit == "1")
-        classes.append((len(slots), mask, bits, w))
-    return Census(tuple(classes), sum(weights.values()), halted)
-
-
-@dataclass(frozen=True)
 class Hypothesis:
     program: Program
     prior: Fraction
@@ -93,7 +55,7 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class Mixture:
-    census: Census
+    census: toyvm.Census
     history: str
     cfg: MachineConfig
     bound: int  # enumeration bound L, quoted in all reports
@@ -122,7 +84,7 @@ class Mixture:
 def build_mixture(bound: int, cfg: MachineConfig | None = None) -> Mixture:
     """Mixture over all programs of length <= bound, fresh (empty history)."""
     cfg = cfg or MachineConfig()
-    return Mixture(census(bound, cfg), "", cfg, bound)
+    return Mixture(toyvm.census(bound, cfg), "", cfg, bound)
 
 
 def mixture_snapshot(mixture: Mixture) -> list[dict]:
@@ -301,4 +263,4 @@ def omega_truncated(bound: int, cfg: MachineConfig | None = None) -> Fraction:
     value at bound 1 is exactly 1/2.
     """
     cfg = cfg or MachineConfig()
-    return Fraction(census(bound, cfg).halted, 2**bound)
+    return Fraction(toyvm.census(bound, cfg).halted, 2**bound)

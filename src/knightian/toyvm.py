@@ -201,7 +201,8 @@ def run(program: Program, cfg: MachineConfig, rand_stream: str) -> RunResult:
 
 def _execute(body: str, cfg: MachineConfig, rand_stream: str) -> RunResult:
     # The interpreter behind run(), without its input checks.  RAND copies
-    # stream symbols verbatim, which lets _template pass non-bit markers.
+    # stream symbols verbatim, which lets _template and census pass non-bit
+    # markers.
     n_instr = len(body) // OPCODE_WIDTH
     out: list[str] = []
     pc = 0
@@ -365,6 +366,57 @@ def sure_halts(program: Program, cfg: MachineConfig) -> bool:
     """True iff every random branch halts within budget (all branches agree)."""
     _slots, halted = output_template(program, cfg)
     return halted
+
+
+# -- the census of the enumerated class -----------------------------------------------
+
+# a template string as the literal-slot mask and the literal bits of a class
+_MASK, _BITS = str.maketrans("0" + _RAND_MARK, "10"), str.maketrans(_RAND_MARK, "0")
+
+
+@dataclass(frozen=True)
+class Census:
+    """All programs of length <= bound, grouped by output template.
+
+    A program P weighs 2**(bound - len(P)).  Each class is (template length,
+    literal-slot mask, literal bits, weight), with slot i of the template at
+    bit length - 1 - i of the mask and the bits.
+    """
+
+    classes: tuple[tuple[int, int, int, int], ...]
+    total: int  # Kraft normalizer C times 2**bound
+    halted: int  # weight of the programs that surely halt
+    #: each output of a run that halts without executing RAND, mapped to its
+    #: first such program in length-then-lex order, in order of discovery
+    witnesses: dict[str, Program]
+
+
+@lru_cache(maxsize=8)
+def census(bound: int, cfg: MachineConfig) -> Census:
+    """Run every program of length <= bound once; the mixture, Omega and K read it.
+
+    Each run is on a stream of RAND markers, so its output string is its
+    template.  Unlike output_template, this fills no per-program cache.
+    """
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    stream = _RAND_MARK * cfg.rand_budget
+    weights: dict[str, int] = {}
+    halted = 0
+    witnesses: dict[str, Program] = {}
+    for p in enumerate_programs(bound):  # enforces ENUMERATION_GUARD
+        r = _execute(p.body, cfg, stream)
+        w = 1 << (bound - len(p))
+        weights[r.output] = weights.get(r.output, 0) + w
+        if r.halted:
+            halted += w
+            if r.rands_used == 0 and r.output not in witnesses:
+                witnesses[r.output] = p
+    classes = tuple(
+        (len(t), int("0" + t.translate(_MASK), 2), int("0" + t.translate(_BITS), 2), w)
+        for t, w in weights.items()
+    )
+    return Census(classes, sum(weights.values()), halted, witnesses)
 
 
 def contains_rand(program: Program) -> bool:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from knightian import cli
+from knightian import arena, cli
 
 
 def invoke(capsys, *argv):
@@ -254,6 +254,10 @@ CAUSAL_GRAPH = {
         (("gadgets", "causal"), {**CAUSAL_GRAPH, "check_disjoint_macro": "no"}, "check_disjoint_macro"),
         (("freestate", "interval"), {**KNIGHT_CLASSICAL, "event": ["1"]}, "event"),
         (("freestate", "witness"), {**WITNESS, "restarts": 2.5}, "restarts"),
+        # well typed, but each would divide by zero
+        (("arena", "run"), {**RUN, "predictor": {"kind": "bayes", "family": []}}, "family"),
+        (("arena", "run"), {**RUN, "game": {**GAME, "input_model": {"kind": "fixed", "bits": ""}}}, "bits"),
+        (("gadgets", "newcomb"), {**NEWCOMB, "box_one": 0}, "box_one"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -276,6 +280,9 @@ ROOM_PUZZLE = {
 CLASSICAL = KNIGHT_CLASSICAL["classical"]
 MACHINE = {"step_budget": 64, "rand_budget": 4, "output_budget": 8}
 BAYES = {"kind": "bayes", "name": "b", "family": ["parrot", "fair-coin"]}
+GERBIL = arena.subject_to_payload(arena.gerbil_hybrid())  # every subject key set
+COIN = arena.subject_to_payload(arena.fair_coin())
+COIN_BAYES = {"kind": "bayes", "family": [COIN]}
 GAME_OPTIONS = {"input_model": {"kind": "uniform"}, "adversary": "oblivious"}
 # one cheap config per command (both sides of each either/or), every optional key set
 GOOD_CONFIGS = [
@@ -303,6 +310,8 @@ GOOD_CONFIGS = [
     ("gadgets", "bostrom", ROOM_PUZZLE),
     ("gadgets", "newcomb", {**NEWCOMB, "box_one": 10, "box_two": 1}),
     ("gadgets", "causal", {**CAUSAL_GRAPH, "check_disjoint_macro": False}),
+    # object subject and family; t = 1 puts the gerbil's freebit, at step 2, in the window
+    ("arena", "run", {"subject": GERBIL, "predictor": COIN_BAYES, "game": {**GAME, "t": 1}}),
 ]
 
 
@@ -326,6 +335,44 @@ def test_missing_nested_key_is_named(tmp_path, capsys):
     code, out, err = invoke(capsys, "arena", "run", "--config", path, "--seed", "1")
     assert code == 1, err
     assert "missing key(s) in config['game']: 'trials'" in err
+
+
+def with_edge(payload, **changes):
+    return {**payload, "edges": [{**payload["edges"][0], **changes}, *payload["edges"][1:]]}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("run", {**RUN, "subject": {**GERBIL, "edges": None}}, "config['subject']['edges'] must be a list"),
+        (
+            "run",
+            {**RUN, "predictor": {"kind": "bayes", "family": [with_edge(COIN, emit=5)]}},
+            "config['predictor']['family'][0]['edges'][0]['emit'] must be",
+        ),
+        (
+            "run",
+            {**RUN, "subject": with_edge(COIN, emit={"prob": "1/2", "freebit": 0})},
+            "unknown key(s) in config['subject']['edges'][0]['emit']: 'freebit'",
+        ),
+        (
+            "run",
+            {**RUN, "subject": with_edge(GERBIL, emit={"freebit": "0"})},
+            "config['subject']['edges'][0]['emit']['freebit'] must be an integer",
+        ),
+        ("run", {**RUN, "subject": {"initial": "a"}}, "config['subject'] must be a stock subject name"),
+        (
+            "classify",
+            {**CLASSIFY, "class": [{**GERBIL, "freebit_budget": "1"}]},
+            "config['class'][0]['freebit_budget'] must be an integer",
+        ),
+    ],
+)
+def test_subject_payloads_are_typed(tmp_path, capsys, command, config, message):
+    path = write_config(tmp_path, config)
+    code, out, err = invoke(capsys, "arena", command, "--config", path, "--seed", "1")
+    assert code == 1, err
+    assert message in err
 
 
 def test_unknown_stock_subject_is_named(tmp_path, capsys):

@@ -42,6 +42,46 @@ def test_witnesses_reproduce_their_targets():
         assert not tv.contains_rand(result.witness_program)
 
 
+def static_scan_outputs(bound, cfg):
+    """Oracle: the former separate pass, which skipped every program with a
+    RAND in its static instruction stream and ran the rest on a zero stream."""
+    table = {}
+    stream = "0" * cfg.rand_budget
+    for p in tv.enumerate_programs(bound):
+        if tv.contains_rand(p):
+            continue
+        r = tv.run(p, cfg, stream)
+        if r.halted and r.output not in table:
+            table[r.output] = p
+    return table
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CFG,
+        tv.MachineConfig(step_budget=8, rand_budget=2, output_budget=5),
+        tv.MachineConfig(rand_budget=0),
+    ],
+)
+def test_census_witnesses_match_the_static_scan(cfg):
+    oracle = static_scan_outputs(BOUND, cfg)
+    assert list(tv.census(BOUND, cfg).witnesses.items()) == list(oracle.items())
+    listable = {}
+    for output, program in oracle.items():
+        try:
+            listable.setdefault(cx.parse_listing(output).elements, program)
+        except cx.UnparseableConvention:
+            pass
+    assert list(cx._listable_sets(BOUND, cfg).items()) == sorted(listable.items())
+
+
+def test_negative_bound_is_rejected():
+    # K reads the census, which rejects a bound below 0
+    with pytest.raises(ValueError):
+        cx.kolmogorov("0", -1, CFG)
+
+
 def test_patterned_strings_are_strictly_cheaper_than_some_plain_string():
     # exhaustive fact at this bound: every 8-bit string costs at most 19,
     # and the all-zero string costs strictly less

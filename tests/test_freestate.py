@@ -169,6 +169,15 @@ def test_point_set_interval():
     assert lo == pytest.approx(0.5) and hi == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("value", [-1e-6, 1 + 1e-6])
+def test_interval_outside_the_unit_range_is_an_error(monkeypatch, value):
+    # a typed error, not an assert, so it survives python -O
+    e0 = fs.Effect(2, fs.ket("0").projector().entries)
+    monkeypatch.setattr(fs, "expectation", lambda g, effect: value)
+    with pytest.raises(fs.KnightianError, match="left"):
+        fs.effect_interval(qstate("0"), e0)
+
+
 def test_full_freebit_interval_is_everything():
     e0 = fs.Effect(2, fs.ket("0").projector().entries)
     assert fs.effect_interval(fs.full_freebit(), e0) == (0.0, 1.0)

@@ -260,6 +260,13 @@ def test_output_template_matches_two_stream_oracle(cfg):
         assert tv.output_template(p, cfg) == two_stream_template(p, cfg), p.code
 
 
+def test_census_leaves_the_template_cache_alone():
+    cfg = tv.MachineConfig(step_budget=40, rand_budget=3, output_budget=7)
+    tv._template.cache_clear()
+    tv.census.__wrapped__(14, cfg)
+    assert tv._template.cache_info().currsize == 0
+
+
 def test_mirror_is_a_length_preserving_involution():
     for p in tv.enumerate_programs(16):
         m = tv.mirror(p)
