@@ -148,6 +148,32 @@ def _walk_states(subject: Subject, inputs: str, upto: int) -> str:
     return state
 
 
+def _window_emissions(subject: Subject, inputs: str, t: int, u: int) -> list[Emission]:
+    """The emissions over [t, u) on the realized inputs, guards checked first.
+
+    Each freebit index may be consumed at most once along the walk; reuse is a
+    spec error (a one-shot resource cannot influence two behavior bits).
+    """
+    if u - t > HORIZON_GUARD:
+        raise HorizonTooLong(f"u - t = {u - t} exceeds {HORIZON_GUARD}")
+    if len(inputs) < u:
+        raise ValueError("input trace shorter than the horizon")
+    state = _walk_states(subject, inputs, t)
+    consumed: set[int] = set()
+    emissions = []
+    for v in range(t, u):
+        edge = subject.edges[(state, inputs[v])]
+        if edge.emit[0] == "freebit":
+            if edge.emit[1] in consumed:
+                raise SubjectSpecError(
+                    f"freebit {edge.emit[1]} consumed twice (double duty is forbidden)"
+                )
+            consumed.add(edge.emit[1])
+        emissions.append(edge.emit)
+        state = edge.to
+    return emissions
+
+
 def true_distribution(
     subject: Subject,
     inputs: str,
@@ -157,44 +183,28 @@ def true_distribution(
 ) -> dict[str, Fraction]:
     """Exact distribution of behavior bits over [t, u) on the realized inputs.
 
-    The godlike view: freebit values are pinned by the assignment.  Each
-    freebit index may be consumed at most once along the walk; reuse is a
-    spec error (a one-shot resource cannot influence two behavior bits).
+    The godlike view: freebit values are pinned by the assignment, and each
+    freebit index may be consumed at most once along the walk.
     """
-    if u - t > HORIZON_GUARD:
-        raise HorizonTooLong(f"u - t = {u - t} exceeds {HORIZON_GUARD}")
-    if len(inputs) < u:
-        raise ValueError("input trace shorter than the horizon")
     if len(assignment) != subject.freebit_budget:
         raise SubjectSpecError(
             f"assignment names {len(assignment)} freebits, budget is {subject.freebit_budget}"
         )
-    state = _walk_states(subject, inputs, t)
-    consumed: set[int] = set()
     dist = {"": Fraction(1)}
-    for v in range(t, u):
-        edge = subject.edges[(state, inputs[v])]
-        kind = edge.emit[0]
+    for kind, value in _window_emissions(subject, inputs, t, u):
         if kind == "bit":
-            step = {edge.emit[1]: Fraction(1)}
+            step = {value: Fraction(1)}
         elif kind == "prob":
-            p = Fraction(edge.emit[1])
+            p = Fraction(value)
             step = {"1": p, "0": 1 - p}
         else:
-            idx = edge.emit[1]
-            if idx in consumed:
-                raise SubjectSpecError(
-                    f"freebit {idx} consumed twice (double duty is forbidden)"
-                )
-            consumed.add(idx)
-            step = {str(assignment[idx]): Fraction(1)}
+            step = {str(assignment[value]): Fraction(1)}
         dist = {
             suffix + b: p * q
             for suffix, p in dist.items()
             for b, q in step.items()
             if q > 0
         }
-        state = edge.to
     return dist
 
 
@@ -260,6 +270,41 @@ def probe_causality(forecast: Forecast, inputs: str, t: int, u: int, rng) -> Non
         )
 
 
+def _pattern_overlaps(
+    subject: Subject, forecast: Forecast, inputs: str, t: int, u: int
+) -> tuple[list[int], dict[str, Fraction]]:
+    """Overlap of the forecast with the true law, per pattern of consumed freebits.
+
+    An assignment a pins only the bits at the steps that consume a freebit, and
+    no index is consumed twice, so each suffix s fixes the values of the
+    freebits it consumes (its pattern), and the true law g_a(s) is either the
+    product c(s) of its literal and coin weights or 0.  Returns the consumed
+    indices in ascending order and, keyed by pattern (their bits in that
+    order), the sum of min(f(s), c(s)) over the forecast's support.  Both laws
+    sum to exactly 1, so TV(f, g_a) = 1 - the overlap of a's pattern.
+    """
+    emissions = _window_emissions(subject, inputs, t, u)
+    freebits = sorted(
+        (value, pos) for pos, (kind, value) in enumerate(emissions) if kind == "freebit"
+    )
+    factors = []
+    for pos, (kind, value) in enumerate(emissions):
+        if kind == "bit":
+            factors.append((pos, {"0": int(value == "0"), "1": int(value == "1")}))
+        elif kind == "prob":
+            p = Fraction(value)
+            factors.append((pos, {"0": 1 - p, "1": p}))
+    overlaps: dict[str, Fraction] = {}
+    for suffix, f in forecast_distribution(forecast, inputs, t, u).items():
+        c = 1
+        for pos, law in factors:
+            c *= law[suffix[pos]]
+        if c:
+            pattern = "".join(suffix[pos] for _, pos in freebits)
+            overlaps[pattern] = overlaps.get(pattern, Fraction(0)) + min(f, c)
+    return [idx for idx, _ in freebits], overlaps
+
+
 def adversary_resolution(
     subject: Subject,
     forecast: Forecast,
@@ -269,19 +314,28 @@ def adversary_resolution(
 ) -> tuple[tuple[int, ...], Fraction]:
     """Worst-case freebit assignment for the forecast, ties to the smallest.
 
-    Exhaustive over {0,1}**budget; the guard keeps that desk-scale.
+    One pass over the forecast's support scores every assignment at once (see
+    _pattern_overlaps).  The worst case is the first pattern of least overlap
+    in lexicographic order, with every freebit the window does not consume set
+    to 0: the first of the worst assignments in itertools.product order.
     """
     if subject.freebit_budget > FREEBIT_GUARD:
         raise BudgetTooLarge(
             f"budget {subject.freebit_budget} exceeds {FREEBIT_GUARD}"
         )
-    fdist = forecast_distribution(forecast, inputs, t, u)
-    scored = (
-        (a, variation_distance(fdist, true_distribution(subject, inputs, t, u, a)))
-        for a in itertools.product((0, 1), repeat=subject.freebit_budget)
-    )
-    # max keeps the first of equal distances, and product counts up from all zeros
-    return max(scored, key=lambda pair: pair[1])
+    consumed, overlaps = _pattern_overlaps(subject, forecast, inputs, t, u)
+    worst, least = "", None
+    for bits in itertools.product("01", repeat=len(consumed)):
+        pattern = "".join(bits)
+        overlap = overlaps.get(pattern, Fraction(0))
+        if least is None or overlap < least:
+            worst, least = pattern, overlap
+            if overlap == 0:
+                break  # nothing scores lower
+    assignment = [0] * subject.freebit_budget
+    for idx, bit in zip(consumed, worst):
+        assignment[idx] = int(bit)
+    return tuple(assignment), 1 - least
 
 
 # -- predictors --------------------------------------------------------------------
@@ -361,20 +415,31 @@ class BayesPredictor:
         self.weights = [w / total for w in new_w] if total > 0 else new_w
 
     def emit_forecast(self, t: int, u: int) -> Forecast:
-        base_weights = tuple(self.weights)
-        base_states = tuple(self.states)
         candidates = self.candidates
+        # filter state (weights, states) after steps t .. t+n-1, keyed by their
+        # inputs and behavior bits; each miss is one step from its parent entry
+        memo = {("", ""): (tuple(self.weights), tuple(self.states))}
+
+        def filtered(inputs: str, past: str, n: int) -> tuple[tuple, tuple]:
+            known = n
+            while (inputs[t : t + known], past[:known]) not in memo:
+                known -= 1
+            weights, states = memo[(inputs[t : t + known], past[:known])]
+            for step in range(known, n):
+                i, b = inputs[t + step], past[step]
+                new_w = [
+                    w * self._likelihood(cand, s, i, b)
+                    for w, cand, s in zip(weights, candidates, states)
+                ]
+                total = sum(new_w, Fraction(0))
+                weights = tuple(w / total for w in new_w) if total > 0 else tuple(new_w)
+                states = tuple(cand.edges[(s, i)].to for cand, s in zip(candidates, states))
+                memo[(inputs[t : t + step + 1], past[: step + 1])] = weights, states
+            return weights, states
 
         def conditional(v: int, inputs: str, past: str) -> Fraction:
-            weights = list(base_weights)
-            states = list(base_states)
-            for step, b in zip(range(t, v), past):
-                for k, cand in enumerate(candidates):
-                    weights[k] *= self._likelihood(cand, states[k], inputs[step], b)
-                    states[k] = cand.edges[(states[k], inputs[step])].to
-                total = sum(weights, Fraction(0))
-                if total > 0:
-                    weights = [w / total for w in weights]
+            # the filter consumes min(v - t, len(past)) steps, as zip(range(t, v), past) would
+            weights, states = filtered(inputs, past, max(0, min(v - t, len(past))))
             p = Fraction(0)
             total = sum(weights, Fraction(0))
             if total == 0:
@@ -519,10 +584,9 @@ def run_game(subject_factory, predictor_factory, cfg: GameConfig) -> Verdict:
             assignment = tuple(
                 rng.choice((0, 1)) for _ in range(subject.freebit_budget)
             )
-            fdist = forecast_distribution(forecast, inputs, cfg.t, cfg.u)
-            distance = variation_distance(
-                fdist, true_distribution(subject, inputs, cfg.t, cfg.u, assignment)
-            )
+            consumed, overlaps = _pattern_overlaps(subject, forecast, inputs, cfg.t, cfg.u)
+            pattern = "".join(str(assignment[idx]) for idx in consumed)
+            distance = 1 - overlaps.get(pattern, Fraction(0))
         distances.append(distance)
     hits = sum(1 for d in distances if d < cfg.epsilon)
     fraction = Fraction(hits, cfg.trials)

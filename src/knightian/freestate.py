@@ -280,7 +280,7 @@ def effect_interval(s: Freestate, effect: Effect) -> tuple[float, float]:
     # validation slack on states/effects can compound to a few dim * 1e-9
     if not (lo > -1e-7 and hi < 1 + 1e-7):
         raise KnightianError(f"effect expectation left [0, 1]: [{lo}, {hi}]")
-    return max(lo, 0.0), min(hi, 1.0)
+    return min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
 
 
 def event_interval(

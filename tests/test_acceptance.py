@@ -147,7 +147,7 @@ def test_c06_sophistication_suite():
 
 
 def test_c07_arena_reference_classes():
-    with criterion("C07 arena: learnable classes pass, freebits defeat", 300.0):
+    with criterion("C07 arena: learnable classes pass, freebits defeat", 10.0):
         schedule = dict(epsilon=F(1, 20), delta=F(1, 20), trials=200)
         det_cfg = arena.GameConfig(
             t=8, u=12, seed=2024,

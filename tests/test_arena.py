@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -152,6 +154,169 @@ def test_single_freebit_forces_half_against_any_forecast():
         f = constant_forecast(0, 2, p)
         _, d = arena.adversary_resolution(subject, f, "00", 0, 2)
         assert d >= F(1, 2)
+
+
+def test_adversary_checks_guards_before_forecasting():
+    # the forecast's 2^h law is built only after every guard has passed
+    def untouchable(v, inputs, past):
+        raise AssertionError("forecast consulted before the guards")
+
+    with pytest.raises(arena.HorizonTooLong):
+        arena.adversary_resolution(
+            arena.fair_coin(), arena.Forecast(0, 21, untouchable), "0" * 21, 0, 21
+        )
+    with pytest.raises(ValueError, match="shorter"):
+        arena.adversary_resolution(
+            arena.fair_coin(), arena.Forecast(0, 4, untouchable), "000", 0, 4
+        )
+    edges = {("s", i): arena.Edge("s", ("freebit", 0)) for i in "01"}
+    twice = arena.Subject("freebit", ("s",), "s", edges, 1)
+    with pytest.raises(arena.SubjectSpecError, match="double duty"):
+        arena.adversary_resolution(twice, arena.Forecast(0, 2, untouchable), "00", 0, 2)
+
+
+def test_adversary_at_the_full_freebit_guard_is_affordable():
+    k = arena.FREEBIT_GUARD
+    states = tuple(f"c{v}" for v in range(k + 1))
+    edges = {(f"c{v}", i): arena.Edge(f"c{v + 1}", ("freebit", v)) for v in range(k) for i in "01"}
+    edges.update({(f"c{k}", i): arena.Edge(f"c{k}", ("bit", "0")) for i in "01"})
+    subject = arena.Subject("freebit", states, "c0", edges, k)
+    started = time.perf_counter()
+    assignment, d = arena.adversary_resolution(
+        subject, constant_forecast(0, k, F(1, 2)), "0" * k, 0, k
+    )
+    elapsed = time.perf_counter() - started
+    # every suffix has forecast mass 2^-k and is the whole law of one assignment
+    assert assignment == (0,) * k
+    assert d == 1 - F(1, 2**k)
+    assert elapsed < 10.0, f"{k} freebits took {elapsed:.1f}s"
+
+
+# -- differential oracles: the one-pass adversary and the memoised Bayes filter ------
+
+EMISSIONS = [("bit", "0"), ("bit", "1")] + [
+    ("prob", F(p)) for p in ("0", "1", "1/2", "1/3", "3/4")
+]
+FORECAST_VALUES = [F(p) for p in ("0", "1", "1/2", "1/3", "2/3", "1/10", "9/10")]
+
+
+def random_subject(rng):
+    """A small total machine; freebit indices come from a budget with spare room."""
+    states = tuple(f"q{k}" for k in range(rng.randint(1, 5)))
+    budget = rng.randint(0, 4)
+    emissions = EMISSIONS + [("freebit", idx) for idx in range(budget)] * 3
+    edges = {
+        (s, i): arena.Edge(rng.choice(states), rng.choice(emissions))
+        for s in states
+        for i in "01"
+    }
+    return arena.Subject("hybrid", states, states[0], edges, budget)
+
+
+def random_forecast(seed, t, u):
+    if seed % 5 == 0:
+        return constant_forecast(t, u, FORECAST_VALUES[seed % len(FORECAST_VALUES)])
+
+    def conditional(v, inputs, past):
+        return random.Random(f"{seed}:{v}:{inputs[: v + 1]}:{past}").choice(FORECAST_VALUES)
+
+    return arena.Forecast(t, u, conditional)
+
+
+def exhaustive_adversary(subject, forecast, inputs, t, u):
+    """Every assignment scored against its rebuilt true law; ties to the first."""
+    fdist = arena.forecast_distribution(forecast, inputs, t, u)
+    scored = (
+        (a, arena.variation_distance(fdist, arena.true_distribution(subject, inputs, t, u, a)))
+        for a in itertools.product((0, 1), repeat=subject.freebit_budget)
+    )
+    return max(scored, key=lambda pair: pair[1])
+
+
+def test_one_pass_adversary_matches_the_exhaustive_one():
+    rng = random.Random(5)
+    outcomes = {"scored": 0, "double duty": 0, "unused index": 0, "distance 1": 0}
+    for seed in range(400):
+        subject = random_subject(rng)
+        t = rng.randint(0, 2)
+        u = t + rng.randint(1, 5)
+        inputs = "".join(rng.choice("01") for _ in range(u))
+        forecast = random_forecast(seed, t, u)
+        try:
+            expected = exhaustive_adversary(subject, forecast, inputs, t, u)
+        except arena.SubjectSpecError as err:
+            with pytest.raises(arena.SubjectSpecError, match="double duty") as caught:
+                arena.adversary_resolution(subject, forecast, inputs, t, u)
+            assert str(caught.value) == str(err)
+            outcomes["double duty"] += 1
+            continue
+        assert arena.adversary_resolution(subject, forecast, inputs, t, u) == expected
+        outcomes["scored"] += 1
+        outcomes["distance 1"] += expected[1] == 1
+        consumed, overlaps = arena._pattern_overlaps(subject, forecast, inputs, t, u)
+        outcomes["unused index"] += len(consumed) < subject.freebit_budget
+        # the oblivious branch scores a drawn assignment by its pattern's overlap
+        fdist = arena.forecast_distribution(forecast, inputs, t, u)
+        for a in itertools.product((0, 1), repeat=subject.freebit_budget):
+            pattern = "".join(str(a[idx]) for idx in consumed)
+            truth = arena.true_distribution(subject, inputs, t, u, a)
+            assert 1 - overlaps.get(pattern, F(0)) == arena.variation_distance(fdist, truth)
+    assert all(outcomes.values()), outcomes
+
+
+def refiltering_forecast(predictor, t, u):
+    """The Bayes conditional that re-filters from t to v on every call."""
+    base_weights = tuple(predictor.weights)
+    base_states = tuple(predictor.states)
+    candidates = predictor.candidates
+    likelihood = arena.BayesPredictor._likelihood
+
+    def conditional(v, inputs, past):
+        weights = list(base_weights)
+        states = list(base_states)
+        for step, b in zip(range(t, v), past):
+            for k, cand in enumerate(candidates):
+                weights[k] *= likelihood(cand, states[k], inputs[step], b)
+                states[k] = cand.edges[(states[k], inputs[step])].to
+            total = sum(weights, F(0))
+            if total > 0:
+                weights = [w / total for w in weights]
+        p = F(0)
+        total = sum(weights, F(0))
+        if total == 0:
+            return F(1, 2)
+        for k, cand in enumerate(candidates):
+            p += weights[k] * likelihood(cand, states[k], inputs[v], "1")
+        return p / total
+
+    return arena.Forecast(t, u, conditional)
+
+
+def test_memoised_bayes_forecast_matches_refiltering():
+    rng = random.Random(11)
+    t, u = 2, 5
+    pasts = ["".join(bits) for n in range(u - t + 1) for bits in itertools.product("01", repeat=n)]
+    queries = [
+        (v, "".join(inputs), past)
+        for v in range(u)
+        for inputs in itertools.product("01", repeat=u)
+        for past in pasts
+    ]
+    dead = 0
+    for family_seed in range(20):
+        family = [arena.subject_to_payload(random_subject(rng)) for _ in range(rng.randint(1, 3))]
+        predictor = arena.BayesPredictor(family)
+        for _ in range(t):
+            predictor.observe(rng.choice("01"), rng.choice("01"))
+        dead += sum(predictor.weights) == 0
+        memoised = predictor.emit_forecast(t, u)
+        reference = refiltering_forecast(predictor, t, u)
+        # one forecast answers every query, in shuffled order, from a shared memo;
+        # past may be shorter or longer than v - t, and inputs after v are flipped
+        rng.shuffle(queries)
+        for v, inputs, past in queries:
+            assert memoised.prob_one(v, inputs, past) == reference.prob_one(v, inputs, past)
+    assert dead, "no family lost all its weight in training"
 
 
 # -- forecasts and causality ----------------------------------------------------------

@@ -178,6 +178,14 @@ def test_interval_outside_the_unit_range_is_an_error(monkeypatch, value):
         fs.effect_interval(qstate("0"), e0)
 
 
+@pytest.mark.parametrize("value, clipped", [(1 + 1e-9, 1.0), (-1e-9, 0.0)])
+def test_interval_within_the_slack_clips_both_ends(monkeypatch, value, clipped):
+    # every generator just past an edge: both endpoints land on that edge, lo <= hi
+    e0 = fs.Effect(2, fs.ket("0").projector().entries)
+    monkeypatch.setattr(fs, "expectation", lambda g, effect: value)
+    assert fs.effect_interval(qstate("0"), e0) == (clipped, clipped)
+
+
 def test_full_freebit_interval_is_everything():
     e0 = fs.Effect(2, fs.ket("0").projector().entries)
     assert fs.effect_interval(fs.full_freebit(), e0) == (0.0, 1.0)
