@@ -35,6 +35,8 @@ FREEBIT_GUARD = 16
 # clopper_pearson multiplies math.comb(trials, i) by floats; 1029 is the largest
 # trials for which every comb(trials, i) converts to a float
 TRIALS_GUARD = 1029
+# of the verdict's Clopper-Pearson interval, reported as confidence_interval_95
+CONFIDENCE = 0.95
 
 
 class SubjectSpecError(KnightianError):
@@ -141,13 +143,6 @@ def subject_to_payload(subject: Subject) -> dict:
     }
 
 
-def _walk_states(subject: Subject, inputs: str, upto: int) -> str:
-    state = subject.initial
-    for v in range(upto):
-        state = subject.edges[(state, inputs[v])].to
-    return state
-
-
 def _window_emissions(subject: Subject, inputs: str, t: int, u: int) -> list[Emission]:
     """The emissions over [t, u) on the realized inputs, guards checked first.
 
@@ -158,7 +153,9 @@ def _window_emissions(subject: Subject, inputs: str, t: int, u: int) -> list[Emi
         raise HorizonTooLong(f"u - t = {u - t} exceeds {HORIZON_GUARD}")
     if len(inputs) < u:
         raise ValueError("input trace shorter than the horizon")
-    state = _walk_states(subject, inputs, t)
+    state = subject.initial
+    for v in range(t):
+        state = subject.edges[(state, inputs[v])].to
     consumed: set[int] = set()
     emissions = []
     for v in range(t, u):
@@ -172,6 +169,20 @@ def _window_emissions(subject: Subject, inputs: str, t: int, u: int) -> list[Emi
         emissions.append(edge.emit)
         state = edge.to
     return emissions
+
+
+def _law(emit: Emission) -> dict | None:
+    """Weights of behavior bits "0" and "1" under a literal or coin emission, else None.
+
+    A literal weighs int 0 and 1: products with Fractions stay cheap.
+    """
+    kind, value = emit
+    if kind == "bit":
+        return {"0": int(value == "0"), "1": int(value == "1")}
+    if kind == "prob":
+        p = Fraction(value)
+        return {"0": 1 - p, "1": p}
+    return None
 
 
 def true_distribution(
@@ -287,13 +298,7 @@ def _pattern_overlaps(
     freebits = sorted(
         (value, pos) for pos, (kind, value) in enumerate(emissions) if kind == "freebit"
     )
-    factors = []
-    for pos, (kind, value) in enumerate(emissions):
-        if kind == "bit":
-            factors.append((pos, {"0": int(value == "0"), "1": int(value == "1")}))
-        elif kind == "prob":
-            p = Fraction(value)
-            factors.append((pos, {"0": 1 - p, "1": p}))
+    factors = [(pos, law) for pos, law in enumerate(map(_law, emissions)) if law is not None]
     overlaps: dict[str, Fraction] = {}
     for suffix, f in forecast_distribution(forecast, inputs, t, u).items():
         c = 1
@@ -392,33 +397,33 @@ class BayesPredictor:
         if not family:
             raise SubjectSpecError("a Bayes predictor needs a nonempty 'family'")
         self.candidates = [subject_from_payload(p) for p in family]
-        self.weights = [Fraction(1, len(self.candidates))] * len(self.candidates)
-        self.states = [c.initial for c in self.candidates]
+        self.weights = (Fraction(1, len(self.candidates)),) * len(self.candidates)
+        self.states = tuple(c.initial for c in self.candidates)
 
     @staticmethod
     def _likelihood(subject: Subject, state: str, input_bit: str, behavior_bit: str) -> Fraction:
-        emit = subject.edges[(state, input_bit)].emit
-        if emit[0] == "bit":
-            return Fraction(1) if emit[1] == behavior_bit else Fraction(0)
-        if emit[0] == "prob":
-            p = Fraction(emit[1])
-            return p if behavior_bit == "1" else 1 - p
-        return Fraction(1, 2)
+        law = _law(subject.edges[(state, input_bit)].emit)
+        return Fraction(1, 2) if law is None else law[behavior_bit]
+
+    def _step(self, weights: tuple, states: tuple, input_bit: str, behavior_bit: str):
+        """The filter (weights, states) after one more step: reweigh, normalize, move on."""
+        new_w = [
+            w * self._likelihood(cand, s, input_bit, behavior_bit)
+            for w, cand, s in zip(weights, self.candidates, states)
+        ]
+        total = sum(new_w, Fraction(0))
+        weights = tuple(w / total for w in new_w) if total > 0 else tuple(new_w)
+        states = tuple(cand.edges[(s, input_bit)].to for cand, s in zip(self.candidates, states))
+        return weights, states
 
     def observe(self, input_bit: str, behavior_bit: str) -> None:
-        new_w = []
-        for k, cand in enumerate(self.candidates):
-            lik = self._likelihood(cand, self.states[k], input_bit, behavior_bit)
-            new_w.append(self.weights[k] * lik)
-            self.states[k] = cand.edges[(self.states[k], input_bit)].to
-        total = sum(new_w, Fraction(0))
-        self.weights = [w / total for w in new_w] if total > 0 else new_w
+        self.weights, self.states = self._step(self.weights, self.states, input_bit, behavior_bit)
 
     def emit_forecast(self, t: int, u: int) -> Forecast:
         candidates = self.candidates
         # filter state (weights, states) after steps t .. t+n-1, keyed by their
         # inputs and behavior bits; each miss is one step from its parent entry
-        memo = {("", ""): (tuple(self.weights), tuple(self.states))}
+        memo = {("", ""): (self.weights, self.states)}
 
         def filtered(inputs: str, past: str, n: int) -> tuple[tuple, tuple]:
             known = n
@@ -426,14 +431,7 @@ class BayesPredictor:
                 known -= 1
             weights, states = memo[(inputs[t : t + known], past[:known])]
             for step in range(known, n):
-                i, b = inputs[t + step], past[step]
-                new_w = [
-                    w * self._likelihood(cand, s, i, b)
-                    for w, cand, s in zip(weights, candidates, states)
-                ]
-                total = sum(new_w, Fraction(0))
-                weights = tuple(w / total for w in new_w) if total > 0 else tuple(new_w)
-                states = tuple(cand.edges[(s, i)].to for cand, s in zip(candidates, states))
+                weights, states = self._step(weights, states, inputs[t + step], past[step])
                 memo[(inputs[t : t + step + 1], past[: step + 1])] = weights, states
             return weights, states
 
@@ -496,9 +494,9 @@ def draw_inputs(model: dict, length: int, rng: random.Random) -> str:
     raise ValueError(f"unknown input model {kind!r}")
 
 
-def clopper_pearson(k: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Exact binomial confidence interval by bisection on the tail sums."""
-    alpha = 1 - confidence
+def clopper_pearson(k: int, n: int) -> tuple[float, float]:
+    """Exact binomial interval at level CONFIDENCE, by bisection on the tail sums."""
+    alpha = 1 - CONFIDENCE
 
     def sf(p: float) -> float:  # P(X >= k)
         return sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(k, n + 1))
@@ -614,10 +612,12 @@ def classify(
     schedule: list[tuple[int, Fraction, Fraction]],
     trials: int,
     seed: int,
+    horizon: int,
     input_model: dict | None = None,
-    horizon: int | None = None,
 ) -> dict:
     """Label a reference class against a predictor family and a schedule.
+
+    Every scheduled game runs from its t to the common horizon u.
 
     "mechanistic-at-scale" when some supplied predictor passes every
     scheduled (t, epsilon, delta) for every subject in the class;
@@ -629,11 +629,10 @@ def classify(
         all_pass = True
         entries = []
         for t, eps, delta in schedule:
-            u = horizon if horizon is not None else t + 4
             for s_idx, subject_factory in enumerate(reference_class):
                 cfg = GameConfig(
                     t=t,
-                    u=u,
+                    u=horizon,
                     epsilon=Fraction(eps),
                     delta=Fraction(delta),
                     trials=trials,

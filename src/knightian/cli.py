@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -76,6 +77,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    # json.load accepts NaN and +-Infinity, and an int may lie beyond float range
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _is_rational(value) -> bool:
     if isinstance(value, bool):
         return False
@@ -87,12 +98,11 @@ def _is_rational(value) -> bool:
 
 
 INT = Kind("an integer", _is_int)
-REAL = Kind("a real number", lambda v: _is_int(v) or isinstance(v, float))
+REAL = Kind("a finite real number", _is_real)
 BITS = Kind("a bitstring", lambda v: isinstance(v, str) and set(v) <= {"0", "1"})
 RATIONAL = Kind("a rational", _is_rational)
 BOOL = Kind("a boolean", lambda v: isinstance(v, bool))
 STRING = Kind("a string", lambda v: isinstance(v, str))
-LIST = Kind("a list", lambda v: isinstance(v, list))
 
 MACHINE = {"step_budget": Opt(INT), "rand_budget": Opt(INT), "output_budget": Opt(INT)}
 MATRIX = [[(REAL, REAL)]]  # rows of [re, im] entries
@@ -575,7 +585,11 @@ BOSTROM = Either(
     },
 )
 NEWCOMB = {"policy": STRING, "accuracy": RATIONAL, "box_one": Opt(INT), "box_two": Opt(INT)}
-CAUSAL = {"nodes": LIST, "edges": LIST, "check_disjoint_macro": Opt(BOOL)}
+CAUSAL = {
+    "nodes": [{"id": STRING, "kind": STRING, "time": INT}],
+    "edges": [(STRING, STRING)],  # [cause id, effect id] pairs
+    "check_disjoint_macro": Opt(BOOL),
+}
 
 # (group, command) -> (handler(config, seed), config schema, CSV rows or None)
 COMMANDS = {

@@ -82,6 +82,8 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         if self.dim < 1 or amps.shape != (self.dim,):
             raise ValueError(f"amplitudes must be a length-{self.dim} vector")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > TOL_NORM:
             raise ValueError(f"state norm {norm} is not 1 within {TOL_NORM}")
@@ -99,6 +101,8 @@ def _check_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     return m
 
 
@@ -341,7 +345,7 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def hull_contains(s: Freestate, rho: DensityMatrix, tol: float = TOL_HULL) -> bool:
+def hull_contains(s: Freestate, rho: DensityMatrix) -> bool:
     """Linear feasibility: is rho a convex combination of the generators?"""
     if s.dim != rho.dim:
         raise DimMismatch(f"dims {s.dim} != {rho.dim}")
@@ -354,7 +358,7 @@ def hull_contains(s: Freestate, rho: DensityMatrix, tol: float = TOL_HULL) -> bo
     a_eq = np.block([[cols, np.eye(m), -np.eye(m)], [np.ones((1, n)), np.zeros((1, 2 * m))]])
     b_eq = np.concatenate([target, [1.0]])
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (n + 2 * m), method="highs")
-    return bool(res.success and res.fun <= tol)
+    return bool(res.success and res.fun <= TOL_HULL)
 
 
 @dataclass(frozen=True)

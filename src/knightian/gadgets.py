@@ -349,10 +349,8 @@ def acyclicity_check(graph: CausalGraph) -> bool:
 
 def graph_from_payload(payload: dict) -> CausalGraph:
     try:
-        nodes = tuple(
-            CausalNode(str(n["id"]), n["kind"], int(n["time"])) for n in payload["nodes"]
-        )
-        edges = tuple((str(c), str(e)) for c, e in payload["edges"])
+        nodes = tuple(CausalNode(n["id"], n["kind"], n["time"]) for n in payload["nodes"])
+        edges = tuple((c, e) for c, e in payload["edges"])
     except (KeyError, TypeError) as exc:
         raise MalformedGraph(f"bad graph payload: {exc}") from exc
     return CausalGraph(nodes, edges)

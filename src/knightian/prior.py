@@ -12,7 +12,8 @@ mixture reads toyvm.census, the one cached run of the enumerated class that
 also feeds omega_truncated and complexity's K: each distinct template
 carries the integer weight sum of 2**(L - len(P)) over the programs that
 produce it.  Queries sum over classes, not programs, and give the same
-Fractions as the per-program sum.
+Fractions as the per-program sum.  The per-program snapshot reads each
+program's class from the census too, so it runs no program.
 
 Everything here is exact dyadic-rational arithmetic (fractions.Fraction):
 the toy machine only ever produces probabilities 2**-k, so log-domain floats
@@ -69,15 +70,17 @@ class Mixture:
     def hypotheses(self) -> tuple[Hypothesis, ...]:
         """Every enumerated program with its prior and its posterior given the history.
 
-        Derived program by program on each access; queries never need it.
+        Derived on each access: each program reads its class's likelihood, on
+        the scale 2**len(history), from one match of the history over the classes.
         """
-        evidence = joint_probability(self, self.history)
+        classes, total = self.census.classes, self.census.total
+        lits = dict(_matches(self.census, self.history))
+        mass = sum(classes[k][3] << lits[k] for k in lits)
         hyps = []
-        for p in toyvm.enumerate_programs(self.bound):
-            weight = Fraction(1 << (self.bound - len(p)), self.census.total)
-            likelihood = toyvm.prefix_probability(p, self.history, self.cfg)
-            posterior = weight * likelihood / evidence if evidence else Fraction(0)
-            hyps.append(Hypothesis(p, weight, posterior))
+        for p, k in zip(toyvm.enumerate_programs(self.bound), self.census.members):
+            weight = 1 << (self.bound - len(p))
+            posterior = Fraction(weight << lits[k], mass) if k in lits else Fraction(0)
+            hyps.append(Hypothesis(p, Fraction(weight, total), posterior))
         return tuple(hyps)
 
 
@@ -99,27 +102,34 @@ def mixture_snapshot(mixture: Mixture) -> list[dict]:
     ]
 
 
+def _matches(census: toyvm.Census, prefix: str):
+    """(class index, n - r) for each class that can emit prefix, n = len(prefix).
+
+    It does so with probability 2**-r, r its RAND slots among the first n, so
+    2**(n - r) on the scale 2**n; a class shorter than n abstains.
+    """
+    toyvm.check_bits(prefix)
+    n = len(prefix)
+    target = int(prefix, 2) if prefix else 0
+    for k, (length, mask, bits, _weight) in enumerate(census.classes):
+        if length >= n:
+            shift = length - n
+            literals = mask >> shift
+            if ((bits >> shift) ^ target) & literals == 0:
+                yield k, literals.bit_count()
+
+
 def joint_probability(mixture: Mixture, prefix: str) -> Fraction:
     """Pr under the mixture that the output starts with the given bits.
 
     Hypotheses that cannot emit len(prefix) bits within budget abstain and
     contribute nothing, to either this prefix or any extension of it.
     """
-    toyvm.check_bits(prefix)
-    n = len(prefix)
-    target = int(prefix, 2) if prefix else 0
-    mass = 0
-    for length, mask, bits, weight in mixture.census.classes:
-        if length >= n:
-            shift = length - n
-            literals = mask >> shift
-            if ((bits >> shift) ^ target) & literals == 0:
-                # the class matches with probability 2**-k, k = RAND slots
-                # among the first n; on the scale 2**n that is 2**(n - k)
-                mass += weight << literals.bit_count()
+    classes = mixture.census.classes
+    mass = sum(classes[k][3] << lits for k, lits in _matches(mixture.census, prefix))
     if mass == 0:
         return Fraction(0)
-    return Fraction(mass, mixture.census.total << n)
+    return Fraction(mass, mixture.census.total << len(prefix))
 
 
 def predict_next(mixture: Mixture) -> Fraction:

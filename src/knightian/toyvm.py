@@ -36,13 +36,15 @@ one per bit emitted by QUOTE/REPEAT), random bits, or output bits.
 Random bits are write-through: RAND copies a stream bit to the output and
 nothing else ever reads it, so the control path, step count and output
 *length* of a run do not depend on the stream.  Several routines below lean
-on that invariant (sure-halting is a single simulation; an output is a fixed
-template whose RAND slots carry independent fair bits).
+on that invariant: one run on a stream of "?" markers gives a program's
+template, its output with "?" at each RAND slot, whose slots carry
+independent fair bits; sure-halting is read off that same run.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -201,8 +203,8 @@ def run(program: Program, cfg: MachineConfig, rand_stream: str) -> RunResult:
 
 def _execute(body: str, cfg: MachineConfig, rand_stream: str) -> RunResult:
     # The interpreter behind run(), without its input checks.  RAND copies
-    # stream symbols verbatim, which lets _template and census pass non-bit
-    # markers.
+    # stream symbols verbatim, which lets output_template and census pass
+    # non-bit markers.
     n_instr = len(body) // OPCODE_WIDTH
     out: list[str] = []
     pc = 0
@@ -274,10 +276,10 @@ def _execute(body: str, cfg: MachineConfig, rand_stream: str) -> RunResult:
             return stopped(True)
 
 
-def enumerate_programs(max_len: int, guard: int = ENUMERATION_GUARD) -> list[Program]:
+def enumerate_programs(max_len: int) -> list[Program]:
     """All valid programs with total length <= max_len, length-then-lex order."""
-    if max_len > guard:
-        raise LimitExceeded(f"max_len {max_len} exceeds the guard {guard}")
+    if max_len > ENUMERATION_GUARD:
+        raise LimitExceeded(f"max_len {max_len} exceeds the guard {ENUMERATION_GUARD}")
     programs = []
     body_len = 0
     while header_length(body_len) + body_len <= max_len:
@@ -296,25 +298,17 @@ def kraft_sum(programs: list[Program]) -> Fraction:
 
 # -- exact output distributions ------------------------------------------------
 
-# A template is the run's output with RAND slots left symbolic, legal because
-# control flow never reads the stream: ('lit', b) or ('rand', None) per bit,
-# plus whether the run halted.
-
 _RAND_MARK = "?"
-_SLOTS = {"0": ("lit", "0"), "1": ("lit", "1"), _RAND_MARK: ("rand", None)}
 
 
-@lru_cache(maxsize=None)
-def _template(body: str, cfg: MachineConfig) -> tuple[tuple[tuple[str, str | None], ...], bool]:
-    # One run on a stream of markers: RAND is write-through, so every marker
-    # in the output is a RAND slot and every other symbol a literal bit.
-    r = _execute(body, cfg, _RAND_MARK * cfg.rand_budget)
-    return tuple(_SLOTS[c] for c in r.output), r.halted
+def output_template(program: Program, cfg: MachineConfig) -> tuple[str, bool]:
+    """The run's output with "?" at each RAND slot, and whether it halted.
 
-
-def output_template(program: Program, cfg: MachineConfig) -> tuple[tuple[tuple[str, str | None], ...], bool]:
-    """The run's output as literal bits and independent fair RAND slots."""
-    return _template(program.body, cfg)
+    RAND is write-through, so a run on a stream of "?" markers gives it; census
+    keys its classes by this string.
+    """
+    r = _execute(program.body, cfg, _RAND_MARK * cfg.rand_budget)
+    return r.output, r.halted
 
 
 def prefix_probability(program: Program, prefix: str, cfg: MachineConfig) -> Fraction:
@@ -323,16 +317,15 @@ def prefix_probability(program: Program, prefix: str, cfg: MachineConfig) -> Fra
     Zero when the program cannot emit that many bits within budget.
     """
     check_bits(prefix)
-    slots, _halted = output_template(program, cfg)
-    if len(slots) < len(prefix):
+    template, _halted = output_template(program, cfg)
+    if len(template) < len(prefix):
         return Fraction(0)
     n_rand = 0
-    for (kind, bit), want in zip(slots, prefix):
-        if kind == "lit":
-            if bit != want:
-                return Fraction(0)
-        else:
+    for slot, want in zip(template, prefix):
+        if slot == _RAND_MARK:
             n_rand += 1
+        elif slot != want:
+            return Fraction(0)
     return Fraction(1, 2**n_rand)
 
 
@@ -346,26 +339,18 @@ def output_distribution(
     """
     if n > cfg.output_budget:
         raise ValueError(f"n={n} exceeds output_budget={cfg.output_budget}")
-    slots, _halted = output_template(program, cfg)
-    if len(slots) < n:
+    template, _halted = output_template(program, cfg)
+    if len(template) < n:
         return {ABSTAIN: Fraction(1)}
-    head = slots[:n]
-    rand_positions = [i for i, (kind, _) in enumerate(head) if kind == "rand"]
-    base = [bit for _, bit in head]
-    weight = Fraction(1, 2 ** len(rand_positions))
-    dist: dict[str, Fraction] = {}
-    for fill in itertools.product("01", repeat=len(rand_positions)):
-        word = base[:]
-        for pos, bit in zip(rand_positions, fill):
-            word[pos] = bit
-        dist["".join(word)] = weight
-    return dist
+    head = template[:n]
+    n_rand = head.count(_RAND_MARK)
+    word, weight = head.replace(_RAND_MARK, "{}"), Fraction(1, 2**n_rand)
+    return {word.format(*fill): weight for fill in itertools.product("01", repeat=n_rand)}
 
 
 def sure_halts(program: Program, cfg: MachineConfig) -> bool:
     """True iff every random branch halts within budget (all branches agree)."""
-    _slots, halted = output_template(program, cfg)
-    return halted
+    return output_template(program, cfg)[1]
 
 
 # -- the census of the enumerated class -----------------------------------------------
@@ -380,7 +365,8 @@ class Census:
 
     A program P weighs 2**(bound - len(P)).  Each class is (template length,
     literal-slot mask, literal bits, weight), with slot i of the template at
-    bit length - 1 - i of the mask and the bits.
+    bit length - 1 - i of the mask and the bits.  members holds the class
+    index of each program, in enumerate_programs order.
     """
 
     classes: tuple[tuple[int, int, int, int], ...]
@@ -389,34 +375,39 @@ class Census:
     #: each output of a run that halts without executing RAND, mapped to its
     #: first such program in length-then-lex order, in order of discovery
     witnesses: dict[str, Program]
+    members: array  # of "I"; 4 bytes a program
 
 
 @lru_cache(maxsize=8)
 def census(bound: int, cfg: MachineConfig) -> Census:
-    """Run every program of length <= bound once; the mixture, Omega and K read it.
+    """Run every program of length <= bound once; the mixture, its snapshot, Omega and K read it.
 
     Each run is on a stream of RAND markers, so its output string is its
-    template.  Unlike output_template, this fills no per-program cache.
+    output_template, by which the run's program joins a class.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     stream = _RAND_MARK * cfg.rand_budget
-    weights: dict[str, int] = {}
+    index: dict[str, int] = {}  # template -> class index, in order of discovery
+    weights: dict[int, int] = {}
+    members = array("I")
     halted = 0
     witnesses: dict[str, Program] = {}
     for p in enumerate_programs(bound):  # enforces ENUMERATION_GUARD
         r = _execute(p.body, cfg, stream)
         w = 1 << (bound - len(p))
-        weights[r.output] = weights.get(r.output, 0) + w
+        k = index.setdefault(r.output, len(index))
+        weights[k] = weights.get(k, 0) + w
+        members.append(k)
         if r.halted:
             halted += w
             if r.rands_used == 0 and r.output not in witnesses:
                 witnesses[r.output] = p
     classes = tuple(
         (len(t), int("0" + t.translate(_MASK), 2), int("0" + t.translate(_BITS), 2), w)
-        for t, w in weights.items()
+        for t, w in zip(index, weights.values())
     )
-    return Census(classes, sum(weights.values()), halted, witnesses)
+    return Census(classes, sum(weights.values()), halted, witnesses, members)
 
 
 def contains_rand(program: Program) -> bool:

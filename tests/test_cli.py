@@ -217,10 +217,17 @@ CLASSIFY = {
     "horizon": 6,
 }
 NEWCOMB = {"policy": "one-box", "accuracy": "0.9"}
-CAUSAL_GRAPH = {
-    "nodes": [{"id": "f", "kind": "micro", "time": 0}, {"id": "F", "kind": "macro", "time": 1}],
-    "edges": [["F", "f"]],
-}
+
+
+def timed_nodes(micro_time, macro_time):
+    return [
+        {"id": "f", "kind": "micro", "time": micro_time},
+        {"id": "F", "kind": "macro", "time": macro_time},
+    ]
+
+
+CAUSAL_GRAPH = {"nodes": timed_nodes(0, 1), "edges": [["F", "f"]]}
+NAN, INF = float("nan"), float("inf")
 
 
 # The name predates the other four groups; it is kept so the solomonoff ids stay stable.
@@ -258,6 +265,17 @@ CAUSAL_GRAPH = {
         (("arena", "run"), {**RUN, "predictor": {"kind": "bayes", "family": []}}, "family"),
         (("arena", "run"), {**RUN, "game": {**GAME, "input_model": {"kind": "fixed", "bits": ""}}}, "bits"),
         (("gadgets", "newcomb"), {**NEWCOMB, "box_one": 0}, "box_one"),
+        # json.load reads NaN and Infinity; a real must be finite, and fit a float
+        (("freestate", "clone-check"), {"psi": [[NAN, 0], [0, 0]], "phi": [[0, 0], [1, 0]]}, "psi"),
+        (("freestate", "witness"), {**WITNESS, "tol": NAN}, "tol"),
+        (("freestate", "witness"), {**WITNESS, "tol": INF}, "tol"),
+        (("gadgets", "chsh-quantum"), {"alice": [NAN, 0]}, "alice"),
+        (("gadgets", "chsh-quantum"), {"bob": [10**400, 0]}, "bob"),
+        # causal nodes and edges are typed, not cast: time 0.2 and 0.9 both truncated to 0
+        (("gadgets", "causal"), {"nodes": timed_nodes(0.2, 0.9), "edges": [["f", "F"]]}, "time"),
+        (("gadgets", "causal"), {**CAUSAL_GRAPH, "nodes": timed_nodes(0, INF)}, "time"),
+        (("gadgets", "causal"), {**CAUSAL_GRAPH, "edges": [["F", "f", "x"]]}, "edges"),
+        (("soph", "table"), {"lengths": [1000000], "cs": [1], "bound": 12}, "lengths"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,29 @@ def test_sophistication_witness_is_valid():
     assert cx.parse_listing(replay.output).elements == r.witness_set.elements
     # the defining inequality, in exact arithmetic
     assert (2**r.value) * len(r.witness_set) <= 2 ** (r.k_of_x + cx.LISTING_OVERHEAD)
+
+
+def test_sophistication_compares_exponents_exactly():
+    sets = cx._listable_sets(BOUND, CFG)
+    for x in ("1", "0101", "000000", "011010"):
+        kx = cx.kolmogorov(x, BOUND, CFG).value
+        for c in range(-2, 12):
+            costs = [
+                len(p)
+                for elements, p in sets.items()
+                if x in elements and 2 ** len(p) * len(elements) <= 2 ** (kx + c)
+            ]
+            r = cx.sophistication(x, c, BOUND, CFG)
+            got = r.value if isinstance(r, cx.SophisticationResult) else None
+            assert got == (min(costs) if costs else None), (x, c)
+
+
+def test_sophistication_takes_any_c():
+    # 2**(K(x) + 10**12) alone would be a 125 GB integer
+    expected = cx.sophistication("0101", 64, BOUND, CFG)
+    start = time.perf_counter()
+    assert cx.sophistication("0101", 10**12, BOUND, CFG) == expected
+    assert time.perf_counter() - start < 1.0
 
 
 def test_random_strings_are_unsophisticated():

@@ -49,6 +49,17 @@ def test_effect_requires_bounded_spectrum():
         fs.Effect(2, np.diag([1.5, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_rejected(bad):
+    # NaN passes every comparison-based check, so finiteness is checked first
+    with pytest.raises(ValueError, match="finite"):
+        fs.PureState(2, np.array([bad, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        fs.validate_density(np.array([[bad, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        fs.Effect(2, np.array([[0.5, 0.0], [0.0, bad]]))
+
+
 def test_classical_generators_must_be_distributions():
     with pytest.raises(ValueError):
         fs.ClassicalFreestate(2, ((Fraction(1, 2), Fraction(1, 3)),))

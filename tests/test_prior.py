@@ -55,6 +55,19 @@ def test_census_matches_per_program_sums(cfg):
     assert prior.omega_truncated(16, cfg) == sum(halting, Fraction(0))
 
 
+def test_snapshot_runs_no_program_once_the_census_is_built(monkeypatch):
+    # budgets no other test uses, so no cached run can stand in for a program run
+    cfg = tv.MachineConfig(step_budget=33, rand_budget=3, output_budget=9)
+    m = prior.update(prior.build_mixture(12, cfg), "1")
+
+    def no_runs(*args):
+        raise AssertionError("the snapshot ran a program")
+
+    monkeypatch.setattr(tv, "_execute", no_runs)
+    snapshot = prior.mixture_snapshot(m)
+    assert [h["program"] for h in snapshot] == [p.code for p in tv.enumerate_programs(12)]
+
+
 @pytest.mark.parametrize(
     "cfg,history",
     [(CFG, ""), (CFG, "1"), (CFG, "0110"), (CFG, "101101"), (TIGHT, "0101"), (TIGHT, "000000")],

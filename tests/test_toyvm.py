@@ -242,14 +242,12 @@ def test_prefix_probability_agrees_with_distribution():
 
 
 def two_stream_template(program, cfg):
-    """Oracle: a RAND slot is exactly where runs on complementary streams differ."""
+    """Oracle: a RAND slot, marked "?", is exactly where runs on complementary streams differ."""
     zeros = tv.run(program, cfg, "0" * cfg.rand_budget)
     ones = tv.run(program, cfg, "1" * cfg.rand_budget)
     assert zeros.halted == ones.halted
-    slots = tuple(
-        ("rand", None) if a != b else ("lit", a) for a, b in zip(zeros.output, ones.output)
-    )
-    return slots, zeros.halted
+    template = "".join("?" if a != b else a for a, b in zip(zeros.output, ones.output))
+    return template, zeros.halted
 
 
 @pytest.mark.parametrize(
@@ -260,11 +258,24 @@ def test_output_template_matches_two_stream_oracle(cfg):
         assert tv.output_template(p, cfg) == two_stream_template(p, cfg), p.code
 
 
-def test_census_leaves_the_template_cache_alone():
-    cfg = tv.MachineConfig(step_budget=40, rand_budget=3, output_budget=7)
-    tv._template.cache_clear()
-    tv.census.__wrapped__(14, cfg)
-    assert tv._template.cache_info().currsize == 0
+@pytest.mark.parametrize(
+    "cfg", [CFG, tv.MachineConfig(step_budget=8, rand_budget=2, output_budget=5)]
+)
+def test_census_members_are_the_classes_of_their_templates(cfg):
+    census = tv.census(16, cfg)
+    programs = tv.enumerate_programs(16)
+    assert len(census.members) == len(programs)
+    weights = [0] * len(census.classes)
+    for p, k in zip(programs, census.members):
+        template, _halted = tv.output_template(p, cfg)
+        mask = "".join("0" if slot == "?" else "1" for slot in template)
+        bits = template.replace("?", "0")
+        length, class_mask, class_bits, _weight = census.classes[k]
+        assert (length, class_mask, class_bits) == (
+            len(template), int(mask or "0", 2), int(bits or "0", 2)
+        ), p.code
+        weights[k] += 2 ** (16 - len(p))
+    assert weights == [weight for *_, weight in census.classes]
 
 
 def test_mirror_is_a_length_preserving_involution():
