@@ -35,6 +35,10 @@ FREEBIT_GUARD = 16
 # clopper_pearson multiplies math.comb(trials, i) by floats; 1029 is the largest
 # trials for which every comb(trials, i) converts to a float
 TRIALS_GUARD = 1029
+# the largest game end u (a classify horizon) and table context, as a context
+# past the input trace keys nothing new: with u - t = 2, TRIALS_GUARD trials
+# of a table game at the guard take about 4 s on a 2-core Xeon VM (27 s at 4096)
+TIME_GUARD = 1024
 # of the verdict's Clopper-Pearson interval, reported as confidence_interval_95
 CONFIDENCE = 0.95
 
@@ -356,6 +360,8 @@ class TablePredictor:
     """
 
     def __init__(self, context: int = 1):
+        if not 0 <= context <= TIME_GUARD:
+            raise ValueError(f"'context' must lie in [0, {TIME_GUARD}], got {context}")
         self.context = context
         self.counts: dict[str, list[int]] = {}
         self.inputs = ""
@@ -468,6 +474,8 @@ class GameConfig:
             raise ValueError("need 0 <= t < u")
         if self.u - self.t > HORIZON_GUARD:
             raise HorizonTooLong(f"u - t = {self.u - self.t} exceeds {HORIZON_GUARD}")
+        if self.u > TIME_GUARD:
+            raise BudgetTooLarge(f"'u' = {self.u} exceeds {TIME_GUARD}")
         eps, delta = Fraction(self.epsilon), Fraction(self.delta)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "delta", delta)
@@ -623,6 +631,8 @@ def classify(
     scheduled (t, epsilon, delta) for every subject in the class;
     "unpredicted-at-scale" otherwise (see the disclaimer in the report).
     """
+    if horizon > TIME_GUARD:
+        raise BudgetTooLarge(f"'horizon' = {horizon} exceeds {TIME_GUARD}")
     results = []
     label = "unpredicted-at-scale"
     for name, factory in predictors:

@@ -214,7 +214,7 @@ def _cmd_freestate_mix(config: dict, seed) -> dict:
         out = freestate.classical_mix(pairs)
         return {"classical": freestate.classical_to_payload(out)}
     pairs = [
-        (float(_fraction(c["weight"])), freestate.freestate_from_payload(c["freestate"]))
+        (_fraction(c["weight"]), freestate.freestate_from_payload(c["freestate"]))
         for c in comps
     ]
     return {"freestate": freestate.freestate_to_payload(freestate.prob_mix(pairs))}
@@ -519,9 +519,17 @@ def _cmd_gadgets_bostrom(config: dict, seed) -> dict:
     }
 
 
+# boxes within it keep every float a newcomb report quotes finite: each is at
+# most |box_one| + |box_two|
+BOX_GUARD = 10**300
+
+
 def _cmd_gadgets_newcomb(config: dict, seed) -> dict:
     box_one = config.get("box_one", 1_000_000)
     box_two = config.get("box_two", 1_000)
+    for key, box in (("box_one", box_one), ("box_two", box_two)):
+        if abs(box) > BOX_GUARD:
+            raise KnightianError(f"{key!r} must be at most {BOX_GUARD:.0e} in size, got {box}")
     value = gadgets.newcomb_expected(
         config["policy"], _fraction(config["accuracy"]), box_one, box_two
     )

@@ -11,9 +11,10 @@ Classical freestates carry exact rationals so interval endpoints like
 [1/10, 1/2] come out exactly.  Quantum states are complex float matrices
 with explicit validation tolerances.
 
-Hull membership and witness separation are linear feasibility problems over
-the real vectorization of Hermitian matrices; they are delegated to
-scipy's LP solver, with the returned witnesses re-checked independently.
+Hull membership and witness separation are one LP over the real
+vectorization of Hermitian matrices, delegated to scipy: the best margin of a
+separating functional, which by LP duality is the least L1 distance to the
+hull.  The witnesses built on it are re-checked independently.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ TOL_PSD = 1e-9
 TOL_TRACE = 1e-9
 TOL_WEIGHTS = 1e-12
 TOL_HULL = 1e-7  # boundary ties count as "member"
+# each witness restart is an ascent of up to 120 steps: about 6 ms in d = 3 on a
+# 2-core Xeon VM, so the guard costs at most about 1.5 s there
+RESTARTS_GUARD = 256
 
 
 class DimMismatch(KnightianError):
@@ -106,23 +110,28 @@ def _check_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _hermitian_eigenvalues(obj) -> np.ndarray:
+    """Freeze obj.entries, a finite Hermitian dim x dim matrix; its eigenvalues, ascending."""
+    m = _check_square(obj.entries)
+    object.__setattr__(obj, "entries", _freeze(m))
+    if m.shape != (obj.dim, obj.dim):
+        raise ValueError(f"expected {obj.dim}x{obj.dim}, got {m.shape}")
+    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    if herm_dev > TOL_HERMITIAN:
+        raise NotHermitian(herm_dev)
+    return np.linalg.eigvalsh(m)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     dim: int
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _check_square(self.entries)
-        object.__setattr__(self, "entries", _freeze(m))
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim}, got {m.shape}")
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > TOL_HERMITIAN:
-            raise NotHermitian(herm_dev)
-        eigs = np.linalg.eigvalsh(m)
+        eigs = _hermitian_eigenvalues(self)
         if float(eigs[0]) < -TOL_PSD:
             raise NotPSD(float(eigs[0]))
-        tr = complex(np.trace(m))
+        tr = complex(np.trace(self.entries))
         if abs(tr - 1.0) > TOL_TRACE:
             raise TraceNotOne(float(tr.real))
 
@@ -135,14 +144,7 @@ class Effect:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _check_square(self.entries)
-        object.__setattr__(self, "entries", _freeze(m))
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim}, got {m.shape}")
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > TOL_HERMITIAN:
-            raise NotHermitian(herm_dev)
-        eigs = np.linalg.eigvalsh(m)
+        eigs = _hermitian_eigenvalues(self)
         if float(eigs[0]) < -TOL_PSD or float(eigs[-1]) > 1.0 + TOL_PSD:
             raise ValueError(
                 f"effect eigenvalues [{eigs[0]:.6g}, {eigs[-1]:.6g}] leave [0, 1]"
@@ -187,7 +189,7 @@ class ClassicalFreestate:
             if any(v < 0 for v in vec):
                 raise ValueError("probabilities must be nonnegative")
             if abs(sum(vec) - 1) > TOL_WEIGHTS:
-                raise ValueError(f"probabilities sum to {float(sum(vec))}, not 1")
+                raise ValueError(f"probabilities in 'generators' sum to {sum(vec)}, not 1")
             gens.append(vec)
         if not gens:
             raise ValueError("a freestate needs at least one generator")
@@ -221,7 +223,7 @@ def _check_weights(weights) -> list:
     if any(w < 0 for w in weights):
         raise BadWeights("weights must be nonnegative")
     if abs(sum(weights) - 1) > TOL_WEIGHTS:
-        raise BadWeights(f"weights sum to {float(sum(weights))}, not 1")
+        raise BadWeights(f"'weight' values sum to {sum(weights)}, not 1")
     return list(weights)
 
 
@@ -346,19 +348,11 @@ def linprog(*args, **kwargs):
 
 
 def hull_contains(s: Freestate, rho: DensityMatrix) -> bool:
-    """Linear feasibility: is rho a convex combination of the generators?"""
+    """Is rho a convex combination of the generators?  Its least L1 distance to
+    the hull, by duality the best separating margin, is within TOL_HULL."""
     if s.dim != rho.dim:
         raise DimMismatch(f"dims {s.dim} != {rho.dim}")
-    target = _herm_vec(np.asarray(rho.entries))
-    cols = np.stack([_herm_vec(np.asarray(g.entries)) for g in s.generators], axis=1)
-    n = cols.shape[1]
-    m = cols.shape[0]
-    # min sum(s+ + s-)  s.t.  cols @ lam + s+ - s- = target, sum(lam) = 1, all >= 0
-    c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    a_eq = np.block([[cols, np.eye(m), -np.eye(m)], [np.ones((1, n)), np.zeros((1, 2 * m))]])
-    b_eq = np.concatenate([target, [1.0]])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (n + 2 * m), method="highs")
-    return bool(res.success and res.fun <= TOL_HULL)
+    return _separating_functional(rho, s)[1] <= TOL_HULL
 
 
 @dataclass(frozen=True)
@@ -380,7 +374,9 @@ class HermitianWitness:
 def _separating_functional(
     rho: DensityMatrix, s: Freestate
 ) -> tuple[np.ndarray, float]:
-    """Hermitian W (entries bounded by 1) maximizing Tr(W rho) - max_g Tr(W g)."""
+    """Hermitian W (entries bounded by 1) maximizing Tr(W rho) - max_g Tr(W g).
+
+    Feasible (W = 0) and bounded, so only numerics can fail it."""
     target = _herm_vec(np.asarray(rho.entries))
     gen_vecs = [_herm_vec(np.asarray(g.entries)) for g in s.generators]
     k = len(target)
@@ -397,13 +393,17 @@ def _separating_functional(
     return w, float(res.x[-1])
 
 
+def _quadratic(psi: np.ndarray, m: DensityMatrix) -> float:
+    return float(np.real(psi.conj() @ np.asarray(m.entries) @ psi))
+
+
 def _quadratic_interval(psi: np.ndarray, s: Freestate) -> tuple[float, float]:
-    vals = [float(np.real(psi.conj() @ np.asarray(g.entries) @ psi)) for g in s.generators]
+    vals = [_quadratic(psi, g) for g in s.generators]
     return min(vals), max(vals)
 
 
 def _pure_gap(psi: np.ndarray, rho: DensityMatrix, s: Freestate) -> float:
-    value = float(np.real(psi.conj() @ np.asarray(rho.entries) @ psi))
+    value = _quadratic(psi, rho)
     lo, hi = _quadratic_interval(psi, s)
     return max(value - hi, lo - value)
 
@@ -417,32 +417,27 @@ def separating_witness(
 ) -> PureWitness | HermitianWitness | None:
     """Exhibit the difference between two freestates, or None if hull-equal.
 
-    Set equality is decided by mutual hull membership of all generators.
-    When unequal, some generator rho of one set lies outside the other's
-    hull; a separating Hermitian functional is found by LP, and a pure state
-    is searched (spectral vectors of the functional, then random-restart
-    ascent) whose expectation interval on the other set excludes rho's value
-    by more than tol.  If the pure search fails, the Hermitian functional is
-    returned instead; if even its margin is within tol, the sets are
-    indistinguishable at this tolerance and the result is None.
+    Set equality is decided by mutual hull membership of all generators, each
+    of s1 against s2, then each of s2 against s1, with hull_contains's LP.
+    The first generator rho outside the other's hull keeps its LP's
+    separating functional, and a pure state is searched (spectral vectors of
+    the functional, then random-restart ascent) whose expectation interval on
+    the other set excludes rho's value by more than tol.  If the pure search
+    fails, the Hermitian functional is returned instead; if even its margin
+    is within tol, the sets are indistinguishable at this tolerance and the
+    result is None.
     """
     if s1.dim != s2.dim:
         raise DimMismatch(f"dims {s1.dim} != {s2.dim}")
-    outlier: tuple[DensityMatrix, Freestate] | None = None
-    for rho in s1.generators:
-        if not hull_contains(s2, rho):
-            outlier = (rho, s2)
+    if not 0 <= restarts <= RESTARTS_GUARD:
+        raise ValueError(f"'restarts' must lie in [0, {RESTARTS_GUARD}], got {restarts}")
+    for rho, other in [(g, s2) for g in s1.generators] + [(g, s1) for g in s2.generators]:
+        w, margin = _separating_functional(rho, other)
+        if margin > TOL_HULL:
             break
-    if outlier is None:
-        for rho in s2.generators:
-            if not hull_contains(s1, rho):
-                outlier = (rho, s1)
-                break
-    if outlier is None:
+    else:
         return None
-    rho, other = outlier
 
-    w, margin = _separating_functional(rho, other)
     d = rho.dim
     rng = np.random.default_rng(seed)
 
@@ -454,21 +449,19 @@ def separating_witness(
         if gap > best_gap:
             best_psi, best_gap = psi, gap
     if best_psi is not None:
-        polished = _ascend_pure(best_psi, rho, other)
-        if _pure_gap(polished, rho, other) > best_gap:
-            best_psi, best_gap = polished, _pure_gap(polished, rho, other)
+        polished, gap = _ascend_pure(best_psi, rho, other)
+        if gap > best_gap:
+            best_psi, best_gap = polished, gap
     else:
         for _ in range(restarts):
             raw = rng.normal(size=d) + 1j * rng.normal(size=d)
-            psi = _ascend_pure(raw / np.linalg.norm(raw), rho, other)
-            gap = _pure_gap(psi, rho, other)
+            psi, gap = _ascend_pure(raw / np.linalg.norm(raw), rho, other)
             if gap > best_gap:
                 best_psi, best_gap = psi, gap
     if best_psi is not None:
-        value = float(np.real(best_psi.conj() @ np.asarray(rho.entries) @ best_psi))
         return PureWitness(
             PureState(d, best_psi),
-            value,
+            _quadratic(best_psi, rho),
             _quadratic_interval(best_psi, other),
             best_gap,
         )
@@ -484,8 +477,8 @@ def separating_witness(
     return HermitianWitness(w, value, (lo, hi), gap)
 
 
-def _ascend_pure(start: np.ndarray, rho: DensityMatrix, s: Freestate) -> np.ndarray:
-    """Projected local ascent of the exclusion gap on the unit sphere."""
+def _ascend_pure(start: np.ndarray, rho: DensityMatrix, s: Freestate) -> tuple[np.ndarray, float]:
+    """Projected local ascent of the exclusion gap on the unit sphere: (psi, its gap)."""
     psi = start / np.linalg.norm(start)
     step = 0.25
     current = _pure_gap(psi, rho, s)
@@ -500,18 +493,19 @@ def _ascend_pure(start: np.ndarray, rho: DensityMatrix, s: Freestate) -> np.ndar
             step *= 0.5
             if step < 1e-6:
                 break
-    return psi
+    return psi, current
 
 
 def _gap_gradient(psi: np.ndarray, rho: DensityMatrix, s: Freestate) -> np.ndarray:
-    # gradient of <psi|rho|psi> minus the active extreme of the other set
-    lo, hi = _quadratic_interval(psi, s)
-    value = float(np.real(psi.conj() @ np.asarray(rho.entries) @ psi))
+    # gradient of <psi|rho|psi> minus the (first) active extreme of the other set
+    vals = [_quadratic(psi, g) for g in s.generators]
+    lo, hi = min(vals), max(vals)
+    value = _quadratic(psi, rho)
     if value - hi >= lo - value:
-        active = max(s.generators, key=lambda g: float(np.real(psi.conj() @ np.asarray(g.entries) @ psi)))
+        active = s.generators[vals.index(hi)]
         direction = np.asarray(rho.entries) - np.asarray(active.entries)
     else:
-        active = min(s.generators, key=lambda g: float(np.real(psi.conj() @ np.asarray(g.entries) @ psi)))
+        active = s.generators[vals.index(lo)]
         direction = np.asarray(active.entries) - np.asarray(rho.entries)
     grad = 2.0 * direction @ psi
     # project out the radial component

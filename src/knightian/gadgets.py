@@ -7,6 +7,7 @@ measurement angles use floats.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -242,9 +243,6 @@ class CausalGraph:
             if c not in known or e not in known:
                 raise MalformedGraph(f"edge ({c!r}, {e!r}) touches unknown node")
 
-    def node(self, node_id: str) -> CausalNode:
-        return next(n for n in self.nodes if n.id == node_id)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -320,30 +318,14 @@ def causal_validate(
 
 
 def acyclicity_check(graph: CausalGraph) -> bool:
-    """True iff the graph has no directed cycle (iterative DFS)."""
-    adjacency: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+    """True iff the graph has no directed cycle, self-loops included (graphlib's topological sort)."""
+    sorter = graphlib.TopologicalSorter()
     for c, e in graph.edges:
-        adjacency[c].append(e)
-    color = {n.id: 0 for n in graph.nodes}  # 0 fresh, 1 active, 2 done
-    for start in adjacency:
-        if color[start] != 0:
-            continue
-        stack = [(start, iter(adjacency[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    return False
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+        sorter.add(e, c)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError:
+        return False
     return True
 
 

@@ -176,7 +176,6 @@ class RegretReport:
     per_step_ratios: tuple[Fraction, ...]
     ratio_product: Fraction
     mistakes: dict[Fraction, int]
-    max_step_ratio: Fraction
     nonmistake_log2_excess: dict[Fraction, float]
 
 
@@ -225,7 +224,6 @@ def regret_report(
         per_step_ratios=tuple(ratios),
         ratio_product=product,
         mistakes=mistakes,
-        max_step_ratio=max(ratios) if ratios else Fraction(1),
         nonmistake_log2_excess=excess,
     )
 

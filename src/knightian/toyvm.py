@@ -85,6 +85,9 @@ COUNTER_MAX = 255
 ABSTAIN = "⊥"
 
 ENUMERATION_GUARD = 24
+# the largest step, rand and output budget: with all three at 512 the census at
+# bound 24 takes about 2 s on a 2-core Xeon VM, against 1.1 s at the defaults
+BUDGET_GUARD = 512
 
 
 class BadHeader(KnightianError):
@@ -173,10 +176,10 @@ class MachineConfig:
     output_budget: int = 64
 
     def __post_init__(self):
-        if self.step_budget < 1 or self.output_budget < 1:
-            raise ValueError("step and output budgets must be >= 1")
-        if self.rand_budget < 0:
-            raise ValueError("rand budget must be >= 0")
+        for key, low in (("step_budget", 1), ("rand_budget", 0), ("output_budget", 1)):
+            value = getattr(self, key)
+            if not low <= value <= BUDGET_GUARD:
+                raise ValueError(f"{key!r} must lie in [{low}, {BUDGET_GUARD}], got {value}")
 
 
 @dataclass(frozen=True)

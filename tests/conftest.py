@@ -22,3 +22,27 @@ def random_freestate(
 ) -> freestate.Freestate:
     gens = tuple(random_density(rng, dim) for _ in range(n_generators))
     return freestate.Freestate(dim, gens)
+
+
+def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def pushed_out_pair(rng: np.random.Generator):
+    """({rho}, hull) in d = 3, rho pushed from I/3 past a mixture of the hull's generators.
+
+    The hull has 3 to 8 random pure states.  rho = I/3 + lam (sum_i w_i psi_i psi_i* - I/3)
+    with lam in [1, 1.3] sits just outside the hull, where the spectral witness
+    often fails; None when rho is not a state.
+    """
+    d = 3
+    psis = [random_pure(rng, d) for _ in range(int(rng.integers(3, 9)))]
+    hull = freestate.Freestate(d, tuple(freestate.PureState(d, p).projector() for p in psis))
+    mean = sum(w * np.outer(p, p.conj()) for w, p in zip(rng.dirichlet(np.ones(len(psis))), psis))
+    m = np.eye(d) / d + rng.uniform(1.0, 1.3) * (mean - np.eye(d) / d)
+    try:
+        rho = freestate.DensityMatrix(d, (m + m.conj().T) / 2)
+    except freestate.KnightianError:
+        return None
+    return freestate.Freestate(d, (rho,)), hull

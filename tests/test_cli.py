@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from knightian import arena, cli
+from conftest import pushed_out_pair
+from knightian import arena, cli, toyvm
+from knightian import freestate as fs
 
 
 def invoke(capsys, *argv):
@@ -228,6 +234,20 @@ def timed_nodes(micro_time, macro_time):
 
 CAUSAL_GRAPH = {"nodes": timed_nodes(0, 1), "edges": [["F", "f"]]}
 NAN, INF = float("nan"), float("inf")
+HUGE_CLASSICAL = {"n": 2, "generators": [["1e400", "0.1"]]}
+BIG_INT_CLASSICAL = {"n": 2, "generators": [[10**400, 0]]}
+
+
+def table_run(context):
+    return {**RUN, "predictor": {"kind": "table", "context": context}}
+
+
+def game_ending_at(u):
+    return {**RUN, "game": {**GAME, "t": u - 2, "u": u, "trials": 1}}
+
+
+def classify_until(horizon):
+    return {**CLASSIFY, "horizon": horizon, "schedule": [[horizon - 2, "0.1", "0.1"]]}
 
 
 # The name predates the other four groups; it is kept so the solomonoff ids stay stable.
@@ -276,6 +296,20 @@ NAN, INF = float("nan"), float("inf")
         (("gadgets", "causal"), {**CAUSAL_GRAPH, "nodes": timed_nodes(0, INF)}, "time"),
         (("gadgets", "causal"), {**CAUSAL_GRAPH, "edges": [["F", "f", "x"]]}, "edges"),
         (("soph", "table"), {"lengths": [1000000], "cs": [1], "bound": 12}, "lengths"),
+        # well typed, but each overflowed a float (exit 2): a generator, weight or box past float range
+        (("freestate", "interval"), {**KNIGHT_CLASSICAL, "classical": HUGE_CLASSICAL}, "generators"),
+        (("freestate", "interval"), {**KNIGHT_CLASSICAL, "classical": BIG_INT_CLASSICAL}, "generators"),
+        (("freestate", "or"), {"classicals": [HUGE_CLASSICAL, HUGE_CLASSICAL]}, "generators"),
+        (("freestate", "mix"), {"components": [{"weight": "1", "classical": BIG_INT_CLASSICAL}]}, "generators"),
+        (("freestate", "mix"), {"components": [{"weight": "1e400", "classical": HUGE_CLASSICAL}]}, "generators"),
+        (("freestate", "mix"), {"components": [{"weight": "1e400", "classical": KNIGHT_CLASSICAL["classical"]}]}, "weight"),
+        (("freestate", "mix"), {"components": [{"weight": "1e400", "freestate": QUBIT_0}]}, "weight"),
+        (("gadgets", "newcomb"), {**NEWCOMB, "box_one": 10**400}, "box_one"),
+        (("gadgets", "newcomb"), {**NEWCOMB, "box_two": 10**400}, "box_two"),
+        # well typed, but each ran out of memory (exit 2) or keyed on a truncated window (exit 0)
+        (("solomonoff", "predict"), {"bound": 12, "history": "", "rand_budget": 10**18}, "rand_budget"),
+        (("arena", "run"), table_run(10**18), "context"),
+        (("arena", "run"), table_run(-3), "context"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -330,6 +364,7 @@ GOOD_CONFIGS = [
     ("gadgets", "causal", {**CAUSAL_GRAPH, "check_disjoint_macro": False}),
     # object subject and family; t = 1 puts the gerbil's freebit, at step 2, in the window
     ("arena", "run", {"subject": GERBIL, "predictor": COIN_BAYES, "game": {**GAME, "t": 1}}),
+    ("arena", "classify", {**CLASSIFY, "predictors": [{"kind": "table", "name": "t", "context": 1}]}),
 ]
 
 
@@ -345,6 +380,82 @@ def test_every_config_key_is_typed(tmp_path, capsys, group, command, config):
     for key in config:
         code, out, err = invoke(capsys, *argv, write_config(tmp_path, {**config, key: None}))
         assert (code, repr(key) in err) == (1, True), (key, err)
+
+
+def leaf_paths(value, path=()):
+    """Subscript paths to every scalar, empty list and empty object in a config."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    if not items:
+        yield path
+    for key, item in items:
+        yield from leaf_paths(item, (*path, key))
+
+
+def replace_leaf(value, path, new):
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[key] = replace_leaf(value[key], rest, new)
+    return copy
+
+
+# a fixed pool of awkward leaves: edge integers, each size guard and one past it,
+# float edges, strings a rational may or may not parse, and every other JSON kind
+POOL = [
+    0, -1, 2**63, 10**400,
+    toyvm.BUDGET_GUARD, toyvm.BUDGET_GUARD + 1, arena.TIME_GUARD, arena.TIME_GUARD + 1,
+    fs.RESTARTS_GUARD, fs.RESTARTS_GUARD + 1,
+    0.5, 1e308, "", "1e400", "abc", [], {}, None, True,
+]
+
+
+def no_constant(name):
+    raise ValueError(f"{name} in a report")
+
+
+@pytest.mark.parametrize("group, command, config", GOOD_CONFIGS)
+def test_any_one_bad_leaf_exits_zero_or_one(tmp_path_factory, group, command, config):
+    path = str(tmp_path_factory.mktemp("leaf") / "config.json")
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(list(leaf_paths(config))), st.sampled_from(POOL))
+    def one_bad_leaf(leaf, value):
+        with open(path, "w") as fh:
+            json.dump(replace_leaf(config, leaf, value), fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.dispatch([group, command, "--seed", "1", "--config", path])
+        assert code in (0, 1), err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=no_constant)
+
+    one_bad_leaf()
+
+
+@pytest.mark.parametrize(
+    "command, key, guard, config_at",
+    [
+        (("solomonoff", "omega"), "step_budget", toyvm.BUDGET_GUARD, lambda v: {"bound": 12, "step_budget": v}),
+        (("solomonoff", "omega"), "rand_budget", toyvm.BUDGET_GUARD, lambda v: {"bound": 12, "rand_budget": v}),
+        (("solomonoff", "omega"), "output_budget", toyvm.BUDGET_GUARD, lambda v: {"bound": 12, "output_budget": v}),
+        (("arena", "run"), "context", arena.TIME_GUARD, table_run),
+        (("arena", "run"), "u", arena.TIME_GUARD, game_ending_at),
+        (("arena", "classify"), "horizon", arena.TIME_GUARD, classify_until),
+        (("freestate", "witness"), "restarts", fs.RESTARTS_GUARD, lambda v: {**WITNESS, "restarts": v}),
+    ],
+)
+def test_size_guards_admit_their_bound_and_name_the_key_past_it(
+    tmp_path, capsys, command, key, guard, config_at
+):
+    def run(value):
+        path = write_config(tmp_path, config_at(value))
+        return invoke(capsys, *command, "--seed", "1", "--config", path)
+
+    assert run(guard)[0] == 0
+    code, out, err = run(guard + 1)
+    assert code == 1, err
+    assert repr(key) in err
 
 
 def test_missing_nested_key_is_named(tmp_path, capsys):
@@ -464,16 +575,34 @@ def test_soph_table_csv(tmp_path, capsys):
 
 
 def test_freestate_witness_cli(tmp_path, capsys):
-    import numpy as np
-
-    from knightian import freestate as fs
-
     payload_a = fs.freestate_to_payload(fs.Freestate(2, (fs.ket("0").projector(),)))
     payload_b = fs.freestate_to_payload(fs.Freestate(2, (fs.maximally_mixed(2),)))
     config = write_config(tmp_path, {"freestate_a": payload_a, "freestate_b": payload_b})
     report = invoke_json(capsys, "freestate", "witness", "--config", config, "--seed", "1")
     assert report["result"]["kind"] == "pure"
     assert report["result"]["gap"] == pytest.approx(0.5, abs=1e-6)
+
+
+def test_freestate_witness_cli_reports_hermitian_and_none(tmp_path, capsys):
+    # a pinned draw where no pure state separates (see test_freestate.py)
+    single, hull = pushed_out_pair(np.random.default_rng(7))
+    payload = {
+        "freestate_a": fs.freestate_to_payload(single),
+        "freestate_b": fs.freestate_to_payload(hull),
+        "restarts": 8,
+    }
+    config = write_config(tmp_path, payload)
+    result = invoke_json(capsys, "freestate", "witness", "--config", config, "--seed", "7")["result"]
+    assert set(result) == {"kind", "operator", "value_on_state", "interval_on_other", "gap"}
+    assert result["kind"] == "hermitian"
+    w = fs._matrix_from_payload(result["operator"])
+    value = float(np.real(np.trace(w @ single.generators[0].entries)))
+    vals = [float(np.real(np.trace(w @ g.entries))) for g in hull.generators]
+    assert result["gap"] == pytest.approx(max(value - max(vals), min(vals) - value), abs=1e-12)
+    assert result["gap"] > 1e-6
+    config = write_config(tmp_path, {**WITNESS, "tol": 1.0, "restarts": 2})
+    result = invoke_json(capsys, "freestate", "witness", "--config", config, "--seed", "1")["result"]
+    assert result == {"kind": "none"}
 
 
 def test_freestate_clone_check_cli(tmp_path, capsys):
@@ -486,8 +615,6 @@ def test_freestate_clone_check_cli(tmp_path, capsys):
 
 
 def test_freestate_mix_cli_matches_expansion(tmp_path, capsys):
-    from knightian import freestate as fs
-
     a = fs.freestate_to_payload(
         fs.Freestate(2, (fs.ket("0").projector(), fs.ket("1").projector()))
     )
@@ -503,8 +630,6 @@ def test_freestate_mix_cli_matches_expansion(tmp_path, capsys):
 
 
 def test_quantum_interval_over_the_cli(tmp_path, capsys):
-    from knightian import freestate as fs
-
     state = fs.Freestate(2, (fs.ket("0").projector(), fs.ket("1").projector()))
     effect = fs.Effect(2, fs.ket("0").projector().entries)
     config = write_config(
@@ -519,8 +644,6 @@ def test_quantum_interval_over_the_cli(tmp_path, capsys):
 
 
 def test_quantum_or_over_the_cli(tmp_path, capsys):
-    from knightian import freestate as fs
-
     a = fs.freestate_to_payload(fs.Freestate(2, (fs.ket("0").projector(),)))
     b = fs.freestate_to_payload(fs.Freestate(2, (fs.ket("1").projector(),)))
     config = write_config(tmp_path, {"freestates": [a, b]})

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_density, random_effect, random_freestate
+from conftest import pushed_out_pair, random_density, random_effect, random_freestate
 from knightian import freestate as fs
 
 
@@ -322,6 +322,114 @@ def test_witness_soundness_on_random_pairs():
             ]
             assert any(excluded)
     assert seen >= 8  # random freestates are almost never hull-equal
+
+
+def primal_l1_residual(s, rho) -> float:
+    """The least L1 residual of rho against the hull: the primal LP hull_contains used to solve."""
+    from scipy.optimize import linprog
+
+    target = fs._herm_vec(np.asarray(rho.entries))
+    cols = np.stack([fs._herm_vec(np.asarray(g.entries)) for g in s.generators], axis=1)
+    m, n = cols.shape
+    # min sum(s+ + s-)  s.t.  cols @ lam + s+ - s- = target, sum(lam) = 1, all >= 0
+    c = np.concatenate([np.zeros(n), np.ones(2 * m)])
+    a_eq = np.block([[cols, np.eye(m), -np.eye(m)], [np.ones((1, n)), np.zeros((1, 2 * m))]])
+    b_eq = np.concatenate([target, [1.0]])
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (n + 2 * m), method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+def test_hull_membership_matches_the_primal_oracle():
+    # by LP duality the best separating margin is the least L1 residual
+    rng = np.random.default_rng(2024)
+    inside = 0
+    for trial in range(240):
+        dim = int(rng.integers(2, 5))
+        s = random_freestate(rng, dim, int(rng.integers(1, 5)))
+        if trial % 2:
+            lam = rng.dirichlet(np.ones(len(s.generators)))
+            rho = fs.DensityMatrix(dim, sum(w * g.entries for w, g in zip(lam, s.generators)))
+        else:
+            rho = random_density(rng, dim)
+        residual = primal_l1_residual(s, rho)
+        _, margin = fs._separating_functional(rho, s)
+        assert abs(margin - residual) <= 1e-9
+        assert fs.hull_contains(s, rho) == (residual <= fs.TOL_HULL)
+        inside += residual <= fs.TOL_HULL
+    assert 100 <= inside < 240
+
+
+def test_hull_membership_is_decided_at_tol_hull():
+    # a state 5 TOL_HULL from the hull, found by bisecting the primal residual
+    # along a segment leaving it, is outside.  This near the hull both LPs are
+    # blurred by HiGHS's own feasibility tolerance (1e-7): the residual jumps
+    # from 0 to about 2e-7 as the segment leaves, and the two LPs differ by a
+    # few 1e-8
+    rng = np.random.default_rng(99)
+    target = 5 * fs.TOL_HULL
+    for _ in range(3):
+        s = random_freestate(rng, 3, 3)
+        inner = sum(g.entries for g in s.generators) / 3
+        outer = random_density(rng, 3).entries
+        lo, hi = 0.0, 1.0
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            rho = fs.DensityMatrix(3, (1 - mid) * inner + mid * outer)
+            lo, hi = (mid, hi) if primal_l1_residual(s, rho) <= target else (lo, mid)
+        rho = fs.DensityMatrix(3, (1 - lo) * inner + lo * outer)
+        residual = primal_l1_residual(s, rho)
+        assert residual == pytest.approx(target, rel=1e-2)
+        assert fs._separating_functional(rho, s)[1] == pytest.approx(residual, abs=1e-7)
+        assert not fs.hull_contains(s, rho)
+        assert fs.hull_contains(s, fs.DensityMatrix(3, inner))
+
+
+def test_a_failed_lp_is_an_error_not_a_verdict(monkeypatch):
+    class Failed:
+        success = False
+
+    monkeypatch.setattr(fs, "linprog", lambda *args, **kwargs: Failed())
+    with pytest.raises(fs.KnightianError, match="LP failed"):
+        fs.hull_contains(qstate("0"), fs.maximally_mixed(2))
+
+
+def assert_witness_reverifies(w, rho, other, tol):
+    # the gap, re-derived from the generators, independently of the search
+    if isinstance(w, fs.PureWitness):
+        psi = w.psi.amplitudes
+        value = float(np.real(psi.conj() @ rho.entries @ psi))
+        vals = [float(np.real(psi.conj() @ g.entries @ psi)) for g in other.generators]
+    else:
+        value = float(np.real(np.trace(w.operator @ rho.entries)))
+        vals = [float(np.real(np.trace(w.operator @ g.entries))) for g in other.generators]
+    assert value == pytest.approx(w.value_on_state, abs=1e-12)
+    assert w.interval_on_other == pytest.approx((min(vals), max(vals)), abs=1e-12)
+    assert w.gap == pytest.approx(max(value - max(vals), min(vals) - value), abs=1e-12)
+    assert w.gap > tol
+
+
+@pytest.mark.parametrize("seed, kind", [(5, fs.PureWitness), (7, fs.HermitianWitness)])
+def test_witness_after_the_spectral_vectors_fail(monkeypatch, seed, kind):
+    # pinned draws where no spectral vector of the functional separates: the
+    # random-restart ascent finds a pure witness (seed 5), or falls back to the
+    # Hermitian functional (seed 7)
+    single, hull = pushed_out_pair(np.random.default_rng(seed))
+    ascents = []
+    ascend = fs._ascend_pure
+    monkeypatch.setattr(fs, "_ascend_pure", lambda *args: ascents.append(1) or ascend(*args))
+    w = fs.separating_witness(single, hull, restarts=8, seed=seed)
+    assert isinstance(w, kind)
+    assert len(ascents) == 8  # one ascent per restart, none polishing a spectral vector
+    assert_witness_reverifies(w, single.generators[0], hull, 1e-6)
+
+
+def test_witness_none_when_no_gap_clears_the_tolerance():
+    # the sets differ, but by 1/2 at most: every path runs, and none clears tol = 1
+    mixed = fs.Freestate(2, (fs.maximally_mixed(2),))
+    assert fs.separating_witness(qstate("0"), mixed, tol=1.0, restarts=2) is None
+    w = fs.separating_witness(qstate("0"), mixed)
+    assert_witness_reverifies(w, qstate("0").generators[0], mixed, 1e-6)
 
 
 # -- serialization -----------------------------------------------------------------

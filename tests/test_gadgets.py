@@ -259,3 +259,50 @@ def test_validated_graphs_are_acyclic():
             validated += 1
             assert gd.acyclicity_check(g)
     assert validated > 50  # the sample actually exercises the property
+
+
+def dfs_acyclic(graph: gd.CausalGraph) -> bool:
+    """The iterative three-colour DFS that acyclicity_check used before graphlib."""
+    adjacency: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+    for c, e in graph.edges:
+        adjacency[c].append(e)
+    color = {n.id: 0 for n in graph.nodes}  # 0 fresh, 1 active, 2 done
+    for start in adjacency:
+        if color[start] != 0:
+            continue
+        stack = [(start, iter(adjacency[start]))]
+        color[start] = 1
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color[nxt] == 1:
+                    return False
+                if color[nxt] == 0:
+                    color[nxt] = 1
+                    stack.append((nxt, iter(adjacency[nxt])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = 2
+                stack.pop()
+    return True
+
+
+def test_acyclicity_matches_the_dfs_oracle():
+    # edges drawn with replacement: self-loops and repeated edges included
+    rng = random.Random(4321)
+    verdicts = set()
+    for _ in range(5_000):
+        n = rng.randint(1, 7)
+        nodes = tuple(gd.CausalNode(f"n{i}", "macro", 0) for i in range(n))
+        edges = tuple(
+            (f"n{rng.randrange(n)}", f"n{rng.randrange(n)}") for _ in range(rng.randint(0, 10))
+        )
+        g = gd.CausalGraph(nodes, edges)
+        verdict = gd.acyclicity_check(g)
+        assert verdict == dfs_acyclic(g), edges
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    loop = gd.CausalGraph((node("a", "macro", 0),), (("a", "a"),))
+    assert not gd.acyclicity_check(loop)
