@@ -79,6 +79,10 @@ class Subject:
     freebit_budget: int
 
     def __post_init__(self):
+        if not 0 <= self.freebit_budget <= FREEBIT_GUARD:
+            raise BudgetTooLarge(
+                f"'freebit_budget' = {self.freebit_budget} must lie in [0, {FREEBIT_GUARD}]"
+            )
         if self.initial not in self.states:
             raise SubjectSpecError(f"initial state {self.initial!r} unknown")
         for s in self.states:
@@ -154,7 +158,7 @@ def _window_emissions(subject: Subject, inputs: str, t: int, u: int) -> list[Emi
     spec error (a one-shot resource cannot influence two behavior bits).
     """
     if u - t > HORIZON_GUARD:
-        raise HorizonTooLong(f"u - t = {u - t} exceeds {HORIZON_GUARD}")
+        raise HorizonTooLong(f"'u' - 't' = {u - t} exceeds {HORIZON_GUARD}")
     if len(inputs) < u:
         raise ValueError("input trace shorter than the horizon")
     state = subject.initial
@@ -328,10 +332,6 @@ def adversary_resolution(
     in lexicographic order, with every freebit the window does not consume set
     to 0: the first of the worst assignments in itertools.product order.
     """
-    if subject.freebit_budget > FREEBIT_GUARD:
-        raise BudgetTooLarge(
-            f"budget {subject.freebit_budget} exceeds {FREEBIT_GUARD}"
-        )
     consumed, overlaps = _pattern_overlaps(subject, forecast, inputs, t, u)
     worst, least = "", None
     for bits in itertools.product("01", repeat=len(consumed)):
@@ -426,31 +426,27 @@ class BayesPredictor:
         self.weights, self.states = self._step(self.weights, self.states, input_bit, behavior_bit)
 
     def emit_forecast(self, t: int, u: int) -> Forecast:
-        candidates = self.candidates
         # filter state (weights, states) after steps t .. t+n-1, keyed by their
         # inputs and behavior bits; each miss is one step from its parent entry
         memo = {("", ""): (self.weights, self.states)}
 
-        def filtered(inputs: str, past: str, n: int) -> tuple[tuple, tuple]:
-            known = n
-            while (inputs[t : t + known], past[:known]) not in memo:
-                known -= 1
-            weights, states = memo[(inputs[t : t + known], past[:known])]
-            for step in range(known, n):
-                weights, states = self._step(weights, states, inputs[t + step], past[step])
-                memo[(inputs[t : t + step + 1], past[: step + 1])] = weights, states
-            return weights, states
+        def filtered(inputs: str, past: str) -> tuple[tuple, tuple]:
+            key = (inputs, past)
+            if key not in memo:
+                weights, states = filtered(inputs[:-1], past[:-1])
+                memo[key] = self._step(weights, states, inputs[-1], past[-1])
+            return memo[key]
 
         def conditional(v: int, inputs: str, past: str) -> Fraction:
             # the filter consumes min(v - t, len(past)) steps, as zip(range(t, v), past) would
-            weights, states = filtered(inputs, past, max(0, min(v - t, len(past))))
-            p = Fraction(0)
-            total = sum(weights, Fraction(0))
-            if total == 0:
+            n = max(0, min(v - t, len(past)))
+            weights, states = filtered(inputs[t : t + n], past[:n])
+            if not any(weights):  # _step normalized them: they sum to 1 or are all 0
                 return Fraction(1, 2)
-            for k, cand in enumerate(candidates):
-                p += weights[k] * self._likelihood(cand, states[k], inputs[v], "1")
-            return p / total
+            p = Fraction(0)
+            for w, cand, s in zip(weights, self.candidates, states):
+                p += w * self._likelihood(cand, s, inputs[v], "1")
+            return p
 
         return Forecast(t, u, conditional)
 
@@ -473,7 +469,7 @@ class GameConfig:
         if not (0 <= self.t < self.u):
             raise ValueError("need 0 <= t < u")
         if self.u - self.t > HORIZON_GUARD:
-            raise HorizonTooLong(f"u - t = {self.u - self.t} exceeds {HORIZON_GUARD}")
+            raise HorizonTooLong(f"'u' - 't' = {self.u - self.t} exceeds {HORIZON_GUARD}")
         if self.u > TIME_GUARD:
             raise BudgetTooLarge(f"'u' = {self.u} exceeds {TIME_GUARD}")
         eps, delta = Fraction(self.epsilon), Fraction(self.delta)
@@ -484,7 +480,7 @@ class GameConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.trials > TRIALS_GUARD:
-            raise BudgetTooLarge(f"trials = {self.trials} exceeds {TRIALS_GUARD}")
+            raise BudgetTooLarge(f"'trials' = {self.trials} exceeds {TRIALS_GUARD}")
         if self.adversary not in ("adaptive", "oblivious"):
             raise ValueError("adversary must be 'adaptive' or 'oblivious'")
 

@@ -38,7 +38,6 @@ def chsh_classical_optimum() -> ClassicalChshResult:
     a XOR b = x AND y for uniformly random input bits x, y.
     """
     rows = []
-    best: tuple[Fraction, tuple] | None = None
     for a0, a1, b0, b1 in itertools.product((0, 1), repeat=4):
         wins = 0
         for x, y in itertools.product((0, 1), repeat=2):
@@ -46,13 +45,9 @@ def chsh_classical_optimum() -> ClassicalChshResult:
             b = b0 if y == 0 else b1
             if (a + b) % 2 == (x & y):
                 wins += 1
-        value = Fraction(wins, 4)
-        strategy = ((a0, a1), (b0, b1))
-        rows.append({"alice": (a0, a1), "bob": (b0, b1), "value": value})
-        if best is None or value > best[0]:
-            best = (value, strategy)
-    assert best is not None
-    return ClassicalChshResult(best[0], best[1], tuple(rows))
+        rows.append({"alice": (a0, a1), "bob": (b0, b1), "value": Fraction(wins, 4)})
+    best = max(rows, key=lambda row: row["value"])  # the first maximum
+    return ClassicalChshResult(best["value"], (best["alice"], best["bob"]), tuple(rows))
 
 
 def _bell_pair() -> DensityMatrix:

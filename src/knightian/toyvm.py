@@ -163,10 +163,6 @@ def from_body(body: str) -> Program:
     return Program(code=gamma_encode(len(body) + 1) + body, body=body)
 
 
-def header_length(body_len: int) -> int:
-    return len(gamma_encode(body_len + 1))
-
-
 @dataclass(frozen=True)
 class MachineConfig:
     """Per-run budgets keeping every execution finite."""
@@ -207,92 +203,74 @@ def run(program: Program, cfg: MachineConfig, rand_stream: str) -> RunResult:
 def _execute(body: str, cfg: MachineConfig, rand_stream: str) -> RunResult:
     # The interpreter behind run(), without its input checks.  RAND copies
     # stream symbols verbatim, which lets output_template and census pass
-    # non-bit markers.
+    # non-bit markers.  Each kind of step has one path: the pc moves on as an
+    # op is fetched (a taken jump steps back two), EMIT0, EMIT1 and RAND share
+    # one budget check, and QUOTE and REPEAT one data loop.
     n_instr = len(body) // OPCODE_WIDTH
     out: list[str] = []
-    pc = 0
-    counter = 0
-    steps = 0
-    rands = 0
+    pc = counter = steps = rands = 0
 
     def stopped(halted: bool) -> RunResult:
         return RunResult("".join(out), halted, steps, rands)
 
-    while True:
-        if pc < 0 or pc >= n_instr:
-            return stopped(True)
+    while 0 <= pc < n_instr:
         if steps >= cfg.step_budget:
             return stopped(False)
         op = body[pc * OPCODE_WIDTH : (pc + 1) * OPCODE_WIDTH]
         steps += 1
-        if op == EMIT0 or op == EMIT1:
-            if len(out) >= cfg.output_budget:
+        pc += 1
+        if op == EMIT0 or op == EMIT1 or op == RAND:
+            rand = op == RAND
+            if len(out) >= cfg.output_budget or (rand and rands >= cfg.rand_budget):
                 return stopped(False)
-            out.append(op[-1])
-            pc += 1
-        elif op == RAND:
-            if rands >= cfg.rand_budget:
-                return stopped(False)
-            if len(out) >= cfg.output_budget:
-                return stopped(False)
-            out.append(rand_stream[rands])
-            rands += 1
-            pc += 1
-        elif op == QUOTE:
-            tail = body[(pc + 1) * OPCODE_WIDTH :]
-            for bit in tail:
-                if steps >= cfg.step_budget:
-                    return stopped(False)
-                if len(out) >= cfg.output_budget:
+            out.append(rand_stream[rands] if rand else op[-1])
+            rands += rand
+        elif op == JMP or op == JMPZ:
+            if op == JMP or counter == 0:
+                pc -= 2
+        elif op == QUOTE or op == REPEAT:
+            data = body[pc * OPCODE_WIDTH :]
+            if op == REPEAT:
+                try:
+                    r_minus_1, pos = gamma_decode(data)
+                except BadHeader:
+                    return stopped(True)
+                if pos == len(data):  # empty pattern
+                    return stopped(True)
+                # each copy costs at least one step, so the cap never shows
+                copies = min(r_minus_1 + 1, cfg.step_budget)
+                data = itertools.chain.from_iterable(itertools.repeat(data[pos:], copies))
+            for bit in data:
+                if steps >= cfg.step_budget or len(out) >= cfg.output_budget:
                     return stopped(False)
                 steps += 1
                 out.append(bit)
             return stopped(True)
-        elif op == REPEAT:
-            tail = body[(pc + 1) * OPCODE_WIDTH :]
-            try:
-                r_minus_1, pos = gamma_decode(tail)
-            except BadHeader:
-                return stopped(True)
-            pattern = tail[pos:]
-            if not pattern:
-                return stopped(True)
-            for bit in itertools.chain.from_iterable([pattern] * (r_minus_1 + 1)):
-                if steps >= cfg.step_budget:
-                    return stopped(False)
-                if len(out) >= cfg.output_budget:
-                    return stopped(False)
-                steps += 1
-                out.append(bit)
-            return stopped(True)
-        elif op == JMP:
-            pc -= 1
-        elif op == JMPZ:
-            pc = pc - 1 if counter == 0 else pc + 1
         elif op == INC:
             counter = min(counter + 1, COUNTER_MAX)
-            pc += 1
         elif op == DEC:
             counter = max(counter - 1, 0)
-            pc += 1
         else:  # HALT and all reserved opcodes
             return stopped(True)
+    return stopped(True)
 
 
 def enumerate_programs(max_len: int) -> list[Program]:
-    """All valid programs with total length <= max_len, length-then-lex order."""
+    """All valid programs with total length <= max_len, length-then-lex order.
+
+    The bodies of each length come from itertools.product (one empty tuple at
+    length 0) behind that length's header, encoded once.
+    """
     if max_len > ENUMERATION_GUARD:
-        raise LimitExceeded(f"max_len {max_len} exceeds the guard {ENUMERATION_GUARD}")
+        raise LimitExceeded(f"'bound' = {max_len} exceeds the guard {ENUMERATION_GUARD}")
     programs = []
-    body_len = 0
-    while header_length(body_len) + body_len <= max_len:
-        if body_len == 0:
-            programs.append(from_body(""))
-        else:
-            for bits in itertools.product("01", repeat=body_len):
-                programs.append(from_body("".join(bits)))
-        body_len += 1
-    return programs
+    for body_len in itertools.count():
+        header = gamma_encode(body_len + 1)
+        if len(header) + body_len > max_len:
+            return programs
+        for bits in itertools.product("01", repeat=body_len):
+            body = "".join(bits)
+            programs.append(Program(header + body, body))
 
 
 def kraft_sum(programs: list[Program]) -> Fraction:

@@ -141,8 +141,8 @@ def test_adversary_two_freebits_dodges_confident_forecast():
 def test_adversary_budget_guard():
     states = ("a",)
     edges = {("a", i): arena.Edge("a", ("freebit", 0)) for i in "01"}
-    subject = arena.Subject("freebit", states, "a", edges, 17)
     with pytest.raises(arena.BudgetTooLarge):
+        subject = arena.Subject("freebit", states, "a", edges, 17)
         arena.adversary_resolution(subject, constant_forecast(0, 1, F(1, 2)), "0", 0, 1)
 
 

@@ -250,6 +250,21 @@ def classify_until(horizon):
     return {**CLASSIFY, "horizon": horizon, "schedule": [[horizon - 2, "0.1", "0.1"]]}
 
 
+def fixed_table_game(**game):
+    """A table game against the parrot on inputs 0011...
+
+    Training sees every context, so the forecast is deterministic.
+    """
+    fixed = {"t": 8, "u": 10, "input_model": {"kind": "fixed", "bits": "0011"}}
+    return {**RUN, "game": {**GAME, **fixed, **game}}
+
+
+def oblivious_gerbil_game(freebit_budget):
+    # t = 2 leaves the gerbil's freebit, at step 2, out of training
+    subject = {**GERBIL, "freebit_budget": freebit_budget}
+    return {**RUN, "subject": subject, "game": {**GAME, "t": 2, "adversary": "oblivious"}}
+
+
 # The name predates the other four groups; it is kept so the solomonoff ids stay stable.
 @pytest.mark.parametrize(
     "command, config, key",
@@ -443,6 +458,10 @@ def test_any_one_bad_leaf_exits_zero_or_one(tmp_path_factory, group, command, co
         (("arena", "run"), "u", arena.TIME_GUARD, game_ending_at),
         (("arena", "classify"), "horizon", arena.TIME_GUARD, classify_until),
         (("freestate", "witness"), "restarts", fs.RESTARTS_GUARD, lambda v: {**WITNESS, "restarts": v}),
+        (("soph", "k"), "bound", toyvm.ENUMERATION_GUARD, lambda v: {"x": "0", "bound": v}),
+        (("arena", "run"), "trials", arena.TRIALS_GUARD, lambda v: fixed_table_game(trials=v)),
+        (("arena", "run"), ("u", "t"), 8 + arena.HORIZON_GUARD, lambda v: fixed_table_game(u=v)),
+        (("arena", "run"), "freebit_budget", arena.FREEBIT_GUARD, oblivious_gerbil_game),
     ],
 )
 def test_size_guards_admit_their_bound_and_name_the_key_past_it(
@@ -455,7 +474,8 @@ def test_size_guards_admit_their_bound_and_name_the_key_past_it(
     assert run(guard)[0] == 0
     code, out, err = run(guard + 1)
     assert code == 1, err
-    assert repr(key) in err
+    for name in (key,) if isinstance(key, str) else key:
+        assert repr(name) in err, err
 
 
 def test_missing_nested_key_is_named(tmp_path, capsys):

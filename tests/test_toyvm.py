@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,13 @@ def test_repeat_malformed_tail_halts_quietly():
         "", True, 1, 0
     )
     assert tv.run(tv.from_body(tv.REPEAT + "1"), CFG, STREAM0).output == ""
+
+
+def test_repeat_with_a_huge_count_stops_on_the_step_budget():
+    # gamma(2**80) is 161 bits: r = 2**80 + 1 copies of "1", far past any budget
+    cfg = tv.MachineConfig(step_budget=20, output_budget=64)
+    p = tv.from_body(tv.REPEAT + tv.gamma_encode(2**80) + "1")
+    assert tv.run(p, cfg, "0" * cfg.rand_budget) == tv.RunResult("1" * 19, False, 20, 0)
 
 
 def test_jump_out_of_range_halts():
@@ -283,3 +291,126 @@ def test_mirror_is_a_length_preserving_involution():
         m = tv.mirror(p)
         assert len(m) == len(p)
         assert tv.mirror(m).code == p.code
+
+
+# -- oracles: the interpreter and enumeration loop before one path per step -------
+
+
+def reference_execute(body, cfg, rand_stream):
+    """Oracle: the interpreter with a branch per opcode and a copy of the data loop each for QUOTE and REPEAT."""
+    n_instr = len(body) // tv.OPCODE_WIDTH
+    out = []
+    pc = 0
+    counter = 0
+    steps = 0
+    rands = 0
+
+    def stopped(halted):
+        return tv.RunResult("".join(out), halted, steps, rands)
+
+    while True:
+        if pc < 0 or pc >= n_instr:
+            return stopped(True)
+        if steps >= cfg.step_budget:
+            return stopped(False)
+        op = body[pc * tv.OPCODE_WIDTH : (pc + 1) * tv.OPCODE_WIDTH]
+        steps += 1
+        if op == tv.EMIT0 or op == tv.EMIT1:
+            if len(out) >= cfg.output_budget:
+                return stopped(False)
+            out.append(op[-1])
+            pc += 1
+        elif op == tv.RAND:
+            if rands >= cfg.rand_budget:
+                return stopped(False)
+            if len(out) >= cfg.output_budget:
+                return stopped(False)
+            out.append(rand_stream[rands])
+            rands += 1
+            pc += 1
+        elif op == tv.QUOTE:
+            tail = body[(pc + 1) * tv.OPCODE_WIDTH :]
+            for bit in tail:
+                if steps >= cfg.step_budget:
+                    return stopped(False)
+                if len(out) >= cfg.output_budget:
+                    return stopped(False)
+                steps += 1
+                out.append(bit)
+            return stopped(True)
+        elif op == tv.REPEAT:
+            tail = body[(pc + 1) * tv.OPCODE_WIDTH :]
+            try:
+                r_minus_1, pos = tv.gamma_decode(tail)
+            except tv.BadHeader:
+                return stopped(True)
+            pattern = tail[pos:]
+            if not pattern:
+                return stopped(True)
+            for bit in itertools.chain.from_iterable([pattern] * (r_minus_1 + 1)):
+                if steps >= cfg.step_budget:
+                    return stopped(False)
+                if len(out) >= cfg.output_budget:
+                    return stopped(False)
+                steps += 1
+                out.append(bit)
+            return stopped(True)
+        elif op == tv.JMP:
+            pc -= 1
+        elif op == tv.JMPZ:
+            pc = pc - 1 if counter == 0 else pc + 1
+        elif op == tv.INC:
+            counter = min(counter + 1, tv.COUNTER_MAX)
+            pc += 1
+        elif op == tv.DEC:
+            counter = max(counter - 1, 0)
+            pc += 1
+        else:
+            return stopped(True)
+
+
+def reference_enumerate(max_len):
+    """Oracle: the enumeration loop with an empty-body branch and a header per program."""
+    programs = []
+    body_len = 0
+    while len(tv.gamma_encode(body_len + 1)) + body_len <= max_len:
+        if body_len == 0:
+            programs.append(tv.from_body(""))
+        else:
+            for bits in itertools.product("01", repeat=body_len):
+                programs.append(tv.from_body("".join(bits)))
+        body_len += 1
+    return programs
+
+
+# (step, rand, output) budgets: the default, tight ones, no RAND, one output bit, all at the guard
+ORACLE_CONFIGS = [
+    tv.MachineConfig(*budgets)
+    for budgets in [(512, 24, 64), (20, 2, 6), (7, 0, 3), (1, 0, 1), (512, 512, 512), (40, 3, 1), (3, 5, 64)]
+]
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_interpreter_matches_the_reference_on_every_program(cfg):
+    rng = random.Random(f"streams:{cfg}")
+    markers = "?" * cfg.rand_budget
+    for p in tv.enumerate_programs(16):
+        bits = "".join(rng.choice("01") for _ in range(cfg.rand_budget))
+        assert tv.run(p, cfg, bits) == reference_execute(p.body, cfg, bits), p.code
+        assert tv._execute(p.body, cfg, markers) == reference_execute(p.body, cfg, markers), p.code
+
+
+def test_interpreter_matches_the_reference_on_random_long_bodies():
+    rng = random.Random(8)
+    for _ in range(10_000):
+        cfg = rng.choice(ORACLE_CONFIGS)
+        body = "".join(rng.choice("01") for _ in range(rng.randint(0, 200)))
+        stream = "".join(rng.choice("01") for _ in range(cfg.rand_budget))
+        assert tv.run(tv.from_body(body), cfg, stream) == reference_execute(body, cfg, stream), body
+
+
+def test_enumeration_matches_the_reference_at_every_bound():
+    for bound in range(tv.ENUMERATION_GUARD + 1):
+        assert [p.code for p in tv.enumerate_programs(bound)] == [
+            p.code for p in reference_enumerate(bound)
+        ], bound
