@@ -99,7 +99,7 @@ class Subject:
             elif kind == "prob":
                 p = edge.emit[1]
                 if not (0 <= p <= 1):
-                    raise SubjectSpecError("emission bias must lie in [0, 1]")
+                    raise SubjectSpecError(f"'prob' = {p} must lie in [0, 1]")
             elif kind == "freebit":
                 if self.freebit_budget == 0:
                     raise SubjectSpecError("freebit edge with zero freebit budget")
@@ -129,26 +129,6 @@ def subject_from_payload(payload: dict) -> Subject:
         edges=edges,
         freebit_budget=int(payload.get("freebit_budget", 0)),
     )
-
-
-def subject_to_payload(subject: Subject) -> dict:
-    edges = []
-    for (s, i), edge in sorted(subject.edges.items()):
-        emit: str | dict
-        if edge.emit[0] == "bit":
-            emit = edge.emit[1]
-        elif edge.emit[0] == "prob":
-            emit = {"prob": str(edge.emit[1])}
-        else:
-            emit = {"freebit": edge.emit[1]}
-        edges.append({"from": s, "on_input": i, "to": edge.to, "emit": emit})
-    return {
-        "kind": subject.kind,
-        "states": list(subject.states),
-        "initial": subject.initial,
-        "freebit_budget": subject.freebit_budget,
-        "edges": edges,
-    }
 
 
 def _window_emissions(subject: Subject, inputs: str, t: int, u: int) -> list[Emission]:
@@ -247,8 +227,6 @@ class Forecast:
     b_t ... b_{v-1}.
     """
 
-    t: int
-    u: int
     conditional: object  # callable (v, inputs, past) -> Fraction
 
     def prob_one(self, v: int, inputs: str, past: str) -> Fraction:
@@ -377,7 +355,7 @@ class TablePredictor:
         window = inputs_through_v[-w:]
         return "^" * (w - len(window)) + window
 
-    def emit_forecast(self, t: int, u: int) -> Forecast:
+    def emit_forecast(self, t: int) -> Forecast:
         counts = {k: tuple(v) for k, v in self.counts.items()}
 
         def conditional(v: int, inputs: str, past: str) -> Fraction:
@@ -387,22 +365,22 @@ class TablePredictor:
                 return Fraction(1, 2)
             return Fraction(c[1], c[0] + c[1])
 
-        return Forecast(t, u, conditional)
+        return Forecast(conditional)
 
 
 class BayesPredictor:
     """Exact Bayesian filter over a finite family of candidate subjects.
 
-    The reference class is handed to the constructor as subject payloads.
+    The reference class is handed to the constructor as a list of subjects.
     Freebit emissions carry no distribution, so the filter scores them as
     fair coin flips — the noncommittal likelihood — both in training and in
     the posterior-predictive forecast.
     """
 
-    def __init__(self, family: list[dict]):
+    def __init__(self, family: list[Subject]):
         if not family:
             raise SubjectSpecError("a Bayes predictor needs a nonempty 'family'")
-        self.candidates = [subject_from_payload(p) for p in family]
+        self.candidates = tuple(family)
         self.weights = (Fraction(1, len(self.candidates)),) * len(self.candidates)
         self.states = tuple(c.initial for c in self.candidates)
 
@@ -425,7 +403,7 @@ class BayesPredictor:
     def observe(self, input_bit: str, behavior_bit: str) -> None:
         self.weights, self.states = self._step(self.weights, self.states, input_bit, behavior_bit)
 
-    def emit_forecast(self, t: int, u: int) -> Forecast:
+    def emit_forecast(self, t: int) -> Forecast:
         # filter state (weights, states) after steps t .. t+n-1, keyed by their
         # inputs and behavior bits; each miss is one step from its parent entry
         memo = {("", ""): (self.weights, self.states)}
@@ -448,7 +426,7 @@ class BayesPredictor:
                 p += w * self._likelihood(cand, s, inputs[v], "1")
             return p
 
-        return Forecast(t, u, conditional)
+        return Forecast(conditional)
 
 
 # -- the game ----------------------------------------------------------------------
@@ -467,7 +445,7 @@ class GameConfig:
 
     def __post_init__(self):
         if not (0 <= self.t < self.u):
-            raise ValueError("need 0 <= t < u")
+            raise ValueError(f"need 0 <= 't' < 'u', got 't' = {self.t}, 'u' = {self.u}")
         if self.u - self.t > HORIZON_GUARD:
             raise HorizonTooLong(f"'u' - 't' = {self.u - self.t} exceeds {HORIZON_GUARD}")
         if self.u > TIME_GUARD:
@@ -475,10 +453,11 @@ class GameConfig:
         eps, delta = Fraction(self.epsilon), Fraction(self.delta)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "delta", delta)
-        if not (0 < eps < 1 and 0 < delta < 1):
-            raise ValueError("epsilon and delta must lie in (0, 1)")
+        for name, value in (("epsilon", eps), ("delta", delta)):
+            if not 0 < value < 1:
+                raise ValueError(f"{name!r} = {value} must lie in (0, 1)")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"'trials' = {self.trials} must be >= 1")
         if self.trials > TRIALS_GUARD:
             raise BudgetTooLarge(f"'trials' = {self.trials} exceeds {TRIALS_GUARD}")
         if self.adversary not in ("adaptive", "oblivious"):
@@ -502,23 +481,18 @@ def clopper_pearson(k: int, n: int) -> tuple[float, float]:
     """Exact binomial interval at level CONFIDENCE, by bisection on the tail sums."""
     alpha = 1 - CONFIDENCE
 
-    def sf(p: float) -> float:  # P(X >= k)
-        return sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(k, n + 1))
-
-    def cdf(p: float) -> float:  # P(X <= k)
-        return sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(0, k + 1))
-
-    def bisect(f, target, lo, hi):
+    def bisect(tail: range, lo: float, hi: float) -> float:
+        """The p between lo and hi where P(X in tail) falls below alpha / 2 going toward hi."""
         for _ in range(80):
             mid = (lo + hi) / 2
-            if f(mid) < target:
+            if sum(math.comb(n, i) * mid**i * (1 - mid) ** (n - i) for i in tail) < alpha / 2:
                 hi = mid
             else:
                 lo = mid
         return (lo + hi) / 2
 
-    lower = 0.0 if k == 0 else bisect(lambda p: sf(p), alpha / 2, 1.0, 0.0)
-    upper = 1.0 if k == n else bisect(lambda p: cdf(p), alpha / 2, 0.0, 1.0)
+    lower = 0.0 if k == 0 else bisect(range(k, n + 1), 1.0, 0.0)  # P(X >= k)
+    upper = 1.0 if k == n else bisect(range(0, k + 1), 0.0, 1.0)  # P(X <= k)
     return lower, upper
 
 
@@ -548,10 +522,11 @@ class Verdict:
         }
 
 
-def run_game(subject_factory, predictor_factory, cfg: GameConfig) -> Verdict:
+def run_game(subject: Subject, predictor_factory, cfg: GameConfig) -> Verdict:
     """Play cfg.trials independent games and aggregate a (t, eps, delta) verdict.
 
-    Per trial: fresh subject and predictor, fresh exogenous inputs; the
+    The subject is a value, shared by every trial.  Per trial: a fresh
+    predictor from the factory, fresh exogenous inputs; the
     predictor watches [0, t), publishes a forecast, and is scored by
     variation distance on the realized input path, with freebits resolved
     worst-case after the forecast (or rng-resolved when cfg.adversary is
@@ -560,7 +535,6 @@ def run_game(subject_factory, predictor_factory, cfg: GameConfig) -> Verdict:
     distances: list[Fraction] = []
     for trial in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{trial}")
-        subject = subject_factory()
         predictor = predictor_factory()
         inputs = draw_inputs(cfg.input_model, cfg.u, rng)
         state = subject.initial
@@ -578,7 +552,7 @@ def run_game(subject_factory, predictor_factory, cfg: GameConfig) -> Verdict:
                 )
             predictor.observe(inputs[v], b)
             state = edge.to
-        forecast = predictor.emit_forecast(cfg.t, cfg.u)
+        forecast = predictor.emit_forecast(cfg.t)
         probe_causality(forecast, inputs, cfg.t, cfg.u, rng)
         if cfg.adversary == "adaptive":
             _, distance = adversary_resolution(subject, forecast, inputs, cfg.t, cfg.u)
@@ -611,7 +585,7 @@ UNPREDICTED_DISCLAIMER = (
 
 
 def classify(
-    reference_class: list,
+    reference_class: list[Subject],
     predictors: list[tuple[str, object]],
     schedule: list[tuple[int, Fraction, Fraction]],
     trials: int,
@@ -629,35 +603,27 @@ def classify(
     """
     if horizon > TIME_GUARD:
         raise BudgetTooLarge(f"'horizon' = {horizon} exceeds {TIME_GUARD}")
+    model = input_model or {"kind": "uniform"}
+    # every row is checked before the first game, also when the class is empty
+    games = [GameConfig(t, horizon, eps, delta, trials, seed, model) for t, eps, delta in schedule]
     results = []
     label = "unpredicted-at-scale"
     for name, factory in predictors:
         all_pass = True
-        entries = []
-        for t, eps, delta in schedule:
-            for s_idx, subject_factory in enumerate(reference_class):
-                cfg = GameConfig(
-                    t=t,
-                    u=horizon,
-                    epsilon=Fraction(eps),
-                    delta=Fraction(delta),
-                    trials=trials,
-                    seed=seed,
-                    input_model=input_model or {"kind": "uniform"},
-                )
-                verdict = run_game(subject_factory, factory, cfg)
-                entries.append(
+        for cfg in games:
+            for s_idx, subject in enumerate(reference_class):
+                verdict = run_game(subject, factory, cfg)
+                results.append(
                     {
                         "predictor": name,
                         "subject_index": s_idx,
-                        "t": t,
-                        "epsilon": str(Fraction(eps)),
-                        "delta": str(Fraction(delta)),
+                        "t": cfg.t,
+                        "epsilon": str(cfg.epsilon),
+                        "delta": str(cfg.delta),
                         "verdict": verdict.to_payload(),
                     }
                 )
                 all_pass = all_pass and verdict.passed
-        results.extend(entries)
         if all_pass:
             label = "mechanistic-at-scale"
     return {

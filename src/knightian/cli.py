@@ -398,19 +398,15 @@ def _table_csv(result: dict):
 # -- arena family ----------------------------------------------------------------------
 
 
-def _stock_subject(name: str):
-    if name not in arena.STOCK_SUBJECTS:
+def _subject(spec) -> arena.Subject:
+    """A stock subject by name, or a subject object parsed once."""
+    if not isinstance(spec, str):
+        return arena.subject_from_payload(spec)
+    if spec not in arena.STOCK_SUBJECTS:
         raise KnightianError(
-            f"unknown stock subject {name!r}; have {sorted(arena.STOCK_SUBJECTS)}"
+            f"unknown stock subject {spec!r}; have {sorted(arena.STOCK_SUBJECTS)}"
         )
-    return arena.STOCK_SUBJECTS[name]
-
-
-def _subject_factory(spec):
-    if isinstance(spec, str):
-        return _stock_subject(spec)
-    subject = arena.subject_from_payload(spec)
-    return lambda: subject
+    return arena.STOCK_SUBJECTS[spec]()
 
 
 def _predictor_factory(spec: dict):
@@ -419,10 +415,7 @@ def _predictor_factory(spec: dict):
         context = spec.get("context", 1)
         return lambda: arena.TablePredictor(context)
     if kind == "bayes":
-        family = [
-            arena.subject_to_payload(_stock_subject(m)()) if isinstance(m, str) else m
-            for m in spec["family"]
-        ]
+        family = [_subject(m) for m in spec["family"]]
         return lambda: arena.BayesPredictor(family)
     raise KnightianError(f"unknown predictor kind {kind!r}")
 
@@ -434,7 +427,7 @@ def _cmd_arena_run(config: dict, seed) -> dict:
     rationals = {k: _fraction(game[k]) for k in ("epsilon", "delta")}
     cfg = arena.GameConfig(**{**game, **rationals}, seed=seed)
     verdict = arena.run_game(
-        _subject_factory(config["subject"]), _predictor_factory(config["predictor"]), cfg
+        _subject(config["subject"]), _predictor_factory(config["predictor"]), cfg
     )
     return {"verdict": verdict.to_payload()}
 
@@ -442,7 +435,7 @@ def _cmd_arena_run(config: dict, seed) -> dict:
 def _cmd_arena_classify(config: dict, seed) -> dict:
     if seed is None:
         raise KnightianError("arena classify is stochastic: --seed is required")
-    subjects = [_subject_factory(s) for s in config["class"]]
+    subjects = [_subject(s) for s in config["class"]]
     predictors = [
         (spec.get("name", spec["kind"]), _predictor_factory(spec))
         for spec in config["predictors"]

@@ -295,7 +295,7 @@ def event_interval(
     """Exact lower/upper probability of a set of outcomes."""
     idx = sorted(set(event))
     if any(i < 0 or i >= s.n_outcomes for i in idx):
-        raise BadEvent(f"event indices must lie in [0, {s.n_outcomes})")
+        raise BadEvent(f"'event' indices must lie in [0, {s.n_outcomes})")
     values = [sum((g[i] for i in idx), Fraction(0)) for g in s.generators]
     return min(values), max(values)
 

@@ -191,7 +191,7 @@ def newcomb_expected(
     """
     accuracy = Fraction(accuracy)
     if not (0 <= accuracy <= 1):
-        raise ValueError("accuracy must be a probability")
+        raise ValueError(f"'accuracy' = {accuracy} must be a probability")
     if policy == "one-box":
         return accuracy * box_one
     if policy == "two-box":

@@ -244,7 +244,7 @@ def diagonal_sequence(mixture: Mixture, n: int) -> tuple[str, list[DiagonalStep]
     support of the truncated mixture.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"'n' = {n} must be >= 1")
     history = ""
     steps: list[DiagonalStep] = []
     for i in range(1, n + 1):

@@ -367,7 +367,7 @@ def census(bound: int, cfg: MachineConfig) -> Census:
     output_template, by which the run's program joins a class.
     """
     if bound < 0:
-        raise ValueError(f"bound must be >= 0, got {bound}")
+        raise ValueError(f"'bound' must be >= 0, got {bound}")
     stream = _RAND_MARK * cfg.rand_budget
     index: dict[str, int] = {}  # template -> class index, in order of discovery
     weights: dict[int, int] = {}

@@ -46,3 +46,47 @@ def pushed_out_pair(rng: np.random.Generator):
     except freestate.KnightianError:
         return None
     return freestate.Freestate(d, (rho,)), hull
+
+
+def _edge(source, on_input, to, emit):
+    return {"from": source, "on_input": on_input, "to": to, "emit": emit}
+
+
+# The CLI payloads of the stock arena subjects, written out as a config would hold them.
+STOCK_PAYLOADS = {
+    "parrot": {
+        "kind": "deterministic",
+        "states": ["s0", "s1"],
+        "initial": "s0",
+        "freebit_budget": 0,
+        "edges": [
+            _edge("s0", "0", "s0", "0"),
+            _edge("s0", "1", "s1", "0"),
+            _edge("s1", "0", "s0", "1"),
+            _edge("s1", "1", "s1", "1"),
+        ],
+    },
+    "fair-coin": {
+        "kind": "noisy",
+        "states": ["s"],
+        "initial": "s",
+        "freebit_budget": 0,
+        "edges": [_edge("s", "0", "s", {"prob": "1/2"}), _edge("s", "1", "s", {"prob": "1/2"})],
+    },
+    "gerbil": {
+        "kind": "hybrid",
+        "states": ["a", "b", "c", "d"],
+        "initial": "a",
+        "freebit_budget": 1,
+        "edges": [
+            _edge("a", "0", "b", "0"),
+            _edge("a", "1", "b", "1"),
+            _edge("b", "0", "c", "1"),
+            _edge("b", "1", "c", "0"),
+            _edge("c", "0", "d", {"freebit": 0}),
+            _edge("c", "1", "d", {"freebit": 0}),
+            _edge("d", "0", "d", "0"),
+            _edge("d", "1", "d", "0"),
+        ],
+    },
+}

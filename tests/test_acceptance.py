@@ -153,15 +153,15 @@ def test_c07_arena_reference_classes():
             t=8, u=12, seed=2024,
             input_model={"kind": "fixed", "bits": "0011"}, **schedule,
         )
-        det = arena.run_game(arena.parrot, lambda: arena.TablePredictor(1), det_cfg)
+        det = arena.run_game(arena.parrot(), lambda: arena.TablePredictor(1), det_cfg)
         assert det.passed and all(d == 0 for d in det.distances)
 
         noisy_cfg = arena.GameConfig(
             t=6, u=10, seed=2024, input_model={"kind": "uniform"}, **schedule
         )
-        family = [arena.subject_to_payload(arena.fair_coin())]
+        family = [arena.fair_coin()]
         noisy = arena.run_game(
-            arena.fair_coin, lambda: arena.BayesPredictor(family), noisy_cfg
+            arena.fair_coin(), lambda: arena.BayesPredictor(family), noisy_cfg
         )
         assert noisy.passed and all(d == 0 for d in noisy.distances)
 
@@ -169,23 +169,17 @@ def test_c07_arena_reference_classes():
             t=4, u=8, epsilon=F(1, 2), delta=F(1, 20), trials=200, seed=2024,
             input_model={"kind": "uniform"},
         )
-        freebit_family = [arena.subject_to_payload(arena.one_freebit(5, 8))]
+        freebit = arena.one_freebit(5, 8)
         for predictor in (
             lambda: arena.TablePredictor(1),
-            lambda: arena.BayesPredictor(freebit_family),
+            lambda: arena.BayesPredictor([freebit]),
         ):
-            verdict = arena.run_game(
-                lambda: arena.one_freebit(5, 8), predictor, freebit_cfg
-            )
+            verdict = arena.run_game(freebit, predictor, freebit_cfg)
             assert min(verdict.distances) >= F(1, 2)
             assert not verdict.passed
 
-        replay = arena.run_game(
-            lambda: arena.one_freebit(5, 8), lambda: arena.TablePredictor(1), freebit_cfg
-        )
-        again = arena.run_game(
-            lambda: arena.one_freebit(5, 8), lambda: arena.TablePredictor(1), freebit_cfg
-        )
+        replay = arena.run_game(freebit, lambda: arena.TablePredictor(1), freebit_cfg)
+        again = arena.run_game(freebit, lambda: arena.TablePredictor(1), freebit_cfg)
         assert json.dumps(replay.to_payload(), sort_keys=True) == json.dumps(
             again.to_payload(), sort_keys=True
         )

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import STOCK_PAYLOADS
 from knightian import arena
 
 F = Fraction
@@ -88,21 +89,20 @@ def test_subject_validation():
         arena.Subject("freebit", ("a",), "a", edges, 0)
 
 
-def test_subject_payload_round_trip():
-    for make in (arena.parrot, arena.fair_coin, arena.gerbil_hybrid):
-        s = make()
-        assert arena.subject_from_payload(arena.subject_to_payload(s)) == s
+def test_stock_payloads_parse_to_the_stock_subjects():
+    for name, make in arena.STOCK_SUBJECTS.items():
+        assert arena.subject_from_payload(STOCK_PAYLOADS[name]) == make()
 
 
 # -- adversary ----------------------------------------------------------------------
 
 
-def constant_forecast(t, u, p):
-    return arena.Forecast(t, u, lambda v, inputs, past: p)
+def constant_forecast(p):
+    return arena.Forecast(lambda v, inputs, past: p)
 
 
 def test_adversary_with_no_freebits_is_determined():
-    f = constant_forecast(0, 2, F(1, 2))
+    f = constant_forecast(F(1, 2))
     assignment, d = arena.adversary_resolution(arena.fair_coin(), f, "00", 0, 2)
     assert assignment == () and d == 0
 
@@ -111,7 +111,7 @@ def test_adversary_tie_breaks_low():
     # forecasting 1/2 on the one freebit-controlled bit: either resolution
     # gives distance 1/2, and the tie goes to the lexicographically first
     subject = arena.one_freebit(1, 2)
-    f = constant_forecast(1, 2, F(1, 2))
+    f = constant_forecast(F(1, 2))
     assignment, d = arena.adversary_resolution(subject, f, "00", 1, 2)
     assert assignment == (0,)
     assert d == F(1, 2)
@@ -132,7 +132,7 @@ def test_adversary_two_freebits_dodges_confident_forecast():
         return F(9, 10)
 
     assignment, d = arena.adversary_resolution(
-        subject, arena.Forecast(0, 2, conditional), "00", 0, 2
+        subject, arena.Forecast(conditional), "00", 0, 2
     )
     assert assignment == (0, 0)
     assert d == 1 - F(1, 100)
@@ -143,7 +143,7 @@ def test_adversary_budget_guard():
     edges = {("a", i): arena.Edge("a", ("freebit", 0)) for i in "01"}
     with pytest.raises(arena.BudgetTooLarge):
         subject = arena.Subject("freebit", states, "a", edges, 17)
-        arena.adversary_resolution(subject, constant_forecast(0, 1, F(1, 2)), "0", 0, 1)
+        arena.adversary_resolution(subject, constant_forecast(F(1, 2)), "0", 0, 1)
 
 
 def test_single_freebit_forces_half_against_any_forecast():
@@ -151,7 +151,7 @@ def test_single_freebit_forces_half_against_any_forecast():
     subject = arena.one_freebit(0, 2)
     for _ in range(100):
         p = F(rng.randint(0, 64), 64)
-        f = constant_forecast(0, 2, p)
+        f = constant_forecast(p)
         _, d = arena.adversary_resolution(subject, f, "00", 0, 2)
         assert d >= F(1, 2)
 
@@ -163,16 +163,16 @@ def test_adversary_checks_guards_before_forecasting():
 
     with pytest.raises(arena.HorizonTooLong):
         arena.adversary_resolution(
-            arena.fair_coin(), arena.Forecast(0, 21, untouchable), "0" * 21, 0, 21
+            arena.fair_coin(), arena.Forecast(untouchable), "0" * 21, 0, 21
         )
     with pytest.raises(ValueError, match="shorter"):
         arena.adversary_resolution(
-            arena.fair_coin(), arena.Forecast(0, 4, untouchable), "000", 0, 4
+            arena.fair_coin(), arena.Forecast(untouchable), "000", 0, 4
         )
     edges = {("s", i): arena.Edge("s", ("freebit", 0)) for i in "01"}
     twice = arena.Subject("freebit", ("s",), "s", edges, 1)
     with pytest.raises(arena.SubjectSpecError, match="double duty"):
-        arena.adversary_resolution(twice, arena.Forecast(0, 2, untouchable), "00", 0, 2)
+        arena.adversary_resolution(twice, arena.Forecast(untouchable), "00", 0, 2)
 
 
 def test_adversary_at_the_full_freebit_guard_is_affordable():
@@ -183,7 +183,7 @@ def test_adversary_at_the_full_freebit_guard_is_affordable():
     subject = arena.Subject("freebit", states, "c0", edges, k)
     started = time.perf_counter()
     assignment, d = arena.adversary_resolution(
-        subject, constant_forecast(0, k, F(1, 2)), "0" * k, 0, k
+        subject, constant_forecast(F(1, 2)), "0" * k, 0, k
     )
     elapsed = time.perf_counter() - started
     # every suffix has forecast mass 2^-k and is the whole law of one assignment
@@ -213,14 +213,14 @@ def random_subject(rng):
     return arena.Subject("hybrid", states, states[0], edges, budget)
 
 
-def random_forecast(seed, t, u):
+def random_forecast(seed):
     if seed % 5 == 0:
-        return constant_forecast(t, u, FORECAST_VALUES[seed % len(FORECAST_VALUES)])
+        return constant_forecast(FORECAST_VALUES[seed % len(FORECAST_VALUES)])
 
     def conditional(v, inputs, past):
         return random.Random(f"{seed}:{v}:{inputs[: v + 1]}:{past}").choice(FORECAST_VALUES)
 
-    return arena.Forecast(t, u, conditional)
+    return arena.Forecast(conditional)
 
 
 def exhaustive_adversary(subject, forecast, inputs, t, u):
@@ -241,7 +241,7 @@ def test_one_pass_adversary_matches_the_exhaustive_one():
         t = rng.randint(0, 2)
         u = t + rng.randint(1, 5)
         inputs = "".join(rng.choice("01") for _ in range(u))
-        forecast = random_forecast(seed, t, u)
+        forecast = random_forecast(seed)
         try:
             expected = exhaustive_adversary(subject, forecast, inputs, t, u)
         except arena.SubjectSpecError as err:
@@ -264,7 +264,7 @@ def test_one_pass_adversary_matches_the_exhaustive_one():
     assert all(outcomes.values()), outcomes
 
 
-def refiltering_forecast(predictor, t, u):
+def refiltering_forecast(predictor, t):
     """The Bayes conditional that re-filters from t to v on every call."""
     base_weights = tuple(predictor.weights)
     base_states = tuple(predictor.states)
@@ -289,7 +289,7 @@ def refiltering_forecast(predictor, t, u):
             p += weights[k] * likelihood(cand, states[k], inputs[v], "1")
         return p / total
 
-    return arena.Forecast(t, u, conditional)
+    return arena.Forecast(conditional)
 
 
 def test_memoised_bayes_forecast_matches_refiltering():
@@ -304,13 +304,13 @@ def test_memoised_bayes_forecast_matches_refiltering():
     ]
     dead = 0
     for family_seed in range(20):
-        family = [arena.subject_to_payload(random_subject(rng)) for _ in range(rng.randint(1, 3))]
+        family = [random_subject(rng) for _ in range(rng.randint(1, 3))]
         predictor = arena.BayesPredictor(family)
         for _ in range(t):
             predictor.observe(rng.choice("01"), rng.choice("01"))
         dead += sum(predictor.weights) == 0
-        memoised = predictor.emit_forecast(t, u)
-        reference = refiltering_forecast(predictor, t, u)
+        memoised = predictor.emit_forecast(t)
+        reference = refiltering_forecast(predictor, t)
         # one forecast answers every query, in shuffled order, from a shared memo;
         # past may be shorter or longer than v - t, and inputs after v are flipped
         rng.shuffle(queries)
@@ -323,7 +323,7 @@ def test_memoised_bayes_forecast_matches_refiltering():
 
 
 def test_forecast_distribution_is_a_distribution():
-    f = constant_forecast(0, 3, F(1, 3))
+    f = constant_forecast(F(1, 3))
     fd = arena.forecast_distribution(f, "000", 0, 3)
     assert sum(fd.values()) == 1
     assert fd["111"] == F(1, 27)
@@ -333,7 +333,7 @@ def test_causality_probe_catches_peeking():
     def peeking(v, inputs, past):
         return F(1) if inputs[-1] == "1" else F(0)
 
-    f = arena.Forecast(0, 4, peeking)
+    f = arena.Forecast(peeking)
     with pytest.raises(arena.ForecastViolatesCausality):
         arena.probe_causality(f, "0000", 0, 4, random.Random(0))
 
@@ -342,7 +342,7 @@ def test_causality_probe_passes_causal_forecasts():
     def causal(v, inputs, past):
         return F(1, 2) if inputs[v] == "0" else F(1, 3)
 
-    arena.probe_causality(arena.Forecast(0, 4, causal), "0101", 0, 4, random.Random(0))
+    arena.probe_causality(arena.Forecast(causal), "0101", 0, 4, random.Random(0))
 
 
 # -- games -------------------------------------------------------------------------
@@ -363,15 +363,15 @@ def cfg(**kw):
 
 
 def test_deterministic_class_passes_with_table_learner():
-    verdict = arena.run_game(arena.parrot, lambda: arena.TablePredictor(1), cfg())
+    verdict = arena.run_game(arena.parrot(), lambda: arena.TablePredictor(1), cfg())
     assert verdict.passed
     assert all(d == 0 for d in verdict.distances)
 
 
 def test_known_noisy_class_passes_with_bayes_exactly():
-    family = [arena.subject_to_payload(arena.fair_coin())]
+    family = [arena.fair_coin()]
     verdict = arena.run_game(
-        arena.fair_coin,
+        arena.fair_coin(),
         lambda: arena.BayesPredictor(family),
         cfg(t=4, u=8, input_model={"kind": "uniform"}),
     )
@@ -380,8 +380,8 @@ def test_known_noisy_class_passes_with_bayes_exactly():
 
 
 def test_freebit_class_defeats_both_shipped_predictors():
-    subject = lambda: arena.one_freebit(5, 8)
-    family = [arena.subject_to_payload(arena.one_freebit(5, 8))]
+    subject = arena.one_freebit(5, 8)
+    family = [subject]
     for predictor in (
         lambda: arena.TablePredictor(1),
         lambda: arena.BayesPredictor(family),
@@ -394,7 +394,7 @@ def test_freebit_class_defeats_both_shipped_predictors():
 
 
 def test_oblivious_adversary_is_gentler_on_average():
-    subject = lambda: arena.one_freebit(5, 8)
+    subject = arena.one_freebit(5, 8)
     game = cfg(t=4, u=8, epsilon=F(1, 2), input_model={"kind": "uniform"}, trials=60)
     adaptive = arena.run_game(subject, lambda: arena.TablePredictor(1), game)
     oblivious = arena.run_game(
@@ -409,13 +409,13 @@ def test_oblivious_adversary_is_gentler_on_average():
 
 
 def test_training_phase_freebit_is_an_error():
-    subject = lambda: arena.one_freebit(1, 8)
+    subject = arena.one_freebit(1, 8)
     with pytest.raises(arena.SubjectSpecError, match="training"):
         arena.run_game(subject, lambda: arena.TablePredictor(1), cfg(t=4, u=8))
 
 
 def test_replay_is_byte_identical():
-    subject = lambda: arena.one_freebit(5, 8)
+    subject = arena.one_freebit(5, 8)
     game = cfg(t=4, u=8, epsilon=F(1, 2), input_model={"kind": "uniform"})
     a = arena.run_game(subject, lambda: arena.TablePredictor(1), game)
     b = arena.run_game(subject, lambda: arena.TablePredictor(1), game)
@@ -437,6 +437,40 @@ def test_clopper_pearson_brackets_the_estimate():
     assert hi == pytest.approx(0.812914, abs=1e-4)
 
 
+def reference_clopper_pearson(k, n):
+    """The interval by bisection on two separate tail sums, P(X >= k) and P(X <= k)."""
+    alpha = 1 - arena.CONFIDENCE
+
+    def sf(p):
+        return sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(k, n + 1))
+
+    def cdf(p):
+        return sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(0, k + 1))
+
+    def bisect(f, target, lo, hi):
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            if f(mid) < target:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2
+
+    lower = 0.0 if k == 0 else bisect(sf, alpha / 2, 1.0, 0.0)
+    upper = 1.0 if k == n else bisect(cdf, alpha / 2, 0.0, 1.0)
+    return lower, upper
+
+
+@pytest.mark.parametrize(
+    "n, ks",
+    [(n, range(n + 1)) for n in (1, 2, 3, 10, 40)] + [(200, (0, 1, 100, 199, 200))],
+)
+def test_clopper_pearson_matches_the_two_sum_bisection(n, ks):
+    for k in ks:
+        # == on floats: the one tail sum adds the same terms in the same order
+        assert arena.clopper_pearson(k, n) == reference_clopper_pearson(k, n), k
+
+
 def test_trials_guard():
     guard = arena.TRIALS_GUARD
     # clopper_pearson multiplies comb(trials, i) by floats: each must convert
@@ -454,7 +488,7 @@ def test_trials_guard():
 def test_classify_labels():
     schedule = [(8, F(1, 20), F(1, 20))]
     det = arena.classify(
-        [arena.parrot],
+        [arena.parrot()],
         [("table", lambda: arena.TablePredictor(1))],
         schedule,
         trials=20,
@@ -466,7 +500,7 @@ def test_classify_labels():
     assert det["note"] == ""
 
     free = arena.classify(
-        [lambda: arena.one_freebit(9, 12)],
+        [arena.one_freebit(9, 12)],
         [("table", lambda: arena.TablePredictor(1))],
         schedule,
         trials=20,

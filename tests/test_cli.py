@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pushed_out_pair
+from conftest import STOCK_PAYLOADS, pushed_out_pair
 from knightian import arena, cli, toyvm
 from knightian import freestate as fs
 
@@ -223,6 +224,8 @@ CLASSIFY = {
     "horizon": 6,
 }
 NEWCOMB = {"policy": "one-box", "accuracy": "0.9"}
+GERBIL = STOCK_PAYLOADS["gerbil"]  # every subject key set
+COIN = STOCK_PAYLOADS["fair-coin"]
 
 
 def timed_nodes(micro_time, macro_time):
@@ -236,6 +239,10 @@ CAUSAL_GRAPH = {"nodes": timed_nodes(0, 1), "edges": [["F", "f"]]}
 NAN, INF = float("nan"), float("inf")
 HUGE_CLASSICAL = {"n": 2, "generators": [["1e400", "0.1"]]}
 BIG_INT_CLASSICAL = {"n": 2, "generators": [[10**400, 0]]}
+
+
+def with_edge(payload, **changes):
+    return {**payload, "edges": [{**payload["edges"][0], **changes}, *payload["edges"][1:]]}
 
 
 def table_run(context):
@@ -325,6 +332,18 @@ def oblivious_gerbil_game(freebit_budget):
         (("solomonoff", "predict"), {"bound": 12, "history": "", "rand_budget": 10**18}, "rand_budget"),
         (("arena", "run"), table_run(10**18), "context"),
         (("arena", "run"), table_run(-3), "context"),
+        # well typed, but out of range: the message names the key (a tuple: every one of them)
+        (("arena", "run"), {**RUN, "game": {**GAME, "t": 6, "u": 4}}, ("t", "u")),
+        (("arena", "run"), {**RUN, "game": {**GAME, "epsilon": "0"}}, "epsilon"),
+        (("arena", "run"), {**RUN, "game": {**GAME, "delta": "1"}}, "delta"),
+        (("arena", "run"), {**RUN, "game": {**GAME, "trials": 0}}, "trials"),
+        (("arena", "run"), {**RUN, "subject": with_edge(COIN, emit={"prob": "3/2"})}, "prob"),
+        (("solomonoff", "diagonal"), {"bound": 12, "n": 0}, "n"),
+        (("solomonoff", "omega"), {"bound": -1}, "bound"),
+        (("gadgets", "newcomb"), {**NEWCOMB, "accuracy": "2"}, "accuracy"),
+        (("freestate", "interval"), {**KNIGHT_CLASSICAL, "event": [2]}, "event"),
+        # an empty class still has its schedule checked
+        (("arena", "classify"), {**CLASSIFY, "class": [], "horizon": 5, "schedule": [[9, "0.1", "0.1"]]}, "t"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -332,7 +351,8 @@ def test_solomonoff_config_types_are_strict(tmp_path, capsys, command, config, k
     path = write_config(tmp_path, config)
     code, out, err = invoke(capsys, *command, "--config", path, "--seed", "1")
     assert code == 1, err
-    assert repr(key) in err
+    for name in (key,) if isinstance(key, str) else key:
+        assert repr(name) in err, err
 
 
 ROOM_PUZZLE = {
@@ -347,8 +367,6 @@ ROOM_PUZZLE = {
 CLASSICAL = KNIGHT_CLASSICAL["classical"]
 MACHINE = {"step_budget": 64, "rand_budget": 4, "output_budget": 8}
 BAYES = {"kind": "bayes", "name": "b", "family": ["parrot", "fair-coin"]}
-GERBIL = arena.subject_to_payload(arena.gerbil_hybrid())  # every subject key set
-COIN = arena.subject_to_payload(arena.fair_coin())
 COIN_BAYES = {"kind": "bayes", "family": [COIN]}
 GAME_OPTIONS = {"input_model": {"kind": "uniform"}, "adversary": "oblivious"}
 # one cheap config per command (both sides of each either/or), every optional key set
@@ -486,10 +504,6 @@ def test_missing_nested_key_is_named(tmp_path, capsys):
     assert "missing key(s) in config['game']: 'trials'" in err
 
 
-def with_edge(payload, **changes):
-    return {**payload, "edges": [{**payload["edges"][0], **changes}, *payload["edges"][1:]]}
-
-
 @pytest.mark.parametrize(
     "command, config, message",
     [
@@ -535,6 +549,61 @@ def test_unknown_stock_subject_is_named(tmp_path, capsys):
         assert "unknown stock subject 'nope'; have ['fair-coin', 'gerbil', 'parrot']" in err
 
 
+# Reports of arena paths the benchmark's reference does not reach, pinned by
+# SHA-256: an object subject against an object Bayes family, the oblivious
+# adversary, and a Bayes predictor in classify over a family mixing a stock
+# name and an object.
+PINNED_ARENA_REPORTS = {
+    "object-subject-and-family": (
+        "run",
+        3,
+        {
+            "subject": GERBIL,
+            "predictor": {"kind": "bayes", "family": [COIN, GERBIL]},
+            "game": {"t": 1, "u": 5, "epsilon": "1/4", "delta": "1/4", "trials": 8},
+        },
+        "b63b68ee61f1b7e36b41c4ed97cd26f750adbdc3fa1737dbff5dab4559d26e96",
+    ),
+    "oblivious-adversary": (
+        "run",
+        5,
+        {
+            "subject": "gerbil",
+            "predictor": {"kind": "table", "context": 0},
+            "game": {
+                "t": 1, "u": 5, "epsilon": "1/2", "delta": "1/4", "trials": 12,
+                "adversary": "oblivious",
+            },
+        },
+        "76f26d824017b6fb322b6263fc4ab1bf72453417bde1d17c2e091cbf9868e105",
+    ),
+    "bayes-in-classify": (
+        "classify",
+        7,
+        {
+            "class": ["gerbil", COIN],
+            "predictors": [
+                {"kind": "bayes", "name": "b", "family": ["parrot", GERBIL]},
+                {"kind": "table"},
+            ],
+            "schedule": [[1, "1/4", "1/4"], [2, "1/2", "1/2"]],
+            "trials": 6,
+            "horizon": 5,
+        },
+        "b95ee15f70fb308eb3891b7b3f96bfa100a03b0318e31cc3cb2c7b319ad1fac6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_ARENA_REPORTS)
+def test_arena_report_bytes_are_pinned(tmp_path, capsys, name):
+    command, seed, config, digest = PINNED_ARENA_REPORTS[name]
+    path = write_config(tmp_path, config)
+    code, out, err = invoke(capsys, "arena", command, "--config", path, "--seed", str(seed))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_arena_trials_guard_over_the_cli(tmp_path, capsys):
     for command, config in (
         ("run", {**RUN, "game": {**GAME, "trials": 1030}}),
@@ -555,6 +624,24 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_python_dash_m_knightian_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "knightian", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    done = run("gadgets", "chsh-classical")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["value"]["exact"] == "3/4"
+    done = run("gadgets", "no-such-command")
+    assert done.returncode == 1
+    assert "no-such-command" in done.stderr
 
 
 def test_soph_subcommands(tmp_path, capsys):
