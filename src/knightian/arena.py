@@ -606,6 +606,10 @@ def classify(
     model = input_model or {"kind": "uniform"}
     # every row is checked before the first game, also when the class is empty
     games = [GameConfig(t, horizon, eps, delta, trials, seed, model) for t, eps, delta in schedule]
+    # a label rests on at least one game per subject
+    for key, items in (("class", reference_class), ("schedule", games)):
+        if not items:
+            raise KnightianError(f"{key!r} is empty: a class is labelled only by games played")
     results = []
     label = "unpredicted-at-scale"
     for name, factory in predictors:

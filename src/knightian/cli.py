@@ -184,40 +184,30 @@ def _cmd_freestate_interval(config: dict, seed) -> dict:
     return {"lo": lo, "hi": hi}
 
 
+# the kinds of freestate: payload key -> (parse, write)
+FREESTATE_KINDS = {
+    "classical": (freestate.classical_from_payload, freestate.classical_to_payload),
+    "freestate": (freestate.freestate_from_payload, freestate.freestate_to_payload),
+}
+
+
 def _cmd_freestate_or(config: dict, seed) -> dict:
-    if "classicals" in config:
-        states = [freestate.classical_from_payload(p) for p in config["classicals"]]
-        if len(states) < 2:
-            raise KnightianError("need at least two freestates")
-        out = states[0]
-        for s in states[1:]:
-            out = freestate.classical_or(out, s)
-        return {"classical": freestate.classical_to_payload(out)}
-    states = [freestate.freestate_from_payload(p) for p in config["freestates"]]
-    if len(states) < 2:
-        raise KnightianError("need at least two freestates")
-    out = states[0]
-    for s in states[1:]:
-        out = freestate.knightian_or(out, s)
-    return {"freestate": freestate.freestate_to_payload(out)}
+    kind = "classical" if "classicals" in config else "freestate"
+    parse, write = FREESTATE_KINDS[kind]
+    payloads = config[f"{kind}s"]
+    if len(payloads) < 2:
+        raise KnightianError(f"'{kind}s' must hold at least two freestates")
+    return {kind: write(freestate.knightian_or(*map(parse, payloads)))}
 
 
 def _cmd_freestate_mix(config: dict, seed) -> dict:
     comps = config["components"]
     if not comps:
-        raise KnightianError("need at least one component")
-    if "classical" in comps[0]:
-        pairs = [
-            (_fraction(c["weight"]), freestate.classical_from_payload(c["classical"]))
-            for c in comps
-        ]
-        out = freestate.classical_mix(pairs)
-        return {"classical": freestate.classical_to_payload(out)}
-    pairs = [
-        (_fraction(c["weight"]), freestate.freestate_from_payload(c["freestate"]))
-        for c in comps
-    ]
-    return {"freestate": freestate.freestate_to_payload(freestate.prob_mix(pairs))}
+        raise KnightianError("'components' must hold at least one component")
+    kind = "classical" if "classical" in comps[0] else "freestate"
+    parse, write = FREESTATE_KINDS[kind]
+    pairs = [(_fraction(c["weight"]), parse(c[kind])) for c in comps]
+    return {kind: write(freestate.prob_mix(pairs))}
 
 
 def _cmd_freestate_witness(config: dict, seed) -> dict:
@@ -232,21 +222,15 @@ def _cmd_freestate_witness(config: dict, seed) -> dict:
     )
     if w is None:
         return {"kind": "none"}
-    if isinstance(w, freestate.PureWitness):
-        return {
-            "kind": "pure",
-            "psi": [[float(v.real), float(v.imag)] for v in w.psi.amplitudes],
-            "value_on_state": w.value_on_state,
-            "interval_on_other": list(w.interval_on_other),
-            "gap": w.gap,
-        }
-    return {
-        "kind": "hermitian",
-        "operator": freestate._matrix_payload(w.operator),
+    found = {
         "value_on_state": w.value_on_state,
         "interval_on_other": list(w.interval_on_other),
         "gap": w.gap,
     }
+    if isinstance(w, freestate.PureWitness):
+        psi = [[float(v.real), float(v.imag)] for v in w.psi.amplitudes]
+        return {"kind": "pure", "psi": psi, **found}
+    return {"kind": "hermitian", "operator": freestate._matrix_payload(w.operator), **found}
 
 
 def _cmd_freestate_clone_check(config: dict, seed) -> dict:
@@ -282,9 +266,7 @@ def _cmd_solomonoff_regret(config: dict, seed) -> dict:
         q, config["sequence"], mixture, [_fraction(e) for e in config["eps"]]
     )
     curve = []
-    cum = Fraction(1)
     for step, ratio in enumerate(report.per_step_ratios, start=1):
-        cum *= ratio
         curve.append(
             {
                 "step": step,
@@ -292,7 +274,7 @@ def _cmd_solomonoff_regret(config: dict, seed) -> dict:
                 "p_U": _rat(report.per_step_mixture[step - 1]),
                 "p_Q": _rat(report.per_step_hypothesis[step - 1]),
                 "ratio": _rat(ratio),
-                "cum_ratio": _rat(cum),
+                "cum_ratio": _rat(report.cumulative[step]),
             }
         )
     return {

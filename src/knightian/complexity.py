@@ -146,7 +146,10 @@ def _result(witness: Program | None, bound: int, cfg: MachineConfig) -> Complexi
 
 @lru_cache(maxsize=8)
 def _listable_sets(bound: int, cfg: MachineConfig) -> dict[tuple[str, ...], Program]:
-    """Every parseable set reachable at the bound with its shortest lister, sorted by set."""
+    """Every parseable set reachable at the bound with its shortest lister.
+
+    Sorted by (K(S), set), so the first entry that qualifies is the least K(S).
+    """
     table: dict[tuple[str, ...], Program] = {}
     for output, program in toyvm.census(bound, cfg).witnesses.items():
         try:
@@ -154,7 +157,7 @@ def _listable_sets(bound: int, cfg: MachineConfig) -> dict[tuple[str, ...], Prog
         except UnparseableConvention:
             continue
         table.setdefault(listing.elements, program)
-    return dict(sorted(table.items()))
+    return dict(sorted(table.items(), key=lambda item: (len(item[1]), item[0])))
 
 
 def set_complexity(
@@ -183,17 +186,15 @@ def sophistication(
     kx = kolmogorov(x, bound, cfg)
     if isinstance(kx, NotFound):
         return kx
-    qualifying = [
-        (len(program), elements, program)
-        for elements, program in _listable_sets(bound, cfg).items()
-        if x in elements and (len(elements) - 1).bit_length() <= kx.value + c - len(program)
-    ]
-    if not qualifying:
-        return NotFound(bound, cfg.step_budget)
-    k_s, elements, program = min(qualifying, key=lambda q: q[0])  # the first least K(S)
-    return SophisticationResult(
-        k_s, SetListing(elements), program, kx.value, bound, cfg.step_budget
-    )
+    for elements, program in _listable_sets(bound, cfg).items():
+        slack = kx.value + c - len(program)
+        if slack < 0:  # no later set, with K(S) as large or larger, can qualify
+            break
+        if x in elements and (len(elements) - 1).bit_length() <= slack:
+            return SophisticationResult(
+                len(program), SetListing(elements), program, kx.value, bound, cfg.step_budget
+            )
+    return NotFound(bound, cfg.step_budget)
 
 
 def measure_listing_overhead(

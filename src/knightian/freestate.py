@@ -20,7 +20,7 @@ hull.  The witnesses built on it are re-checked independently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -174,18 +174,25 @@ class Freestate:
         if any(g.dim != self.dim for g in gens):
             raise DimMismatch("generator dimension differs from the freestate's")
 
+    def weighted_sum(self, weights: list[Fraction], choice) -> DensityMatrix:
+        """sum_i weights[i] * choice[i], one generator of a mixture."""
+        total = np.zeros((self.dim, self.dim), dtype=complex)
+        for w, g in zip(weights, choice):
+            total += float(w) * g.entries
+        return DensityMatrix(self.dim, total)
+
 
 @dataclass(frozen=True)
 class ClassicalFreestate:
-    n_outcomes: int
+    dim: int  # the number of outcomes
     generators: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
         gens = []
         for g in self.generators:
             vec = tuple(Fraction(v) if not isinstance(v, float) else _decimal_fraction(v) for v in g)
-            if len(vec) != self.n_outcomes:
-                raise ValueError(f"expected {self.n_outcomes} outcomes, got {len(vec)}")
+            if len(vec) != self.dim:
+                raise ValueError(f"expected {self.dim} outcomes, got {len(vec)}")
             if any(v < 0 for v in vec):
                 raise ValueError("probabilities must be nonnegative")
             if abs(sum(vec) - 1) > TOL_WEIGHTS:
@@ -195,76 +202,59 @@ class ClassicalFreestate:
             raise ValueError("a freestate needs at least one generator")
         object.__setattr__(self, "generators", tuple(gens))
 
+    def weighted_sum(self, weights: list[Fraction], choice) -> tuple[Fraction, ...]:
+        """sum_i weights[i] * choice[i], one generator of a mixture."""
+        return tuple(sum(w * g[i] for w, g in zip(weights, choice)) for i in range(self.dim))
 
-def _decimal_fraction(x: float) -> Fraction:
+
+def _decimal_fraction(x) -> Fraction:
     # decimal literals like 0.1 become exactly 1/10, not the binary float
     return Fraction(str(x))
 
 
 # -- algebra --------------------------------------------------------------------
+#
+# Both operations take either kind of freestate, quantum or classical, but not
+# the two mixed: the result is the first state's kind with new generators.
 
 
-def knightian_or(s1: Freestate, s2: Freestate) -> Freestate:
+def _check_alike(states) -> None:
+    first = states[0]
+    for s in states[1:]:
+        if type(s) is not type(first):
+            raise DimMismatch(f"cannot combine a {type(first).__name__} with a {type(s).__name__}")
+        if s.dim != first.dim:
+            raise DimMismatch(f"dims {first.dim} != {s.dim}")
+
+
+def knightian_or(*states: Freestate | ClassicalFreestate) -> Freestate | ClassicalFreestate:
     """Hull of the union: "either set could be the truth"."""
-    if s1.dim != s2.dim:
-        raise DimMismatch(f"dims {s1.dim} != {s2.dim}")
-    return Freestate(s1.dim, s1.generators + s2.generators)
+    _check_alike(states)
+    return replace(states[0], generators=tuple(g for s in states for g in s.generators))
 
 
-def classical_or(s1: ClassicalFreestate, s2: ClassicalFreestate) -> ClassicalFreestate:
-    if s1.n_outcomes != s2.n_outcomes:
-        raise DimMismatch(f"outcome counts {s1.n_outcomes} != {s2.n_outcomes}")
-    return ClassicalFreestate(s1.n_outcomes, s1.generators + s2.generators)
+def prob_mix(
+    components: list[tuple[float | Fraction, Freestate | ClassicalFreestate]]
+) -> Freestate | ClassicalFreestate:
+    """Probabilistic mixture of freestates, expanded over Knightian choices.
 
-
-def _check_weights(weights) -> list:
+    The generators of the result are every weighted sum obtainable by picking
+    one generator from each component: probabilistic uncertainty *over*
+    Knightian uncertainty flattens into Knightian uncertainty over mixtures.
+    Weights are read exactly, a float as the decimal it prints as.
+    """
+    weights = [_decimal_fraction(w) for w, _ in components]
     if not weights:
         raise BadWeights("no components")
     if any(w < 0 for w in weights):
         raise BadWeights("weights must be nonnegative")
     if abs(sum(weights) - 1) > TOL_WEIGHTS:
         raise BadWeights(f"'weight' values sum to {sum(weights)}, not 1")
-    return list(weights)
-
-
-def prob_mix(components: list[tuple[float | Fraction, Freestate]]) -> Freestate:
-    """Probabilistic mixture of freestates, expanded over Knightian choices.
-
-    The generators of the result are every weighted sum obtainable by picking
-    one generator from each component: probabilistic uncertainty *over*
-    Knightian uncertainty flattens into Knightian uncertainty over mixtures.
-    """
-    weights = _check_weights([w for w, _ in components])
     states = [s for _, s in components]
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
-        raise DimMismatch("component dimensions differ")
-    gens = []
-    for choice in itertools.product(*[s.generators for s in states]):
-        total = np.zeros((dim, dim), dtype=complex)
-        for w, g in zip(weights, choice):
-            total += float(w) * g.entries
-        gens.append(DensityMatrix(dim, total))
-    return Freestate(dim, tuple(gens))
-
-
-def classical_mix(
-    components: list[tuple[float | Fraction, ClassicalFreestate]]
-) -> ClassicalFreestate:
-    weights = _check_weights(
-        [w if isinstance(w, Fraction) else _decimal_fraction(w) for w, _ in components]
-    )
-    states = [s for _, s in components]
-    n = states[0].n_outcomes
-    if any(s.n_outcomes != n for s in states):
-        raise DimMismatch("component outcome counts differ")
-    gens = []
-    for choice in itertools.product(*[s.generators for s in states]):
-        total = [Fraction(0)] * n
-        for w, g in zip(weights, choice):
-            total = [t + w * v for t, v in zip(total, g)]
-        gens.append(tuple(total))
-    return ClassicalFreestate(n, tuple(gens))
+    _check_alike(states)
+    first = states[0]
+    choices = itertools.product(*[s.generators for s in states])
+    return replace(first, generators=tuple(first.weighted_sum(weights, c) for c in choices))
 
 
 def expectation(rho: DensityMatrix, effect: Effect) -> float:
@@ -294,8 +284,8 @@ def event_interval(
 ) -> tuple[Fraction, Fraction]:
     """Exact lower/upper probability of a set of outcomes."""
     idx = sorted(set(event))
-    if any(i < 0 or i >= s.n_outcomes for i in idx):
-        raise BadEvent(f"'event' indices must lie in [0, {s.n_outcomes})")
+    if any(i < 0 or i >= s.dim for i in idx):
+        raise BadEvent(f"'event' indices must lie in [0, {s.dim})")
     values = [sum((g[i] for i in idx), Fraction(0)) for g in s.generators]
     return min(values), max(values)
 
@@ -562,15 +552,11 @@ def freestate_from_payload(payload: dict) -> Freestate:
 
 
 def classical_to_payload(s: ClassicalFreestate) -> dict:
-    return {"n": s.n_outcomes, "generators": [[str(v) for v in g] for g in s.generators]}
+    return {"n": s.dim, "generators": [[str(v) for v in g] for g in s.generators]}
 
 
 def classical_from_payload(payload: dict) -> ClassicalFreestate:
-    n = int(payload["n"])
-    gens = tuple(
-        tuple(Fraction(str(v)) for v in g) for g in payload["generators"]
-    )
-    return ClassicalFreestate(n, gens)
+    return ClassicalFreestate(payload["n"], payload["generators"])
 
 
 def effect_from_payload(payload: dict) -> Effect:

@@ -163,10 +163,11 @@ def update(mixture: Mixture, bit: str) -> Mixture:
 class RegretReport:
     """Per-step comparison of the mixture against one designated hypothesis.
 
-    ratio_product telescopes to Pr_mixture[seq] / Pr_hypothesis[seq], which
-    is always at least the hypothesis's raw weight 2**-len(Q).  mistakes[e]
-    counts steps where the mixture's conditional undercuts the hypothesis's
-    by more than the factor (1 - e).
+    cumulative[n] is Pr_mixture[seq[:n]] / Pr_hypothesis[seq[:n]], so each
+    step's ratio is cumulative[n] / cumulative[n - 1], and ratio_product, the
+    last entry, is always at least the hypothesis's raw weight 2**-len(Q).
+    mistakes[e] counts steps where the mixture's conditional undercuts the
+    hypothesis's by more than the factor (1 - e).
     """
 
     q: Program
@@ -174,9 +175,13 @@ class RegretReport:
     per_step_mixture: tuple[Fraction, ...]  # mixture conditional per bit
     per_step_hypothesis: tuple[Fraction, ...]  # hypothesis conditional per bit
     per_step_ratios: tuple[Fraction, ...]
-    ratio_product: Fraction
+    cumulative: tuple[Fraction, ...]  # one entry per prefix, the empty one first
     mistakes: dict[Fraction, int]
     nonmistake_log2_excess: dict[Fraction, float]
+
+    @property
+    def ratio_product(self) -> Fraction:
+        return self.cumulative[-1]
 
 
 def regret_report(
@@ -187,25 +192,17 @@ def regret_report(
 ) -> RegretReport:
     if len(q) > mixture.bound:
         raise ValueError("designated hypothesis is not in the mixture")
-    if toyvm.prefix_probability(q, sequence, mixture.cfg) == 0:
+    prefixes = [sequence[:n] for n in range(len(sequence) + 1)]
+    p_q = [toyvm.prefix_probability(q, prefix, mixture.cfg) for prefix in prefixes]
+    if p_q[-1] == 0:
         raise UnsupportedSequence(
             f"hypothesis assigns zero probability to {sequence!r}"
         )
-    ratios: list[Fraction] = []
-    p_us: list[Fraction] = []
-    p_qs: list[Fraction] = []
-    for n in range(1, len(sequence) + 1):
-        head, full = sequence[: n - 1], sequence[:n]
-        p_u = joint_probability(mixture, full) / joint_probability(mixture, head)
-        p_q = toyvm.prefix_probability(q, full, mixture.cfg) / toyvm.prefix_probability(
-            q, head, mixture.cfg
-        )
-        p_us.append(p_u)
-        p_qs.append(p_q)
-        ratios.append(p_u / p_q)
-    product = Fraction(1)
-    for r in ratios:
-        product *= r
+    # the mixture holds q, so it gives every prefix q supports a positive mass
+    p_u = [joint_probability(mixture, prefix) for prefix in prefixes]
+    cumulative = [u / h for u, h in zip(p_u, p_q)]
+    steps = range(1, len(prefixes))
+    ratios = [cumulative[n] / cumulative[n - 1] for n in steps]
     mistakes = {}
     excess = {}
     for eps in eps_list:
@@ -219,10 +216,10 @@ def regret_report(
     return RegretReport(
         q=q,
         sequence=sequence,
-        per_step_mixture=tuple(p_us),
-        per_step_hypothesis=tuple(p_qs),
+        per_step_mixture=tuple(p_u[n] / p_u[n - 1] for n in steps),
+        per_step_hypothesis=tuple(p_q[n] / p_q[n - 1] for n in steps),
         per_step_ratios=tuple(ratios),
-        ratio_product=product,
+        cumulative=tuple(cumulative),
         mistakes=mistakes,
         nonmistake_log2_excess=excess,
     )
@@ -247,8 +244,8 @@ def diagonal_sequence(mixture: Mixture, n: int) -> tuple[str, list[DiagonalStep]
         raise ValueError(f"'n' = {n} must be >= 1")
     history = ""
     steps: list[DiagonalStep] = []
+    denom = joint_probability(mixture, history)
     for i in range(1, n + 1):
-        denom = joint_probability(mixture, history)
         if denom == 0:
             raise ZeroMassHistory(history, step=i)
         p1 = joint_probability(mixture, history + "1")
@@ -259,6 +256,7 @@ def diagonal_sequence(mixture: Mixture, n: int) -> tuple[str, list[DiagonalStep]
         chosen = p0 if bit == "0" else p1
         history += bit
         steps.append(DiagonalStep(bit, chosen / denom, chosen))
+        denom = chosen
     return history, steps
 
 

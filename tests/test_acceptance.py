@@ -51,7 +51,7 @@ def test_c02_knight_interval():
         high_band = fs.ClassicalFreestate(
             2, ((F(6, 10), F(4, 10)), (F(5, 10), F(5, 10)))
         )
-        merged = fs.classical_or(fs.classical_or(point, low_band), high_band)
+        merged = fs.knightian_or(point, low_band, high_band)
         assert fs.event_interval(merged, [1]) == (F(1, 10), F(1, 2))
 
 

@@ -344,6 +344,12 @@ def oblivious_gerbil_game(freebit_budget):
         (("freestate", "interval"), {**KNIGHT_CLASSICAL, "event": [2]}, "event"),
         # an empty class still has its schedule checked
         (("arena", "classify"), {**CLASSIFY, "class": [], "horizon": 5, "schedule": [[9, "0.1", "0.1"]]}, "t"),
+        # well typed, but too short: a label needs a game, a union two sets, a mixture a component
+        (("arena", "classify"), {**CLASSIFY, "class": []}, "class"),
+        (("arena", "classify"), {**CLASSIFY, "schedule": []}, "schedule"),
+        (("freestate", "or"), {"classicals": [KNIGHT_CLASSICAL["classical"]]}, "classicals"),
+        (("freestate", "or"), {"freestates": [QUBIT_0]}, "freestates"),
+        (("freestate", "mix"), {"components": []}, "components"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -600,6 +606,94 @@ def test_arena_report_bytes_are_pinned(tmp_path, capsys, name):
     command, seed, config, digest = PINNED_ARENA_REPORTS[name]
     path = write_config(tmp_path, config)
     code, out, err = invoke(capsys, "arena", command, "--config", path, "--seed", str(seed))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def projector(*amplitudes):
+    return [[[(a * b.conjugate()).real, (a * b.conjugate()).imag] for b in amplitudes] for a in amplitudes]
+
+
+R = 0.5**0.5
+PROJECTOR_1, PROJECTOR_PLUS, PROJECTOR_I = projector(0, 1), projector(R, R), projector(R, R * 1j)
+HALF_IDENTITY = QUBIT_MIXED["generators"][0]
+
+
+def hermitian_witness_config():
+    # the draw of test_freestate_witness_cli_reports_hermitian_and_none
+    single, hull = pushed_out_pair(np.random.default_rng(7))
+    return {
+        "freestate_a": fs.freestate_to_payload(single),
+        "freestate_b": fs.freestate_to_payload(hull),
+        "restarts": 8,
+    }
+
+
+# Reports of freestate paths the benchmark's reference does not reach, which
+# runs only classical `or` and `mix` on two outcomes, pinned by SHA-256.
+PINNED_FREESTATE_REPORTS = {
+    "quantum-or-of-three": (
+        "or",
+        None,
+        {
+            "freestates": [
+                QUBIT_0,
+                {"dim": 2, "generators": [PROJECTOR_1, PROJECTOR_PLUS]},
+                {"dim": 2, "generators": [PROJECTOR_I]},
+            ]
+        },
+        "a30f1d6978de5c2cdb475311b1448b1cdb2d16c0062b86c65785720b006fa573",
+    ),
+    "quantum-mix": (
+        "mix",
+        None,
+        {
+            "components": [
+                {"weight": "0.3", "freestate": {"dim": 2, "generators": [PROJECTOR_0, PROJECTOR_PLUS]}},
+                {"weight": "7/10", "freestate": {"dim": 2, "generators": [PROJECTOR_I, HALF_IDENTITY]}},
+            ]
+        },
+        "74ee6495defc0a55e23ac1264c909c3eb1ba4ef1db0b0bf5cb1f725e4aaf7a87",
+    ),
+    "classical-or-of-three": (
+        "or",
+        None,
+        {
+            "classicals": [
+                {"n": 3, "generators": [["1/2", "1/4", "1/4"]]},
+                {"n": 3, "generators": [["0.1", "0.2", "0.7"], [0.6, 0.3, 0.1]]},
+                {"n": 3, "generators": [[1, 0, 0]]},
+            ]
+        },
+        "9cfb3a63738d62d87b2d6ce21207393a27872c68e2474e08b9ab94a0be7af9fd",
+    ),
+    "classical-mix-of-three": (
+        "mix",
+        None,
+        {
+            "components": [
+                {"weight": "1/2", "classical": {"n": 3, "generators": [["1/3", "1/3", "1/3"], [1, 0, 0]]}},
+                {"weight": 0.3, "classical": {"n": 3, "generators": [["0.1", "0.2", "0.7"], [0, 0.5, 0.5]]}},
+                {"weight": "0.2", "classical": {"n": 3, "generators": [[0, 0, 1]]}},
+            ]
+        },
+        "6ca39a9d2f07ef7c3583f94d1b118df4e4b375991025b216edc3a69cb9d484f0",
+    ),
+    "hermitian-witness": (
+        "witness",
+        7,
+        hermitian_witness_config(),
+        "90942937f4a67bc60d9fc2c5859d27988841281fd18b4d43300aec5d50cf5a6f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_FREESTATE_REPORTS)
+def test_freestate_report_bytes_are_pinned(tmp_path, capsys, name):
+    command, seed, config, digest = PINNED_FREESTATE_REPORTS[name]
+    path = write_config(tmp_path, config)
+    seed_args = () if seed is None else ("--seed", str(seed))
+    code, out, err = invoke(capsys, "freestate", command, "--config", path, *seed_args)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

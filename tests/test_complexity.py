@@ -74,7 +74,8 @@ def test_census_witnesses_match_the_static_scan(cfg):
             listable.setdefault(cx.parse_listing(output).elements, program)
         except cx.UnparseableConvention:
             pass
-    assert list(cx._listable_sets(BOUND, cfg).items()) == sorted(listable.items())
+    by_k_then_set = sorted(listable.items(), key=lambda item: (len(item[1]), item[0]))
+    assert list(cx._listable_sets(BOUND, cfg).items()) == by_k_then_set
 
 
 def test_negative_bound_is_rejected():
@@ -242,6 +243,33 @@ def test_sophistication_compares_exponents_exactly():
             r = cx.sophistication(x, c, BOUND, CFG)
             got = r.value if isinstance(r, cx.SophisticationResult) else None
             assert got == (min(costs) if costs else None), (x, c)
+
+
+def reference_sophistication(x, c, bound, cfg):
+    """The least K(S) by a min over every qualifying set, taken in set order."""
+    kx = cx.kolmogorov(x, bound, cfg)
+    if isinstance(kx, cx.NotFound):
+        return kx
+    qualifying = [
+        (len(program), elements, program)
+        for elements, program in sorted(cx._listable_sets(bound, cfg).items())
+        if x in elements and (len(elements) - 1).bit_length() <= kx.value + c - len(program)
+    ]
+    if not qualifying:
+        return cx.NotFound(bound, cfg.step_budget)
+    k_s, elements, program = min(qualifying, key=lambda q: q[0])
+    return cx.SophisticationResult(
+        k_s, cx.SetListing(elements), program, kx.value, bound, cfg.step_budget
+    )
+
+
+def test_sophistication_matches_the_min_over_every_qualifying_set():
+    for n in range(5):
+        for x in map("".join, itertools.product("01", repeat=n)):
+            for c in (-1, 0, 2, 6, 12):
+                assert cx.sophistication(x, c, BOUND, CFG) == reference_sophistication(
+                    x, c, BOUND, CFG
+                ), (x, c)
 
 
 def test_sophistication_takes_any_c():

@@ -96,8 +96,30 @@ def test_classical_knight_interval():
     c = fs.ClassicalFreestate(
         2, ((Fraction(6, 10), Fraction(4, 10)), (Fraction(5, 10), Fraction(5, 10)))
     )
-    knight = fs.classical_or(fs.classical_or(a, b), c)
+    knight = fs.knightian_or(a, b, c)
     assert fs.event_interval(knight, [1]) == (Fraction(1, 10), Fraction(1, 2))
+
+
+def test_or_and_mix_reject_mixed_kinds_and_sizes():
+    quantum = qstate("0")
+    classical = fs.ClassicalFreestate(2, ((Fraction(1, 2), Fraction(1, 2)),))
+    three = fs.ClassicalFreestate(3, ((1, 0, 0),))
+    for states in ((quantum, classical), (classical, quantum), (classical, classical, three)):
+        with pytest.raises(fs.DimMismatch):
+            fs.knightian_or(*states)
+        with pytest.raises(fs.DimMismatch):
+            fs.prob_mix([(Fraction(1, len(states)), s) for s in states])
+
+
+def test_classical_mix_is_exact_and_expands_over_choices():
+    a = fs.ClassicalFreestate(2, ((1, 0), (0, 1)))
+    b = fs.ClassicalFreestate(2, (("1/2", "1/2"),))
+    mixed = fs.prob_mix([(0.1, a), ("9/10", b)])
+    assert mixed.generators == (
+        (Fraction(11, 20), Fraction(9, 20)),
+        (Fraction(9, 20), Fraction(11, 20)),
+    )
+    assert fs.knightian_or(a) == a
 
 
 def test_event_interval_trivia():
