@@ -225,9 +225,18 @@ class Forecast:
     time v is 1, given the full input path (of which only bits up to v may
     matter — the causal property) and the realized behavior bits past =
     b_t ... b_{v-1}.
+
+    state(v, inputs, past), when given, is a hashable key of what the
+    forecast remembers of past at time v: on the same inputs, equal keys must
+    give equal conditionals at every later step, for every continuation.
+    None means past itself, which merges nothing.  The scoring walk
+    (_pattern_overlaps) merges pasts with equal keys, so prob_one checks the
+    range only of the prefixes the walk reaches: one past per merged node,
+    and never a branch the forecast or the subject gives weight 0.
     """
 
     conditional: object  # callable (v, inputs, past) -> Fraction
+    state: object = None  # callable (v, inputs, past) -> hashable, or None
 
     def prob_one(self, v: int, inputs: str, past: str) -> Fraction:
         p = Fraction(self.conditional(v, inputs, past))
@@ -239,6 +248,11 @@ class Forecast:
 def forecast_distribution(
     forecast: Forecast, inputs: str, t: int, u: int
 ) -> dict[str, Fraction]:
+    """The forecast's whole law over [t, u), one entry per suffix it gives mass.
+
+    Up to 2^(u - t) entries; the scoring walk never builds it, and the tests
+    compare the walk with sums over it.
+    """
     dist = {"": Fraction(1)}
     for v in range(t, u):
         new = {}
@@ -277,23 +291,41 @@ def _pattern_overlaps(
     freebits it consumes (its pattern), and the true law g_a(s) is either the
     product c(s) of its literal and coin weights or 0.  Returns the consumed
     indices in ascending order and, keyed by pattern (their bits in that
-    order), the sum of min(f(s), c(s)) over the forecast's support.  Both laws
-    sum to exactly 1, so TV(f, g_a) = 1 - the overlap of a's pattern.
+    order), the sum of min(f(s), c(s)) over the suffixes with f(s) c(s) > 0.
+    Both laws sum to exactly 1, so TV(f, g_a) = 1 - the overlap of a's pattern.
+
+    The suffixes are walked level by level, and prefixes that agree on the
+    forecast's state key, f, c and the pattern so far are lumped into one node
+    with a multiplicity, as every continuation adds the same to each of them
+    (lumpability: Kemeny and Snell, Finite Markov Chains, 1960).
+    Children with f = 0 or c = 0 are dropped.  So the forecast is asked once
+    per node, with the first past that reached it.
     """
     emissions = _window_emissions(subject, inputs, t, u)
-    freebits = sorted(
-        (value, pos) for pos, (kind, value) in enumerate(emissions) if kind == "freebit"
-    )
-    factors = [(pos, law) for pos, law in enumerate(map(_law, emissions)) if law is not None]
+    key = forecast.state or (lambda v, inputs, past: past)
+    # node (state key, f, c, pattern in position order) -> [a past reaching it, multiplicity]
+    level = {(key(t, inputs, ""), Fraction(1), 1, ""): ["", 1]}
+    for v, emit in enumerate(emissions, start=t):
+        law = _law(emit)
+        children: dict[tuple, list] = {}
+        for (_, f, c, pattern), (past, mult) in level.items():
+            p1 = forecast.prob_one(v, inputs, past)
+            for b, q in (("0", 1 - p1), ("1", p1)):
+                weight = 1 if law is None else law[b]
+                if q and weight:
+                    after = past + b
+                    child = (key(v + 1, inputs, after), f * q, c * weight,
+                             pattern + b if law is None else pattern)
+                    children.setdefault(child, [after, 0])[1] += mult
+        level = children
+    # a pattern's bits go in ascending freebit index, not in position order
+    consumed = [value for kind, value in emissions if kind == "freebit"]
+    order = sorted(range(len(consumed)), key=consumed.__getitem__)
     overlaps: dict[str, Fraction] = {}
-    for suffix, f in forecast_distribution(forecast, inputs, t, u).items():
-        c = 1
-        for pos, law in factors:
-            c *= law[suffix[pos]]
-        if c:
-            pattern = "".join(suffix[pos] for _, pos in freebits)
-            overlaps[pattern] = overlaps.get(pattern, Fraction(0)) + min(f, c)
-    return [idx for idx, _ in freebits], overlaps
+    for (_, f, c, pattern), (_, mult) in level.items():
+        pattern = "".join(map(pattern.__getitem__, order))
+        overlaps[pattern] = overlaps.get(pattern, Fraction(0)) + mult * min(f, c)
+    return sorted(consumed), overlaps
 
 
 def adversary_resolution(
@@ -305,10 +337,11 @@ def adversary_resolution(
 ) -> tuple[tuple[int, ...], Fraction]:
     """Worst-case freebit assignment for the forecast, ties to the smallest.
 
-    One pass over the forecast's support scores every assignment at once (see
-    _pattern_overlaps).  The worst case is the first pattern of least overlap
-    in lexicographic order, with every freebit the window does not consume set
-    to 0: the first of the worst assignments in itertools.product order.
+    One walk over the forecast's distinct futures scores every assignment at
+    once (see _pattern_overlaps).  The worst case is the first pattern of
+    least overlap in lexicographic order, with every freebit the window does
+    not consume set to 0: the first of the worst assignments in
+    itertools.product order.
     """
     consumed, overlaps = _pattern_overlaps(subject, forecast, inputs, t, u)
     worst, least = "", None
@@ -365,7 +398,8 @@ class TablePredictor:
                 return Fraction(1, 2)
             return Fraction(c[1], c[0] + c[1])
 
-        return Forecast(conditional)
+        # the conditional never reads past
+        return Forecast(conditional, state=lambda v, inputs, past: None)
 
 
 class BayesPredictor:
@@ -415,10 +449,13 @@ class BayesPredictor:
                 memo[key] = self._step(weights, states, inputs[-1], past[-1])
             return memo[key]
 
-        def conditional(v: int, inputs: str, past: str) -> Fraction:
+        def state(v: int, inputs: str, past: str) -> tuple[tuple, tuple]:
             # the filter consumes min(v - t, len(past)) steps, as zip(range(t, v), past) would
             n = max(0, min(v - t, len(past)))
-            weights, states = filtered(inputs[t : t + n], past[:n])
+            return filtered(inputs[t : t + n], past[:n])
+
+        def conditional(v: int, inputs: str, past: str) -> Fraction:
+            weights, states = state(v, inputs, past)
             if not any(weights):  # _step normalized them: they sum to 1 or are all 0
                 return Fraction(1, 2)
             p = Fraction(0)
@@ -426,7 +463,7 @@ class BayesPredictor:
                 p += w * self._likelihood(cand, s, inputs[v], "1")
             return p
 
-        return Forecast(conditional)
+        return Forecast(conditional, state)
 
 
 # -- the game ----------------------------------------------------------------------

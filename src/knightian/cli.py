@@ -184,30 +184,54 @@ def _cmd_freestate_interval(config: dict, seed) -> dict:
     return {"lo": lo, "hi": hi}
 
 
-# the kinds of freestate: payload key -> (parse, write)
+# the kinds of freestate: payload key -> (parse, write, size key)
 FREESTATE_KINDS = {
-    "classical": (freestate.classical_from_payload, freestate.classical_to_payload),
-    "freestate": (freestate.freestate_from_payload, freestate.freestate_to_payload),
+    "classical": (freestate.classical_from_payload, freestate.classical_to_payload, "n"),
+    "freestate": (freestate.freestate_from_payload, freestate.freestate_to_payload, "dim"),
 }
 
 
+def _alike(entries: list[tuple[str, str, dict]]) -> tuple[str, list]:
+    """The kind of (path, kind, payload) entries and their sets, parsed.
+
+    Every entry must have the first one's kind and size; the first that does
+    not is named by its path.
+    """
+    _, kind, first = entries[0]
+    parse, _, size = FREESTATE_KINDS[kind]
+    for path, other, payload in entries[1:]:
+        if other != kind:
+            raise KnightianError(f"{path} must be a {kind!r} set like the first one, got {other!r}")
+        if payload[size] != first[size]:
+            raise KnightianError(
+                f"{path}[{size!r}] = {payload[size]} must equal the first set's {first[size]}"
+            )
+    return kind, [parse(payload) for _, _, payload in entries]
+
+
 def _cmd_freestate_or(config: dict, seed) -> dict:
-    kind = "classical" if "classicals" in config else "freestate"
-    parse, write = FREESTATE_KINDS[kind]
-    payloads = config[f"{kind}s"]
-    if len(payloads) < 2:
-        raise KnightianError(f"'{kind}s' must hold at least two freestates")
-    return {kind: write(freestate.knightian_or(*map(parse, payloads)))}
+    key = "classicals" if "classicals" in config else "freestates"
+    if len(config[key]) < 2:
+        raise KnightianError(f"{key!r} must hold at least two freestates")
+    kind, states = _alike(
+        [(f"config[{key!r}][{i}]", key[:-1], payload) for i, payload in enumerate(config[key])]
+    )
+    _, write, _ = FREESTATE_KINDS[kind]
+    return {kind: write(freestate.knightian_or(*states))}
 
 
 def _cmd_freestate_mix(config: dict, seed) -> dict:
     comps = config["components"]
     if not comps:
         raise KnightianError("'components' must hold at least one component")
-    kind = "classical" if "classical" in comps[0] else "freestate"
-    parse, write = FREESTATE_KINDS[kind]
-    pairs = [(_fraction(c["weight"]), parse(c[kind])) for c in comps]
-    return {kind: write(freestate.prob_mix(pairs))}
+    entries = []
+    for i, c in enumerate(comps):
+        kind = "classical" if "classical" in c else "freestate"
+        entries.append((f"config['components'][{i}][{kind!r}]", kind, c[kind]))
+    kind, states = _alike(entries)
+    weights = [_fraction(c["weight"]) for c in comps]
+    _, write, _ = FREESTATE_KINDS[kind]
+    return {kind: write(freestate.prob_mix(list(zip(weights, states))))}
 
 
 def _cmd_freestate_witness(config: dict, seed) -> dict:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import random_effect, random_freestate
-from knightian import arena, complexity as cx, freestate as fs, gadgets as gd, prior, toyvm as tv
+from knightian import arena, cli, complexity as cx, freestate as fs, gadgets as gd, prior, toyvm as tv
 
 F = Fraction
 
@@ -183,6 +183,26 @@ def test_c07_arena_reference_classes():
         assert json.dumps(replay.to_payload(), sort_keys=True) == json.dumps(
             again.to_payload(), sort_keys=True
         )
+
+
+def test_bayes_game_at_the_horizon_guard(tmp_path):
+    with criterion("Bayes game at u - t = HORIZON_GUARD, 100 trials", 10.0):
+        # the family's fair coin gives every suffix forecast mass, so the
+        # scoring is affordable only over the forecast's distinct futures
+        h = arena.HORIZON_GUARD
+        config = {
+            "subject": "parrot",
+            "predictor": {"kind": "bayes", "family": ["parrot", "fair-coin"]},
+            "game": {"t": 4, "u": 4 + h, "epsilon": "0.05", "delta": "0.05", "trials": 100},
+        }
+        (tmp_path / "game.json").write_text(json.dumps(config))
+        argv = ["arena", "run", "--config", str(tmp_path / "game.json"), "--seed", "7"]
+        assert cli.dispatch([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        verdict = json.loads((tmp_path / "report.json").read_text())["result"]["verdict"]
+        # four parrot-consistent steps leave the fair coin 1/17 of the weight,
+        # and the forecast puts f = 16/17 + 2^-h / 17 on the parrot's suffix
+        missed = str(1 - F(16, 17) - F(1, 17 * 2**h))
+        assert verdict["distances"] == [missed] * 100
 
 
 def test_c08_causal_theorem_fuzz():

@@ -157,7 +157,7 @@ def test_single_freebit_forces_half_against_any_forecast():
 
 
 def test_adversary_checks_guards_before_forecasting():
-    # the forecast's 2^h law is built only after every guard has passed
+    # the forecast is consulted only after every guard has passed
     def untouchable(v, inputs, past):
         raise AssertionError("forecast consulted before the guards")
 
@@ -192,7 +192,7 @@ def test_adversary_at_the_full_freebit_guard_is_affordable():
     assert elapsed < 10.0, f"{k} freebits took {elapsed:.1f}s"
 
 
-# -- differential oracles: the one-pass adversary and the memoised Bayes filter ------
+# -- differential oracles: the adversary, the lumped walk and the memoised Bayes filter --
 
 EMISSIONS = [("bit", "0"), ("bit", "1")] + [
     ("prob", F(p)) for p in ("0", "1", "1/2", "1/3", "3/4")
@@ -317,6 +317,103 @@ def test_memoised_bayes_forecast_matches_refiltering():
         for v, inputs, past in queries:
             assert memoised.prob_one(v, inputs, past) == reference.prob_one(v, inputs, past)
     assert dead, "no family lost all its weight in training"
+
+
+def reference_pattern_overlaps(subject, forecast, inputs, t, u):
+    """Per-pattern overlaps summed over every suffix of the forecast's support."""
+    emissions = arena._window_emissions(subject, inputs, t, u)
+    freebits = sorted(
+        (value, pos) for pos, (kind, value) in enumerate(emissions) if kind == "freebit"
+    )
+    factors = [(pos, law) for pos, law in enumerate(map(arena._law, emissions)) if law is not None]
+    overlaps = {}
+    for suffix, f in arena.forecast_distribution(forecast, inputs, t, u).items():
+        c = 1
+        for pos, law in factors:
+            c *= law[suffix[pos]]
+        if c:
+            pattern = "".join(suffix[pos] for _, pos in freebits)
+            overlaps[pattern] = overlaps.get(pattern, F(0)) + min(f, c)
+    return [idx for idx, _ in freebits], overlaps
+
+
+def chain_subject(rng, t, u):
+    """A chain that ignores its inputs and spends distinct freebits after t, in shuffled order."""
+    budget = rng.randint(1, 4)
+    emits = [rng.choice(EMISSIONS) for _ in range(u)]
+    positions = rng.sample(range(t, u), min(budget, u - t))
+    for pos, idx in zip(positions, rng.sample(range(budget), budget)):
+        emits[pos] = ("freebit", idx)
+    states = tuple(f"c{v}" for v in range(u + 1))
+    edges = {(f"c{v}", i): arena.Edge(f"c{min(v + 1, u)}", emits[v] if v < u else ("bit", "0"))
+             for v in range(u + 1) for i in "01"}
+    return arena.Subject("hybrid", states, "c0", edges, budget)
+
+
+def trained(predictor, rng, t):
+    for _ in range(t):
+        predictor.observe(rng.choice("01"), rng.choice("01"))
+    return predictor
+
+
+def counting(forecast, asked):
+    """The forecast, with the same state key, recording every past it is asked about."""
+
+    def conditional(v, inputs, past):
+        asked.append(past)
+        return forecast.conditional(v, inputs, past)
+
+    return arena.Forecast(conditional, forecast.state)
+
+
+def test_lumped_walk_matches_the_full_enumeration():
+    rng = random.Random(17)
+    outcomes = {"bayes": 0, "dead family": 0, "table": 0, "black box": 0, "freebits": 0,
+                "freebits out of order": 0, "double duty": 0, "fewer asks": 0}
+    for seed in range(300):
+        t = rng.randint(0, 3)
+        u = t + rng.randint(1, 10)
+        subject = random_subject(rng) if seed % 2 else chain_subject(rng, t, u)
+        inputs = "".join(rng.choice("01") for _ in range(u))
+        kind = ("bayes", "table", "black box")[seed % 3]
+        if kind == "bayes":
+            family = [random_subject(rng) for _ in range(rng.randint(1, 4))]
+            predictor = trained(arena.BayesPredictor(family), rng, t)
+            outcomes["dead family"] += not any(predictor.weights)
+        elif kind == "table":
+            predictor = trained(arena.TablePredictor(rng.randint(0, 2)), rng, t)
+        forecast = random_forecast(seed) if kind == "black box" else predictor.emit_forecast(t)
+        enumerated, walked = [], []
+        try:
+            expected = reference_pattern_overlaps(subject, counting(forecast, enumerated), inputs, t, u)
+        except arena.SubjectSpecError:
+            with pytest.raises(arena.SubjectSpecError, match="double duty"):
+                arena._pattern_overlaps(subject, forecast, inputs, t, u)
+            outcomes["double duty"] += 1
+            continue
+        assert arena._pattern_overlaps(subject, counting(forecast, walked), inputs, t, u) == expected
+        outcomes[kind] += 1
+        outcomes["freebits"] += bool(expected[0])
+        spent = [idx for what, idx in arena._window_emissions(subject, inputs, t, u) if what == "freebit"]
+        outcomes["freebits out of order"] += spent != sorted(spent)
+        outcomes["fewer asks"] += len(walked) < len(enumerated)
+    assert all(outcomes.values()), outcomes
+
+
+def test_only_reachable_prefixes_are_asked():
+    # the parrot emits the previous input, 0 on these inputs: every branch with a
+    # 1 has c = 0, so only the all-zero past is asked at each step
+    def rejecting(bad_past):
+        return arena.Forecast(lambda v, inputs, past: F(2) if past == bad_past else F(1, 2))
+
+    asked = []
+    forecast = counting(rejecting("1"), asked)
+    assert arena.adversary_resolution(arena.parrot(), forecast, "0000", 1, 4) == ((), 1 - F(1, 8))
+    assert asked == ["", "0", "00"]
+    with pytest.raises(ValueError, match="not a probability"):
+        arena.forecast_distribution(rejecting("1"), "0000", 1, 4)
+    with pytest.raises(ValueError, match="not a probability"):
+        arena.adversary_resolution(arena.parrot(), rejecting("0"), "0000", 1, 4)
 
 
 # -- forecasts and causality ----------------------------------------------------------

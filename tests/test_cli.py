@@ -407,6 +407,28 @@ GOOD_CONFIGS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "command, config, path",
+    [
+        (
+            "or",
+            {"classicals": [CLASSICAL, {"n": 3, "generators": [["1", "0", "0"]]}]},
+            "config['classicals'][1]['n']",
+        ),
+        (
+            "mix",
+            {"components": [{"weight": "1/2", "classical": CLASSICAL}, {"weight": "1/2", "freestate": QUBIT_0}]},
+            "config['components'][1]",
+        ),
+    ],
+    ids=("or-sizes", "mix-kinds"),
+)
+def test_mismatched_sets_name_the_entry(tmp_path, capsys, command, config, path):
+    code, out, err = invoke(capsys, "freestate", command, "--config", write_config(tmp_path, config))
+    assert code == 1, err
+    assert path in err, err
+
+
 def test_good_configs_cover_every_command():
     assert {(group, command) for group, command, _ in GOOD_CONFIGS} == set(cli.COMMANDS)
 
@@ -440,9 +462,10 @@ def replace_leaf(value, path, new):
 
 
 # a fixed pool of awkward leaves: edge integers, each size guard and one past it,
-# float edges, strings a rational may or may not parse, and every other JSON kind
+# the horizons around HORIZON_GUARD, float edges, strings a rational may or may
+# not parse, and every other JSON kind
 POOL = [
-    0, -1, 2**63, 10**400,
+    0, -1, 2**63, 10**400, *range(16, 26),
     toyvm.BUDGET_GUARD, toyvm.BUDGET_GUARD + 1, arena.TIME_GUARD, arena.TIME_GUARD + 1,
     fs.RESTARTS_GUARD, fs.RESTARTS_GUARD + 1,
     0.5, 1e308, "", "1e400", "abc", [], {}, None, True,
