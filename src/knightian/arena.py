@@ -72,7 +72,6 @@ class Edge:
 
 @dataclass(frozen=True)
 class Subject:
-    kind: str  # deterministic | noisy | freebit | hybrid
     states: tuple[str, ...]
     initial: str
     edges: dict[tuple[str, str], Edge]
@@ -84,34 +83,39 @@ class Subject:
                 f"'freebit_budget' = {self.freebit_budget} must lie in [0, {FREEBIT_GUARD}]"
             )
         if self.initial not in self.states:
-            raise SubjectSpecError(f"initial state {self.initial!r} unknown")
+            raise SubjectSpecError(f"'initial' state {self.initial!r} is not in 'states'")
         for s in self.states:
             for i in "01":
                 if (s, i) not in self.edges:
-                    raise SubjectSpecError(f"missing edge for ({s!r}, {i!r})")
+                    raise SubjectSpecError(f"'edges' has no edge from {s!r} on input {i!r}")
         for (s, i), edge in self.edges.items():
-            if s not in self.states or edge.to not in self.states:
-                raise SubjectSpecError(f"edge ({s!r}, {i!r}) touches unknown state")
+            if s not in self.states:
+                raise SubjectSpecError(f"an edge has 'from' state {s!r}, not in 'states'")
+            if edge.to not in self.states:
+                raise SubjectSpecError(
+                    f"the edge from {s!r} on input {i!r} has 'to' state {edge.to!r}, not in 'states'"
+                )
             kind = edge.emit[0]
             if kind == "bit":
                 if edge.emit[1] not in ("0", "1"):
-                    raise SubjectSpecError("literal emission must be '0' or '1'")
+                    raise SubjectSpecError(f"literal 'emit' {edge.emit[1]!r} must be '0' or '1'")
             elif kind == "prob":
                 p = edge.emit[1]
                 if not (0 <= p <= 1):
                     raise SubjectSpecError(f"'prob' = {p} must lie in [0, 1]")
             elif kind == "freebit":
-                if self.freebit_budget == 0:
-                    raise SubjectSpecError("freebit edge with zero freebit budget")
                 if not (0 <= edge.emit[1] < self.freebit_budget):
-                    raise SubjectSpecError("freebit index out of budget range")
+                    raise SubjectSpecError(
+                        f"'freebit' = {edge.emit[1]} must lie in [0, 'freebit_budget' = "
+                        f"{self.freebit_budget})"
+                    )
             else:
-                raise SubjectSpecError(f"unknown emission kind {kind!r}")
+                raise SubjectSpecError(f"unknown 'emit' kind {kind!r}")
 
 
 def subject_from_payload(payload: dict) -> Subject:
     edges = {}
-    for e in payload["edges"]:
+    for k, e in enumerate(payload["edges"]):
         emit = e["emit"]
         if isinstance(emit, str):
             emission: Emission = ("bit", emit)
@@ -121,9 +125,13 @@ def subject_from_payload(payload: dict) -> Subject:
             emission = ("freebit", int(emit["freebit"]))
         else:
             raise SubjectSpecError(f"unknown emission payload {emit!r}")
-        edges[(e["from"], e["on_input"])] = Edge(e["to"], emission)
+        key = (e["from"], e["on_input"])
+        if key in edges:
+            raise SubjectSpecError(
+                f"'edges'[{k}] is a second edge from {key[0]!r} on input {key[1]!r}"
+            )
+        edges[key] = Edge(e["to"], emission)
     return Subject(
-        kind=payload.get("kind", "deterministic"),
         states=tuple(payload["states"]),
         initial=payload["initial"],
         edges=edges,
@@ -190,18 +198,14 @@ def true_distribution(
             f"assignment names {len(assignment)} freebits, budget is {subject.freebit_budget}"
         )
     dist = {"": Fraction(1)}
-    for kind, value in _window_emissions(subject, inputs, t, u):
-        if kind == "bit":
-            step = {value: Fraction(1)}
-        elif kind == "prob":
-            p = Fraction(value)
-            step = {"1": p, "0": 1 - p}
-        else:
-            step = {str(assignment[value]): Fraction(1)}
+    for emit in _window_emissions(subject, inputs, t, u):
+        law = _law(emit)
+        if law is None:  # a freebit, pinned by the assignment
+            law = {str(assignment[emit[1]]): 1}
         dist = {
             suffix + b: p * q
             for suffix, p in dist.items()
-            for b, q in step.items()
+            for b, q in law.items()
             if q > 0
         }
     return dist
@@ -219,27 +223,28 @@ def variation_distance(d1: dict[str, Fraction], d2: dict[str, Fraction]) -> Frac
 
 @dataclass(frozen=True)
 class Forecast:
-    """A conditional law for the behavior suffix as a function of future inputs.
+    """A conditional law for the behavior suffix: a machine over behavior bits.
 
-    conditional(v, inputs, past) is the probability that the behavior bit at
-    time v is 1, given the full input path (of which only bits up to v may
-    matter — the causal property) and the realized behavior bits past =
-    b_t ... b_{v-1}.
+    memory is what the forecast holds at time t; step(memory, v, inputs, b) is
+    its memory after the behavior bit b at time v; conditional(memory, v,
+    inputs) is the probability that the behavior bit at time v is 1.  Of the
+    full input path, only the bits up to v may matter, to step and to
+    conditional alike (the causal property).  Memory is hashable: it is all
+    the forecast keeps of the past, so pasts that reach equal memories get
+    equal conditionals at every later step, for every continuation.
 
-    state(v, inputs, past), when given, is a hashable key of what the
-    forecast remembers of past at time v: on the same inputs, equal keys must
-    give equal conditionals at every later step, for every continuation.
-    None means past itself, which merges nothing.  The scoring walk
-    (_pattern_overlaps) merges pasts with equal keys, so prob_one checks the
-    range only of the prefixes the walk reaches: one past per merged node,
-    and never a branch the forecast or the subject gives weight 0.
+    The scoring walk (_pattern_overlaps) merges the pasts that reach one
+    memory, so prob_one checks the range only of the memories the walk
+    reaches, once per merged node, and never on a branch the forecast or the
+    subject gives weight 0.
     """
 
-    conditional: object  # callable (v, inputs, past) -> Fraction
-    state: object = None  # callable (v, inputs, past) -> hashable, or None
+    memory: object  # hashable
+    step: object  # callable (memory, v, inputs, b) -> memory
+    conditional: object  # callable (memory, v, inputs) -> Fraction
 
-    def prob_one(self, v: int, inputs: str, past: str) -> Fraction:
-        p = Fraction(self.conditional(v, inputs, past))
+    def prob_one(self, memory, v: int, inputs: str) -> Fraction:
+        p = Fraction(self.conditional(memory, v, inputs))
         if not (0 <= p <= 1):
             raise ValueError(f"forecast produced {p}, not a probability")
         return p
@@ -253,21 +258,20 @@ def forecast_distribution(
     Up to 2^(u - t) entries; the scoring walk never builds it, and the tests
     compare the walk with sums over it.
     """
-    dist = {"": Fraction(1)}
+    dist = {"": (Fraction(1), forecast.memory)}  # suffix -> (mass, memory after it)
     for v in range(t, u):
         new = {}
-        for suffix, p in dist.items():
-            p1 = forecast.prob_one(v, inputs, suffix)
-            if p1 < 1:
-                new[suffix + "0"] = p * (1 - p1)
-            if p1 > 0:
-                new[suffix + "1"] = p * p1
+        for suffix, (p, memory) in dist.items():
+            p1 = forecast.prob_one(memory, v, inputs)
+            for b, q in (("0", 1 - p1), ("1", p1)):
+                if q:
+                    new[suffix + b] = (p * q, forecast.step(memory, v, inputs, b))
         dist = new
-    return dist
+    return {suffix: p for suffix, (p, _) in dist.items()}
 
 
 def probe_causality(forecast: Forecast, inputs: str, t: int, u: int, rng) -> None:
-    """Reject forecasts whose opinion at v depends on inputs after v."""
+    """Reject forecasts whose opinion at v, through step or conditional, reads inputs after v."""
     if u - t < 2:
         return
     v = t + (u - t) // 2
@@ -275,7 +279,14 @@ def probe_causality(forecast: Forecast, inputs: str, t: int, u: int, rng) -> Non
         "1" if b == "0" else "0" for b in inputs[v + 1 :]
     )
     past = "".join(rng.choice("01") for _ in range(v - t))
-    if forecast.prob_one(v, inputs, past) != forecast.prob_one(v, flipped, past):
+
+    def opinion(path: str) -> Fraction:
+        memory = forecast.memory
+        for w, b in enumerate(past, start=t):
+            memory = forecast.step(memory, w, path, b)
+        return forecast.prob_one(memory, v, path)
+
+    if opinion(inputs) != opinion(flipped):
         raise ForecastViolatesCausality(
             f"forecast at time {v} reacted to inputs after {v}"
         )
@@ -295,34 +306,32 @@ def _pattern_overlaps(
     Both laws sum to exactly 1, so TV(f, g_a) = 1 - the overlap of a's pattern.
 
     The suffixes are walked level by level, and prefixes that agree on the
-    forecast's state key, f, c and the pattern so far are lumped into one node
+    forecast's memory, f, c and the pattern so far are lumped into one node
     with a multiplicity, as every continuation adds the same to each of them
     (lumpability: Kemeny and Snell, Finite Markov Chains, 1960).
     Children with f = 0 or c = 0 are dropped.  So the forecast is asked once
-    per node, with the first past that reached it.
+    per node.
     """
     emissions = _window_emissions(subject, inputs, t, u)
-    key = forecast.state or (lambda v, inputs, past: past)
-    # node (state key, f, c, pattern in position order) -> [a past reaching it, multiplicity]
-    level = {(key(t, inputs, ""), Fraction(1), 1, ""): ["", 1]}
+    # node (memory, f, c, pattern in position order) -> multiplicity
+    level = {(forecast.memory, Fraction(1), 1, ""): 1}
     for v, emit in enumerate(emissions, start=t):
         law = _law(emit)
-        children: dict[tuple, list] = {}
-        for (_, f, c, pattern), (past, mult) in level.items():
-            p1 = forecast.prob_one(v, inputs, past)
+        children: dict[tuple, int] = {}
+        for (memory, f, c, pattern), mult in level.items():
+            p1 = forecast.prob_one(memory, v, inputs)
             for b, q in (("0", 1 - p1), ("1", p1)):
                 weight = 1 if law is None else law[b]
                 if q and weight:
-                    after = past + b
-                    child = (key(v + 1, inputs, after), f * q, c * weight,
+                    child = (forecast.step(memory, v, inputs, b), f * q, c * weight,
                              pattern + b if law is None else pattern)
-                    children.setdefault(child, [after, 0])[1] += mult
+                    children[child] = children.get(child, 0) + mult
         level = children
     # a pattern's bits go in ascending freebit index, not in position order
     consumed = [value for kind, value in emissions if kind == "freebit"]
     order = sorted(range(len(consumed)), key=consumed.__getitem__)
     overlaps: dict[str, Fraction] = {}
-    for (_, f, c, pattern), (_, mult) in level.items():
+    for (_, f, c, pattern), mult in level.items():
         pattern = "".join(map(pattern.__getitem__, order))
         overlaps[pattern] = overlaps.get(pattern, Fraction(0)) + mult * min(f, c)
     return sorted(consumed), overlaps
@@ -388,18 +397,18 @@ class TablePredictor:
         window = inputs_through_v[-w:]
         return "^" * (w - len(window)) + window
 
-    def emit_forecast(self, t: int) -> Forecast:
+    def emit_forecast(self) -> Forecast:
         counts = {k: tuple(v) for k, v in self.counts.items()}
 
-        def conditional(v: int, inputs: str, past: str) -> Fraction:
+        def conditional(memory: None, v: int, inputs: str) -> Fraction:
             key = self._key(inputs[: v + 1])
             c = counts.get(key)
             if c is None or c[0] + c[1] == 0:
                 return Fraction(1, 2)
             return Fraction(c[1], c[0] + c[1])
 
-        # the conditional never reads past
-        return Forecast(conditional, state=lambda v, inputs, past: None)
+        # the conditional reads no behavior bit, so nothing need be remembered
+        return Forecast(None, lambda memory, v, inputs, b: None, conditional)
 
 
 class BayesPredictor:
@@ -437,25 +446,12 @@ class BayesPredictor:
     def observe(self, input_bit: str, behavior_bit: str) -> None:
         self.weights, self.states = self._step(self.weights, self.states, input_bit, behavior_bit)
 
-    def emit_forecast(self, t: int) -> Forecast:
-        # filter state (weights, states) after steps t .. t+n-1, keyed by their
-        # inputs and behavior bits; each miss is one step from its parent entry
-        memo = {("", ""): (self.weights, self.states)}
+    def emit_forecast(self) -> Forecast:
+        def step(memory: tuple, v: int, inputs: str, b: str) -> tuple[tuple, tuple]:
+            return self._step(*memory, inputs[v], b)
 
-        def filtered(inputs: str, past: str) -> tuple[tuple, tuple]:
-            key = (inputs, past)
-            if key not in memo:
-                weights, states = filtered(inputs[:-1], past[:-1])
-                memo[key] = self._step(weights, states, inputs[-1], past[-1])
-            return memo[key]
-
-        def state(v: int, inputs: str, past: str) -> tuple[tuple, tuple]:
-            # the filter consumes min(v - t, len(past)) steps, as zip(range(t, v), past) would
-            n = max(0, min(v - t, len(past)))
-            return filtered(inputs[t : t + n], past[:n])
-
-        def conditional(v: int, inputs: str, past: str) -> Fraction:
-            weights, states = state(v, inputs, past)
+        def conditional(memory: tuple, v: int, inputs: str) -> Fraction:
+            weights, states = memory
             if not any(weights):  # _step normalized them: they sum to 1 or are all 0
                 return Fraction(1, 2)
             p = Fraction(0)
@@ -463,7 +459,7 @@ class BayesPredictor:
                 p += w * self._likelihood(cand, s, inputs[v], "1")
             return p
 
-        return Forecast(conditional, state)
+        return Forecast((self.weights, self.states), step, conditional)
 
 
 # -- the game ----------------------------------------------------------------------
@@ -498,7 +494,7 @@ class GameConfig:
         if self.trials > TRIALS_GUARD:
             raise BudgetTooLarge(f"'trials' = {self.trials} exceeds {TRIALS_GUARD}")
         if self.adversary not in ("adaptive", "oblivious"):
-            raise ValueError("adversary must be 'adaptive' or 'oblivious'")
+            raise ValueError(f"'adversary' = {self.adversary!r} must be 'adaptive' or 'oblivious'")
 
 
 def draw_inputs(model: dict, length: int, rng: random.Random) -> str:
@@ -589,7 +585,7 @@ def run_game(subject: Subject, predictor_factory, cfg: GameConfig) -> Verdict:
                 )
             predictor.observe(inputs[v], b)
             state = edge.to
-        forecast = predictor.emit_forecast(cfg.t)
+        forecast = predictor.emit_forecast()
         probe_causality(forecast, inputs, cfg.t, cfg.u, rng)
         if cfg.adversary == "adaptive":
             _, distance = adversary_resolution(subject, forecast, inputs, cfg.t, cfg.u)
@@ -683,13 +679,13 @@ def parrot() -> Subject:
     for prev in "01":
         for i in "01":
             edges[(f"s{prev}", i)] = Edge(f"s{i}", ("bit", prev))
-    return Subject("deterministic", ("s0", "s1"), "s0", edges, 0)
+    return Subject(("s0", "s1"), "s0", edges, 0)
 
 
 def fair_coin() -> Subject:
     """Emits a fair bit every step, inputs ignored; noisy but fully known."""
     edges = {("s", i): Edge("s", ("prob", Fraction(1, 2))) for i in "01"}
-    return Subject("noisy", ("s",), "s", edges, 0)
+    return Subject(("s",), "s", edges, 0)
 
 
 def one_freebit(flip_at: int, horizon: int) -> Subject:
@@ -702,7 +698,7 @@ def one_freebit(flip_at: int, horizon: int) -> Subject:
             edges[(f"c{v}", i)] = Edge(f"c{v + 1}", emit)
     for i in "01":
         edges[(f"c{horizon}", i)] = Edge(f"c{horizon}", ("bit", "0"))
-    return Subject("freebit", states, "c0", edges, 1)
+    return Subject(states, "c0", edges, 1)
 
 
 def gerbil_hybrid() -> Subject:
@@ -713,7 +709,7 @@ def gerbil_hybrid() -> Subject:
         edges[("b", i)] = Edge("c", ("bit", "1" if i == "0" else "0"))
         edges[("c", i)] = Edge("d", ("freebit", 0))
         edges[("d", i)] = Edge("d", ("bit", "0"))
-    return Subject("hybrid", ("a", "b", "c", "d"), "a", edges, 1)
+    return Subject(("a", "b", "c", "d"), "a", edges, 1)
 
 
 STOCK_SUBJECTS = {

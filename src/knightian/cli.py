@@ -110,7 +110,8 @@ CLASSICAL = {"n": INT, "generators": [[RATIONAL]]}
 FREESTATE = {"dim": INT, "generators": [MATRIX]}
 LITERAL_BIT = Kind('"0", "1", {"prob": rational} or {"freebit": int}', lambda v: v in ("0", "1"))
 EMIT = Either("prob", {"prob": RATIONAL}, Either("freebit", {"freebit": INT}, LITERAL_BIT))
-EDGE = {"from": STRING, "on_input": STRING, "to": STRING, "emit": EMIT}
+INPUT_BIT = Kind('"0" or "1"', lambda v: v in ("0", "1"))
+EDGE = {"from": STRING, "on_input": INPUT_BIT, "to": STRING, "emit": EMIT}
 SUBJECT_OBJECT = {
     "states": [STRING], "initial": STRING, "edges": [EDGE],
     "kind": Opt(STRING), "freebit_budget": Opt(INT),

@@ -20,6 +20,7 @@ hull.  The witnesses built on it are re-checked independently.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -36,6 +37,10 @@ TOL_HULL = 1e-7  # boundary ties count as "member"
 # each witness restart is an ascent of up to 120 steps: about 6 ms in d = 3 on a
 # 2-core Xeon VM, so the guard costs at most about 1.5 s there
 RESTARTS_GUARD = 256
+# prob_mix writes one generator per choice of a generator from each component:
+# 12 components of 2 generators each (4096 choices) take about 1 s through
+# `python -m knightian freestate mix` on a 2-core Xeon VM, classical or quantum
+MIX_GUARD = 2**12
 
 
 class DimMismatch(KnightianError):
@@ -252,6 +257,9 @@ def prob_mix(
         raise BadWeights(f"'weight' values sum to {sum(weights)}, not 1")
     states = [s for _, s in components]
     _check_alike(states)
+    count = math.prod(len(s.generators) for s in states)
+    if count > MIX_GUARD:
+        raise KnightianError(f"'components' expand to {count} generators, more than {MIX_GUARD}")
     first = states[0]
     choices = itertools.product(*[s.generators for s in states])
     return replace(first, generators=tuple(first.weighted_sum(weights, c) for c in choices))

@@ -76,17 +76,19 @@ def test_freebit_double_duty_is_rejected():
     edges = {}
     for i in "01":
         edges[("s", i)] = arena.Edge("s", ("freebit", 0))
-    s = arena.Subject("freebit", ("s",), "s", edges, 1)
+    s = arena.Subject(("s",), "s", edges, 1)
     with pytest.raises(arena.SubjectSpecError, match="double duty"):
         arena.true_distribution(s, "00", 0, 2, (1,))
 
 
 def test_subject_validation():
-    with pytest.raises(arena.SubjectSpecError, match="missing edge"):
-        arena.Subject("deterministic", ("a",), "a", {("a", "0"): arena.Edge("a", ("bit", "0"))}, 0)
-    with pytest.raises(arena.SubjectSpecError, match="zero freebit budget"):
+    with pytest.raises(arena.SubjectSpecError, match="'edges' has no edge"):
+        arena.Subject(("a",), "a", {("a", "0"): arena.Edge("a", ("bit", "0"))}, 0)
+    with pytest.raises(arena.SubjectSpecError, match="'freebit_budget' = 0"):
         edges = {("a", i): arena.Edge("a", ("freebit", 0)) for i in "01"}
-        arena.Subject("freebit", ("a",), "a", edges, 0)
+        arena.Subject(("a",), "a", edges, 0)
+    with pytest.raises(arena.SubjectSpecError, match="literal 'emit' '2'"):
+        arena.Subject(("a",), "a", {("a", i): arena.Edge("a", ("bit", "2")) for i in "01"}, 0)
 
 
 def test_stock_payloads_parse_to_the_stock_subjects():
@@ -97,8 +99,13 @@ def test_stock_payloads_parse_to_the_stock_subjects():
 # -- adversary ----------------------------------------------------------------------
 
 
+def black_box(conditional):
+    """A forecast whose memory is the past itself, so the walk merges nothing."""
+    return arena.Forecast("", lambda past, v, inputs, b: past + b, conditional)
+
+
 def constant_forecast(p):
-    return arena.Forecast(lambda v, inputs, past: p)
+    return black_box(lambda past, v, inputs: p)
 
 
 def test_adversary_with_no_freebits_is_determined():
@@ -126,14 +133,9 @@ def test_adversary_two_freebits_dodges_confident_forecast():
         edges[("a", i)] = arena.Edge("b", ("freebit", 0))
         edges[("b", i)] = arena.Edge("c", ("freebit", 1))
         edges[("c", i)] = arena.Edge("c", ("bit", "0"))
-    subject = arena.Subject("freebit", states, "a", edges, 2)
+    subject = arena.Subject(states, "a", edges, 2)
 
-    def conditional(v, inputs, past):
-        return F(9, 10)
-
-    assignment, d = arena.adversary_resolution(
-        subject, arena.Forecast(conditional), "00", 0, 2
-    )
+    assignment, d = arena.adversary_resolution(subject, constant_forecast(F(9, 10)), "00", 0, 2)
     assert assignment == (0, 0)
     assert d == 1 - F(1, 100)
 
@@ -142,7 +144,7 @@ def test_adversary_budget_guard():
     states = ("a",)
     edges = {("a", i): arena.Edge("a", ("freebit", 0)) for i in "01"}
     with pytest.raises(arena.BudgetTooLarge):
-        subject = arena.Subject("freebit", states, "a", edges, 17)
+        subject = arena.Subject(states, "a", edges, 17)
         arena.adversary_resolution(subject, constant_forecast(F(1, 2)), "0", 0, 1)
 
 
@@ -158,21 +160,22 @@ def test_single_freebit_forces_half_against_any_forecast():
 
 def test_adversary_checks_guards_before_forecasting():
     # the forecast is consulted only after every guard has passed
-    def untouchable(v, inputs, past):
+    @black_box
+    def untouchable(past, v, inputs):
         raise AssertionError("forecast consulted before the guards")
 
     with pytest.raises(arena.HorizonTooLong):
         arena.adversary_resolution(
-            arena.fair_coin(), arena.Forecast(untouchable), "0" * 21, 0, 21
+            arena.fair_coin(), untouchable, "0" * 21, 0, 21
         )
     with pytest.raises(ValueError, match="shorter"):
         arena.adversary_resolution(
-            arena.fair_coin(), arena.Forecast(untouchable), "000", 0, 4
+            arena.fair_coin(), untouchable, "000", 0, 4
         )
     edges = {("s", i): arena.Edge("s", ("freebit", 0)) for i in "01"}
-    twice = arena.Subject("freebit", ("s",), "s", edges, 1)
+    twice = arena.Subject(("s",), "s", edges, 1)
     with pytest.raises(arena.SubjectSpecError, match="double duty"):
-        arena.adversary_resolution(twice, arena.Forecast(untouchable), "00", 0, 2)
+        arena.adversary_resolution(twice, untouchable, "00", 0, 2)
 
 
 def test_adversary_at_the_full_freebit_guard_is_affordable():
@@ -180,7 +183,7 @@ def test_adversary_at_the_full_freebit_guard_is_affordable():
     states = tuple(f"c{v}" for v in range(k + 1))
     edges = {(f"c{v}", i): arena.Edge(f"c{v + 1}", ("freebit", v)) for v in range(k) for i in "01"}
     edges.update({(f"c{k}", i): arena.Edge(f"c{k}", ("bit", "0")) for i in "01"})
-    subject = arena.Subject("freebit", states, "c0", edges, k)
+    subject = arena.Subject(states, "c0", edges, k)
     started = time.perf_counter()
     assignment, d = arena.adversary_resolution(
         subject, constant_forecast(F(1, 2)), "0" * k, 0, k
@@ -192,7 +195,7 @@ def test_adversary_at_the_full_freebit_guard_is_affordable():
     assert elapsed < 10.0, f"{k} freebits took {elapsed:.1f}s"
 
 
-# -- differential oracles: the adversary, the lumped walk and the memoised Bayes filter --
+# -- differential oracles: the adversary, the lumped walk and the Bayes forecast machine --
 
 EMISSIONS = [("bit", "0"), ("bit", "1")] + [
     ("prob", F(p)) for p in ("0", "1", "1/2", "1/3", "3/4")
@@ -210,17 +213,17 @@ def random_subject(rng):
         for s in states
         for i in "01"
     }
-    return arena.Subject("hybrid", states, states[0], edges, budget)
+    return arena.Subject(states, states[0], edges, budget)
 
 
 def random_forecast(seed):
     if seed % 5 == 0:
         return constant_forecast(FORECAST_VALUES[seed % len(FORECAST_VALUES)])
 
-    def conditional(v, inputs, past):
+    def conditional(past, v, inputs):
         return random.Random(f"{seed}:{v}:{inputs[: v + 1]}:{past}").choice(FORECAST_VALUES)
 
-    return arena.Forecast(conditional)
+    return black_box(conditional)
 
 
 def exhaustive_adversary(subject, forecast, inputs, t, u):
@@ -265,13 +268,13 @@ def test_one_pass_adversary_matches_the_exhaustive_one():
 
 
 def refiltering_forecast(predictor, t):
-    """The Bayes conditional that re-filters from t to v on every call."""
+    """The Bayes conditional that re-filters from t to v on every call, its memory the past."""
     base_weights = tuple(predictor.weights)
     base_states = tuple(predictor.states)
     candidates = predictor.candidates
     likelihood = arena.BayesPredictor._likelihood
 
-    def conditional(v, inputs, past):
+    def conditional(past, v, inputs):
         weights = list(base_weights)
         states = list(base_states)
         for step, b in zip(range(t, v), past):
@@ -289,33 +292,44 @@ def refiltering_forecast(predictor, t):
             p += weights[k] * likelihood(cand, states[k], inputs[v], "1")
         return p / total
 
-    return arena.Forecast(conditional)
+    return black_box(conditional)
 
 
-def test_memoised_bayes_forecast_matches_refiltering():
+def memory_after(forecast, t, inputs, past):
+    """The forecast's memory after the behavior bits past, the first at time t."""
+    memory = forecast.memory
+    for v, b in enumerate(past, start=t):
+        memory = forecast.step(memory, v, inputs, b)
+    return memory
+
+
+def test_bayes_forecast_machine_matches_refiltering():
     rng = random.Random(11)
     t, u = 2, 5
-    pasts = ["".join(bits) for n in range(u - t + 1) for bits in itertools.product("01", repeat=n)]
+    # every input path, so the inputs after v take every value too
     queries = [
-        (v, "".join(inputs), past)
-        for v in range(u)
+        (v, "".join(inputs), "".join(past))
+        for v in range(t, u)
         for inputs in itertools.product("01", repeat=u)
-        for past in pasts
+        for past in itertools.product("01", repeat=v - t)
     ]
-    dead = 0
-    for family_seed in range(20):
+    predictors = []
+    for _ in range(20):
         family = [random_subject(rng) for _ in range(rng.randint(1, 3))]
-        predictor = arena.BayesPredictor(family)
-        for _ in range(t):
-            predictor.observe(rng.choice("01"), rng.choice("01"))
+        predictors.append(trained(arena.BayesPredictor(family), rng, t))
+    # the parrot emits 0 on its first input 0, so behavior 1 there leaves no weight
+    sure_to_die = arena.BayesPredictor([arena.parrot()])
+    for _ in range(t):
+        sure_to_die.observe("0", "1")
+    predictors.append(sure_to_die)
+    dead = 0
+    for predictor in predictors:
         dead += sum(predictor.weights) == 0
-        memoised = predictor.emit_forecast(t)
+        machine = predictor.emit_forecast()
         reference = refiltering_forecast(predictor, t)
-        # one forecast answers every query, in shuffled order, from a shared memo;
-        # past may be shorter or longer than v - t, and inputs after v are flipped
-        rng.shuffle(queries)
         for v, inputs, past in queries:
-            assert memoised.prob_one(v, inputs, past) == reference.prob_one(v, inputs, past)
+            memory = memory_after(machine, t, inputs, past)
+            assert machine.prob_one(memory, v, inputs) == reference.prob_one(past, v, inputs)
     assert dead, "no family lost all its weight in training"
 
 
@@ -347,7 +361,7 @@ def chain_subject(rng, t, u):
     states = tuple(f"c{v}" for v in range(u + 1))
     edges = {(f"c{v}", i): arena.Edge(f"c{min(v + 1, u)}", emits[v] if v < u else ("bit", "0"))
              for v in range(u + 1) for i in "01"}
-    return arena.Subject("hybrid", states, "c0", edges, budget)
+    return arena.Subject(states, "c0", edges, budget)
 
 
 def trained(predictor, rng, t):
@@ -357,13 +371,13 @@ def trained(predictor, rng, t):
 
 
 def counting(forecast, asked):
-    """The forecast, with the same state key, recording every past it is asked about."""
+    """The forecast, with the same machine, recording every memory it is asked about."""
 
-    def conditional(v, inputs, past):
-        asked.append(past)
-        return forecast.conditional(v, inputs, past)
+    def conditional(memory, v, inputs):
+        asked.append(memory)
+        return forecast.conditional(memory, v, inputs)
 
-    return arena.Forecast(conditional, forecast.state)
+    return arena.Forecast(forecast.memory, forecast.step, conditional)
 
 
 def test_lumped_walk_matches_the_full_enumeration():
@@ -382,7 +396,7 @@ def test_lumped_walk_matches_the_full_enumeration():
             outcomes["dead family"] += not any(predictor.weights)
         elif kind == "table":
             predictor = trained(arena.TablePredictor(rng.randint(0, 2)), rng, t)
-        forecast = random_forecast(seed) if kind == "black box" else predictor.emit_forecast(t)
+        forecast = random_forecast(seed) if kind == "black box" else predictor.emit_forecast()
         enumerated, walked = [], []
         try:
             expected = reference_pattern_overlaps(subject, counting(forecast, enumerated), inputs, t, u)
@@ -404,7 +418,7 @@ def test_only_reachable_prefixes_are_asked():
     # the parrot emits the previous input, 0 on these inputs: every branch with a
     # 1 has c = 0, so only the all-zero past is asked at each step
     def rejecting(bad_past):
-        return arena.Forecast(lambda v, inputs, past: F(2) if past == bad_past else F(1, 2))
+        return black_box(lambda past, v, inputs: F(2) if past == bad_past else F(1, 2))
 
     asked = []
     forecast = counting(rejecting("1"), asked)
@@ -427,19 +441,19 @@ def test_forecast_distribution_is_a_distribution():
 
 
 def test_causality_probe_catches_peeking():
-    def peeking(v, inputs, past):
-        return F(1) if inputs[-1] == "1" else F(0)
-
-    f = arena.Forecast(peeking)
-    with pytest.raises(arena.ForecastViolatesCausality):
-        arena.probe_causality(f, "0000", 0, 4, random.Random(0))
+    peeking_conditional = black_box(lambda past, v, inputs: F(int(inputs[-1])))
+    # the conditional reads only the memory, which each step sets to the last input
+    peeking_step = arena.Forecast(
+        F(1, 2), lambda memory, v, inputs, b: F(int(inputs[-1])), lambda memory, v, inputs: memory
+    )
+    for f in (peeking_conditional, peeking_step):
+        with pytest.raises(arena.ForecastViolatesCausality):
+            arena.probe_causality(f, "0000", 0, 4, random.Random(0))
 
 
 def test_causality_probe_passes_causal_forecasts():
-    def causal(v, inputs, past):
-        return F(1, 2) if inputs[v] == "0" else F(1, 3)
-
-    arena.probe_causality(arena.Forecast(causal), "0101", 0, 4, random.Random(0))
+    causal = black_box(lambda past, v, inputs: F(1, 2) if inputs[v] == "0" else F(1, 3))
+    arena.probe_causality(causal, "0101", 0, 4, random.Random(0))
 
 
 # -- games -------------------------------------------------------------------------

@@ -245,6 +245,10 @@ def with_edge(payload, **changes):
     return {**payload, "edges": [{**payload["edges"][0], **changes}, *payload["edges"][1:]]}
 
 
+def with_extra_edge(payload, **changes):
+    return {**payload, "edges": [*payload["edges"], {**payload["edges"][0], **changes}]}
+
+
 def table_run(context):
     return {**RUN, "predictor": {"kind": "table", "context": context}}
 
@@ -264,6 +268,11 @@ def fixed_table_game(**game):
     """
     fixed = {"t": 8, "u": 10, "input_model": {"kind": "fixed", "bits": "0011"}}
     return {**RUN, "game": {**GAME, **fixed, **game}}
+
+
+def mix_of_one_set_of(generators):
+    # the guard bounds the product of the components' generator counts
+    return {"components": [{"weight": "1", "classical": {"n": 2, "generators": [["1", "0"]] * generators}}]}
 
 
 def oblivious_gerbil_game(freebit_budget):
@@ -350,6 +359,8 @@ def oblivious_gerbil_game(freebit_budget):
         (("freestate", "or"), {"classicals": [KNIGHT_CLASSICAL["classical"]]}, "classicals"),
         (("freestate", "or"), {"freestates": [QUBIT_0]}, "freestates"),
         (("freestate", "mix"), {"components": []}, "components"),
+        # well typed, but out of range
+        (("arena", "run"), {**RUN, "game": {**GAME, "adversary": "lazy"}}, "adversary"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -509,6 +520,7 @@ def test_any_one_bad_leaf_exits_zero_or_one(tmp_path_factory, group, command, co
         (("arena", "run"), "trials", arena.TRIALS_GUARD, lambda v: fixed_table_game(trials=v)),
         (("arena", "run"), ("u", "t"), 8 + arena.HORIZON_GUARD, lambda v: fixed_table_game(u=v)),
         (("arena", "run"), "freebit_budget", arena.FREEBIT_GUARD, oblivious_gerbil_game),
+        (("freestate", "mix"), "components", fs.MIX_GUARD, mix_of_one_set_of),
     ],
 )
 def test_size_guards_admit_their_bound_and_name_the_key_past_it(
@@ -557,6 +569,23 @@ def test_missing_nested_key_is_named(tmp_path, capsys):
             "classify",
             {**CLASSIFY, "class": [{**GERBIL, "freebit_budget": "1"}]},
             "config['class'][0]['freebit_budget'] must be an integer",
+        ),
+        # each exited 0: an edge on input "2" was never read, a second edge replaced the first
+        (
+            "run",
+            {**RUN, "subject": with_extra_edge(COIN, on_input="2")},
+            "config['subject']['edges'][2]['on_input'] must be \"0\" or \"1\"",
+        ),
+        ("run", {**RUN, "subject": with_extra_edge(COIN, emit="1")}, "'edges'[2] is a second edge"),
+        # well typed, but not a total machine: the message names the key
+        ("run", {**RUN, "subject": {**COIN, "initial": "x"}}, "'initial' state 'x' is not in 'states'"),
+        ("run", {**RUN, "subject": {**COIN, "edges": COIN["edges"][:1]}}, "'edges' has no edge"),
+        ("run", {**RUN, "subject": with_extra_edge(COIN, **{"from": "x"})}, "'from' state 'x'"),
+        ("run", {**RUN, "subject": with_edge(COIN, to="x")}, "'to' state 'x'"),
+        (
+            "run",
+            {**RUN, "subject": {**GERBIL, "freebit_budget": 0}},
+            "'freebit' = 0 must lie in [0, 'freebit_budget' = 0)",
         ),
     ],
 )
