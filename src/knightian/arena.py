@@ -8,7 +8,7 @@ the state path is determined by the input trace and emissions never feed
 back; the "godlike" suffix distribution conditional on realized inputs is an
 exact product over steps.
 
-The game: a predictor watches carbon-copied inputs and behaviors for t
+The game: a predictor reads the recorded inputs and behaviors of the first t
 steps, then must publish a forecast — a conditional distribution over the
 remaining behavior, as a function of the future inputs, satisfying the
 causal property (its opinion about bit v may not depend on inputs after v;
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import KnightianError
@@ -249,6 +249,13 @@ class Forecast:
             raise ValueError(f"forecast produced {p}, not a probability")
         return p
 
+    def fold(self, start: int, inputs: str, behavior: str):
+        """The memory after the behavior bits, the first at time start."""
+        memory = self.memory
+        for v, b in enumerate(behavior, start=start):
+            memory = self.step(memory, v, inputs, b)
+        return memory
+
 
 def forecast_distribution(
     forecast: Forecast, inputs: str, t: int, u: int
@@ -281,10 +288,7 @@ def probe_causality(forecast: Forecast, inputs: str, t: int, u: int, rng) -> Non
     past = "".join(rng.choice("01") for _ in range(v - t))
 
     def opinion(path: str) -> Fraction:
-        memory = forecast.memory
-        for w, b in enumerate(past, start=t):
-            memory = forecast.step(memory, w, path, b)
-        return forecast.prob_one(memory, v, path)
+        return forecast.prob_one(forecast.fold(t, path, past), v, path)
 
     if opinion(inputs) != opinion(flipped):
         raise ForecastViolatesCausality(
@@ -368,6 +372,9 @@ def adversary_resolution(
 
 
 # -- predictors --------------------------------------------------------------------
+#
+# A predictor is a value: emit_forecast(inputs, behavior) reads the record of the
+# first t steps and returns the forecast, so one predictor serves every trial.
 
 
 class TablePredictor:
@@ -379,33 +386,24 @@ class TablePredictor:
     contexts.
     """
 
-    def __init__(self, context: int = 1):
+    def __init__(self, context: int):
         if not 0 <= context <= TIME_GUARD:
             raise ValueError(f"'context' must lie in [0, {TIME_GUARD}], got {context}")
         self.context = context
-        self.counts: dict[str, list[int]] = {}
-        self.inputs = ""
-
-    def observe(self, input_bit: str, behavior_bit: str) -> None:
-        self.inputs += input_bit
-        key = self._key(self.inputs)
-        c = self.counts.setdefault(key, [0, 0])
-        c[int(behavior_bit)] += 1
 
     def _key(self, inputs_through_v: str) -> str:
         w = self.context + 1
         window = inputs_through_v[-w:]
         return "^" * (w - len(window)) + window
 
-    def emit_forecast(self) -> Forecast:
-        counts = {k: tuple(v) for k, v in self.counts.items()}
+    def emit_forecast(self, inputs: str, behavior: str) -> Forecast:
+        counts: dict[str, list[int]] = {}
+        for v, b in enumerate(behavior):
+            counts.setdefault(self._key(inputs[: v + 1]), [0, 0])[int(b)] += 1
 
         def conditional(memory: None, v: int, inputs: str) -> Fraction:
-            key = self._key(inputs[: v + 1])
-            c = counts.get(key)
-            if c is None or c[0] + c[1] == 0:
-                return Fraction(1, 2)
-            return Fraction(c[1], c[0] + c[1])
+            zeros, ones = counts.get(self._key(inputs[: v + 1]), (1, 1))  # unseen: 1/2
+            return Fraction(ones, zeros + ones)
 
         # the conditional reads no behavior bit, so nothing need be remembered
         return Forecast(None, lambda memory, v, inputs, b: None, conditional)
@@ -423,46 +421,52 @@ class BayesPredictor:
     def __init__(self, family: list[Subject]):
         if not family:
             raise SubjectSpecError("a Bayes predictor needs a nonempty 'family'")
-        self.candidates = tuple(family)
-        self.weights = (Fraction(1, len(self.candidates)),) * len(self.candidates)
-        self.states = tuple(c.initial for c in self.candidates)
+        self.family = tuple(family)
 
     @staticmethod
     def _likelihood(subject: Subject, state: str, input_bit: str, behavior_bit: str) -> Fraction:
         law = _law(subject.edges[(state, input_bit)].emit)
         return Fraction(1, 2) if law is None else law[behavior_bit]
 
-    def _step(self, weights: tuple, states: tuple, input_bit: str, behavior_bit: str):
-        """The filter (weights, states) after one more step: reweigh, normalize, move on."""
+    def _step(self, memory: tuple, v: int, inputs: str, b: str) -> tuple[tuple, tuple]:
+        """The filter after behavior bit b at time v: reweigh, normalize, move on."""
+        weights, states = memory
         new_w = [
-            w * self._likelihood(cand, s, input_bit, behavior_bit)
-            for w, cand, s in zip(weights, self.candidates, states)
+            w * self._likelihood(cand, s, inputs[v], b)
+            for w, cand, s in zip(weights, self.family, states)
         ]
         total = sum(new_w, Fraction(0))
         weights = tuple(w / total for w in new_w) if total > 0 else tuple(new_w)
-        states = tuple(cand.edges[(s, input_bit)].to for cand, s in zip(self.candidates, states))
+        states = tuple(cand.edges[(s, inputs[v])].to for cand, s in zip(self.family, states))
         return weights, states
 
-    def observe(self, input_bit: str, behavior_bit: str) -> None:
-        self.weights, self.states = self._step(self.weights, self.states, input_bit, behavior_bit)
+    def _conditional(self, memory: tuple, v: int, inputs: str) -> Fraction:
+        weights, states = memory
+        if not any(weights):  # _step normalized them: they sum to 1 or are all 0
+            return Fraction(1, 2)
+        p = Fraction(0)
+        for w, cand, s in zip(weights, self.family, states):
+            p += w * self._likelihood(cand, s, inputs[v], "1")
+        return p
 
-    def emit_forecast(self) -> Forecast:
-        def step(memory: tuple, v: int, inputs: str, b: str) -> tuple[tuple, tuple]:
-            return self._step(*memory, inputs[v], b)
-
-        def conditional(memory: tuple, v: int, inputs: str) -> Fraction:
-            weights, states = memory
-            if not any(weights):  # _step normalized them: they sum to 1 or are all 0
-                return Fraction(1, 2)
-            p = Fraction(0)
-            for w, cand, s in zip(weights, self.candidates, states):
-                p += w * self._likelihood(cand, s, inputs[v], "1")
-            return p
-
-        return Forecast((self.weights, self.states), step, conditional)
+    def emit_forecast(self, inputs: str, behavior: str) -> Forecast:
+        n = len(self.family)
+        prior = ((Fraction(1, n),) * n, tuple(c.initial for c in self.family))
+        forecast = Forecast(prior, self._step, self._conditional)
+        return replace(forecast, memory=forecast.fold(0, inputs, behavior))
 
 
 # -- the game ----------------------------------------------------------------------
+
+
+def check_window(t: int, u: int, end: str = "'u'", where: str = "") -> None:
+    """Raise unless the game window [t, u) is nonempty and within the guards; end names u."""
+    if not 0 <= t < u:
+        raise ValueError(f"{where}need 0 <= 't' < {end}, got 't' = {t}, {end} = {u}")
+    if u - t > HORIZON_GUARD:
+        raise HorizonTooLong(f"{where}{end} - 't' = {u - t} exceeds {HORIZON_GUARD}")
+    if u > TIME_GUARD:
+        raise BudgetTooLarge(f"{where}{end} = {u} exceeds {TIME_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -477,12 +481,7 @@ class GameConfig:
     adversary: str = "adaptive"  # or "oblivious"
 
     def __post_init__(self):
-        if not (0 <= self.t < self.u):
-            raise ValueError(f"need 0 <= 't' < 'u', got 't' = {self.t}, 'u' = {self.u}")
-        if self.u - self.t > HORIZON_GUARD:
-            raise HorizonTooLong(f"'u' - 't' = {self.u - self.t} exceeds {HORIZON_GUARD}")
-        if self.u > TIME_GUARD:
-            raise BudgetTooLarge(f"'u' = {self.u} exceeds {TIME_GUARD}")
+        check_window(self.t, self.u)
         eps, delta = Fraction(self.epsilon), Fraction(self.delta)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "delta", delta)
@@ -498,7 +497,7 @@ class GameConfig:
 
 
 def draw_inputs(model: dict, length: int, rng: random.Random) -> str:
-    kind = model.get("kind", "uniform")
+    kind = model["kind"]
     if kind == "uniform":
         return "".join(rng.choice("01") for _ in range(length))
     if kind == "fixed":
@@ -555,22 +554,23 @@ class Verdict:
         }
 
 
-def run_game(subject: Subject, predictor_factory, cfg: GameConfig) -> Verdict:
+def run_game(subject: Subject, predictor, cfg: GameConfig) -> Verdict:
     """Play cfg.trials independent games and aggregate a (t, eps, delta) verdict.
 
-    The subject is a value, shared by every trial.  Per trial: a fresh
-    predictor from the factory, fresh exogenous inputs; the
-    predictor watches [0, t), publishes a forecast, and is scored by
-    variation distance on the realized input path, with freebits resolved
-    worst-case after the forecast (or rng-resolved when cfg.adversary is
-    "oblivious").  Identical configs and seeds replay bit-for-bit.
+    The subject and the predictor are values, shared by every trial.  Per
+    trial: fresh exogenous inputs; the subject's behavior over [0, t) is
+    recorded, the predictor reads the record and publishes a forecast, and
+    the forecast is scored by variation distance on the realized input path,
+    with freebits resolved worst-case after the forecast (or rng-resolved
+    when cfg.adversary is "oblivious").  Identical configs and seeds replay
+    bit-for-bit.
     """
     distances: list[Fraction] = []
     for trial in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{trial}")
-        predictor = predictor_factory()
         inputs = draw_inputs(cfg.input_model, cfg.u, rng)
         state = subject.initial
+        behavior = ""
         for v in range(cfg.t):
             edge = subject.edges[(state, inputs[v])]
             kind = edge.emit[0]
@@ -583,9 +583,9 @@ def run_game(subject: Subject, predictor_factory, cfg: GameConfig) -> Verdict:
                     "freebit consumed during training; adversarial resolution "
                     "after the forecast would contradict streamed observations"
                 )
-            predictor.observe(inputs[v], b)
+            behavior += b
             state = edge.to
-        forecast = predictor.emit_forecast()
+        forecast = predictor.emit_forecast(inputs[: cfg.t], behavior)
         probe_causality(forecast, inputs, cfg.t, cfg.u, rng)
         if cfg.adversary == "adaptive":
             _, distance = adversary_resolution(subject, forecast, inputs, cfg.t, cfg.u)
@@ -634,22 +634,22 @@ def classify(
     scheduled (t, epsilon, delta) for every subject in the class;
     "unpredicted-at-scale" otherwise (see the disclaimer in the report).
     """
-    if horizon > TIME_GUARD:
-        raise BudgetTooLarge(f"'horizon' = {horizon} exceeds {TIME_GUARD}")
-    model = input_model or {"kind": "uniform"}
     # every row is checked before the first game, also when the class is empty
-    games = [GameConfig(t, horizon, eps, delta, trials, seed, model) for t, eps, delta in schedule]
+    for i, (t, _, _) in enumerate(schedule):
+        check_window(t, horizon, "'horizon'", f"'schedule'[{i}]: ")
+    model = {} if input_model is None else {"input_model": input_model}
+    games = [GameConfig(t, horizon, e, d, trials, seed, **model) for t, e, d in schedule]
     # a label rests on at least one game per subject
     for key, items in (("class", reference_class), ("schedule", games)):
         if not items:
             raise KnightianError(f"{key!r} is empty: a class is labelled only by games played")
     results = []
     label = "unpredicted-at-scale"
-    for name, factory in predictors:
+    for name, predictor in predictors:
         all_pass = True
         for cfg in games:
             for s_idx, subject in enumerate(reference_class):
-                verdict = run_game(subject, factory, cfg)
+                verdict = run_game(subject, predictor, cfg)
                 results.append(
                     {
                         "predictor": name,

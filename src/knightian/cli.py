@@ -50,8 +50,9 @@ def _rat(f: Fraction) -> dict:
 # A value kind is one of: a Kind, a leaf test; a one-item list [k], a list of any
 # length whose every item is a k; a tuple (k1, k2, ...), a list of exactly those
 # kinds in order; a dict, an object with exactly these keys, each required
-# unless its kind is wrapped in Opt; or an Either of an object schema and any
-# kind, itself possibly an Either.  Kind, Opt and Either are plain classes: a
+# unless its kind is wrapped in Opt; an Either of an object schema and any
+# kind, itself possibly an Either; or a ByKind, an object schema picked by the
+# object's 'kind'.  Kind, Opt, Either and ByKind are plain classes: a
 # dataclass adds about 1 ms to every CLI start.
 
 
@@ -71,6 +72,15 @@ class Either:
 
     def __init__(self, lead: str, present: dict, absent):
         self.lead, self.present, self.absent = lead, present, absent
+
+
+class ByKind:
+    """The object schema named by the value's 'kind', a key of every schema."""
+
+    def __init__(self, **schemas: dict):
+        self.schemas = {tag: {"kind": STRING, **schema} for tag, schema in schemas.items()}
+        tags = " or ".join(f'"{tag}"' for tag in schemas)
+        self.unknown = Kind(f"an object whose 'kind' is {tags}", lambda v: False)
 
 
 def _is_int(value) -> bool:
@@ -118,8 +128,11 @@ SUBJECT_OBJECT = {
 }
 STOCK_NAME = Kind("a stock subject name or an object with 'states'", lambda v: isinstance(v, str))
 SUBJECT = Either("states", SUBJECT_OBJECT, STOCK_NAME)
-PREDICTOR = {"kind": STRING, "name": Opt(STRING), "context": Opt(INT), "family": Opt([SUBJECT])}
-INPUT_MODEL = {"kind": STRING, "bits": Opt(BITS)}
+PREDICTOR = ByKind(
+    table={"name": Opt(STRING), "context": Opt(INT)},
+    bayes={"name": Opt(STRING), "family": [SUBJECT]},
+)
+INPUT_MODEL = ByKind(uniform={}, fixed={"bits": BITS})
 GAME = {
     "t": INT, "u": INT, "epsilon": RATIONAL, "delta": RATIONAL, "trials": INT,
     "input_model": Opt(INPUT_MODEL), "adversary": Opt(STRING),
@@ -139,6 +152,9 @@ def _check(value, kind, path: str = "config") -> None:
         kind = kind.kind
     while isinstance(kind, Either):
         kind = kind.present if isinstance(value, dict) and kind.lead in value else kind.absent
+    if isinstance(kind, ByKind):
+        tag = value.get("kind") if isinstance(value, dict) else None
+        kind = kind.schemas.get(tag, kind.unknown) if isinstance(tag, str) else kind.unknown
     if isinstance(kind, dict):
         if not isinstance(value, dict):
             raise _bad(path, "an object", value)
@@ -416,15 +432,10 @@ def _subject(spec) -> arena.Subject:
     return arena.STOCK_SUBJECTS[spec]()
 
 
-def _predictor_factory(spec: dict):
-    kind = spec["kind"]
-    if kind == "table":
-        context = spec.get("context", 1)
-        return lambda: arena.TablePredictor(context)
-    if kind == "bayes":
-        family = [_subject(m) for m in spec["family"]]
-        return lambda: arena.BayesPredictor(family)
-    raise KnightianError(f"unknown predictor kind {kind!r}")
+def _predictor(spec: dict):
+    if spec["kind"] == "table":
+        return arena.TablePredictor(spec.get("context", 1))
+    return arena.BayesPredictor([_subject(m) for m in spec["family"]])
 
 
 def _cmd_arena_run(config: dict, seed) -> dict:
@@ -434,7 +445,7 @@ def _cmd_arena_run(config: dict, seed) -> dict:
     rationals = {k: _fraction(game[k]) for k in ("epsilon", "delta")}
     cfg = arena.GameConfig(**{**game, **rationals}, seed=seed)
     verdict = arena.run_game(
-        _subject(config["subject"]), _predictor_factory(config["predictor"]), cfg
+        _subject(config["subject"]), _predictor(config["predictor"]), cfg
     )
     return {"verdict": verdict.to_payload()}
 
@@ -444,19 +455,14 @@ def _cmd_arena_classify(config: dict, seed) -> dict:
         raise KnightianError("arena classify is stochastic: --seed is required")
     subjects = [_subject(s) for s in config["class"]]
     predictors = [
-        (spec.get("name", spec["kind"]), _predictor_factory(spec))
+        (spec.get("name", spec["kind"]), _predictor(spec))
         for spec in config["predictors"]
     ]
     schedule = [(t, _fraction(eps), _fraction(delta)) for t, eps, delta in config["schedule"]]
-    return arena.classify(
-        subjects,
-        predictors,
-        schedule,
-        trials=config["trials"],
-        seed=seed,
-        input_model=config.get("input_model"),
-        horizon=config["horizon"],
-    )
+    horizon, model = config["horizon"], config.get("input_model")
+    for i, (t, _, _) in enumerate(schedule):
+        arena.check_window(t, horizon, "'horizon'", f"config['schedule'][{i}]: ")
+    return arena.classify(subjects, predictors, schedule, config["trials"], seed, horizon, model)
 
 
 # -- gadgets family ----------------------------------------------------------------------

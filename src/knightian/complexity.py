@@ -131,10 +131,9 @@ def render_listing(listing: SetListing) -> str:
 
 
 def kolmogorov(
-    x: str, bound: int, cfg: MachineConfig | None = None
+    x: str, bound: int, cfg: MachineConfig = MachineConfig()
 ) -> ComplexityResult | NotFound:
     """Shortest deterministic program halting with output exactly x."""
-    cfg = cfg or MachineConfig()
     return _result(toyvm.census(bound, cfg).witnesses.get(x), bound, cfg)
 
 
@@ -161,10 +160,9 @@ def _listable_sets(bound: int, cfg: MachineConfig) -> dict[tuple[str, ...], Prog
 
 
 def set_complexity(
-    s: SetListing, bound: int, cfg: MachineConfig | None = None
+    s: SetListing, bound: int, cfg: MachineConfig = MachineConfig()
 ) -> ComplexityResult | NotFound:
     """Shortest deterministic program whose parsed output equals s as a set."""
-    cfg = cfg or MachineConfig()
     return _result(_listable_sets(bound, cfg).get(s.elements), bound, cfg)
 
 
@@ -179,10 +177,9 @@ class SophisticationResult:
 
 
 def sophistication(
-    x: str, c: int, bound: int, cfg: MachineConfig | None = None
+    x: str, c: int, bound: int, cfg: MachineConfig = MachineConfig()
 ) -> SophisticationResult | NotFound:
     """Least K(S) over listable S containing x with K(S) + log2|S| <= K(x) + c."""
-    cfg = cfg or MachineConfig()
     kx = kolmogorov(x, bound, cfg)
     if isinstance(kx, NotFound):
         return kx
@@ -198,13 +195,12 @@ def sophistication(
 
 
 def measure_listing_overhead(
-    bound: int = 20, cfg: MachineConfig | None = None
+    bound: int = 20, cfg: MachineConfig = MachineConfig()
 ) -> dict[str, int]:
     """K({x}) - K(x) on the frozen measurement singletons.
 
     The pinned LISTING_OVERHEAD constant is the maximum of these.
     """
-    cfg = cfg or MachineConfig()
     diffs = {}
     for x in OVERHEAD_MEASUREMENT_SET:
         kx = kolmogorov(x, bound, cfg)
@@ -219,10 +215,9 @@ def tabulate(
     lengths: list[int],
     cs: list[int],
     bound: int,
-    cfg: MachineConfig | None = None,
+    cfg: MachineConfig = MachineConfig(),
 ) -> list[dict]:
     """Rows of x, K(x), and soph_c(x) for each requested c, for all x."""
-    cfg = cfg or MachineConfig()
     for n in lengths:
         if not 0 <= n <= TABLE_GUARD:
             raise LimitExceeded(f"'lengths' holds {n}; each must lie in [0, {TABLE_GUARD}]")

@@ -84,9 +84,8 @@ class Mixture:
         return tuple(hyps)
 
 
-def build_mixture(bound: int, cfg: MachineConfig | None = None) -> Mixture:
+def build_mixture(bound: int, cfg: MachineConfig = MachineConfig()) -> Mixture:
     """Mixture over all programs of length <= bound, fresh (empty history)."""
-    cfg = cfg or MachineConfig()
     return Mixture(toyvm.census(bound, cfg), "", cfg, bound)
 
 
@@ -260,7 +259,7 @@ def diagonal_sequence(mixture: Mixture, n: int) -> tuple[str, list[DiagonalStep]
     return history, steps
 
 
-def omega_truncated(bound: int, cfg: MachineConfig | None = None) -> Fraction:
+def omega_truncated(bound: int, cfg: MachineConfig = MachineConfig()) -> Fraction:
     """Sum of 2**-len(P) over enumerated programs that surely halt in budget.
 
     "Surely" is per-branch, but control flow never depends on random bits,
@@ -268,5 +267,4 @@ def omega_truncated(bound: int, cfg: MachineConfig | None = None) -> Fraction:
     step budget.  The empty program halts immediately by convention, so the
     value at bound 1 is exactly 1/2.
     """
-    cfg = cfg or MachineConfig()
     return Fraction(toyvm.census(bound, cfg).halted, 2**bound)

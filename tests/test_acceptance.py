@@ -153,7 +153,7 @@ def test_c07_arena_reference_classes():
             t=8, u=12, seed=2024,
             input_model={"kind": "fixed", "bits": "0011"}, **schedule,
         )
-        det = arena.run_game(arena.parrot(), lambda: arena.TablePredictor(1), det_cfg)
+        det = arena.run_game(arena.parrot(), arena.TablePredictor(1), det_cfg)
         assert det.passed and all(d == 0 for d in det.distances)
 
         noisy_cfg = arena.GameConfig(
@@ -161,7 +161,7 @@ def test_c07_arena_reference_classes():
         )
         family = [arena.fair_coin()]
         noisy = arena.run_game(
-            arena.fair_coin(), lambda: arena.BayesPredictor(family), noisy_cfg
+            arena.fair_coin(), arena.BayesPredictor(family), noisy_cfg
         )
         assert noisy.passed and all(d == 0 for d in noisy.distances)
 
@@ -171,15 +171,15 @@ def test_c07_arena_reference_classes():
         )
         freebit = arena.one_freebit(5, 8)
         for predictor in (
-            lambda: arena.TablePredictor(1),
-            lambda: arena.BayesPredictor([freebit]),
+            arena.TablePredictor(1),
+            arena.BayesPredictor([freebit]),
         ):
             verdict = arena.run_game(freebit, predictor, freebit_cfg)
             assert min(verdict.distances) >= F(1, 2)
             assert not verdict.passed
 
-        replay = arena.run_game(freebit, lambda: arena.TablePredictor(1), freebit_cfg)
-        again = arena.run_game(freebit, lambda: arena.TablePredictor(1), freebit_cfg)
+        replay = arena.run_game(freebit, arena.TablePredictor(1), freebit_cfg)
+        again = arena.run_game(freebit, arena.TablePredictor(1), freebit_cfg)
         assert json.dumps(replay.to_payload(), sort_keys=True) == json.dumps(
             again.to_payload(), sort_keys=True
         )

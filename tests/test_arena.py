@@ -267,20 +267,20 @@ def test_one_pass_adversary_matches_the_exhaustive_one():
     assert all(outcomes.values()), outcomes
 
 
-def refiltering_forecast(predictor, t):
-    """The Bayes conditional that re-filters from t to v on every call, its memory the past."""
-    base_weights = tuple(predictor.weights)
-    base_states = tuple(predictor.states)
-    candidates = predictor.candidates
+def refiltering_forecast(family, training):
+    """The Bayes conditional that re-filters the training record and the past on every call, its memory the past."""
+    record_inputs, record_behavior = training
+    t = len(record_behavior)
     likelihood = arena.BayesPredictor._likelihood
 
     def conditional(past, v, inputs):
-        weights = list(base_weights)
-        states = list(base_states)
-        for step, b in zip(range(t, v), past):
-            for k, cand in enumerate(candidates):
-                weights[k] *= likelihood(cand, states[k], inputs[step], b)
-                states[k] = cand.edges[(states[k], inputs[step])].to
+        weights = [F(1, len(family))] * len(family)
+        states = [cand.initial for cand in family]
+        steps = [*zip(record_inputs, record_behavior), *zip(inputs[t:v], past)]
+        for input_bit, b in steps:
+            for k, cand in enumerate(family):
+                weights[k] *= likelihood(cand, states[k], input_bit, b)
+                states[k] = cand.edges[(states[k], input_bit)].to
             total = sum(weights, F(0))
             if total > 0:
                 weights = [w / total for w in weights]
@@ -288,19 +288,11 @@ def refiltering_forecast(predictor, t):
         total = sum(weights, F(0))
         if total == 0:
             return F(1, 2)
-        for k, cand in enumerate(candidates):
+        for k, cand in enumerate(family):
             p += weights[k] * likelihood(cand, states[k], inputs[v], "1")
         return p / total
 
     return black_box(conditional)
-
-
-def memory_after(forecast, t, inputs, past):
-    """The forecast's memory after the behavior bits past, the first at time t."""
-    memory = forecast.memory
-    for v, b in enumerate(past, start=t):
-        memory = forecast.step(memory, v, inputs, b)
-    return memory
 
 
 def test_bayes_forecast_machine_matches_refiltering():
@@ -313,22 +305,20 @@ def test_bayes_forecast_machine_matches_refiltering():
         for inputs in itertools.product("01", repeat=u)
         for past in itertools.product("01", repeat=v - t)
     ]
-    predictors = []
+    cases = []
     for _ in range(20):
         family = [random_subject(rng) for _ in range(rng.randint(1, 3))]
-        predictors.append(trained(arena.BayesPredictor(family), rng, t))
+        cases.append((family, record(rng, t)))
     # the parrot emits 0 on its first input 0, so behavior 1 there leaves no weight
-    sure_to_die = arena.BayesPredictor([arena.parrot()])
-    for _ in range(t):
-        sure_to_die.observe("0", "1")
-    predictors.append(sure_to_die)
+    cases.append(([arena.parrot()], ("0" * t, "1" * t)))
     dead = 0
-    for predictor in predictors:
-        dead += sum(predictor.weights) == 0
-        machine = predictor.emit_forecast()
-        reference = refiltering_forecast(predictor, t)
+    for family, training in cases:
+        machine = arena.BayesPredictor(family).emit_forecast(*training)
+        weights, _ = machine.memory
+        dead += sum(weights) == 0
+        reference = refiltering_forecast(family, training)
         for v, inputs, past in queries:
-            memory = memory_after(machine, t, inputs, past)
+            memory = machine.fold(t, inputs, past)
             assert machine.prob_one(memory, v, inputs) == reference.prob_one(past, v, inputs)
     assert dead, "no family lost all its weight in training"
 
@@ -364,10 +354,13 @@ def chain_subject(rng, t, u):
     return arena.Subject(states, "c0", edges, budget)
 
 
-def trained(predictor, rng, t):
+def record(rng, t):
+    """A random training record of t steps: its input bits and its behavior bits."""
+    inputs = behavior = ""
     for _ in range(t):
-        predictor.observe(rng.choice("01"), rng.choice("01"))
-    return predictor
+        inputs += rng.choice("01")
+        behavior += rng.choice("01")
+    return inputs, behavior
 
 
 def counting(forecast, asked):
@@ -392,11 +385,13 @@ def test_lumped_walk_matches_the_full_enumeration():
         kind = ("bayes", "table", "black box")[seed % 3]
         if kind == "bayes":
             family = [random_subject(rng) for _ in range(rng.randint(1, 4))]
-            predictor = trained(arena.BayesPredictor(family), rng, t)
-            outcomes["dead family"] += not any(predictor.weights)
+            forecast = arena.BayesPredictor(family).emit_forecast(*record(rng, t))
+            weights, _ = forecast.memory
+            outcomes["dead family"] += not any(weights)
         elif kind == "table":
-            predictor = trained(arena.TablePredictor(rng.randint(0, 2)), rng, t)
-        forecast = random_forecast(seed) if kind == "black box" else predictor.emit_forecast()
+            forecast = arena.TablePredictor(rng.randint(0, 2)).emit_forecast(*record(rng, t))
+        else:
+            forecast = random_forecast(seed)
         enumerated, walked = [], []
         try:
             expected = reference_pattern_overlaps(subject, counting(forecast, enumerated), inputs, t, u)
@@ -474,7 +469,7 @@ def cfg(**kw):
 
 
 def test_deterministic_class_passes_with_table_learner():
-    verdict = arena.run_game(arena.parrot(), lambda: arena.TablePredictor(1), cfg())
+    verdict = arena.run_game(arena.parrot(), arena.TablePredictor(1), cfg())
     assert verdict.passed
     assert all(d == 0 for d in verdict.distances)
 
@@ -483,7 +478,7 @@ def test_known_noisy_class_passes_with_bayes_exactly():
     family = [arena.fair_coin()]
     verdict = arena.run_game(
         arena.fair_coin(),
-        lambda: arena.BayesPredictor(family),
+        arena.BayesPredictor(family),
         cfg(t=4, u=8, input_model={"kind": "uniform"}),
     )
     assert verdict.passed
@@ -494,8 +489,8 @@ def test_freebit_class_defeats_both_shipped_predictors():
     subject = arena.one_freebit(5, 8)
     family = [subject]
     for predictor in (
-        lambda: arena.TablePredictor(1),
-        lambda: arena.BayesPredictor(family),
+        arena.TablePredictor(1),
+        arena.BayesPredictor(family),
     ):
         verdict = arena.run_game(
             subject, predictor, cfg(t=4, u=8, epsilon=F(1, 2), input_model={"kind": "uniform"})
@@ -507,10 +502,10 @@ def test_freebit_class_defeats_both_shipped_predictors():
 def test_oblivious_adversary_is_gentler_on_average():
     subject = arena.one_freebit(5, 8)
     game = cfg(t=4, u=8, epsilon=F(1, 2), input_model={"kind": "uniform"}, trials=60)
-    adaptive = arena.run_game(subject, lambda: arena.TablePredictor(1), game)
+    adaptive = arena.run_game(subject, arena.TablePredictor(1), game)
     oblivious = arena.run_game(
         subject,
-        lambda: arena.TablePredictor(1),
+        arena.TablePredictor(1),
         arena.GameConfig(
             t=4, u=8, epsilon=F(1, 2), delta=F(1, 20), trials=60, seed=99,
             input_model={"kind": "uniform"}, adversary="oblivious",
@@ -522,14 +517,14 @@ def test_oblivious_adversary_is_gentler_on_average():
 def test_training_phase_freebit_is_an_error():
     subject = arena.one_freebit(1, 8)
     with pytest.raises(arena.SubjectSpecError, match="training"):
-        arena.run_game(subject, lambda: arena.TablePredictor(1), cfg(t=4, u=8))
+        arena.run_game(subject, arena.TablePredictor(1), cfg(t=4, u=8))
 
 
 def test_replay_is_byte_identical():
     subject = arena.one_freebit(5, 8)
     game = cfg(t=4, u=8, epsilon=F(1, 2), input_model={"kind": "uniform"})
-    a = arena.run_game(subject, lambda: arena.TablePredictor(1), game)
-    b = arena.run_game(subject, lambda: arena.TablePredictor(1), game)
+    a = arena.run_game(subject, arena.TablePredictor(1), game)
+    b = arena.run_game(subject, arena.TablePredictor(1), game)
     import json
 
     assert json.dumps(a.to_payload(), sort_keys=True) == json.dumps(
@@ -600,7 +595,7 @@ def test_classify_labels():
     schedule = [(8, F(1, 20), F(1, 20))]
     det = arena.classify(
         [arena.parrot()],
-        [("table", lambda: arena.TablePredictor(1))],
+        [("table", arena.TablePredictor(1))],
         schedule,
         trials=20,
         seed=5,
@@ -612,7 +607,7 @@ def test_classify_labels():
 
     free = arena.classify(
         [arena.one_freebit(9, 12)],
-        [("table", lambda: arena.TablePredictor(1))],
+        [("table", arena.TablePredictor(1))],
         schedule,
         trials=20,
         seed=5,
@@ -620,3 +615,27 @@ def test_classify_labels():
     )
     assert free["label"] == "unpredicted-at-scale"
     assert "not a proof" in free["note"]
+    # a row out of window is named with the horizon it runs to, before any game
+    with pytest.raises(ValueError, match=r"'schedule'\[1\]: need 0 <= 't' < 'horizon'"):
+        arena.classify([], [], [*schedule, (12, F(1, 10), F(1, 10))], trials=1, seed=0, horizon=12)
+
+
+def test_one_predictor_value_serves_every_trial_and_game():
+    # a predictor is a value: classify plays every game with the same one, so its
+    # runs equal separate run_game calls with it, and a rerun replays them exactly
+    predictors = [
+        ("bayes", arena.BayesPredictor([arena.parrot(), arena.fair_coin()])),
+        ("table", arena.TablePredictor(1)),
+    ]
+    subjects = [arena.parrot(), arena.fair_coin()]
+    schedule = [(2, F(1, 10), F(1, 10)), (4, F(1, 10), F(1, 10))]
+    game = dict(trials=6, seed=3, input_model={"kind": "uniform"})
+    report = arena.classify(subjects, predictors, schedule, horizon=7, **game)
+    separate = [
+        arena.run_game(subject, predictor, arena.GameConfig(t, 7, eps, delta, **game)).to_payload()
+        for _, predictor in predictors
+        for t, eps, delta in schedule
+        for subject in subjects
+    ]
+    assert [run["verdict"] for run in report["runs"]] == separate
+    assert arena.classify(subjects, predictors, schedule, horizon=7, **game) == report

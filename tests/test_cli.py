@@ -587,6 +587,34 @@ def test_missing_nested_key_is_named(tmp_path, capsys):
             {**RUN, "subject": {**GERBIL, "freebit_budget": 0}},
             "'freebit' = 0 must lie in [0, 'freebit_budget' = 0)",
         ),
+        # predictor and input-model objects are typed by 'kind': each exited 0 ignoring
+        # the key, or exited 1 without naming the path
+        ("run", {**RUN, "predictor": {"kind": "table", "family": ["parrot"]}}, "unknown key(s) in config['predictor']: 'family'"),
+        ("run", {**RUN, "predictor": {**BAYES, "context": 3}}, "unknown key(s) in config['predictor']: 'context'"),
+        ("run", {**RUN, "predictor": {"kind": "bayes"}}, "missing key(s) in config['predictor']: 'family'"),
+        (
+            "classify",
+            {**CLASSIFY, "predictors": [{"kind": "table"}, {"kind": "bayes"}]},
+            "missing key(s) in config['predictors'][1]: 'family'",
+        ),
+        ("run", {**RUN, "predictor": {"kind": "x"}}, "config['predictor'] must be an object whose 'kind' is \"table\" or \"bayes\""),
+        (
+            "run",
+            {**RUN, "game": {**GAME, "input_model": {"kind": "uniform", "bits": "01"}}},
+            "unknown key(s) in config['game']['input_model']: 'bits'",
+        ),
+        ("classify", {**CLASSIFY, "input_model": {"kind": "fixed"}}, "missing key(s) in config['input_model']: 'bits'"),
+        # a classify row runs to the horizon: the message names it, not the game's 'u'
+        (
+            "classify",
+            {**CLASSIFY, "horizon": 4, "schedule": [[8, "0.1", "0.1"]]},
+            "config['schedule'][0]: need 0 <= 't' < 'horizon', got 't' = 8, 'horizon' = 4",
+        ),
+        (
+            "classify",
+            {**CLASSIFY, "horizon": 40, "schedule": [[2, "0.1", "0.1"]]},
+            f"config['schedule'][0]: 'horizon' - 't' = 38 exceeds {arena.HORIZON_GUARD}",
+        ),
     ],
 )
 def test_subject_payloads_are_typed(tmp_path, capsys, command, config, message):
