@@ -145,8 +145,7 @@ def _window_emissions(subject: Subject, inputs: str, t: int, u: int) -> list[Emi
     Each freebit index may be consumed at most once along the walk; reuse is a
     spec error (a one-shot resource cannot influence two behavior bits).
     """
-    if u - t > HORIZON_GUARD:
-        raise HorizonTooLong(f"'u' - 't' = {u - t} exceeds {HORIZON_GUARD}")
+    check_window(t, u)
     if len(inputs) < u:
         raise ValueError("input trace shorter than the horizon")
     state = subject.initial
@@ -530,32 +529,40 @@ def clopper_pearson(k: int, n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A game and the variation distance of each of its trials."""
+
+    game: GameConfig
     distances: tuple[Fraction, ...]
-    epsilon: Fraction
-    delta: Fraction
-    pass_fraction: Fraction
-    passed: bool
-    confidence_interval: tuple[float, float]
-    seed: int
-    trials: int
+
+    @property
+    def pass_fraction(self) -> Fraction:
+        """The share of trials whose distance is below epsilon."""
+        return Fraction(sum(d < self.game.epsilon for d in self.distances), self.game.trials)
+
+    @property
+    def passed(self) -> bool:
+        return self.pass_fraction >= 1 - self.game.delta
 
     def to_payload(self) -> dict:
+        game, fraction = self.game, self.pass_fraction
         return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "epsilon": str(self.epsilon),
-            "delta": str(self.delta),
+            "trials": game.trials,
+            "seed": game.seed,
+            "epsilon": str(game.epsilon),
+            "delta": str(game.delta),
             "distances": [str(d) for d in self.distances],
             "distances_float": [float(d) for d in self.distances],
-            "pass_fraction": str(self.pass_fraction),
-            "pass_fraction_float": float(self.pass_fraction),
+            "pass_fraction": str(fraction),
+            "pass_fraction_float": float(fraction),
             "passed": self.passed,
-            "confidence_interval_95": list(self.confidence_interval),
+            "confidence_interval_95": list(
+                clopper_pearson(int(fraction * game.trials), game.trials)
+            ),
         }
 
 
 def run_game(subject: Subject, predictor, cfg: GameConfig) -> Verdict:
-    """Play cfg.trials independent games and aggregate a (t, eps, delta) verdict.
+    """Play cfg.trials independent games; the verdict is cfg and their distances.
 
     The subject and the predictor are values, shared by every trial.  Per
     trial: fresh exogenous inputs; the subject's behavior over [0, t) is
@@ -597,18 +604,7 @@ def run_game(subject: Subject, predictor, cfg: GameConfig) -> Verdict:
             pattern = "".join(str(assignment[idx]) for idx in consumed)
             distance = 1 - overlaps.get(pattern, Fraction(0))
         distances.append(distance)
-    hits = sum(1 for d in distances if d < cfg.epsilon)
-    fraction = Fraction(hits, cfg.trials)
-    return Verdict(
-        distances=tuple(distances),
-        epsilon=cfg.epsilon,
-        delta=cfg.delta,
-        pass_fraction=fraction,
-        passed=fraction >= 1 - cfg.delta,
-        confidence_interval=clopper_pearson(hits, cfg.trials),
-        seed=cfg.seed,
-        trials=cfg.trials,
-    )
+    return Verdict(cfg, tuple(distances))
 
 
 UNPREDICTED_DISCLAIMER = (
@@ -620,27 +616,17 @@ UNPREDICTED_DISCLAIMER = (
 def classify(
     reference_class: list[Subject],
     predictors: list[tuple[str, object]],
-    schedule: list[tuple[int, Fraction, Fraction]],
-    trials: int,
-    seed: int,
-    horizon: int,
-    input_model: dict | None = None,
+    games: list[GameConfig],
 ) -> dict:
-    """Label a reference class against a predictor family and a schedule.
+    """Label a reference class by playing every game with every named predictor.
 
-    Every scheduled game runs from its t to the common horizon u.
-
-    "mechanistic-at-scale" when some supplied predictor passes every
-    scheduled (t, epsilon, delta) for every subject in the class;
-    "unpredicted-at-scale" otherwise (see the disclaimer in the report).
+    "mechanistic-at-scale" when some supplied predictor passes every game for
+    every subject in the class; "unpredicted-at-scale" otherwise (see the
+    disclaimer in the report).  An empty class, predictor list or game list
+    is named by its CLI key: 'class', 'predictors' or 'schedule'.
     """
-    # every row is checked before the first game, also when the class is empty
-    for i, (t, _, _) in enumerate(schedule):
-        check_window(t, horizon, "'horizon'", f"'schedule'[{i}]: ")
-    model = {} if input_model is None else {"input_model": input_model}
-    games = [GameConfig(t, horizon, e, d, trials, seed, **model) for t, e, d in schedule]
-    # a label rests on at least one game per subject
-    for key, items in (("class", reference_class), ("schedule", games)):
+    # a label rests on games played: at least one per subject and predictor
+    for key, items in (("class", reference_class), ("predictors", predictors), ("schedule", games)):
         if not items:
             raise KnightianError(f"{key!r} is empty: a class is labelled only by games played")
     results = []

@@ -111,6 +111,7 @@ INT = Kind("an integer", _is_int)
 REAL = Kind("a finite real number", _is_real)
 BITS = Kind("a bitstring", lambda v: isinstance(v, str) and set(v) <= {"0", "1"})
 RATIONAL = Kind("a rational", _is_rational)
+OPEN_UNIT = Kind("a rational in (0, 1)", lambda v: _is_rational(v) and 0 < _fraction(v) < 1)
 BOOL = Kind("a boolean", lambda v: isinstance(v, bool))
 STRING = Kind("a string", lambda v: isinstance(v, str))
 
@@ -134,7 +135,7 @@ PREDICTOR = ByKind(
 )
 INPUT_MODEL = ByKind(uniform={}, fixed={"bits": BITS})
 GAME = {
-    "t": INT, "u": INT, "epsilon": RATIONAL, "delta": RATIONAL, "trials": INT,
+    "t": INT, "u": INT, "epsilon": OPEN_UNIT, "delta": OPEN_UNIT, "trials": INT,
     "input_model": Opt(INPUT_MODEL), "adversary": Opt(STRING),
 }
 
@@ -458,11 +459,15 @@ def _cmd_arena_classify(config: dict, seed) -> dict:
         (spec.get("name", spec["kind"]), _predictor(spec))
         for spec in config["predictors"]
     ]
-    schedule = [(t, _fraction(eps), _fraction(delta)) for t, eps, delta in config["schedule"]]
-    horizon, model = config["horizon"], config.get("input_model")
+    horizon, schedule = config["horizon"], config["schedule"]
     for i, (t, _, _) in enumerate(schedule):
         arena.check_window(t, horizon, "'horizon'", f"config['schedule'][{i}]: ")
-    return arena.classify(subjects, predictors, schedule, config["trials"], seed, horizon, model)
+    game = {k: v for k, v in config.items() if k in ("trials", "input_model")}
+    games = [
+        arena.GameConfig(t, horizon, _fraction(eps), _fraction(delta), seed=seed, **game)
+        for t, eps, delta in schedule
+    ]
+    return arena.classify(subjects, predictors, games)
 
 
 # -- gadgets family ----------------------------------------------------------------------
@@ -585,7 +590,7 @@ SOPH_TABLE = {"lengths": [INT], "cs": [INT], "bound": INT, **MACHINE}
 ARENA_RUN = {"subject": SUBJECT, "predictor": PREDICTOR, "game": GAME}
 CLASSIFY = {
     "class": [SUBJECT], "predictors": [PREDICTOR], "trials": INT, "horizon": INT,
-    "schedule": [(INT, RATIONAL, RATIONAL)],  # [t, epsilon, delta] rows
+    "schedule": [(INT, OPEN_UNIT, OPEN_UNIT)],  # [t, epsilon, delta] rows
     "input_model": Opt(INPUT_MODEL),
 }
 CHSH_QUANTUM = {"alice": Opt((REAL, REAL)), "bob": Opt((REAL, REAL))}

@@ -234,6 +234,8 @@ def _check_alike(states) -> None:
 
 def knightian_or(*states: Freestate | ClassicalFreestate) -> Freestate | ClassicalFreestate:
     """Hull of the union: "either set could be the truth"."""
+    if not states:
+        raise KnightianError("knightian_or needs at least one state")
     _check_alike(states)
     return replace(states[0], generators=tuple(g for s in states for g in s.generators))
 

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import STOCK_PAYLOADS
 from knightian import arena
+from knightian.errors import KnightianError
 
 F = Fraction
 
@@ -592,32 +593,22 @@ def test_trials_guard():
 
 
 def test_classify_labels():
-    schedule = [(8, F(1, 20), F(1, 20))]
-    det = arena.classify(
-        [arena.parrot()],
-        [("table", arena.TablePredictor(1))],
-        schedule,
-        trials=20,
-        seed=5,
-        input_model={"kind": "fixed", "bits": "0011"},
-        horizon=12,
-    )
+    table = [("table", arena.TablePredictor(1))]
+    fixed = arena.GameConfig(8, 12, F(1, 20), F(1, 20), 20, 5, {"kind": "fixed", "bits": "0011"})
+    det = arena.classify([arena.parrot()], table, [fixed])
     assert det["label"] == "mechanistic-at-scale"
     assert det["note"] == ""
 
-    free = arena.classify(
-        [arena.one_freebit(9, 12)],
-        [("table", arena.TablePredictor(1))],
-        schedule,
-        trials=20,
-        seed=5,
-        horizon=12,
-    )
+    uniform = arena.GameConfig(8, 12, F(1, 20), F(1, 20), 20, 5)
+    free = arena.classify([arena.one_freebit(9, 12)], table, [uniform])
     assert free["label"] == "unpredicted-at-scale"
     assert "not a proof" in free["note"]
-    # a row out of window is named with the horizon it runs to, before any game
-    with pytest.raises(ValueError, match=r"'schedule'\[1\]: need 0 <= 't' < 'horizon'"):
-        arena.classify([], [], [*schedule, (12, F(1, 10), F(1, 10))], trials=1, seed=0, horizon=12)
+    # a game out of window is refused before it can be played
+    with pytest.raises(ValueError, match=r"need 0 <= 't' < 'u', got 't' = 12, 'u' = 12"):
+        arena.GameConfig(12, 12, F(1, 10), F(1, 10), 1, 0)
+    # a label rests on games played: no predictor plays none
+    with pytest.raises(KnightianError, match="'predictors' is empty"):
+        arena.classify([arena.parrot()], [], [uniform])
 
 
 def test_one_predictor_value_serves_every_trial_and_game():
@@ -628,14 +619,13 @@ def test_one_predictor_value_serves_every_trial_and_game():
         ("table", arena.TablePredictor(1)),
     ]
     subjects = [arena.parrot(), arena.fair_coin()]
-    schedule = [(2, F(1, 10), F(1, 10)), (4, F(1, 10), F(1, 10))]
-    game = dict(trials=6, seed=3, input_model={"kind": "uniform"})
-    report = arena.classify(subjects, predictors, schedule, horizon=7, **game)
+    games = [arena.GameConfig(t, 7, F(1, 10), F(1, 10), trials=6, seed=3) for t in (2, 4)]
+    report = arena.classify(subjects, predictors, games)
     separate = [
-        arena.run_game(subject, predictor, arena.GameConfig(t, 7, eps, delta, **game)).to_payload()
+        arena.run_game(subject, predictor, game).to_payload()
         for _, predictor in predictors
-        for t, eps, delta in schedule
+        for game in games
         for subject in subjects
     ]
     assert [run["verdict"] for run in report["runs"]] == separate
-    assert arena.classify(subjects, predictors, schedule, horizon=7, **game) == report
+    assert arena.classify(subjects, predictors, games) == report

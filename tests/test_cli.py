@@ -615,6 +615,15 @@ def test_missing_nested_key_is_named(tmp_path, capsys):
             {**CLASSIFY, "horizon": 40, "schedule": [[2, "0.1", "0.1"]]},
             f"config['schedule'][0]: 'horizon' - 't' = 38 exceeds {arena.HORIZON_GUARD}",
         ),
+        # epsilon and delta lie in (0, 1): the schema names the row and the game
+        (
+            "classify",
+            {**CLASSIFY, "schedule": [[2, "0.1", "0.1"], [3, "0", "0.1"]]},
+            "config['schedule'][1][1] must be a rational in (0, 1), got '0'",
+        ),
+        ("run", {**RUN, "game": {**GAME, "delta": "1"}}, "config['game']['delta'] must be a rational in (0, 1), got '1'"),
+        # a label rests on games played, so a class needs a predictor to play them
+        ("classify", {**CLASSIFY, "predictors": []}, "'predictors' is empty: a class is labelled only by games played"),
     ],
 )
 def test_subject_payloads_are_typed(tmp_path, capsys, command, config, message):

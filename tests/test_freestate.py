@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import pushed_out_pair, random_density, random_effect, random_freestate
 from knightian import freestate as fs
+from knightian.errors import KnightianError
 
 
 def qstate(label):
@@ -109,6 +110,8 @@ def test_or_and_mix_reject_mixed_kinds_and_sizes():
             fs.knightian_or(*states)
         with pytest.raises(fs.DimMismatch):
             fs.prob_mix([(Fraction(1, len(states)), s) for s in states])
+    with pytest.raises(KnightianError, match="at least one state"):
+        fs.knightian_or()
 
 
 def test_classical_mix_is_exact_and_expands_over_choices():
