@@ -37,8 +37,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageExit(f"{message}\n\n{self.format_usage()}")
 
 
+#: the largest decimal exponent a rational may carry, as many as the digits
+#: Python parses an int from by default: Fraction builds 10**exponent at once,
+#: so "1e-10000000" alone would hold a command for about 11 s
+EXPONENT_GUARD = 4300
+
+
 def _fraction(value) -> Fraction:
-    return Fraction(str(value))
+    text = str(value)
+    _mantissa, mark, exponent = text.lower().partition("e")
+    if mark and abs(int(exponent)) > EXPONENT_GUARD:
+        raise ValueError(f"the exponent of {text!r} lies beyond {EXPONENT_GUARD}")
+    return Fraction(text)
 
 
 def _rat(f: Fraction) -> dict:

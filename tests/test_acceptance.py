@@ -122,7 +122,7 @@ def test_c05_diagonal_sequence():
 
 
 def test_c06_sophistication_suite():
-    with criterion("C06 sophistication suite n<=6 at bound 20", 600.0):
+    with criterion("C06 sophistication suite n<=6 at bound 20", 10.0):
         cfg = tv.MachineConfig()
         bound = 20
         overhead = cx.LISTING_OVERHEAD
@@ -203,6 +203,15 @@ def test_bayes_game_at_the_horizon_guard(tmp_path):
         # and the forecast puts f = 16/17 + 2^-h / 17 on the parrot's suffix
         missed = str(1 - F(16, 17) - F(1, 17 * 2**h))
         assert verdict["distances"] == [missed] * 100
+
+
+def test_census_at_the_guard_with_every_budget_at_its_guard():
+    with criterion("census at ENUMERATION_GUARD, budgets at BUDGET_GUARD", 1.0):
+        # the walk runs each shared opcode prefix once, so no program pays
+        # for the budgets that a per-program census would run to
+        tv.census.cache_clear()
+        census = tv.census(tv.ENUMERATION_GUARD, tv.MachineConfig(*[tv.BUDGET_GUARD] * 3))
+        assert len(census.members) == 2**16 - 1
 
 
 def test_c08_causal_theorem_fuzz():

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +363,8 @@ def oblivious_gerbil_game(freebit_budget):
         (("freestate", "mix"), {"components": []}, "components"),
         # well typed, but out of range
         (("arena", "run"), {**RUN, "game": {**GAME, "adversary": "lazy"}}, "adversary"),
+        # a rational whose exponent alone would take seconds to expand
+        (("freestate", "mix"), {"components": [{"weight": "1e-10000000", "classical": KNIGHT_CLASSICAL["classical"]}]}, "weight"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -370,6 +374,15 @@ def test_solomonoff_config_types_are_strict(tmp_path, capsys, command, config, k
     assert code == 1, err
     for name in (key,) if isinstance(key, str) else key:
         assert repr(name) in err, err
+
+
+def test_an_exponent_past_the_guard_is_refused_before_it_is_expanded():
+    started = time.monotonic()
+    assert not cli._is_rational("1e-10000000")
+    assert not cli._is_rational(f"1E+{cli.EXPONENT_GUARD + 1}")
+    assert time.monotonic() - started < 0.1
+    assert cli._fraction(f"1e-{cli.EXPONENT_GUARD}") == Fraction(1, 10**cli.EXPONENT_GUARD)
+    assert cli._fraction(1e308) == 10**308
 
 
 ROOM_PUZZLE = {

@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -383,6 +384,31 @@ def reference_enumerate(max_len):
     return programs
 
 
+def reference_census(bound, cfg):
+    """Oracle: the census that runs every program once, in enumerate_programs order."""
+    stream = tv._RAND_MARK * cfg.rand_budget
+    index = {}  # template -> class index, in order of discovery
+    weights = {}
+    members = array("I")
+    halted = 0
+    witnesses = {}
+    for p in tv.enumerate_programs(bound):
+        r = tv._execute(p.body, cfg, stream)
+        w = 1 << (bound - len(p))
+        k = index.setdefault(r.output, len(index))
+        weights[k] = weights.get(k, 0) + w
+        members.append(k)
+        if r.halted:
+            halted += w
+            if r.rands_used == 0 and r.output not in witnesses:
+                witnesses[r.output] = p
+    classes = tuple(
+        (len(t), int("0" + t.translate(tv._MASK), 2), int("0" + t.translate(tv._BITS), 2), w)
+        for t, w in zip(index, weights.values())
+    )
+    return tv.Census(classes, sum(weights.values()), halted, witnesses, members)
+
+
 # (step, rand, output) budgets: the default, tight ones, no RAND, one output bit, all at the guard
 ORACLE_CONFIGS = [
     tv.MachineConfig(*budgets)
@@ -414,3 +440,35 @@ def test_enumeration_matches_the_reference_at_every_bound():
         assert [p.code for p in tv.enumerate_programs(bound)] == [
             p.code for p in reference_enumerate(bound)
         ], bound
+
+
+def census_fields(census):
+    """What a census means, apart from the order of its classes: each program's class is read through members."""
+    return (
+        sorted(census.classes),
+        census.total,
+        census.halted,
+        list(census.witnesses.items()),
+        [census.classes[k][:3] for k in census.members],
+    )
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_census_matches_the_reference_at_every_bound(cfg):
+    for bound in range(21):
+        assert census_fields(tv.census(bound, cfg)) == census_fields(reference_census(bound, cfg)), bound
+
+
+@pytest.mark.parametrize("bound", [22, tv.ENUMERATION_GUARD])
+def test_census_matches_the_reference_up_to_the_guard(bound):
+    assert census_fields(tv.census(bound, CFG)) == census_fields(reference_census(bound, CFG))
+
+
+def test_census_guard_is_checked_before_any_program_runs(monkeypatch):
+    def no_runs(*args):
+        raise AssertionError("the census ran a program")
+
+    monkeypatch.setattr(tv, "_execute", no_runs)
+    monkeypatch.setattr(tv, "_resume", no_runs)
+    with pytest.raises(tv.LimitExceeded, match="'bound'"):
+        tv.census(tv.ENUMERATION_GUARD + 1, CFG)
