@@ -313,7 +313,10 @@ def _cmd_solomonoff_predict(config: dict, seed) -> dict:
 
 def _cmd_solomonoff_regret(config: dict, seed) -> dict:
     mixture = prior.build_mixture(config["bound"], _machine_config(config))
-    q = toyvm.decode(config["q"])
+    try:
+        q = toyvm.decode(config["q"])
+    except KnightianError as exc:
+        raise KnightianError(f"'q' is not one program: {exc}") from exc
     report = prior.regret_report(
         q, config["sequence"], mixture, [_fraction(e) for e in config["eps"]]
     )

@@ -3,17 +3,20 @@
 The predictor enumerates every toy-machine program up to a length bound L
 and mixes their output distributions with weights 2**-len(P) / C, where C is
 the Kraft normalizer over the enumerated class.  Prediction is Bayesian
-conditioning: the estimate for the next bit is the joint-probability ratio
-Pr[history + "1"] / Pr[history] under the mixture.
+conditioning: the estimate for the next bit is M(h1) / (M(h0) + M(h1)),
+M(x) the mixture's probability that the output starts with x and h the
+history.  It differs from M(h1) / M(h), the conditional that regret and the
+diagonal walk report, when some hypothesis abstains after h.
 
 Control flow never reads the random stream, so a program's whole
 contribution is its output template, its halting flag and its length.  The
 mixture reads toyvm.census, the one cached run of the enumerated class that
 also feeds omega_truncated and complexity's K: each distinct template
 carries the integer weight sum of 2**(L - len(P)) over the programs that
-produce it.  Queries sum over classes, not programs, and give the same
-Fractions as the per-program sum.  The per-program snapshot reads each
-program's class from the census too, so it runs no program.
+produce it.  A mixture's memory is its survivors, the classes that can still
+emit the history: conditioning narrows them, and queries sum over them, not
+programs, with the same Fractions as the per-program sum.  The snapshot and
+regret read the programs' classes from the census, so neither runs a program.
 
 Everything here is exact dyadic-rational arithmetic (fractions.Fraction):
 the toy machine only ever produces probabilities 2**-k, so log-domain floats
@@ -34,11 +37,13 @@ from .toyvm import MachineConfig, Program
 
 
 class ZeroMassHistory(KnightianError):
-    """The history left the (bounded) support of the truncated mixture."""
+    """No next bit after the history has mass in the (bounded) truncated mixture."""
 
-    def __init__(self, history: str, step: int | None = None):
-        at = "" if step is None else f" at step {step}"
-        super().__init__(f"history {history!r} has zero mixture mass{at}")
+    def __init__(self, history: str, bound: int, step: int | None = None):
+        at = f"after 'history' = {history!r}"
+        if step is not None:
+            at = f"at step {step} of 'n', after {history!r},"
+        super().__init__(f"no bit {at} has mixture mass at 'bound' = {bound}")
         self.history = history
         self.step = step
 
@@ -57,9 +62,9 @@ class Hypothesis:
 @dataclass(frozen=True)
 class Mixture:
     census: toyvm.Census
-    history: str
-    cfg: MachineConfig
     bound: int  # enumeration bound L, quoted in all reports
+    history: str
+    survivors: tuple[tuple[int, int], ...]  # (class index, literal count), as update says
 
     @property
     def normalizer(self) -> Fraction:
@@ -71,10 +76,10 @@ class Mixture:
         """Every enumerated program with its prior and its posterior given the history.
 
         Derived on each access: each program reads its class's likelihood, on
-        the scale 2**len(history), from one match of the history over the classes.
+        the scale 2**len(history), from the survivors.
         """
         classes, total = self.census.classes, self.census.total
-        lits = dict(_matches(self.census, self.history))
+        lits = dict(self.survivors)
         mass = sum(classes[k][3] << lits[k] for k in lits)
         hyps = []
         for p, k in zip(toyvm.enumerate_programs(self.bound), self.census.members):
@@ -86,7 +91,8 @@ class Mixture:
 
 def build_mixture(bound: int, cfg: MachineConfig = MachineConfig()) -> Mixture:
     """Mixture over all programs of length <= bound, fresh (empty history)."""
-    return Mixture(toyvm.census(bound, cfg), "", cfg, bound)
+    census = toyvm.census(bound, cfg)
+    return Mixture(census, bound, "", tuple((k, 0) for k in range(len(census.classes))))
 
 
 def mixture_snapshot(mixture: Mixture) -> list[dict]:
@@ -101,61 +107,55 @@ def mixture_snapshot(mixture: Mixture) -> list[dict]:
     ]
 
 
-def _matches(census: toyvm.Census, prefix: str):
-    """(class index, n - r) for each class that can emit prefix, n = len(prefix).
+def joint_probability(mixture: Mixture, bits: str = "") -> Fraction:
+    """Pr under the mixture that the output starts with history + bits.
 
-    It does so with probability 2**-r, r its RAND slots among the first n, so
-    2**(n - r) on the scale 2**n; a class shorter than n abstains.
-    """
-    toyvm.check_bits(prefix)
-    n = len(prefix)
-    target = int(prefix, 2) if prefix else 0
-    for k, (length, mask, bits, _weight) in enumerate(census.classes):
-        if length >= n:
-            shift = length - n
-            literals = mask >> shift
-            if ((bits >> shift) ^ target) & literals == 0:
-                yield k, literals.bit_count()
-
-
-def joint_probability(mixture: Mixture, prefix: str) -> Fraction:
-    """Pr under the mixture that the output starts with the given bits.
-
-    Hypotheses that cannot emit len(prefix) bits within budget abstain and
+    Hypotheses that cannot emit that many bits within budget abstain and
     contribute nothing, to either this prefix or any extension of it.
     """
+    for bit in bits:
+        mixture = update(mixture, bit)
     classes = mixture.census.classes
-    mass = sum(classes[k][3] << lits for k, lits in _matches(mixture.census, prefix))
-    if mass == 0:
+    mass = sum(classes[k][3] << lits for k, lits in mixture.survivors)
+    if mass == 0:  # the census is empty at bound 0, so its total is 0 too
         return Fraction(0)
-    return Fraction(mass, mixture.census.total << len(prefix))
+    return Fraction(mass, mixture.census.total << len(mixture.history))
 
 
 def predict_next(mixture: Mixture) -> Fraction:
-    """Probability the next bit is 1: Pr[history + "1"] / Pr[history].
+    """Probability the next bit is 1: M(h1) / (M(h0) + M(h1)), h the history.
 
-    Both sides of the ratio run over hypotheses that describe the next bit;
-    a hypothesis that cannot emit len(history) + 1 bits within budget
-    abstains and is excluded from numerator and denominator alike.  (The
-    exclusion is what keeps Pr[next=0] + Pr[next=1] = 1 in the truncated
-    mixture, whose hypotheses, unlike ideal ones, may fall silent.)
+    The denominator runs over hypotheses that describe the next bit, so it
+    is not M(h): a hypothesis that cannot emit len(history) + 1 bits within
+    budget abstains and is excluded from numerator and denominator alike.
+    (The exclusion is what keeps Pr[next=0] + Pr[next=1] = 1 in the
+    truncated mixture, whose hypotheses, unlike ideal ones, may fall silent.)
     """
-    p1 = joint_probability(mixture, mixture.history + "1")
-    p0 = joint_probability(mixture, mixture.history + "0")
+    p1 = joint_probability(mixture, "1")
+    p0 = joint_probability(mixture, "0")
     if p0 + p1 == 0:
-        raise ZeroMassHistory(mixture.history)
+        raise ZeroMassHistory(mixture.history, mixture.bound)
     return p1 / (p0 + p1)
 
 
 def update(mixture: Mixture, bit: str) -> Mixture:
-    """Condition on one observed bit.
+    """Condition on one observed bit by narrowing the survivors.
 
-    Queries weigh classes by the history itself, so conditioning only
-    records the bit; zero-mass hypotheses get posterior 0.
+    A class emits the history h with probability 2**(count - len(h)), count
+    its literal slots among the first len(h).  It stays if it is longer than h
+    and its slot len(h) is the bit or a RAND slot; no extension brings a
+    dropped class back, and its programs get posterior 0.
     """
     if bit not in ("0", "1"):
         raise ValueError(f"bit must be '0' or '1', got {bit!r}")
-    return replace(mixture, history=mixture.history + bit)
+    n, want = len(mixture.history), int(bit)
+    survivors = []
+    for k, lits in mixture.survivors:
+        length, mask, bits, _weight = mixture.census.classes[k]
+        shift = length - 1 - n  # slot n's bit in the mask and the bits
+        if shift >= 0 and ((bits >> shift) ^ want) & (mask >> shift) & 1 == 0:
+            survivors.append((k, lits + ((mask >> shift) & 1)))
+    return replace(mixture, history=mixture.history + bit, survivors=tuple(survivors))
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,8 @@ class RegretReport:
 
     q: Program
     sequence: str
-    per_step_mixture: tuple[Fraction, ...]  # mixture conditional per bit
-    per_step_hypothesis: tuple[Fraction, ...]  # hypothesis conditional per bit
+    per_step_mixture: tuple[Fraction, ...]  # M(hb) / M(h) per bit b, h the bits before it
+    per_step_hypothesis: tuple[Fraction, ...]  # the same ratio under the hypothesis alone
     per_step_ratios: tuple[Fraction, ...]
     cumulative: tuple[Fraction, ...]  # one entry per prefix, the empty one first
     mistakes: dict[Fraction, int]
@@ -189,18 +189,29 @@ def regret_report(
     mixture: Mixture,
     eps_list: list[Fraction],
 ) -> RegretReport:
+    if mixture.history:
+        raise ValueError(f"regret needs a fresh mixture, got history {mixture.history!r}")
     if len(q) > mixture.bound:
-        raise ValueError("designated hypothesis is not in the mixture")
-    prefixes = [sequence[:n] for n in range(len(sequence) + 1)]
-    p_q = [toyvm.prefix_probability(q, prefix, mixture.cfg) for prefix in prefixes]
+        raise ValueError(
+            f"'q' has {len(q)} bits, more than 'bound' = {mixture.bound}, "
+            "so the designated hypothesis is not in the mixture"
+        )
+    # the bodies of length L sit at 2**L - 1 onward, in lex order
+    q_class = mixture.census.members[2 ** len(q.body) - 1 + int("0" + q.body, 2)]
+    alone = replace(mixture, survivors=((q_class, 0),))
+    q_prior = joint_probability(alone)
+    p_u, p_q = [joint_probability(mixture)], [Fraction(1)]
+    for bit in sequence:
+        mixture, alone = update(mixture, bit), update(alone, bit)
+        p_u.append(joint_probability(mixture))
+        p_q.append(joint_probability(alone) / q_prior)
     if p_q[-1] == 0:
         raise UnsupportedSequence(
-            f"hypothesis assigns zero probability to {sequence!r}"
+            f"hypothesis 'q' assigns zero probability to 'sequence' = {sequence!r}"
         )
     # the mixture holds q, so it gives every prefix q supports a positive mass
-    p_u = [joint_probability(mixture, prefix) for prefix in prefixes]
     cumulative = [u / h for u, h in zip(p_u, p_q)]
-    steps = range(1, len(prefixes))
+    steps = range(1, len(p_u))
     ratios = [cumulative[n] / cumulative[n - 1] for n in steps]
     mistakes = {}
     excess = {}
@@ -227,13 +238,14 @@ def regret_report(
 @dataclass(frozen=True)
 class DiagonalStep:
     bit: str
-    conditional: Fraction  # mixture probability of the realized bit
-    cumulative: Fraction  # mixture probability of the whole realized prefix
+    conditional: Fraction  # M(hb) / M(h), b the realized bit and h the bits before it
+    cumulative: Fraction  # M(hb), the mixture probability of the whole realized prefix
 
 
 def diagonal_sequence(mixture: Mixture, n: int) -> tuple[str, list[DiagonalStep]]:
     """Adversarial bits: pick whichever next bit the mixture finds less likely.
 
+    The walk extends the mixture's history and returns the n bits it adds.
     Each realized bit gets conditional probability <= 1/2, so the mixture's
     probability on the prefix decays at least as fast as 2**-n.  Raises
     ZeroMassHistory (with the failing step) if the walk exhausts the bounded
@@ -241,22 +253,17 @@ def diagonal_sequence(mixture: Mixture, n: int) -> tuple[str, list[DiagonalStep]
     """
     if n < 1:
         raise ValueError(f"'n' = {n} must be >= 1")
-    history = ""
     steps: list[DiagonalStep] = []
-    denom = joint_probability(mixture, history)
+    denom = joint_probability(mixture)
     for i in range(1, n + 1):
-        if denom == 0:
-            raise ZeroMassHistory(history, step=i)
-        p1 = joint_probability(mixture, history + "1")
-        p0 = joint_probability(mixture, history + "0")
-        if p0 == 0 and p1 == 0:
-            raise ZeroMassHistory(history, step=i)
-        bit = "0" if p1 > p0 else "1"
-        chosen = p0 if bit == "0" else p1
-        history += bit
-        steps.append(DiagonalStep(bit, chosen / denom, chosen))
+        one, zero = update(mixture, "1"), update(mixture, "0")
+        p1, p0 = joint_probability(one), joint_probability(zero)
+        if p0 == p1 == 0:
+            raise ZeroMassHistory(mixture.history, mixture.bound, step=i)
+        mixture, chosen = (zero, p0) if p1 > p0 else (one, p1)
+        steps.append(DiagonalStep(mixture.history[-1], chosen / denom, chosen))
         denom = chosen
-    return history, steps
+    return "".join(step.bit for step in steps), steps
 
 
 def omega_truncated(bound: int, cfg: MachineConfig = MachineConfig()) -> Fraction:

@@ -1,6 +1,12 @@
 import numpy as np
 
-from knightian import freestate
+from knightian import freestate, toyvm
+
+# (step, rand, output) budgets: the default, tight ones, no RAND, one output bit, all at the guard
+ORACLE_CONFIGS = [
+    toyvm.MachineConfig(*budgets)
+    for budgets in [(512, 24, 64), (20, 2, 6), (7, 0, 3), (1, 0, 1), (512, 512, 512), (40, 3, 1), (3, 5, 64)]
+]
 
 
 def random_density(rng: np.random.Generator, dim: int) -> freestate.DensityMatrix:

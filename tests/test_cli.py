@@ -365,6 +365,14 @@ def oblivious_gerbil_game(freebit_budget):
         (("arena", "run"), {**RUN, "game": {**GAME, "adversary": "lazy"}}, "adversary"),
         # a rational whose exponent alone would take seconds to expand
         (("freestate", "mix"), {"components": [{"weight": "1e-10000000", "classical": KNIGHT_CLASSICAL["classical"]}]}, "weight"),
+        # well typed, but the mixture or the designated program has no mass there
+        (("solomonoff", "predict"), {"bound": 4, "history": "01"}, ("history", "bound")),
+        (("solomonoff", "diagonal"), {"bound": 13, "n": 5}, ("n", "bound")),
+        (("solomonoff", "regret"), {**REGRET, "q": "0001101001100000000", "eps": []}, ("q", "bound")),
+        (("solomonoff", "regret"), {**REGRET, "sequence": "01", "eps": []}, ("sequence", "q")),
+        # well typed, but not one program
+        (("solomonoff", "regret"), {**REGRET, "q": "0001", "eps": []}, "q"),
+        (("solomonoff", "regret"), {**REGRET, "q": EMIT_ZERO_Q[:10], "eps": []}, "q"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )

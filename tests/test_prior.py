@@ -1,8 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import ORACLE_CONFIGS
 from knightian import prior, toyvm as tv
 
 CFG = tv.MachineConfig()
@@ -21,6 +23,35 @@ def mixture_oracle_probability(mixture, prefix):
             if len(r.output) >= len(prefix) and r.output[: len(prefix)] == prefix:
                 total += h.prior * weight_stream
     return total
+
+
+def reference_matches(census, prefix):
+    """(class index, n - r) for each class that can emit prefix, n = len(prefix).
+
+    It does so with probability 2**-r, r its RAND slots among the first n, so
+    2**(n - r) on the scale 2**n; a class shorter than n abstains.  One scan
+    of the whole census, the route the survivors replace.
+    """
+    tv.check_bits(prefix)
+    n = len(prefix)
+    target = int(prefix, 2) if prefix else 0
+    for k, (length, mask, bits, _weight) in enumerate(census.classes):
+        if length >= n:
+            shift = length - n
+            literals = mask >> shift
+            if ((bits >> shift) ^ target) & literals == 0:
+                yield k, literals.bit_count()
+
+
+def reference_joint_from_matches(census, prefix):
+    mass = sum(census.classes[k][3] << lits for k, lits in reference_matches(census, prefix))
+    return Fraction(mass, census.total << len(prefix)) if mass else Fraction(0)
+
+
+def conditioned(mixture, history):
+    for b in history:
+        mixture = prior.update(mixture, b)
+    return mixture
 
 
 def reference_priors(bound, cfg):
@@ -82,6 +113,61 @@ def test_snapshot_posteriors_match_the_update_chain(cfg, history):
         for (p, w), post in zip(priors, reference_posteriors(priors, history, cfg))
     ]
     assert prior.mixture_snapshot(m) == expected
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_survivors_match_the_reference_scan(cfg):
+    rng = random.Random(f"survivors:{cfg}")
+    for bound in range(21):
+        fresh = prior.build_mixture(bound, cfg)
+        census = fresh.census
+        for _ in range(4):
+            history = "".join(rng.choice("01") for _ in range(rng.randint(0, 10)))
+            m = conditioned(fresh, history)
+            matches = tuple(reference_matches(census, history))
+            assert m.survivors == matches, (bound, history)
+            assert prior.joint_probability(m) == reference_joint_from_matches(census, history)
+            p1 = reference_joint_from_matches(census, history + "1")
+            p0 = reference_joint_from_matches(census, history + "0")
+            if p0 + p1 == 0:
+                with pytest.raises(prior.ZeroMassHistory):
+                    prior.predict_next(m)
+            else:
+                assert prior.predict_next(m) == p1 / (p0 + p1)
+        # the snapshot's posteriors, on the last history of this bound
+        lits = dict(matches)
+        mass = sum(census.classes[k][3] << lits[k] for k in lits)
+        for h, k in zip(m.hypotheses, census.members):
+            weight = 1 << (bound - len(h.program))
+            assert h.posterior == (Fraction(weight << lits[k], mass) if k in lits else 0)
+
+
+@pytest.mark.parametrize("history", ["", "0", "1", "0110", "101101", "000000"])
+def test_conditioning_then_asking_equals_asking_the_whole_prefix(history):
+    m = prior.build_mixture(16, CFG)
+    after = conditioned(m, history)
+    for n in range(4):
+        for bits in map("".join, itertools.product("01", repeat=n)):
+            assert prior.joint_probability(after, bits) == prior.joint_probability(m, history + bits)
+
+
+@pytest.mark.parametrize("bound,history", [(16, ""), (16, "01"), (18, "1"), (18, "0010")])
+def test_diagonal_from_a_conditioned_mixture_continues_the_walk(bound, history):
+    m = conditioned(prior.build_mixture(bound, CFG), history)
+    for n in (1, 2, 7):
+        bits, steps = prior.diagonal_sequence(m, n + 1)
+        rest_bits, rest_steps = prior.diagonal_sequence(prior.update(m, bits[0]), n)
+        assert bits == bits[0] + rest_bits
+        assert steps[1:] == rest_steps
+
+
+def test_diagonal_from_a_conditioned_mixture_fails_one_step_sooner():
+    m = prior.build_mixture(13, CFG)  # the walk runs out of support at step 3
+    with pytest.raises(prior.ZeroMassHistory) as full:
+        prior.diagonal_sequence(m, 5)
+    with pytest.raises(prior.ZeroMassHistory) as rest:
+        prior.diagonal_sequence(prior.update(m, full.value.history[0]), 4)
+    assert (rest.value.history, rest.value.step) == (full.value.history, full.value.step - 1)
 
 
 def test_negative_bound_is_rejected():
@@ -247,6 +333,49 @@ def test_regret_requires_member_hypothesis():
     q = tv.from_body(tv.QUOTE + "00000000")  # longer than the bound admits
     with pytest.raises(ValueError):
         prior.regret_report(q, "00000000", m, [])
+
+
+def test_regret_requires_a_fresh_mixture():
+    m = prior.update(prior.build_mixture(12, CFG), "0")
+    with pytest.raises(ValueError, match="fresh"):
+        prior.regret_report(tv.from_body(tv.QUOTE + "00"), "0", m, [])
+
+
+def test_regret_runs_no_program_once_the_census_is_built(monkeypatch):
+    # budgets no other test uses, so no cached run can stand in for a program run
+    cfg = tv.MachineConfig(step_budget=35, rand_budget=5, output_budget=9)
+    m = prior.build_mixture(15, cfg)
+
+    def no_runs(*args):
+        raise AssertionError("regret ran a program")
+
+    monkeypatch.setattr(tv, "_execute", no_runs)
+    report = prior.regret_report(tv.from_body(tv.RAND + tv.JMP), "0110", m, [Fraction(1, 2)])
+    assert report.ratio_product >= Fraction(1, 2**15)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_regret_hypothesis_side_matches_prefix_probability(cfg):
+    # every q up to bound 14, on a sequence it supports and on one it stops
+    # supporting, often partway: a bit its template refuses, or one past its end
+    rng = random.Random(f"regret:{cfg}")
+    m = prior.build_mixture(14, cfg)
+    for q in tv.enumerate_programs(14):
+        template, _halted = tv.output_template(q, cfg)
+        supported = "".join(rng.choice("01") if slot == "?" else slot for slot in template[:8])
+        cut = rng.randint(0, len(supported))
+        broken = supported[:cut] + ("1" if template[cut:cut + 1] == "0" else "0") + "01"
+        for sequence in (supported, broken):
+            if tv.prefix_probability(q, sequence, cfg) == 0:
+                with pytest.raises(prior.UnsupportedSequence):
+                    prior.regret_report(q, sequence, m, [])
+                continue
+            report = prior.regret_report(q, sequence, m, [])
+            p_q = Fraction(1)
+            for n, step in enumerate(report.per_step_hypothesis, start=1):
+                p_q *= step
+                assert p_q == tv.prefix_probability(q, sequence[:n], cfg), (q.code, sequence[:n])
+            assert report.ratio_product == prior.joint_probability(m, sequence) / p_q
 
 
 def test_diagonal_realized_bits_are_never_likely():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import ORACLE_CONFIGS
 from knightian import toyvm as tv
 
 CFG = tv.MachineConfig()
@@ -407,13 +408,6 @@ def reference_census(bound, cfg):
         for t, w in zip(index, weights.values())
     )
     return tv.Census(classes, sum(weights.values()), halted, witnesses, members)
-
-
-# (step, rand, output) budgets: the default, tight ones, no RAND, one output bit, all at the guard
-ORACLE_CONFIGS = [
-    tv.MachineConfig(*budgets)
-    for budgets in [(512, 24, 64), (20, 2, 6), (7, 0, 3), (1, 0, 1), (512, 512, 512), (40, 3, 1), (3, 5, 64)]
-]
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
