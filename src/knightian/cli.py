@@ -10,6 +10,12 @@ golden outputs stay stable.  Every report embeds the artifact version, the
 machine spec version, the seed, and an echo of the config; identical
 (config, seed, version) triples produce byte-identical reports.
 
+A command loads only the modules it reads: each handler imports its family's
+module on its first line, so a `solomonoff` command never loads `numpy`.
+`toyvm` is the one family module imported at the top, because every envelope
+quotes its machine version and every machine config is a
+`toyvm.MachineConfig`.
+
 Exit codes: 0 success, 1 validation/usage error, 2 internal error.
 """
 
@@ -22,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from . import __version__, arena, complexity, freestate, gadgets, prior, toyvm
+from . import __version__, toyvm
 from .errors import KnightianError
 
 
@@ -201,54 +207,61 @@ def _machine_config(config: dict) -> toyvm.MachineConfig:
 # -- freestate family ---------------------------------------------------------------
 
 
+def _same_dim(path: str, dim: int, first: str, first_dim: int) -> None:
+    if dim != first_dim:
+        raise KnightianError(f"{path} = {dim} must equal {first} = {first_dim}")
+
+
 def _cmd_freestate_interval(config: dict, seed) -> dict:
+    from . import freestate
+
     if "classical" in config:
-        s = freestate.classical_from_payload(config["classical"])
+        s = freestate.classical_from_payload(config["classical"], "config['classical']")
         lo, hi = freestate.event_interval(s, config["event"])
         return {"lo": float(lo), "hi": float(hi), "lo_exact": str(lo), "hi_exact": str(hi)}
-    s = freestate.freestate_from_payload(config["freestate"])
-    e = freestate.effect_from_payload(config["effect"])
+    s = freestate.freestate_from_payload(config["freestate"], "config['freestate']")
+    e = freestate.effect_from_payload(config["effect"], "config['effect']")
+    _same_dim("config['effect']['dim']", e.dim, "config['freestate']['dim']", s.dim)
     lo, hi = freestate.effect_interval(s, e)
     return {"lo": lo, "hi": hi}
 
 
-# the kinds of freestate: payload key -> (parse, write, size key)
-FREESTATE_KINDS = {
-    "classical": (freestate.classical_from_payload, freestate.classical_to_payload, "n"),
-    "freestate": (freestate.freestate_from_payload, freestate.freestate_to_payload, "dim"),
-}
-
-
-def _alike(entries: list[tuple[str, str, dict]]) -> tuple[str, list]:
-    """The kind of (path, kind, payload) entries and their sets, parsed.
+def _alike(entries: list[tuple[str, str, dict]]) -> tuple[str, Callable, list]:
+    """The kind of (path, kind, payload) entries, its payload writer, and their sets, parsed.
 
     Every entry must have the first one's kind and size; the first that does
     not is named by its path.
     """
-    _, kind, first = entries[0]
-    parse, _, size = FREESTATE_KINDS[kind]
+    from . import freestate
+
+    kinds = {  # payload key -> (parse, write, size key)
+        "classical": (freestate.classical_from_payload, freestate.classical_to_payload, "n"),
+        "freestate": (freestate.freestate_from_payload, freestate.freestate_to_payload, "dim"),
+    }
+    first_path, kind, first = entries[0]
+    parse, write, size = kinds[kind]
     for path, other, payload in entries[1:]:
         if other != kind:
             raise KnightianError(f"{path} must be a {kind!r} set like the first one, got {other!r}")
-        if payload[size] != first[size]:
-            raise KnightianError(
-                f"{path}[{size!r}] = {payload[size]} must equal the first set's {first[size]}"
-            )
-    return kind, [parse(payload) for _, _, payload in entries]
+        _same_dim(f"{path}[{size!r}]", payload[size], f"{first_path}[{size!r}]", first[size])
+    return kind, write, [parse(payload, path) for path, _, payload in entries]
 
 
 def _cmd_freestate_or(config: dict, seed) -> dict:
+    from . import freestate
+
     key = "classicals" if "classicals" in config else "freestates"
     if len(config[key]) < 2:
         raise KnightianError(f"{key!r} must hold at least two freestates")
-    kind, states = _alike(
+    kind, write, states = _alike(
         [(f"config[{key!r}][{i}]", key[:-1], payload) for i, payload in enumerate(config[key])]
     )
-    _, write, _ = FREESTATE_KINDS[kind]
     return {kind: write(freestate.knightian_or(*states))}
 
 
 def _cmd_freestate_mix(config: dict, seed) -> dict:
+    from . import freestate
+
     comps = config["components"]
     if not comps:
         raise KnightianError("'components' must hold at least one component")
@@ -256,15 +269,17 @@ def _cmd_freestate_mix(config: dict, seed) -> dict:
     for i, c in enumerate(comps):
         kind = "classical" if "classical" in c else "freestate"
         entries.append((f"config['components'][{i}][{kind!r}]", kind, c[kind]))
-    kind, states = _alike(entries)
+    kind, write, states = _alike(entries)
     weights = [_fraction(c["weight"]) for c in comps]
-    _, write, _ = FREESTATE_KINDS[kind]
     return {kind: write(freestate.prob_mix(list(zip(weights, states))))}
 
 
 def _cmd_freestate_witness(config: dict, seed) -> dict:
-    a = freestate.freestate_from_payload(config["freestate_a"])
-    b = freestate.freestate_from_payload(config["freestate_b"])
+    from . import freestate
+
+    a = freestate.freestate_from_payload(config["freestate_a"], "config['freestate_a']")
+    b = freestate.freestate_from_payload(config["freestate_b"], "config['freestate_b']")
+    _same_dim("config['freestate_b']['dim']", b.dim, "config['freestate_a']['dim']", a.dim)
     w = freestate.separating_witness(
         a,
         b,
@@ -286,11 +301,14 @@ def _cmd_freestate_witness(config: dict, seed) -> dict:
 
 
 def _cmd_freestate_clone_check(config: dict, seed) -> dict:
-    def state(rows):
-        amps = [complex(re, im) for re, im in rows]
-        return freestate.PureState(len(amps), amps)
+    from . import freestate
 
-    psi, phi = state(config["psi"]), state(config["phi"])
+    psi = freestate.pure_from_payload(config["psi"], "config['psi']")
+    phi = freestate.pure_from_payload(config["phi"], "config['phi']")
+    if phi.dim != psi.dim:
+        raise KnightianError(
+            f"config['phi'] has {phi.dim} amplitudes, but config['psi'] has {psi.dim}"
+        )
     return {
         "feasible": freestate.clone_feasible(psi, phi),
         "overlap_modulus": abs(psi.overlap(phi)),
@@ -301,6 +319,8 @@ def _cmd_freestate_clone_check(config: dict, seed) -> dict:
 
 
 def _cmd_solomonoff_predict(config: dict, seed) -> dict:
+    from . import prior
+
     mixture = prior.build_mixture(config["bound"], _machine_config(config))
     for bit in config["history"]:
         mixture = prior.update(mixture, bit)
@@ -312,6 +332,8 @@ def _cmd_solomonoff_predict(config: dict, seed) -> dict:
 
 
 def _cmd_solomonoff_regret(config: dict, seed) -> dict:
+    from . import prior
+
     mixture = prior.build_mixture(config["bound"], _machine_config(config))
     try:
         q = toyvm.decode(config["q"])
@@ -353,6 +375,8 @@ def _regret_csv(result: dict):
 
 
 def _cmd_solomonoff_diagonal(config: dict, seed) -> dict:
+    from . import prior
+
     mixture = prior.build_mixture(config["bound"], _machine_config(config))
     bits, steps = prior.diagonal_sequence(mixture, config["n"])
     return {
@@ -365,6 +389,8 @@ def _cmd_solomonoff_diagonal(config: dict, seed) -> dict:
 
 
 def _cmd_solomonoff_omega(config: dict, seed) -> dict:
+    from . import prior
+
     cfg = _machine_config(config)
     value = prior.omega_truncated(config["bound"], cfg)
     return {"omega": _rat(value), "bound": config["bound"], "step_budget": cfg.step_budget}
@@ -374,6 +400,8 @@ def _cmd_solomonoff_omega(config: dict, seed) -> dict:
 
 
 def _complexity_payload(result) -> dict:
+    from . import complexity
+
     if isinstance(result, complexity.NotFound):
         return {
             "found": False,
@@ -394,12 +422,16 @@ def _complexity_payload(result) -> dict:
 
 
 def _cmd_soph_k(config: dict, seed) -> dict:
+    from . import complexity
+
     return _complexity_payload(
         complexity.kolmogorov(config["x"], config["bound"], _machine_config(config))
     )
 
 
 def _cmd_soph_kset(config: dict, seed) -> dict:
+    from . import complexity
+
     listing = complexity.SetListing(tuple(config["elements"]))
     return _complexity_payload(
         complexity.set_complexity(listing, config["bound"], _machine_config(config))
@@ -407,6 +439,8 @@ def _cmd_soph_kset(config: dict, seed) -> dict:
 
 
 def _cmd_soph_soph(config: dict, seed) -> dict:
+    from . import complexity
+
     return _complexity_payload(
         complexity.sophistication(
             config["x"], config["c"], config["bound"], _machine_config(config)
@@ -415,6 +449,8 @@ def _cmd_soph_soph(config: dict, seed) -> dict:
 
 
 def _cmd_soph_table(config: dict, seed) -> dict:
+    from . import complexity
+
     rows = complexity.tabulate(
         config["lengths"], config["cs"], config["bound"], _machine_config(config)
     )
@@ -437,6 +473,8 @@ def _table_csv(result: dict):
 
 def _subject(spec) -> arena.Subject:
     """A stock subject by name, or a subject object parsed once."""
+    from . import arena
+
     if not isinstance(spec, str):
         return arena.subject_from_payload(spec)
     if spec not in arena.STOCK_SUBJECTS:
@@ -447,12 +485,16 @@ def _subject(spec) -> arena.Subject:
 
 
 def _predictor(spec: dict):
+    from . import arena
+
     if spec["kind"] == "table":
         return arena.TablePredictor(spec.get("context", 1))
     return arena.BayesPredictor([_subject(m) for m in spec["family"]])
 
 
 def _cmd_arena_run(config: dict, seed) -> dict:
+    from . import arena
+
     if seed is None:
         raise KnightianError("arena run is stochastic: --seed is required")
     game = config["game"]
@@ -465,6 +507,8 @@ def _cmd_arena_run(config: dict, seed) -> dict:
 
 
 def _cmd_arena_classify(config: dict, seed) -> dict:
+    from . import arena
+
     if seed is None:
         raise KnightianError("arena classify is stochastic: --seed is required")
     subjects = [_subject(s) for s in config["class"]]
@@ -487,6 +531,8 @@ def _cmd_arena_classify(config: dict, seed) -> dict:
 
 
 def _cmd_gadgets_chsh_classical(config: dict, seed) -> dict:
+    from . import gadgets
+
     result = gadgets.chsh_classical_optimum()
     return {
         "value": _rat(result.value),
@@ -510,6 +556,8 @@ def _chsh_csv(result: dict):
 
 
 def _cmd_gadgets_chsh_quantum(config: dict, seed) -> dict:
+    from . import gadgets
+
     alice = tuple(float(a) for a in config.get("alice", gadgets.CHSH_OPTIMAL_ALICE))
     bob = tuple(float(b) for b in config.get("bob", gadgets.CHSH_OPTIMAL_BOB))
     return {
@@ -520,6 +568,8 @@ def _cmd_gadgets_chsh_quantum(config: dict, seed) -> dict:
 
 
 def _cmd_gadgets_bostrom(config: dict, seed) -> dict:
+    from . import gadgets
+
     if "variant" in config:
         variants = {1: gadgets.bostrom_variant_one, 2: gadgets.bostrom_variant_two}
         puzzle = variants[config["variant"]]()
@@ -549,6 +599,8 @@ BOX_GUARD = 10**300
 
 
 def _cmd_gadgets_newcomb(config: dict, seed) -> dict:
+    from . import gadgets
+
     box_one = config.get("box_one", 1_000_000)
     box_two = config.get("box_two", 1_000)
     for key, box in (("box_one", box_one), ("box_two", box_two)):
@@ -565,7 +617,9 @@ def _cmd_gadgets_newcomb(config: dict, seed) -> dict:
 
 
 def _cmd_gadgets_causal(config: dict, seed) -> dict:
-    graph = gadgets.graph_from_payload(config)
+    from . import gadgets
+
+    graph = gadgets.graph_from_payload(config, "config")
     violations = gadgets.causal_validate(
         graph, check_disjoint_macro=config.get("check_disjoint_macro", True)
     )

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import KnightianError
+from .errors import KnightianError, at
 
 TOL_NORM = 1e-9
 TOL_HERMITIAN = 1e-9
@@ -193,23 +193,26 @@ class ClassicalFreestate:
     generators: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        gens = []
-        for g in self.generators:
-            vec = tuple(Fraction(v) if not isinstance(v, float) else _decimal_fraction(v) for v in g)
-            if len(vec) != self.dim:
-                raise ValueError(f"expected {self.dim} outcomes, got {len(vec)}")
-            if any(v < 0 for v in vec):
-                raise ValueError("probabilities must be nonnegative")
-            if abs(sum(vec) - 1) > TOL_WEIGHTS:
-                raise ValueError(f"probabilities in 'generators' sum to {sum(vec)}, not 1")
-            gens.append(vec)
+        gens = tuple(_probabilities(g, self.dim) for g in self.generators)
         if not gens:
             raise ValueError("a freestate needs at least one generator")
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", gens)
 
     def weighted_sum(self, weights: list[Fraction], choice) -> tuple[Fraction, ...]:
         """sum_i weights[i] * choice[i], one generator of a mixture."""
         return tuple(sum(w * g[i] for w, g in zip(weights, choice)) for i in range(self.dim))
+
+
+def _probabilities(g, dim: int) -> tuple[Fraction, ...]:
+    """One classical generator, read exactly: dim nonnegative rationals summing to 1."""
+    vec = tuple(Fraction(v) if not isinstance(v, float) else _decimal_fraction(v) for v in g)
+    if len(vec) != dim:
+        raise ValueError(f"expected {dim} outcomes, got {len(vec)}")
+    if any(v < 0 for v in vec):
+        raise ValueError("probabilities must be nonnegative")
+    if abs(sum(vec) - 1) > TOL_WEIGHTS:
+        raise ValueError(f"probabilities sum to {sum(vec)}, not 1")
+    return vec
 
 
 def _decimal_fraction(x) -> Fraction:
@@ -254,7 +257,7 @@ def prob_mix(
     if not weights:
         raise BadWeights("no components")
     if any(w < 0 for w in weights):
-        raise BadWeights("weights must be nonnegative")
+        raise BadWeights("'weight' values must be nonnegative")
     if abs(sum(weights) - 1) > TOL_WEIGHTS:
         raise BadWeights(f"'weight' values sum to {sum(weights)}, not 1")
     states = [s for _, s in components]
@@ -541,6 +544,9 @@ def full_freebit() -> Freestate:
 
 
 # -- JSON -------------------------------------------------------------------------
+#
+# Each reader takes the path of its payload, e.g. config['freestate'], and names
+# it, down to the generator index, in any validation error it raises.
 
 
 def _matrix_payload(m: np.ndarray) -> list:
@@ -555,24 +561,39 @@ def freestate_to_payload(s: Freestate) -> dict:
     return {"dim": s.dim, "generators": [_matrix_payload(g.entries) for g in s.generators]}
 
 
-def freestate_from_payload(payload: dict) -> Freestate:
+def freestate_from_payload(payload: dict, path: str = "payload") -> Freestate:
     dim = int(payload["dim"])
-    gens = tuple(DensityMatrix(dim, _matrix_from_payload(g)) for g in payload["generators"])
-    return Freestate(dim, gens)
+    gens = []
+    for i, g in enumerate(payload["generators"]):
+        with at(f"{path}['generators'][{i}]"):
+            gens.append(DensityMatrix(dim, _matrix_from_payload(g)))
+    with at(f"{path}['generators']"):
+        return Freestate(dim, tuple(gens))
 
 
 def classical_to_payload(s: ClassicalFreestate) -> dict:
     return {"n": s.dim, "generators": [[str(v) for v in g] for g in s.generators]}
 
 
-def classical_from_payload(payload: dict) -> ClassicalFreestate:
-    return ClassicalFreestate(payload["n"], payload["generators"])
+def classical_from_payload(payload: dict, path: str = "payload") -> ClassicalFreestate:
+    gens = []
+    for i, g in enumerate(payload["generators"]):
+        with at(f"{path}['generators'][{i}]"):
+            gens.append(_probabilities(g, payload["n"]))
+    with at(f"{path}['generators']"):
+        return ClassicalFreestate(payload["n"], tuple(gens))
 
 
-def effect_from_payload(payload: dict) -> Effect:
-    dim = int(payload["dim"])
-    return Effect(dim, _matrix_from_payload(payload["entries"]))
+def effect_from_payload(payload: dict, path: str = "payload") -> Effect:
+    with at(f"{path}['entries']"):
+        return Effect(int(payload["dim"]), _matrix_from_payload(payload["entries"]))
 
 
 def effect_to_payload(e: Effect) -> dict:
     return {"dim": e.dim, "entries": _matrix_payload(e.entries)}
+
+
+def pure_from_payload(rows: list, path: str = "payload") -> PureState:
+    """A pure state from its [re, im] amplitude rows."""
+    with at(path):
+        return PureState(len(rows), [complex(re, im) for re, im in rows])

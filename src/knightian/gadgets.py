@@ -2,7 +2,8 @@
 predictor's two boxes, and the micro/macro causal-arrow discipline.
 
 Everything classical here is exact rational arithmetic; only the quantum
-measurement angles use floats.
+measurement angles use floats.  `numpy` and `freestate` load only for the
+quantum CHSH value, so the other gadgets run without them.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import freestate
-from .errors import KnightianError
-from .freestate import DensityMatrix, Effect, PureState
+from .errors import KnightianError, at
 
 
 # -- CHSH --------------------------------------------------------------------------
@@ -50,13 +47,19 @@ def chsh_classical_optimum() -> ClassicalChshResult:
     return ClassicalChshResult(best["value"], (best["alice"], best["bob"]), tuple(rows))
 
 
-def _bell_pair() -> DensityMatrix:
+def _bell_pair():
+    import numpy as np
+
+    from . import freestate
+
     amps = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    return PureState(4, amps).projector()
+    return freestate.PureState(4, amps).projector()
 
 
-def _about_axis(theta: float, outcome: int) -> np.ndarray:
+def _about_axis(theta: float, outcome: int):
     """Rank-1 projector for measuring along angle theta in the X-Z plane."""
+    import numpy as np
+
     v = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
     if outcome == 1:
         v = np.array([-math.sin(theta), math.cos(theta)], dtype=complex)
@@ -72,6 +75,10 @@ def chsh_quantum_value(
     probability for each (x, y) is an effect expectation on the shared
     two-qubit state.
     """
+    import numpy as np
+
+    from . import freestate
+
     rho = _bell_pair()
     total = 0.0
     for x, y in itertools.product((0, 1), repeat=2):
@@ -80,7 +87,7 @@ def chsh_quantum_value(
             if (a + b) % 2 != (x & y):
                 continue
             proj = np.kron(_about_axis(alice_angles[x], a), _about_axis(bob_angles[y], b))
-            win += freestate.expectation(rho, Effect(4, proj))
+            win += freestate.expectation(rho, freestate.Effect(4, proj))
         total += win
     return total / 4
 
@@ -107,22 +114,31 @@ class RoomPuzzle:
     counting_rule: str = "copy-weighted"
 
     def __post_init__(self):
-        if len(self.heads_colors) != self.copies_if_heads:
-            raise ValueError("heads branch room count mismatch")
-        if len(self.tails_colors) != self.copies_if_tails:
-            raise ValueError("tails branch room count mismatch")
-        if self.copies_if_heads < 1 or self.copies_if_tails < 1:
-            raise ValueError("each branch needs at least one copy")
+        # each message names the fields at fault, which are also the CLI's keys
+        for branch, copies, colors in (
+            ("heads", self.copies_if_heads, self.heads_colors),
+            ("tails", self.copies_if_tails, self.tails_colors),
+        ):
+            if len(colors) != copies:
+                raise ValueError(
+                    f"'{branch}_colors' lists {len(colors)} rooms, "
+                    f"but 'copies_if_{branch}' is {copies}"
+                )
+            if copies < 1:
+                raise ValueError(f"'copies_if_{branch}' must be at least 1, got {copies}")
         if not (0 <= self.prior_heads <= 1):
-            raise ValueError("prior must be a probability")
+            raise ValueError(f"'prior_heads' = {self.prior_heads} must be a probability")
         if self.counting_rule not in ("copy-weighted", "branch-weighted"):
-            raise ValueError(f"unknown counting rule {self.counting_rule!r}")
+            raise ValueError(
+                "'counting_rule' must be 'copy-weighted' or 'branch-weighted', "
+                f"got {self.counting_rule!r}"
+            )
         if (
             self.observed_color not in self.heads_colors
             and self.observed_color not in self.tails_colors
         ):
             raise NoMatchingRoom(
-                f"color {self.observed_color!r} appears in neither branch"
+                f"'observed_color' {self.observed_color!r} appears in neither branch"
             )
 
 
@@ -147,7 +163,10 @@ def bostrom_posterior(puzzle: RoomPuzzle) -> RoomPosterior:
         num = puzzle.prior_heads * lik_heads
         den = num + (1 - puzzle.prior_heads) * lik_tails
         if den == 0:
-            raise NoMatchingRoom("observation impossible under both branches")
+            raise NoMatchingRoom(
+                f"'observed_color' {puzzle.observed_color!r} has probability 0 "
+                f"under 'prior_heads' = {puzzle.prior_heads}"
+            )
         return num / den
 
     copy = posterior(
@@ -196,7 +215,7 @@ def newcomb_expected(
         return accuracy * box_one
     if policy == "two-box":
         return (1 - accuracy) * box_one + box_two
-    raise ValueError(f"policy must be 'one-box' or 'two-box', got {policy!r}")
+    raise ValueError(f"'policy' must be 'one-box' or 'two-box', got {policy!r}")
 
 
 def newcomb_crossover(box_one: int = 1_000_000, box_two: int = 1_000) -> Fraction:
@@ -235,8 +254,12 @@ class CausalGraph:
             raise MalformedGraph("duplicate node ids")
         known = set(ids)
         for c, e in self.edges:
-            if c not in known or e not in known:
-                raise MalformedGraph(f"edge ({c!r}, {e!r}) touches unknown node")
+            _check_edge(c, e, known)
+
+
+def _check_edge(cause: str, effect: str, known: set[str]) -> None:
+    if cause not in known or effect not in known:
+        raise MalformedGraph(f"edge ({cause!r}, {effect!r}) touches unknown node")
 
 
 @dataclass(frozen=True)
@@ -324,10 +347,20 @@ def acyclicity_check(graph: CausalGraph) -> bool:
     return True
 
 
-def graph_from_payload(payload: dict) -> CausalGraph:
+def graph_from_payload(payload: dict, path: str = "payload") -> CausalGraph:
+    """The graph a payload describes; a bad node kind, edge or duplicate id is
+    named by its path under path, e.g. config['edges'][1]."""
     try:
-        nodes = tuple(CausalNode(n["id"], n["kind"], n["time"]) for n in payload["nodes"])
+        nodes = []
+        for i, n in enumerate(payload["nodes"]):
+            with at(f"{path}['nodes'][{i}]['kind']"):  # a node checks only its kind
+                nodes.append(CausalNode(n["id"], n["kind"], n["time"]))
         edges = tuple((c, e) for c, e in payload["edges"])
     except (KeyError, TypeError) as exc:
         raise MalformedGraph(f"bad graph payload: {exc}") from exc
-    return CausalGraph(nodes, edges)
+    known = {n.id for n in nodes}
+    for i, (c, e) in enumerate(edges):
+        with at(f"{path}['edges'][{i}]"):
+            _check_edge(c, e, known)
+    with at(f"{path}['nodes']"):
+        return CausalGraph(tuple(nodes), edges)

@@ -241,6 +241,21 @@ CAUSAL_GRAPH = {"nodes": timed_nodes(0, 1), "edges": [["F", "f"]]}
 NAN, INF = float("nan"), float("inf")
 HUGE_CLASSICAL = {"n": 2, "generators": [["1e400", "0.1"]]}
 BIG_INT_CLASSICAL = {"n": 2, "generators": [[10**400, 0]]}
+CLASSICAL_ONE = {"n": 2, "generators": [["1", "0"]]}
+NEGATIVE_CLASSICAL = {"n": 2, "generators": [["1", "0"], ["-1", "2"]]}
+SKEW = [[[0, 0], [5, 0]], [[0, 0], [0, 0]]]  # off by 5 from its transpose
+TRACE_TWO = [[[2, 0], [0, 0]], [[0, 0], [0, 0]]]
+QUTRIT_0 = {"dim": 3, "generators": [[[[1, 0], [0, 0], [0, 0]], [[0, 0]] * 3, [[0, 0]] * 3]]}
+QUANTUM_INTERVAL = {"freestate": QUBIT_0, "effect": {"dim": 2, "entries": PROJECTOR_0}}
+ROOM_PUZZLE = {
+    "prior_heads": "1/2",
+    "copies_if_heads": 2,
+    "copies_if_tails": 1,
+    "heads_colors": ["blue", "white"],
+    "tails_colors": ["white"],
+    "observed_color": "white",
+    "counting_rule": "branch-weighted",
+}
 
 
 def with_edge(payload, **changes):
@@ -373,6 +388,27 @@ def oblivious_gerbil_game(freebit_budget):
         # well typed, but not one program
         (("solomonoff", "regret"), {**REGRET, "q": "0001", "eps": []}, "q"),
         (("solomonoff", "regret"), {**REGRET, "q": EMIT_ZERO_Q[:10], "eps": []}, "q"),
+        # well typed, but a set fails the library's check: a key that is a path is quoted whole
+        (("freestate", "interval"), {**QUANTUM_INTERVAL, "freestate": {"dim": 2, "generators": [PROJECTOR_0, SKEW]}}, "config['freestate']['generators'][1]"),
+        (("freestate", "interval"), {**QUANTUM_INTERVAL, "effect": {"dim": 2, "entries": SKEW}}, "config['effect']['entries']"),
+        (("freestate", "interval"), {**KNIGHT_CLASSICAL, "classical": NEGATIVE_CLASSICAL}, "config['classical']['generators'][1]"),
+        (("freestate", "or"), {"classicals": [CLASSICAL_ONE, NEGATIVE_CLASSICAL]}, "config['classicals'][1]['generators'][1]"),
+        (("freestate", "witness"), {**WITNESS, "freestate_b": {"dim": 2, "generators": [TRACE_TWO]}}, "config['freestate_b']['generators'][0]"),
+        (("freestate", "clone-check"), {"psi": [[0, 0], [0, 0]], "phi": [[1, 0], [0, 0]]}, "config['psi']"),
+        (("freestate", "interval"), {"freestate": QUTRIT_0, "effect": {"dim": 3, "entries": PROJECTOR_0}}, "config['effect']['entries']"),
+        (("freestate", "interval"), {"freestate": QUTRIT_0, "effect": {"dim": 2, "entries": PROJECTOR_0}}, "config['effect']['dim']"),
+        (("freestate", "interval"), {**QUANTUM_INTERVAL, "freestate": {"dim": 3, "generators": [PROJECTOR_0]}}, "config['freestate']['generators'][0]"),
+        (("freestate", "witness"), {**WITNESS, "freestate_b": QUTRIT_0}, "config['freestate_b']['dim']"),
+        (("freestate", "clone-check"), {"psi": [[1, 0], [0, 0]], "phi": [[1, 0], [0, 0], [0, 0]]}, "config['phi']"),
+        (("freestate", "mix"), {"components": [{"weight": "-1", "classical": CLASSICAL_ONE}, {"weight": "2", "classical": CLASSICAL_ONE}]}, "weight"),
+        # well typed, but a gadget's own check fails
+        (("gadgets", "bostrom"), {**ROOM_PUZZLE, "prior_heads": "3/2"}, "prior_heads"),
+        (("gadgets", "bostrom"), {**ROOM_PUZZLE, "copies_if_heads": 3}, ("copies_if_heads", "heads_colors")),
+        (("gadgets", "bostrom"), {**ROOM_PUZZLE, "counting_rule": "zzz"}, "counting_rule"),
+        (("gadgets", "bostrom"), {**ROOM_PUZZLE, "prior_heads": "0", "observed_color": "blue"}, ("observed_color", "prior_heads")),
+        (("gadgets", "causal"), {**CAUSAL_GRAPH, "nodes": [CAUSAL_GRAPH["nodes"][0], {"id": "F", "kind": "zz", "time": 1}]}, "config['nodes'][1]['kind']"),
+        (("gadgets", "causal"), {**CAUSAL_GRAPH, "edges": [["F", "f"], ["a", "b"]]}, "config['edges'][1]"),
+        (("gadgets", "newcomb"), {**NEWCOMB, "policy": ""}, "policy"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -381,7 +417,7 @@ def test_solomonoff_config_types_are_strict(tmp_path, capsys, command, config, k
     code, out, err = invoke(capsys, *command, "--config", path, "--seed", "1")
     assert code == 1, err
     for name in (key,) if isinstance(key, str) else key:
-        assert repr(name) in err, err
+        assert (name if name.startswith("config[") else repr(name)) in err, err
 
 
 def test_an_exponent_past_the_guard_is_refused_before_it_is_expanded():
@@ -393,15 +429,6 @@ def test_an_exponent_past_the_guard_is_refused_before_it_is_expanded():
     assert cli._fraction(1e308) == 10**308
 
 
-ROOM_PUZZLE = {
-    "prior_heads": "1/2",
-    "copies_if_heads": 2,
-    "copies_if_tails": 1,
-    "heads_colors": ["blue", "white"],
-    "tails_colors": ["white"],
-    "observed_color": "white",
-    "counting_rule": "branch-weighted",
-}
 CLASSICAL = KNIGHT_CLASSICAL["classical"]
 MACHINE = {"step_budget": 64, "rand_budget": 4, "output_budget": 8}
 BAYES = {"kind": "bayes", "name": "b", "family": ["parrot", "fair-coin"]}
@@ -819,15 +846,52 @@ def test_arena_trials_guard_over_the_cli(tmp_path, capsys):
         assert "trials" in err
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
+# Runs one command in a fresh interpreter, then prints the knightian modules
+# it loaded and whether numpy and scipy were loaded.
+FOOTPRINT_PROBE = """
+import json, sys
+from knightian import cli
+argv = sys.argv[1:]
+if argv:
+    assert cli.dispatch(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.startswith("knightian."))
+print(json.dumps([loaded, "numpy" in sys.modules, "scipy" in sys.modules]))
+"""
+CLI_CORE = ["knightian.cli", "knightian.errors", "knightian.toyvm"]
+
+
+# (command, config, the knightian modules it adds to the CLI's, numpy loaded, scipy loaded)
+FOOTPRINTS = [
+    ((), None, [], False, False),
+    (("solomonoff", "omega"), {"bound": 4}, ["prior"], False, False),
+    (("soph", "k"), {"x": "0", "bound": 8}, ["complexity"], False, False),
+    (("arena", "run"), RUN, ["arena"], False, False),
+    (("gadgets", "newcomb"), NEWCOMB, ["gadgets"], False, False),
+    (("gadgets", "chsh-classical"), {}, ["gadgets"], False, False),
+    (("gadgets", "chsh-quantum"), {}, ["freestate", "gadgets"], True, False),
+    (("freestate", "witness"), WITNESS, ["freestate"], True, True),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, added, numpy, scipy",
+    FOOTPRINTS,
+    ids=["-".join(command) or "import" for command, *_ in FOOTPRINTS],
+)
+def test_each_command_imports_only_its_family(tmp_path, command, config, added, numpy, scipy):
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = "import sys, knightian.cli; print('scipy' in sys.modules)"
+    argv = []
+    if command:
+        report = tmp_path / "report.json"
+        argv = [*command, "--config", write_config(tmp_path, config), "--seed", "1", "--out", str(report)]
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", FOOTPRINT_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    loaded = sorted(CLI_CORE + [f"knightian.{module}" for module in added])
+    assert json.loads(done.stdout) == [loaded, numpy, scipy]
 
 
 def test_python_dash_m_knightian_runs_the_cli():
