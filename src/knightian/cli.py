@@ -471,25 +471,26 @@ def _table_csv(result: dict):
 # -- arena family ----------------------------------------------------------------------
 
 
-def _subject(spec) -> arena.Subject:
-    """A stock subject by name, or a subject object parsed once."""
+def _subject(spec, path: str) -> arena.Subject:
+    """A stock subject by name, or a subject object parsed once; path names the entry."""
     from . import arena
 
     if not isinstance(spec, str):
         return arena.subject_from_payload(spec)
     if spec not in arena.STOCK_SUBJECTS:
         raise KnightianError(
-            f"unknown stock subject {spec!r}; have {sorted(arena.STOCK_SUBJECTS)}"
+            f"{path}: unknown stock subject {spec!r}; have {sorted(arena.STOCK_SUBJECTS)}"
         )
     return arena.STOCK_SUBJECTS[spec]()
 
 
-def _predictor(spec: dict):
+def _predictor(spec: dict, path: str):
     from . import arena
 
     if spec["kind"] == "table":
         return arena.TablePredictor(spec.get("context", 1))
-    return arena.BayesPredictor([_subject(m) for m in spec["family"]])
+    members = enumerate(spec["family"])
+    return arena.BayesPredictor([_subject(m, f"{path}['family'][{i}]") for i, m in members])
 
 
 def _cmd_arena_run(config: dict, seed) -> dict:
@@ -501,7 +502,9 @@ def _cmd_arena_run(config: dict, seed) -> dict:
     rationals = {k: _fraction(game[k]) for k in ("epsilon", "delta")}
     cfg = arena.GameConfig(**{**game, **rationals}, seed=seed)
     verdict = arena.run_game(
-        _subject(config["subject"]), _predictor(config["predictor"]), cfg
+        _subject(config["subject"], "config['subject']"),
+        _predictor(config["predictor"], "config['predictor']"),
+        cfg,
     )
     return {"verdict": verdict.to_payload()}
 
@@ -511,10 +514,10 @@ def _cmd_arena_classify(config: dict, seed) -> dict:
 
     if seed is None:
         raise KnightianError("arena classify is stochastic: --seed is required")
-    subjects = [_subject(s) for s in config["class"]]
+    subjects = [_subject(s, f"config['class'][{i}]") for i, s in enumerate(config["class"])]
     predictors = [
-        (spec.get("name", spec["kind"]), _predictor(spec))
-        for spec in config["predictors"]
+        (spec.get("name", spec["kind"]), _predictor(spec, f"config['predictors'][{i}]"))
+        for i, spec in enumerate(config["predictors"])
     ]
     horizon, schedule = config["horizon"], config["schedule"]
     for i, (t, _, _) in enumerate(schedule):

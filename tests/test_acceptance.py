@@ -146,6 +146,16 @@ def test_c06_sophistication_suite():
             assert sum(1 for v in k_values.values() if v <= k) <= 2 ** (k + 1)
 
 
+def test_table_at_the_guard_is_affordable():
+    with criterion("soph table at TABLE_GUARD, cs 0-9, bound 24, cold caches", 2.0):
+        # a row reads K(x) and x's listers once; no set of width <= 8 holds x
+        for cache in (tv.census, cx._listable_sets, cx._listers):
+            cache.cache_clear()
+        rows = cx.tabulate([cx.TABLE_GUARD], list(range(10)), 24, tv.MachineConfig())
+        assert len(rows) == 2**cx.TABLE_GUARD
+        assert all(row[f"soph_{c}"] is None for row in rows for c in range(10))
+
+
 def test_c07_arena_reference_classes():
     with criterion("C07 arena: learnable classes pass, freebits defeat", 10.0):
         schedule = dict(epsilon=F(1, 20), delta=F(1, 20), trials=200)

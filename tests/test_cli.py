@@ -409,6 +409,12 @@ def oblivious_gerbil_game(freebit_budget):
         (("gadgets", "causal"), {**CAUSAL_GRAPH, "nodes": [CAUSAL_GRAPH["nodes"][0], {"id": "F", "kind": "zz", "time": 1}]}, "config['nodes'][1]['kind']"),
         (("gadgets", "causal"), {**CAUSAL_GRAPH, "edges": [["F", "f"], ["a", "b"]]}, "config['edges'][1]"),
         (("gadgets", "newcomb"), {**NEWCOMB, "policy": ""}, "policy"),
+        # well typed, but not a set listing
+        (("soph", "kset"), {"elements": ["01", "1"], "bound": 12}, "elements"),
+        (("soph", "kset"), {"elements": [], "bound": 12}, "elements"),
+        # a table with no lengths still reads its bound: both exited 0 with no rows
+        (("soph", "table"), {"lengths": [], "cs": [1], "bound": 99}, "bound"),
+        (("soph", "table"), {"lengths": [], "cs": [1], "bound": -1}, "bound"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -672,6 +678,19 @@ def test_missing_nested_key_is_named(tmp_path, capsys):
         ("run", {**RUN, "game": {**GAME, "delta": "1"}}, "config['game']['delta'] must be a rational in (0, 1), got '1'"),
         # a label rests on games played, so a class needs a predictor to play them
         ("classify", {**CLASSIFY, "predictors": []}, "'predictors' is empty: a class is labelled only by games played"),
+        # an unknown stock name: the message names its entry
+        ("run", {**RUN, "subject": ""}, "config['subject']: unknown stock subject ''; have"),
+        (
+            "run",
+            {**RUN, "predictor": {"kind": "bayes", "family": ["parrot", "nope"]}},
+            "config['predictor']['family'][1]: unknown stock subject 'nope'",
+        ),
+        ("classify", {**CLASSIFY, "class": ["parrot", "gerbilx"]}, "config['class'][1]: unknown stock subject 'gerbilx'"),
+        (
+            "classify",
+            {**CLASSIFY, "predictors": [{"kind": "table"}, {"kind": "bayes", "family": ["nope"]}]},
+            "config['predictors'][1]['family'][0]: unknown stock subject 'nope'",
+        ),
     ],
 )
 def test_subject_payloads_are_typed(tmp_path, capsys, command, config, message):
@@ -910,6 +929,21 @@ def test_python_dash_m_knightian_runs_the_cli():
     done = run("gadgets", "no-such-command")
     assert done.returncode == 1
     assert "no-such-command" in done.stderr
+
+
+def test_a_deviation_past_the_float_range_is_one_error_line(tmp_path):
+    # 1e308 - (-1e308) overflows to inf: the report is the error alone, with no numpy warning
+    huge = [[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]]
+    config = write_config(tmp_path, {**WITNESS, "freestate_b": {"dim": 2, "generators": [huge]}})
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "knightian", "freestate", "witness", "--config", config],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr == (
+        "error: config['freestate_b']['generators'][0]: matrix is not Hermitian (max deviation inf)\n"
+    )
 
 
 def test_soph_subcommands(tmp_path, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ORACLE_CONFIGS
 from knightian import complexity as cx, toyvm as tv
 
 CFG = tv.MachineConfig()
@@ -263,13 +264,64 @@ def reference_sophistication(x, c, bound, cfg):
     )
 
 
+def reference_row(x, cs, bound, cfg):
+    """A table row built from reference_sophistication."""
+    kx = cx.kolmogorov(x, bound, cfg)
+    row = {"x": x, "k": None if isinstance(kx, cx.NotFound) else kx.value}
+    for c in cs:
+        s = reference_sophistication(x, c, bound, cfg)
+        row[f"soph_{c}"] = None if isinstance(s, cx.NotFound) else s.value
+    return row
+
+
+# every string the listing convention can hold: widths 1..8, and the empty string
+LISTABLE_LENGTHS = list(range(cx.LISTING_MAX_WIDTH + 1))
+WIDE_CS = list(range(-1, 13))
+
+
+def strings(lengths):
+    return [x for n in lengths for x in map("".join, itertools.product("01", repeat=n))]
+
+
 def test_sophistication_matches_the_min_over_every_qualifying_set():
-    for n in range(5):
-        for x in map("".join, itertools.product("01", repeat=n)):
-            for c in (-1, 0, 2, 6, 12):
-                assert cx.sophistication(x, c, BOUND, CFG) == reference_sophistication(
-                    x, c, BOUND, CFG
-                ), (x, c)
+    for bound in (12, 16, 20, 24):
+        for x in strings(LISTABLE_LENGTHS):
+            for c in WIDE_CS:
+                assert cx.sophistication(x, c, bound, CFG) == reference_sophistication(
+                    x, c, bound, CFG
+                ), (x, c, bound)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_sophistication_matches_the_reference_under_every_oracle_config(cfg):
+    for x in strings(LISTABLE_LENGTHS):
+        for c in WIDE_CS:
+            assert cx.sophistication(x, c, 16, cfg) == reference_sophistication(x, c, 16, cfg), (x, c)
+
+
+@pytest.mark.parametrize("bound", [16, 24])
+def test_tabulate_rows_match_the_reference_rows(bound):
+    rows = cx.tabulate(LISTABLE_LENGTHS, WIDE_CS, bound, CFG)
+    assert rows == [reference_row(x, WIDE_CS, bound, CFG) for x in strings(LISTABLE_LENGTHS)]
+
+
+def test_each_string_lists_the_sets_holding_it_in_the_listable_order():
+    sets = cx._listable_sets(24, CFG)
+    index = cx._listers(24, CFG)
+    assert sum(map(len, index.values())) == sum(map(len, sets))
+    for x, entries in index.items():
+        holding = [(len(p), (len(e) - 1).bit_length(), e, p) for e, p in sets.items() if x in e]
+        assert [(k, exponent, s.elements, p) for k, exponent, s, p in entries] == holding
+
+
+def test_the_lister_scan_stops_at_the_first_set_past_the_budget():
+    def entries():
+        yield (5, 3, None, None)  # 5 + 3 > 7
+        yield (8, 0, None, None)  # K(S) = 8 > 7: the scan stops here
+        raise AssertionError("read past the budget")
+
+    assert cx._first_qualifying(entries(), 7) is None
+    assert cx._first_qualifying(entries(), 8) == (5, 3, None, None)
 
 
 def test_sophistication_takes_any_c():
