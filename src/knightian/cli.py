@@ -29,12 +29,11 @@ from fractions import Fraction
 from typing import Callable
 
 from . import __version__, toyvm
-from .errors import KnightianError
+from .errors import KnightianError, at
 
 
 class UsageExit(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -476,7 +475,8 @@ def _subject(spec, path: str) -> arena.Subject:
     from . import arena
 
     if not isinstance(spec, str):
-        return arena.subject_from_payload(spec)
+        with at(path):
+            return arena.subject_from_payload(spec)
     if spec not in arena.STOCK_SUBJECTS:
         raise KnightianError(
             f"{path}: unknown stock subject {spec!r}; have {sorted(arena.STOCK_SUBJECTS)}"

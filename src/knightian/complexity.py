@@ -129,15 +129,6 @@ def parse_listing(bits: str) -> SetListing:
     return SetListing(tuple(pieces))
 
 
-def render_listing(listing: SetListing) -> str:
-    """Canonical explicit output for a set (sorted elements; no cube form)."""
-    if listing.width > LISTING_MAX_WIDTH:
-        raise ValueError(f"width {listing.width} beyond {LISTING_MAX_WIDTH}")
-    return format(listing.width - 1, f"0{LISTING_WIDTH_FIELD}b") + "".join(
-        listing.elements
-    )
-
-
 def kolmogorov(
     x: str, bound: int, cfg: MachineConfig = MachineConfig()
 ) -> ComplexityResult | NotFound:

@@ -258,8 +258,9 @@ class CausalGraph:
 
 
 def _check_edge(cause: str, effect: str, known: set[str]) -> None:
-    if cause not in known or effect not in known:
-        raise MalformedGraph(f"edge ({cause!r}, {effect!r}) touches unknown node")
+    for node in (cause, effect):
+        if node not in known:
+            raise MalformedGraph(f"edge ({cause!r}, {effect!r}): {node!r} is not an 'id' in 'nodes'")
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,6 @@ OPCODE_NAMES = {
 
 COUNTER_MAX = 255
 
-#: Distinguished outcome for "did not emit enough bits within budget".
-ABSTAIN = "⊥"
-
 ENUMERATION_GUARD = 24
 # the largest step, rand and output budget: with all three at 512 the census at
 # bound 24 takes about 0.15 s on a 2-core Xeon VM, against 0.11 s at the defaults
@@ -294,10 +291,6 @@ def enumerate_programs(max_len: int) -> list[Program]:
             programs.append(Program(header + body, body))
 
 
-def kraft_sum(programs: list[Program]) -> Fraction:
-    return sum((Fraction(1, 2 ** len(p)) for p in programs), Fraction(0))
-
-
 # -- exact output distributions ------------------------------------------------
 
 _RAND_MARK = "?"
@@ -329,25 +322,6 @@ def prefix_probability(program: Program, prefix: str, cfg: MachineConfig) -> Fra
         elif slot != want:
             return Fraction(0)
     return Fraction(1, 2**n_rand)
-
-
-def output_distribution(
-    program: Program, n: int, cfg: MachineConfig
-) -> dict[str, Fraction]:
-    """Exact distribution of the first n output bits.
-
-    Runs that emit fewer than n bits within budget put their whole mass on
-    the abstention outcome ABSTAIN.  Masses always sum to exactly 1.
-    """
-    if n > cfg.output_budget:
-        raise ValueError(f"n={n} exceeds output_budget={cfg.output_budget}")
-    template, _halted = output_template(program, cfg)
-    if len(template) < n:
-        return {ABSTAIN: Fraction(1)}
-    head = template[:n]
-    n_rand = head.count(_RAND_MARK)
-    word, weight = head.replace(_RAND_MARK, "{}"), Fraction(1, 2**n_rand)
-    return {word.format(*fill): weight for fill in itertools.product("01", repeat=n_rand)}
 
 
 def sure_halts(program: Program, cfg: MachineConfig) -> bool:
@@ -491,41 +465,3 @@ def contains_rand(program: Program) -> bool:
             return False
     return False
 
-
-def mirror(program: Program) -> Program:
-    """The bit-flip twin: same length, outputs are the complement in law.
-
-    Swaps EMIT0/EMIT1, complements QUOTE payloads and REPEAT patterns, and
-    leaves everything else (including REPEAT's count code) alone.
-    """
-    body = program.body
-    out = []
-    k = 0
-    n_instr = len(body) // OPCODE_WIDTH
-    while k < n_instr:
-        op = body[k * OPCODE_WIDTH : (k + 1) * OPCODE_WIDTH]
-        if op == EMIT0:
-            out.append(EMIT1)
-        elif op == EMIT1:
-            out.append(EMIT0)
-        elif op == QUOTE:
-            tail = body[(k + 1) * OPCODE_WIDTH :]
-            out.append(op)
-            out.append("".join("1" if b == "0" else "0" for b in tail))
-            return from_body("".join(out))
-        elif op == REPEAT:
-            tail = body[(k + 1) * OPCODE_WIDTH :]
-            out.append(op)
-            try:
-                _, pos = gamma_decode(tail)
-            except BadHeader:
-                out.append(tail)
-                return from_body("".join(out))
-            flipped = "".join("1" if b == "0" else "0" for b in tail[pos:])
-            out.append(tail[:pos] + flipped)
-            return from_body("".join(out))
-        else:
-            out.append(op)
-        k += 1
-    out.append(body[n_instr * OPCODE_WIDTH :])  # padding unchanged
-    return from_body("".join(out))

@@ -1,12 +1,25 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from knightian import freestate, toyvm
+
+LAUNCH = Path(__file__).resolve().parents[1] / "bench" / "launch.py"
 
 # (step, rand, output) budgets: the default, tight ones, no RAND, one output bit, all at the guard
 ORACLE_CONFIGS = [
     toyvm.MachineConfig(*budgets)
     for budgets in [(512, 24, 64), (20, 2, 6), (7, 0, 3), (1, 0, 1), (512, 512, 512), (40, 3, 1), (3, 5, 64)]
 ]
+
+
+def load_launch():
+    """bench/launch.py as a module; its TRACED lists the functions a traced run wraps."""
+    spec = importlib.util.spec_from_file_location("bench_launch", LAUNCH)
+    launch = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(launch)
+    return launch
 
 
 def random_density(rng: np.random.Generator, dim: int) -> freestate.DensityMatrix:

@@ -1,0 +1,94 @@
+"""Reference helpers that only the tests read.
+
+No library path calls these: the census serves every per-program question, and
+the CLI reads and writes its own payloads.  The tests keep them as oracles and
+as builders of inputs.
+"""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+
+from knightian import complexity, freestate, toyvm
+
+#: Distinguished outcome for "did not emit enough bits within budget".
+ABSTAIN = "⊥"
+
+
+def kraft_sum(programs: list[toyvm.Program]) -> Fraction:
+    return sum((Fraction(1, 2 ** len(p)) for p in programs), Fraction(0))
+
+
+def output_distribution(
+    program: toyvm.Program, n: int, cfg: toyvm.MachineConfig
+) -> dict[str, Fraction]:
+    """Exact distribution of the first n output bits.
+
+    Runs that emit fewer than n bits within budget put their whole mass on
+    the abstention outcome ABSTAIN.  Masses always sum to exactly 1.
+    """
+    if n > cfg.output_budget:
+        raise ValueError(f"n={n} exceeds output_budget={cfg.output_budget}")
+    template, _halted = toyvm.output_template(program, cfg)
+    if len(template) < n:
+        return {ABSTAIN: Fraction(1)}
+    head = template[:n]
+    n_rand = head.count(toyvm._RAND_MARK)
+    word, weight = head.replace(toyvm._RAND_MARK, "{}"), Fraction(1, 2**n_rand)
+    return {word.format(*fill): weight for fill in itertools.product("01", repeat=n_rand)}
+
+
+def _flip(bits: str) -> str:
+    return bits.translate(str.maketrans("01", "10"))
+
+
+def mirror(program: toyvm.Program) -> toyvm.Program:
+    """The bit-flip twin: same length, outputs are the complement in law.
+
+    Swaps EMIT0/EMIT1, complements QUOTE payloads and REPEAT patterns, and
+    leaves everything else (including REPEAT's count code) alone.
+    """
+    body, width = program.body, toyvm.OPCODE_WIDTH
+    swap = {toyvm.EMIT0: toyvm.EMIT1, toyvm.EMIT1: toyvm.EMIT0}
+    out = []
+    for k in range(len(body) // width):
+        op, tail = body[k * width : (k + 1) * width], body[(k + 1) * width :]
+        if op == toyvm.QUOTE:
+            return toyvm.from_body("".join(out) + op + _flip(tail))
+        if op == toyvm.REPEAT:
+            try:
+                _, pos = toyvm.gamma_decode(tail)
+            except toyvm.BadHeader:
+                return toyvm.from_body("".join(out) + op + tail)
+            return toyvm.from_body("".join(out) + op + tail[:pos] + _flip(tail[pos:]))
+        out.append(swap.get(op, op))
+    out.append(body[len(body) // width * width :])  # padding unchanged
+    return toyvm.from_body("".join(out))
+
+
+def render_listing(listing: complexity.SetListing) -> str:
+    """Canonical explicit output for a set (sorted elements; no cube form)."""
+    if listing.width > complexity.LISTING_MAX_WIDTH:
+        raise ValueError(f"width {listing.width} beyond {complexity.LISTING_MAX_WIDTH}")
+    return format(listing.width - 1, f"0{complexity.LISTING_WIDTH_FIELD}b") + "".join(
+        listing.elements
+    )
+
+
+def validate_density(m) -> freestate.DensityMatrix:
+    """Validate a square complex matrix as a density matrix.
+
+    Raises NotHermitian, NotPSD (with the offending eigenvalue), or
+    TraceNotOne (with the offending trace), in that order of checks.
+    """
+    m = freestate._check_square(m)
+    return freestate.DensityMatrix(m.shape[0], m)
+
+
+def maximally_mixed(dim: int) -> freestate.DensityMatrix:
+    return freestate.DensityMatrix(dim, np.eye(dim) / dim)
+
+
+def effect_to_payload(e: freestate.Effect) -> dict:
+    return {"dim": e.dim, "entries": freestate._matrix_payload(e.entries)}

@@ -1,16 +1,12 @@
 import functools
 import importlib
-import importlib.util
-from pathlib import Path
 
-LAUNCH = Path(__file__).resolve().parents[1] / "bench" / "launch.py"
+from conftest import load_launch
 
 
 def test_every_traced_name_is_a_knightian_callable():
     # a traced run wraps each name with getattr, so one missing name fails every command
-    spec = importlib.util.spec_from_file_location("bench_launch", LAUNCH)
-    launch = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(launch)
+    launch = load_launch()
     assert launch.TRACED
     for module_name, paths in launch.TRACED.items():
         module = importlib.import_module(f"knightian.{module_name}")

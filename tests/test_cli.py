@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import STOCK_PAYLOADS, pushed_out_pair
 from knightian import arena, cli, toyvm
 from knightian import freestate as fs
+import oracles
 
 
 def invoke(capsys, *argv):
@@ -415,6 +417,8 @@ def oblivious_gerbil_game(freebit_budget):
         # a table with no lengths still reads its bound: both exited 0 with no rows
         (("soph", "table"), {"lengths": [], "cs": [1], "bound": 99}, "bound"),
         (("soph", "table"), {"lengths": [], "cs": [1], "bound": -1}, "bound"),
+        # an edge to a renamed or missing node names the nodes' key as well as the edge
+        (("gadgets", "causal"), {**CAUSAL_GRAPH, "nodes": timed_nodes(0, 1)[:1]}, ("config['edges'][0]", "id", "nodes")),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -551,11 +555,17 @@ def test_any_one_bad_leaf_exits_zero_or_one(tmp_path_factory, group, command, co
         with open(path, "w") as fh:
             json.dump(replace_leaf(config, leaf, value), fh)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            # a numpy warning on stderr would precede the error line
+            warnings.simplefilter("error", RuntimeWarning)
             code = cli.dispatch([group, command, "--seed", "1", "--config", path])
         assert code in (0, 1), err.getvalue()
         if code == 0:
             json.loads(out.getvalue(), parse_constant=no_constant)
+        else:
+            # the message names a key on the leaf's path; the whole config has none
+            names = [repr(key) for key in leaf if isinstance(key, str)] or ["config"]
+            assert any(name in err.getvalue() for name in names), (leaf, value, err.getvalue())
 
     one_bad_leaf()
 
@@ -690,6 +700,12 @@ def test_missing_nested_key_is_named(tmp_path, capsys):
             "classify",
             {**CLASSIFY, "predictors": [{"kind": "table"}, {"kind": "bayes", "family": ["nope"]}]},
             "config['predictors'][1]['family'][0]: unknown stock subject 'nope'",
+        ),
+        # a subject object's own check names the entry
+        (
+            "run",
+            {**RUN, "subject": {**GERBIL, "states": ["a", "", "c", "d"]}},
+            "config['subject']: 'edges' has no edge from '' on input '0'",
         ),
     ],
 )
@@ -913,20 +929,20 @@ def test_each_command_imports_only_its_family(tmp_path, command, config, added, 
     assert json.loads(done.stdout) == [loaded, numpy, scipy]
 
 
-def test_python_dash_m_knightian_runs_the_cli():
+def run_module(*argv):
+    """python -m knightian in a fresh interpreter, on this checkout's src/."""
     src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "knightian", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
 
-    def run(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "knightian", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
 
-    done = run("gadgets", "chsh-classical")
+def test_python_dash_m_knightian_runs_the_cli():
+    done = run_module("gadgets", "chsh-classical")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["result"]["value"]["exact"] == "3/4"
-    done = run("gadgets", "no-such-command")
+    done = run_module("gadgets", "no-such-command")
     assert done.returncode == 1
     assert "no-such-command" in done.stderr
 
@@ -935,15 +951,19 @@ def test_a_deviation_past_the_float_range_is_one_error_line(tmp_path):
     # 1e308 - (-1e308) overflows to inf: the report is the error alone, with no numpy warning
     huge = [[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]]
     config = write_config(tmp_path, {**WITNESS, "freestate_b": {"dim": 2, "generators": [huge]}})
-    src = Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-m", "knightian", "freestate", "witness", "--config", config],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
-    )
+    done = run_module("freestate", "witness", "--config", config)
     assert done.returncode == 1
     assert done.stderr == (
         "error: config['freestate_b']['generators'][0]: matrix is not Hermitian (max deviation inf)\n"
     )
+
+
+def test_a_norm_past_the_float_range_is_one_error_line(tmp_path):
+    # the norm of amplitudes near 1e308 overflows to inf, with no numpy warning on stderr
+    config = write_config(tmp_path, {"psi": [[1e308, 0], [1e308, 0]], "phi": [[1, 0], [0, 0]]})
+    done = run_module("freestate", "clone-check", "--config", config)
+    assert done.returncode == 1
+    assert done.stderr == "error: config['psi']: state norm inf is not 1 within 1e-09\n"
 
 
 def test_soph_subcommands(tmp_path, capsys):
@@ -985,7 +1005,7 @@ def test_soph_table_csv(tmp_path, capsys):
 
 def test_freestate_witness_cli(tmp_path, capsys):
     payload_a = fs.freestate_to_payload(fs.Freestate(2, (fs.ket("0").projector(),)))
-    payload_b = fs.freestate_to_payload(fs.Freestate(2, (fs.maximally_mixed(2),)))
+    payload_b = fs.freestate_to_payload(fs.Freestate(2, (oracles.maximally_mixed(2),)))
     config = write_config(tmp_path, {"freestate_a": payload_a, "freestate_b": payload_b})
     report = invoke_json(capsys, "freestate", "witness", "--config", config, "--seed", "1")
     assert report["result"]["kind"] == "pure"
@@ -1045,7 +1065,7 @@ def test_quantum_interval_over_the_cli(tmp_path, capsys):
         tmp_path,
         {
             "freestate": fs.freestate_to_payload(state),
-            "effect": fs.effect_to_payload(effect),
+            "effect": oracles.effect_to_payload(effect),
         },
     )
     report = invoke_json(capsys, "freestate", "interval", "--config", config)

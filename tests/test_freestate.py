@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import pushed_out_pair, random_density, random_effect, random_freestate
 from knightian import freestate as fs
 from knightian.errors import KnightianError
+import oracles
 
 
 def qstate(label):
@@ -18,26 +19,26 @@ def qstate(label):
 
 
 def test_maximally_mixed_is_valid():
-    rho = fs.validate_density(np.eye(2) / 2)
+    rho = oracles.validate_density(np.eye(2) / 2)
     assert rho.dim == 2
 
 
 def test_not_psd_reports_eigenvalue():
     with pytest.raises(fs.NotPSD) as err:
-        fs.validate_density(np.diag([1.5, -0.5]))
+        oracles.validate_density(np.diag([1.5, -0.5]))
     assert err.value.min_eigenvalue == pytest.approx(-0.5)
 
 
 def test_trace_not_one_reports_trace():
     with pytest.raises(fs.TraceNotOne) as err:
-        fs.validate_density(np.diag([0.6, 0.6]))
+        oracles.validate_density(np.diag([0.6, 0.6]))
     assert err.value.trace == pytest.approx(1.2)
 
 
 def test_not_hermitian():
     m = np.array([[0.5, 0.5], [0.0, 0.5]])
     with pytest.raises(fs.NotHermitian):
-        fs.validate_density(m)
+        oracles.validate_density(m)
 
 
 def test_pure_state_requires_unit_norm():
@@ -56,7 +57,7 @@ def test_non_finite_entries_are_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         fs.PureState(2, np.array([bad, 0.0]))
     with pytest.raises(ValueError, match="finite"):
-        fs.validate_density(np.array([[bad, 0.0], [0.0, 0.0]]))
+        oracles.validate_density(np.array([[bad, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="finite"):
         fs.Effect(2, np.array([[0.5, 0.0], [0.0, bad]]))
 
@@ -77,7 +78,7 @@ def test_or_of_basis_states_spans_the_interval():
 
 def test_or_requires_matching_dims():
     with pytest.raises(fs.DimMismatch):
-        fs.knightian_or(qstate("0"), fs.Freestate(3, (fs.validate_density(np.eye(3) / 3),)))
+        fs.knightian_or(qstate("0"), fs.Freestate(3, (oracles.validate_density(np.eye(3) / 3),)))
 
 
 def test_or_with_itself_is_interval_equal():
@@ -199,7 +200,7 @@ def test_or_interval_law():
 
 
 def test_point_set_interval():
-    point = fs.Freestate(2, (fs.maximally_mixed(2),))
+    point = fs.Freestate(2, (oracles.maximally_mixed(2),))
     e0 = fs.Effect(2, fs.ket("0").projector().entries)
     lo, hi = fs.effect_interval(point, e0)
     assert lo == pytest.approx(0.5) and hi == pytest.approx(0.5)
@@ -291,7 +292,7 @@ def test_clone_is_symmetric_and_phase_blind(theta, eta, phase):
 
 
 def test_witness_for_pure_vs_mixed():
-    w = fs.separating_witness(qstate("0"), fs.Freestate(2, (fs.maximally_mixed(2),)))
+    w = fs.separating_witness(qstate("0"), fs.Freestate(2, (oracles.maximally_mixed(2),)))
     assert isinstance(w, fs.PureWitness)
     assert w.gap == pytest.approx(0.5, abs=1e-6)
     lo, hi = w.interval_on_other
@@ -305,10 +306,10 @@ def test_witness_none_for_permuted_generators():
 
 
 def test_witness_asymmetric_membership_case():
-    mixed = fs.Freestate(2, (fs.maximally_mixed(2),))
+    mixed = fs.Freestate(2, (oracles.maximally_mixed(2),))
     spread = fs.Freestate(2, (fs.ket("+").projector(), fs.ket("-").projector()))
     # membership holds one way around only
-    assert fs.hull_contains(spread, fs.maximally_mixed(2))
+    assert fs.hull_contains(spread, oracles.maximally_mixed(2))
     assert not fs.hull_contains(mixed, fs.ket("+").projector())
     w = fs.separating_witness(mixed, spread)
     assert isinstance(w, fs.PureWitness)
@@ -416,7 +417,7 @@ def test_a_failed_lp_is_an_error_not_a_verdict(monkeypatch):
 
     monkeypatch.setattr(fs, "linprog", lambda *args, **kwargs: Failed())
     with pytest.raises(fs.KnightianError, match="LP failed"):
-        fs.hull_contains(qstate("0"), fs.maximally_mixed(2))
+        fs.hull_contains(qstate("0"), oracles.maximally_mixed(2))
 
 
 def assert_witness_reverifies(w, rho, other, tol):
@@ -451,7 +452,7 @@ def test_witness_after_the_spectral_vectors_fail(monkeypatch, seed, kind):
 
 def test_witness_none_when_no_gap_clears_the_tolerance():
     # the sets differ, but by 1/2 at most: every path runs, and none clears tol = 1
-    mixed = fs.Freestate(2, (fs.maximally_mixed(2),))
+    mixed = fs.Freestate(2, (oracles.maximally_mixed(2),))
     assert fs.separating_witness(qstate("0"), mixed, tol=1.0, restarts=2) is None
     w = fs.separating_witness(qstate("0"), mixed)
     assert_witness_reverifies(w, qstate("0").generators[0], mixed, 1e-6)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import ORACLE_CONFIGS
 from knightian import prior, toyvm as tv
+import oracles
 
 CFG = tv.MachineConfig()
 # budgets small enough that runs stop on every budget within bound 16
@@ -57,7 +58,7 @@ def conditioned(mixture, history):
 def reference_priors(bound, cfg):
     """The per-program mixture: every program with weight 2**-len(P) / C."""
     programs = tv.enumerate_programs(bound)
-    normalizer = tv.kraft_sum(programs)
+    normalizer = oracles.kraft_sum(programs)
     return [(p, Fraction(1, 2 ** len(p)) / normalizer) for p in programs]
 
 
@@ -416,4 +417,4 @@ def test_omega_golden_at_bound_12():
     assert prior.omega_truncated(12, tv.MachineConfig(step_budget=256)) == Fraction(7, 8)
     # loopers exist from bound 15 on, so omega lags the Kraft sum there
     cfg = tv.MachineConfig(step_budget=256)
-    assert prior.omega_truncated(15, cfg) < tv.kraft_sum(tv.enumerate_programs(15))
+    assert prior.omega_truncated(15, cfg) < oracles.kraft_sum(tv.enumerate_programs(15))

@@ -1,0 +1,53 @@
+"""Every public function or class in src/ is read there, traced, or kept with a reason.
+
+Code that only the tests read lives in tests/oracles.py.  A name no src/ code
+reads stays in src/ only when bench/launch.py's TRACED wraps it (a traced run
+fails without it) or when KEPT gives the reason.
+"""
+
+import ast
+from pathlib import Path
+
+from conftest import load_launch
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "knightian"
+
+# "module.name" -> why a public name that no src/ code reads stays there
+KEPT = {
+    "toyvm.run": "the checked interpreter",
+    "toyvm.from_body": "the inverse of decode",
+    "arena.one_freebit": "C07's subject",
+    "freestate.full_freebit": "the Bloch-ball freestate",
+    "complexity.measure_listing_overhead": "LISTING_OVERHEAD rests on it",
+}
+
+
+def unread_public_names() -> set[str]:
+    """The public module-level defs and classes of src/ whose name no src/ code reads."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    }
+
+
+def test_every_unread_public_name_is_traced_or_kept():
+    traced = {f"{module}.{path}" for module, paths in load_launch().TRACED.items() for path in paths}
+    loose = sorted(unread_public_names() - traced - KEPT.keys())
+    assert not loose, f"read only by tests; move to tests/oracles.py or give a reason in KEPT: {loose}"
+
+
+def test_every_kept_name_is_unread():
+    # a name src/ reads needs no reason, so the table cannot go stale
+    assert sorted(KEPT.keys() - unread_public_names()) == []
