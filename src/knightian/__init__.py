@@ -2,10 +2,13 @@
 
 Subpackages:
 
-- ``freestate``: convex sets of quantum density matrices / classical
-  probability vectors, extremal event intervals, separating witnesses, and a
-  cloning feasibility check.
-- ``toyvm``: a total, prefix-free bit-emitting toy machine ("toyvm-1").
+- ``classical``: convex sets of exact probability vectors, their extremal
+  event intervals, and the algebra (union hull, probabilistic mixture) on
+  either kind of freestate; it loads no numpy.
+- ``freestate``: convex sets of quantum density matrices, extremal effect
+  intervals, separating witnesses, and a cloning feasibility check.
+- ``toyvm``: a total, prefix-free bit-emitting toy machine, version
+  ``MACHINE_VERSION``.
 - ``prior``: the length-weighted program mixture as a sequential predictor,
   with regret accounting, diagonalization, and a truncated halting sum.
 - ``complexity``: shortest-program description complexity, set-listing
@@ -19,5 +22,8 @@ Subpackages:
 from .errors import KnightianError
 
 __version__ = "0.1.0"
+# the toyvm spec every report quotes; here, so a report that runs no machine
+# does not load toyvm
+MACHINE_VERSION = "toyvm-1"
 
-__all__ = ["KnightianError", "__version__"]
+__all__ = ["KnightianError", "MACHINE_VERSION", "__version__"]

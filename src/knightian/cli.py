@@ -11,10 +11,11 @@ machine spec version, the seed, and an echo of the config; identical
 (config, seed, version) triples produce byte-identical reports.
 
 A command loads only the modules it reads: each handler imports its family's
-module on its first line, so a `solomonoff` command never loads `numpy`.
-`toyvm` is the one family module imported at the top, because every envelope
-quotes its machine version and every machine config is a
-`toyvm.MachineConfig`.
+module on its first line, so a `solomonoff` command never loads `numpy`, and
+a classical freestate command reads `classical` alone, which loads no `numpy`
+either.  The envelope's machine version is the package's `MACHINE_VERSION`,
+so only the commands that build a machine config, or decode a program, load
+`toyvm`.
 
 Exit codes: 0 success, 1 validation/usage error, 2 internal error.
 """
@@ -28,7 +29,7 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from . import __version__, toyvm
+from . import MACHINE_VERSION, __version__
 from .errors import KnightianError, at
 
 
@@ -200,6 +201,8 @@ def _check(value, kind, path: str = "config") -> None:
 
 
 def _machine_config(config: dict) -> toyvm.MachineConfig:
+    from . import toyvm
+
     return toyvm.MachineConfig(**{k: v for k, v in config.items() if k in MACHINE})
 
 
@@ -212,12 +215,14 @@ def _same_dim(path: str, dim: int, first: str, first_dim: int) -> None:
 
 
 def _cmd_freestate_interval(config: dict, seed) -> dict:
+    if "classical" in config:
+        from . import classical
+
+        s = classical.classical_from_payload(config["classical"], "config['classical']")
+        lo, hi = classical.event_interval(s, config["event"])
+        return {"lo": float(lo), "hi": float(hi), "lo_exact": str(lo), "hi_exact": str(hi)}
     from . import freestate
 
-    if "classical" in config:
-        s = freestate.classical_from_payload(config["classical"], "config['classical']")
-        lo, hi = freestate.event_interval(s, config["event"])
-        return {"lo": float(lo), "hi": float(hi), "lo_exact": str(lo), "hi_exact": str(hi)}
     s = freestate.freestate_from_payload(config["freestate"], "config['freestate']")
     e = freestate.effect_from_payload(config["effect"], "config['effect']")
     _same_dim("config['effect']['dim']", e.dim, "config['freestate']['dim']", s.dim)
@@ -229,16 +234,17 @@ def _alike(entries: list[tuple[str, str, dict]]) -> tuple[str, Callable, list]:
     """The kind of (path, kind, payload) entries, its payload writer, and their sets, parsed.
 
     Every entry must have the first one's kind and size; the first that does
-    not is named by its path.
+    not is named by its path.  Only a quantum set loads `freestate`.
     """
-    from . import freestate
-
-    kinds = {  # payload key -> (parse, write, size key)
-        "classical": (freestate.classical_from_payload, freestate.classical_to_payload, "n"),
-        "freestate": (freestate.freestate_from_payload, freestate.freestate_to_payload, "dim"),
-    }
     first_path, kind, first = entries[0]
-    parse, write, size = kinds[kind]
+    if kind == "classical":
+        from . import classical
+
+        parse, write, size = classical.classical_from_payload, classical.classical_to_payload, "n"
+    else:
+        from . import freestate
+
+        parse, write, size = freestate.freestate_from_payload, freestate.freestate_to_payload, "dim"
     for path, other, payload in entries[1:]:
         if other != kind:
             raise KnightianError(f"{path} must be a {kind!r} set like the first one, got {other!r}")
@@ -247,7 +253,7 @@ def _alike(entries: list[tuple[str, str, dict]]) -> tuple[str, Callable, list]:
 
 
 def _cmd_freestate_or(config: dict, seed) -> dict:
-    from . import freestate
+    from . import classical
 
     key = "classicals" if "classicals" in config else "freestates"
     if len(config[key]) < 2:
@@ -255,11 +261,11 @@ def _cmd_freestate_or(config: dict, seed) -> dict:
     kind, write, states = _alike(
         [(f"config[{key!r}][{i}]", key[:-1], payload) for i, payload in enumerate(config[key])]
     )
-    return {kind: write(freestate.knightian_or(*states))}
+    return {kind: write(classical.knightian_or(*states))}
 
 
 def _cmd_freestate_mix(config: dict, seed) -> dict:
-    from . import freestate
+    from . import classical
 
     comps = config["components"]
     if not comps:
@@ -270,7 +276,7 @@ def _cmd_freestate_mix(config: dict, seed) -> dict:
         entries.append((f"config['components'][{i}][{kind!r}]", kind, c[kind]))
     kind, write, states = _alike(entries)
     weights = [_fraction(c["weight"]) for c in comps]
-    return {kind: write(freestate.prob_mix(list(zip(weights, states))))}
+    return {kind: write(classical.prob_mix(list(zip(weights, states))))}
 
 
 def _cmd_freestate_witness(config: dict, seed) -> dict:
@@ -331,7 +337,7 @@ def _cmd_solomonoff_predict(config: dict, seed) -> dict:
 
 
 def _cmd_solomonoff_regret(config: dict, seed) -> dict:
-    from . import prior
+    from . import prior, toyvm
 
     mixture = prior.build_mixture(config["bound"], _machine_config(config))
     try:
@@ -741,7 +747,7 @@ def dispatch(argv: list[str]) -> int:
         else:
             envelope = {
                 "artifact_version": __version__,
-                "machine_version": toyvm.MACHINE_VERSION,
+                "machine_version": MACHINE_VERSION,
                 "command": f"{args.group} {args.command}",
                 "seed": args.seed,
                 "config": config,

@@ -1,15 +1,13 @@
-"""Convex sets of states: probabilistic plus Knightian uncertainty.
+"""Quantum freestates: convex sets of density matrices.
 
 A quantum freestate is a nonempty convex set of density matrices, held here
 by a finite generator list (the set is the convex hull; generators need not
-be hull-minimal, redundancy is harmless).  A classical freestate is the same
-thing over probability vectors.  Because every probability functional in
-scope is linear, its extreme values over the hull are attained at
-generators, which makes event intervals exact.
-
-Classical freestates carry exact rationals so interval endpoints like
-[1/10, 1/2] come out exactly.  Quantum states are complex float matrices
-with explicit validation tolerances.
+be hull-minimal, redundancy is harmless).  Because every probability
+functional in scope is linear, its extreme values over the hull are attained
+at generators, which makes effect intervals exact up to float rounding.
+Quantum states are complex float matrices with explicit validation
+tolerances.  The classical kind, exact probability vectors, and the algebra
+on either kind (knightian_or, prob_mix) live in ``classical``.
 
 Hull membership and witness separation are one LP over the real
 vectorization of Hermitian matrices, delegated to scipy: the best margin of a
@@ -19,32 +17,23 @@ hull.  The witnesses built on it are re-checked independently.
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .classical import DimMismatch
+from .classical import event_interval  # noqa: F401  bench/launch.py's TRACED wraps freestate.event_interval
 from .errors import KnightianError, at
 
 TOL_NORM = 1e-9
 TOL_HERMITIAN = 1e-9
 TOL_PSD = 1e-9
 TOL_TRACE = 1e-9
-TOL_WEIGHTS = 1e-12
 TOL_HULL = 1e-7  # boundary ties count as "member"
 # each witness restart is an ascent of up to 120 steps: about 6 ms in d = 3 on a
 # 2-core Xeon VM, so the guard costs at most about 1.5 s there
 RESTARTS_GUARD = 256
-# prob_mix writes one generator per choice of a generator from each component:
-# 12 components of 2 generators each (4096 choices) take about 1 s through
-# `python -m knightian freestate mix` on a 2-core Xeon VM, classical or quantum
-MIX_GUARD = 2**12
-
-
-class DimMismatch(KnightianError):
-    pass
 
 
 class NotHermitian(KnightianError):
@@ -63,14 +52,6 @@ class TraceNotOne(KnightianError):
     def __init__(self, trace: float):
         super().__init__(f"trace is {trace:.6g}, not 1")
         self.trace = trace
-
-
-class BadWeights(KnightianError):
-    pass
-
-
-class BadEvent(KnightianError):
-    pass
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -179,89 +160,6 @@ class Freestate:
         return DensityMatrix(self.dim, total)
 
 
-@dataclass(frozen=True)
-class ClassicalFreestate:
-    dim: int  # the number of outcomes
-    generators: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        gens = tuple(_probabilities(g, self.dim) for g in self.generators)
-        if not gens:
-            raise ValueError("a freestate needs at least one generator")
-        object.__setattr__(self, "generators", gens)
-
-    def weighted_sum(self, weights: list[Fraction], choice) -> tuple[Fraction, ...]:
-        """sum_i weights[i] * choice[i], one generator of a mixture."""
-        return tuple(sum(w * g[i] for w, g in zip(weights, choice)) for i in range(self.dim))
-
-
-def _probabilities(g, dim: int) -> tuple[Fraction, ...]:
-    """One classical generator, read exactly: dim nonnegative rationals summing to 1."""
-    vec = tuple(Fraction(v) if not isinstance(v, float) else _decimal_fraction(v) for v in g)
-    if len(vec) != dim:
-        raise ValueError(f"expected {dim} outcomes, got {len(vec)}")
-    if any(v < 0 for v in vec):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(sum(vec) - 1) > TOL_WEIGHTS:
-        raise ValueError(f"probabilities sum to {sum(vec)}, not 1")
-    return vec
-
-
-def _decimal_fraction(x) -> Fraction:
-    # decimal literals like 0.1 become exactly 1/10, not the binary float
-    return Fraction(str(x))
-
-
-# -- algebra --------------------------------------------------------------------
-#
-# Both operations take either kind of freestate, quantum or classical, but not
-# the two mixed: the result is the first state's kind with new generators.
-
-
-def _check_alike(states) -> None:
-    first = states[0]
-    for s in states[1:]:
-        if type(s) is not type(first):
-            raise DimMismatch(f"cannot combine a {type(first).__name__} with a {type(s).__name__}")
-        if s.dim != first.dim:
-            raise DimMismatch(f"dims {first.dim} != {s.dim}")
-
-
-def knightian_or(*states: Freestate | ClassicalFreestate) -> Freestate | ClassicalFreestate:
-    """Hull of the union: "either set could be the truth"."""
-    if not states:
-        raise KnightianError("knightian_or needs at least one state")
-    _check_alike(states)
-    return replace(states[0], generators=tuple(g for s in states for g in s.generators))
-
-
-def prob_mix(
-    components: list[tuple[float | Fraction, Freestate | ClassicalFreestate]]
-) -> Freestate | ClassicalFreestate:
-    """Probabilistic mixture of freestates, expanded over Knightian choices.
-
-    The generators of the result are every weighted sum obtainable by picking
-    one generator from each component: probabilistic uncertainty *over*
-    Knightian uncertainty flattens into Knightian uncertainty over mixtures.
-    Weights are read exactly, a float as the decimal it prints as.
-    """
-    weights = [_decimal_fraction(w) for w, _ in components]
-    if not weights:
-        raise BadWeights("no components")
-    if any(w < 0 for w in weights):
-        raise BadWeights("'weight' values must be nonnegative")
-    if abs(sum(weights) - 1) > TOL_WEIGHTS:
-        raise BadWeights(f"'weight' values sum to {sum(weights)}, not 1")
-    states = [s for _, s in components]
-    _check_alike(states)
-    count = math.prod(len(s.generators) for s in states)
-    if count > MIX_GUARD:
-        raise KnightianError(f"'components' expand to {count} generators, more than {MIX_GUARD}")
-    first = states[0]
-    choices = itertools.product(*[s.generators for s in states])
-    return replace(first, generators=tuple(first.weighted_sum(weights, c) for c in choices))
-
-
 def expectation(rho: DensityMatrix, effect: Effect) -> float:
     if rho.dim != effect.dim:
         raise DimMismatch(f"dims {rho.dim} != {effect.dim}")
@@ -282,17 +180,6 @@ def effect_interval(s: Freestate, effect: Effect) -> tuple[float, float]:
     if not (lo > -1e-7 and hi < 1 + 1e-7):
         raise KnightianError(f"effect expectation left [0, 1]: [{lo}, {hi}]")
     return min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
-
-
-def event_interval(
-    s: ClassicalFreestate, event: list[int] | set[int]
-) -> tuple[Fraction, Fraction]:
-    """Exact lower/upper probability of a set of outcomes."""
-    idx = sorted(set(event))
-    if any(i < 0 or i >= s.dim for i in idx):
-        raise BadEvent(f"'event' indices must lie in [0, {s.dim})")
-    values = [sum((g[i] for i in idx), Fraction(0)) for g in s.generators]
-    return min(values), max(values)
 
 
 def clone_feasible(psi: PureState, phi: PureState) -> bool:
@@ -557,19 +444,6 @@ def freestate_from_payload(payload: dict, path: str = "payload") -> Freestate:
             gens.append(DensityMatrix(dim, _matrix_from_payload(g)))
     with at(f"{path}['generators']"):
         return Freestate(dim, tuple(gens))
-
-
-def classical_to_payload(s: ClassicalFreestate) -> dict:
-    return {"n": s.dim, "generators": [[str(v) for v in g] for g in s.generators]}
-
-
-def classical_from_payload(payload: dict, path: str = "payload") -> ClassicalFreestate:
-    gens = []
-    for i, g in enumerate(payload["generators"]):
-        with at(f"{path}['generators'][{i}]"):
-            gens.append(_probabilities(g, payload["n"]))
-    with at(f"{path}['generators']"):
-        return ClassicalFreestate(payload["n"], tuple(gens))
 
 
 def effect_from_payload(payload: dict, path: str = "payload") -> Effect:

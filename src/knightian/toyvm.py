@@ -54,8 +54,6 @@ from functools import lru_cache
 
 from .errors import KnightianError
 
-MACHINE_VERSION = "toyvm-1"
-
 OPCODE_WIDTH = 4
 
 EMIT0 = "0000"

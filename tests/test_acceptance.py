@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import random_effect, random_freestate
-from knightian import arena, cli, complexity as cx, freestate as fs, gadgets as gd, prior, toyvm as tv
+from knightian import arena, classical as cl, cli, complexity as cx, freestate as fs, gadgets as gd, prior, toyvm as tv
 
 F = Fraction
 
@@ -44,15 +44,15 @@ def test_c01_chsh_values():
 
 def test_c02_knight_interval():
     with criterion("C02 knight interval [0.1, 0.5]", 1.0):
-        point = fs.ClassicalFreestate(2, ((F(9, 10), F(1, 10)),))
-        low_band = fs.ClassicalFreestate(
+        point = cl.ClassicalFreestate(2, ((F(9, 10), F(1, 10)),))
+        low_band = cl.ClassicalFreestate(
             2, ((F(8, 10), F(2, 10)), (F(7, 10), F(3, 10)))
         )
-        high_band = fs.ClassicalFreestate(
+        high_band = cl.ClassicalFreestate(
             2, ((F(6, 10), F(4, 10)), (F(5, 10), F(5, 10)))
         )
-        merged = fs.knightian_or(point, low_band, high_band)
-        assert fs.event_interval(merged, [1]) == (F(1, 10), F(1, 2))
+        merged = cl.knightian_or(point, low_band, high_band)
+        assert cl.event_interval(merged, [1]) == (F(1, 10), F(1, 2))
 
 
 def test_c03_mix_expansion_and_linearity():
@@ -61,7 +61,7 @@ def test_c03_mix_expansion_and_linearity():
         c, d = fs.ket("+").projector(), fs.ket("-").projector()
         s_ab = fs.Freestate(2, (a, b))
         s_cd = fs.Freestate(2, (c, d))
-        mixed = fs.prob_mix([(0.5, s_ab), (0.5, s_cd)])
+        mixed = cl.prob_mix([(0.5, s_ab), (0.5, s_cd)])
         expected = [
             (a.entries + c.entries) / 2,
             (a.entries + d.entries) / 2,

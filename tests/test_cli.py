@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import STOCK_PAYLOADS, pushed_out_pair
 from knightian import arena, cli, toyvm
-from knightian import freestate as fs
+from knightian import classical as cl, freestate as fs
 import oracles
 
 
@@ -419,6 +419,9 @@ def oblivious_gerbil_game(freebit_budget):
         (("soph", "table"), {"lengths": [], "cs": [1], "bound": -1}, "bound"),
         # an edge to a renamed or missing node names the nodes' key as well as the edge
         (("gadgets", "causal"), {**CAUSAL_GRAPH, "nodes": timed_nodes(0, 1)[:1]}, ("config['edges'][0]", "id", "nodes")),
+        # exact rationals that sum to 1 + 1e-13: both passed as within 1e-12 of 1 (exit 0)
+        (("freestate", "interval"), {"classical": {"n": 2, "generators": [["0.5", "0.5000000000001"]]}, "event": [0, 1]}, "generators"),
+        (("freestate", "mix"), {"components": [{"weight": "0.5", "classical": CLASSICAL_ONE}, {"weight": "0.5000000000001", "classical": CLASSICAL_ONE}]}, "weight"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -428,6 +431,52 @@ def test_solomonoff_config_types_are_strict(tmp_path, capsys, command, config, k
     assert code == 1, err
     for name in (key,) if isinstance(key, str) else key:
         assert (name if name.startswith("config[") else repr(name)) in err, err
+
+
+def classical(*generators):
+    return {"n": len(generators[0]), "generators": [list(g) for g in generators]}
+
+
+def nines(digits):
+    return "0." + "9" * digits  # 1 - 10**-digits
+
+
+TINY = Fraction(1, 3**2800)  # its denominator has 1,336 digits
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        # 1e-4300 passes EXPONENT_GUARD, but its denominator has 4,301 digits
+        ("or", {"classicals": [classical(["1/2", "1/2"]), classical(["1e-4300", nines(4300)])]}, "config['classicals'][1]['generators'][0]"),
+        # every input prints, but a product has a denominator of 6,001 digits
+        (
+            "mix",
+            {
+                "components": [
+                    {"weight": "1e-3000", "classical": classical(["1e-3000", nines(3000)])},
+                    {"weight": nines(3000), "classical": classical(["1/2", "1/2"])},
+                ]
+            },
+            "'components'",
+        ),
+        # every input prints, but 1e-3000 + 3**-2800 has a denominator of 4,337 digits
+        (
+            "interval",
+            {"classical": classical(["1e-3000", str(TINY), str(Fraction(1, 2) - Fraction(1, 10**3000)), str(Fraction(1, 2) - TINY)]), "event": [0, 1]},
+            "'event'",
+        ),
+        # weights whose sum, 1e-3000 + 3**-2800, is not 1 and too long to quote
+        ("mix", {"components": [{"weight": "1e-3000", "classical": CLASSICAL_ONE}, {"weight": str(TINY), "classical": CLASSICAL_ONE}]}, "'weight'"),
+    ],
+    ids=("or", "mix", "interval", "mix-weights"),
+)
+def test_an_exact_value_too_long_to_print_names_its_key(tmp_path, capsys, command, config, key):
+    # Python prints no int of more than 4300 digits: the report could not hold the value
+    code, out, err = invoke(capsys, "freestate", command, "--config", write_config(tmp_path, config))
+    assert code == 1, err
+    assert key in err, err
+    assert "set_int_max_str_digits" not in err, err
 
 
 def test_an_exponent_past_the_guard_is_refused_before_it_is_expanded():
@@ -584,7 +633,7 @@ def test_any_one_bad_leaf_exits_zero_or_one(tmp_path_factory, group, command, co
         (("arena", "run"), "trials", arena.TRIALS_GUARD, lambda v: fixed_table_game(trials=v)),
         (("arena", "run"), ("u", "t"), 8 + arena.HORIZON_GUARD, lambda v: fixed_table_game(u=v)),
         (("arena", "run"), "freebit_budget", arena.FREEBIT_GUARD, oblivious_gerbil_game),
-        (("freestate", "mix"), "components", fs.MIX_GUARD, mix_of_one_set_of),
+        (("freestate", "mix"), "components", cl.MIX_GUARD, mix_of_one_set_of),
     ],
 )
 def test_size_guards_admit_their_bound_and_name_the_key_past_it(
@@ -892,27 +941,46 @@ if argv:
 loaded = sorted(m for m in sys.modules if m.startswith("knightian."))
 print(json.dumps([loaded, "numpy" in sys.modules, "scipy" in sys.modules]))
 """
-CLI_CORE = ["knightian.cli", "knightian.errors", "knightian.toyvm"]
+CLI_CORE = ["knightian.cli", "knightian.errors"]
+QUANTUM_FAMILY = ["classical", "freestate"]  # freestate reads classical's DimMismatch
 
 
-# (command, config, the knightian modules it adds to the CLI's, numpy loaded, scipy loaded)
-FOOTPRINTS = [
-    ((), None, [], False, False),
-    (("solomonoff", "omega"), {"bound": 4}, ["prior"], False, False),
-    (("soph", "k"), {"x": "0", "bound": 8}, ["complexity"], False, False),
-    (("arena", "run"), RUN, ["arena"], False, False),
-    (("gadgets", "newcomb"), NEWCOMB, ["gadgets"], False, False),
-    (("gadgets", "chsh-classical"), {}, ["gadgets"], False, False),
-    (("gadgets", "chsh-quantum"), {}, ["freestate", "gadgets"], True, False),
-    (("freestate", "witness"), WITNESS, ["freestate"], True, True),
-]
+# id -> (command, config, the knightian modules it adds to the CLI's, numpy loaded, scipy loaded)
+FOOTPRINTS = {
+    "import": ((), None, [], False, False),
+    "freestate-interval": (("freestate", "interval"), KNIGHT_CLASSICAL, ["classical"], False, False),
+    "freestate-interval-quantum": (("freestate", "interval"), QUANTUM_INTERVAL, QUANTUM_FAMILY, True, False),
+    "freestate-witness": (("freestate", "witness"), WITNESS, QUANTUM_FAMILY, True, True),
+    "freestate-or": (("freestate", "or"), {"classicals": [CLASSICAL, CLASSICAL]}, ["classical"], False, False),
+    "freestate-or-quantum": (("freestate", "or"), {"freestates": [QUBIT_0, QUBIT_MIXED]}, QUANTUM_FAMILY, True, False),
+    "freestate-mix": (("freestate", "mix"), {"components": [{"weight": "1", "classical": CLASSICAL}]}, ["classical"], False, False),
+    "freestate-mix-quantum": (("freestate", "mix"), {"components": [{"weight": 1, "freestate": QUBIT_0}]}, QUANTUM_FAMILY, True, False),
+    "freestate-clone-check": (("freestate", "clone-check"), {"psi": [[1, 0], [0, 0]], "phi": [[0, 0], [1, 0]]}, QUANTUM_FAMILY, True, False),
+    "solomonoff-predict": (("solomonoff", "predict"), {"bound": 12, "history": ""}, ["prior", "toyvm"], False, False),
+    "solomonoff-regret": (("solomonoff", "regret"), {**REGRET, "eps": ["1/2"]}, ["prior", "toyvm"], False, False),
+    "solomonoff-diagonal": (("solomonoff", "diagonal"), {"bound": 12, "n": 2}, ["prior", "toyvm"], False, False),
+    "solomonoff-omega": (("solomonoff", "omega"), {"bound": 4}, ["prior", "toyvm"], False, False),
+    "soph-k": (("soph", "k"), {"x": "0", "bound": 8}, ["complexity", "toyvm"], False, False),
+    "soph-kset": (("soph", "kset"), {"elements": ["0", "1"], "bound": 8}, ["complexity", "toyvm"], False, False),
+    "soph-soph": (("soph", "soph"), {"x": "0", "c": 1, "bound": 8}, ["complexity", "toyvm"], False, False),
+    "soph-table": (("soph", "table"), {"lengths": [1], "cs": [1], "bound": 8}, ["complexity", "toyvm"], False, False),
+    "arena-run": (("arena", "run"), RUN, ["arena"], False, False),
+    "arena-classify": (("arena", "classify"), CLASSIFY, ["arena"], False, False),
+    "gadgets-chsh-classical": (("gadgets", "chsh-classical"), {}, ["gadgets"], False, False),
+    "gadgets-chsh-quantum": (("gadgets", "chsh-quantum"), {}, [*QUANTUM_FAMILY, "gadgets"], True, False),
+    "gadgets-bostrom": (("gadgets", "bostrom"), {"variant": 1}, ["gadgets"], False, False),
+    "gadgets-newcomb": (("gadgets", "newcomb"), NEWCOMB, ["gadgets"], False, False),
+    "gadgets-causal": (("gadgets", "causal"), CAUSAL_GRAPH, ["gadgets"], False, False),
+}
 
 
-@pytest.mark.parametrize(
-    "command, config, added, numpy, scipy",
-    FOOTPRINTS,
-    ids=["-".join(command) or "import" for command, *_ in FOOTPRINTS],
-)
+def test_every_command_declares_its_footprint():
+    # a new command must say which modules it loads
+    declared = {command for command, *_ in FOOTPRINTS.values()}
+    assert sorted(set(cli.COMMANDS) - declared) == []
+
+
+@pytest.mark.parametrize("command, config, added, numpy, scipy", FOOTPRINTS.values(), ids=list(FOOTPRINTS))
 def test_each_command_imports_only_its_family(tmp_path, command, config, added, numpy, scipy):
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pushed_out_pair, random_density, random_effect, random_freestate
-from knightian import freestate as fs
+from knightian import classical as cl, freestate as fs
 from knightian.errors import KnightianError
 import oracles
 
@@ -64,84 +64,84 @@ def test_non_finite_entries_are_rejected(bad):
 
 def test_classical_generators_must_be_distributions():
     with pytest.raises(ValueError):
-        fs.ClassicalFreestate(2, ((Fraction(1, 2), Fraction(1, 3)),))
+        cl.ClassicalFreestate(2, ((Fraction(1, 2), Fraction(1, 3)),))
 
 
 # -- algebra ---------------------------------------------------------------------
 
 
 def test_or_of_basis_states_spans_the_interval():
-    both = fs.knightian_or(qstate("0"), qstate("1"))
+    both = cl.knightian_or(qstate("0"), qstate("1"))
     e0 = fs.Effect(2, fs.ket("0").projector().entries)
     assert fs.effect_interval(both, e0) == (0.0, 1.0)
 
 
 def test_or_requires_matching_dims():
-    with pytest.raises(fs.DimMismatch):
-        fs.knightian_or(qstate("0"), fs.Freestate(3, (oracles.validate_density(np.eye(3) / 3),)))
+    with pytest.raises(cl.DimMismatch):
+        cl.knightian_or(qstate("0"), fs.Freestate(3, (oracles.validate_density(np.eye(3) / 3),)))
 
 
 def test_or_with_itself_is_interval_equal():
     rng = np.random.default_rng(5)
     s = random_freestate(rng, 3, 3)
-    doubled = fs.knightian_or(s, s)
+    doubled = cl.knightian_or(s, s)
     for _ in range(25):
         e = random_effect(rng, 3)
         assert fs.effect_interval(doubled, e) == fs.effect_interval(s, e)
 
 
 def test_classical_knight_interval():
-    a = fs.ClassicalFreestate(2, ((Fraction(9, 10), Fraction(1, 10)),))
-    b = fs.ClassicalFreestate(
+    a = cl.ClassicalFreestate(2, ((Fraction(9, 10), Fraction(1, 10)),))
+    b = cl.ClassicalFreestate(
         2, ((Fraction(8, 10), Fraction(2, 10)), (Fraction(7, 10), Fraction(3, 10)))
     )
-    c = fs.ClassicalFreestate(
+    c = cl.ClassicalFreestate(
         2, ((Fraction(6, 10), Fraction(4, 10)), (Fraction(5, 10), Fraction(5, 10)))
     )
-    knight = fs.knightian_or(a, b, c)
-    assert fs.event_interval(knight, [1]) == (Fraction(1, 10), Fraction(1, 2))
+    knight = cl.knightian_or(a, b, c)
+    assert cl.event_interval(knight, [1]) == (Fraction(1, 10), Fraction(1, 2))
 
 
 def test_or_and_mix_reject_mixed_kinds_and_sizes():
     quantum = qstate("0")
-    classical = fs.ClassicalFreestate(2, ((Fraction(1, 2), Fraction(1, 2)),))
-    three = fs.ClassicalFreestate(3, ((1, 0, 0),))
+    classical = cl.ClassicalFreestate(2, ((Fraction(1, 2), Fraction(1, 2)),))
+    three = cl.ClassicalFreestate(3, ((1, 0, 0),))
     for states in ((quantum, classical), (classical, quantum), (classical, classical, three)):
-        with pytest.raises(fs.DimMismatch):
-            fs.knightian_or(*states)
-        with pytest.raises(fs.DimMismatch):
-            fs.prob_mix([(Fraction(1, len(states)), s) for s in states])
+        with pytest.raises(cl.DimMismatch):
+            cl.knightian_or(*states)
+        with pytest.raises(cl.DimMismatch):
+            cl.prob_mix([(Fraction(1, len(states)), s) for s in states])
     with pytest.raises(KnightianError, match="at least one state"):
-        fs.knightian_or()
+        cl.knightian_or()
 
 
 def test_classical_mix_is_exact_and_expands_over_choices():
-    a = fs.ClassicalFreestate(2, ((1, 0), (0, 1)))
-    b = fs.ClassicalFreestate(2, (("1/2", "1/2"),))
-    mixed = fs.prob_mix([(0.1, a), ("9/10", b)])
+    a = cl.ClassicalFreestate(2, ((1, 0), (0, 1)))
+    b = cl.ClassicalFreestate(2, (("1/2", "1/2"),))
+    mixed = cl.prob_mix([(0.1, a), ("9/10", b)])
     assert mixed.generators == (
         (Fraction(11, 20), Fraction(9, 20)),
         (Fraction(9, 20), Fraction(11, 20)),
     )
-    assert fs.knightian_or(a) == a
+    assert cl.knightian_or(a) == a
 
 
 def test_event_interval_trivia():
-    uniform = fs.ClassicalFreestate(2, ((Fraction(1, 2), Fraction(1, 2)),))
-    assert fs.event_interval(uniform, [1]) == (Fraction(1, 2), Fraction(1, 2))
-    pair = fs.ClassicalFreestate(
+    uniform = cl.ClassicalFreestate(2, ((Fraction(1, 2), Fraction(1, 2)),))
+    assert cl.event_interval(uniform, [1]) == (Fraction(1, 2), Fraction(1, 2))
+    pair = cl.ClassicalFreestate(
         2, ((Fraction(9, 10), Fraction(1, 10)), (Fraction(1, 2), Fraction(1, 2)))
     )
-    assert fs.event_interval(pair, [1]) == (Fraction(1, 10), Fraction(1, 2))
-    assert fs.event_interval(pair, [0, 1]) == (Fraction(1), Fraction(1))
-    with pytest.raises(fs.BadEvent):
-        fs.event_interval(pair, [2])
+    assert cl.event_interval(pair, [1]) == (Fraction(1, 10), Fraction(1, 2))
+    assert cl.event_interval(pair, [0, 1]) == (Fraction(1), Fraction(1))
+    with pytest.raises(cl.BadEvent):
+        cl.event_interval(pair, [2])
 
 
 def test_prob_mix_expansion_identity():
     a, b = fs.ket("0").projector(), fs.ket("1").projector()
     c, d = fs.ket("+").projector(), fs.ket("-").projector()
-    mix = fs.prob_mix(
+    mix = cl.prob_mix(
         [(0.5, fs.Freestate(2, (a, b))), (0.5, fs.Freestate(2, (c, d)))]
     )
     expected = [
@@ -158,18 +158,18 @@ def test_prob_mix_expansion_identity():
 def test_prob_mix_identity_and_point_cases():
     s = qstate("+")
     assert np.allclose(
-        fs.prob_mix([(1.0, s)]).generators[0].entries, s.generators[0].entries
+        cl.prob_mix([(1.0, s)]).generators[0].entries, s.generators[0].entries
     )
-    mixed = fs.prob_mix([(0.5, qstate("0")), (0.5, qstate("1"))])
+    mixed = cl.prob_mix([(0.5, qstate("0")), (0.5, qstate("1"))])
     assert len(mixed.generators) == 1
     assert np.allclose(mixed.generators[0].entries, np.eye(2) / 2, atol=1e-12)
 
 
 def test_prob_mix_rejects_bad_weights():
-    with pytest.raises(fs.BadWeights):
-        fs.prob_mix([(0.7, qstate("0")), (0.7, qstate("1"))])
-    with pytest.raises(fs.BadWeights):
-        fs.prob_mix([(-0.5, qstate("0")), (1.5, qstate("1"))])
+    with pytest.raises(cl.BadWeights):
+        cl.prob_mix([(0.7, qstate("0")), (0.7, qstate("1"))])
+    with pytest.raises(cl.BadWeights):
+        cl.prob_mix([(-0.5, qstate("0")), (1.5, qstate("1"))])
 
 
 def test_mixture_interval_linearity():
@@ -177,7 +177,7 @@ def test_mixture_interval_linearity():
     s1 = random_freestate(rng, 2, 3)
     s2 = random_freestate(rng, 2, 2)
     w = 0.3
-    mixed = fs.prob_mix([(w, s1), (1 - w, s2)])
+    mixed = cl.prob_mix([(w, s1), (1 - w, s2)])
     for _ in range(100):
         e = random_effect(rng, 2)
         lo1, hi1 = fs.effect_interval(s1, e)
@@ -191,7 +191,7 @@ def test_or_interval_law():
     rng = np.random.default_rng(13)
     s1 = random_freestate(rng, 3, 2)
     s2 = random_freestate(rng, 3, 3)
-    union = fs.knightian_or(s1, s2)
+    union = cl.knightian_or(s1, s2)
     for _ in range(100):
         e = random_effect(rng, 3)
         lo1, hi1 = fs.effect_interval(s1, e)
@@ -473,13 +473,13 @@ def test_quantum_payload_round_trip():
 
 
 def test_classical_payload_round_trip_is_exact():
-    s = fs.ClassicalFreestate(
+    s = cl.ClassicalFreestate(
         3, ((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),)
     )
-    back = fs.classical_from_payload(fs.classical_to_payload(s))
+    back = cl.classical_from_payload(cl.classical_to_payload(s))
     assert back == s
 
 
 def test_decimal_strings_parse_exactly():
-    s = fs.classical_from_payload({"n": 2, "generators": [["0.9", "0.1"]]})
+    s = cl.classical_from_payload({"n": 2, "generators": [["0.9", "0.1"]]})
     assert s.generators[0] == (Fraction(9, 10), Fraction(1, 10))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ORACLE_CONFIGS
+import knightian
 from knightian import toyvm as tv
 import oracles
 
@@ -192,7 +193,7 @@ def test_opcode_table_is_frozen():
         "1000": "REPEAT",
         "1001": "HALT",
     }
-    assert tv.MACHINE_VERSION == "toyvm-1"
+    assert knightian.MACHINE_VERSION == "toyvm-1"
     # reserved opcodes halt
     for op in ("1010", "1111"):
         assert tv.run(tv.from_body(op + tv.EMIT1), CFG, STREAM0).output == ""
