@@ -120,11 +120,9 @@ def subject_from_payload(payload: dict) -> Subject:
         if isinstance(emit, str):
             emission: Emission = ("bit", emit)
         elif "prob" in emit:
-            emission = ("prob", Fraction(str(emit["prob"])))
-        elif "freebit" in emit:
-            emission = ("freebit", int(emit["freebit"]))
+            emission = ("prob", emit["prob"])
         else:
-            raise SubjectSpecError(f"unknown emission payload {emit!r}")
+            emission = ("freebit", emit["freebit"])
         key = (e["from"], e["on_input"])
         if key in edges:
             raise SubjectSpecError(
@@ -135,7 +133,7 @@ def subject_from_payload(payload: dict) -> Subject:
         states=tuple(payload["states"]),
         initial=payload["initial"],
         edges=edges,
-        freebit_budget=int(payload.get("freebit_budget", 0)),
+        freebit_budget=payload.get("freebit_budget", 0),
     )
 
 
@@ -175,8 +173,7 @@ def _law(emit: Emission) -> dict | None:
     if kind == "bit":
         return {"0": int(value == "0"), "1": int(value == "1")}
     if kind == "prob":
-        p = Fraction(value)
-        return {"0": 1 - p, "1": p}
+        return {"0": 1 - value, "1": value}
     return None
 
 
@@ -481,10 +478,7 @@ class GameConfig:
 
     def __post_init__(self):
         check_window(self.t, self.u)
-        eps, delta = Fraction(self.epsilon), Fraction(self.delta)
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "delta", delta)
-        for name, value in (("epsilon", eps), ("delta", delta)):
+        for name, value in (("epsilon", self.epsilon), ("delta", self.delta)):
             if not 0 < value < 1:
                 raise ValueError(f"{name!r} = {value} must lie in (0, 1)")
         if self.trials < 1:

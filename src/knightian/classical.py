@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import KnightianError, at
+from .errors import KnightianError, at, exact, too_long
 
 if TYPE_CHECKING:
     from .freestate import Freestate
@@ -58,41 +57,28 @@ class ClassicalFreestate:
         return tuple(sum(w * g[i] for w, g in zip(weights, choice)) for i in range(self.dim))
 
 
-def _exact(v: Fraction) -> str | None:
-    """v as "a/b", or None when a report could not hold it: Python prints no
-    int of more than sys.get_int_max_str_digits() digits."""
-    try:
-        return str(v)
-    except ValueError:
-        return None
-
-
-def _too_long(what: str) -> str:
-    return f"{what} has more than {sys.get_int_max_str_digits()} digits above or below its fraction bar"
-
-
 def _not_one(what: str, total: Fraction) -> str:
-    shown = _exact(total) or "a fraction too long to print"
+    shown = exact(total) or "a fraction too long to print"
     return f'{what} sum to {shown}, not exactly 1; write them as "a/b" strings'
 
 
 def _probabilities(g, dim: int) -> tuple[Fraction, ...]:
     """One classical generator, read exactly: dim nonnegative rationals summing to 1."""
-    vec = tuple(Fraction(v) if not isinstance(v, float) else _decimal_fraction(v) for v in g)
+    vec = tuple(map(_decimal_fraction, g))
     if len(vec) != dim:
         raise ValueError(f"expected {dim} outcomes, got {len(vec)}")
     if any(v < 0 for v in vec):
         raise ValueError("probabilities must be nonnegative")
-    if None in map(_exact, vec):
-        raise ValueError(_too_long("a probability"))
+    if None in map(exact, vec):
+        raise ValueError(too_long("a probability"))
     if sum(vec) != 1:
         raise ValueError(_not_one("probabilities", sum(vec)))
     return vec
 
 
 def _decimal_fraction(x) -> Fraction:
-    # decimal literals like 0.1 become exactly 1/10, not the binary float
-    return Fraction(str(x))
+    # a float is read as the decimal it prints as, so 0.1 becomes exactly 1/10
+    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
 
 
 def event_interval(
@@ -104,8 +90,8 @@ def event_interval(
         raise BadEvent(f"'event' indices must lie in [0, {s.dim})")
     values = [sum((g[i] for i in idx), Fraction(0)) for g in s.generators]
     lo, hi = min(values), max(values)
-    if None in (_exact(lo), _exact(hi)):
-        raise BadEvent(_too_long("the probability of 'event'"))
+    if None in (exact(lo), exact(hi)):
+        raise BadEvent(too_long("the probability of 'event'"))
     return lo, hi
 
 

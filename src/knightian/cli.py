@@ -5,10 +5,14 @@ Every command has one entry in ``COMMANDS``: its handler, its config schema
 and, for the tabular commands, its CSV rows.  ``dispatch`` checks the config
 against the schema before the handler runs: unknown and missing keys, and
 values of the wrong type (a float where an integer belongs, a number where a
-bitstring belongs), are rejected by name, so handlers read typed values and
-golden outputs stay stable.  Every report embeds the artifact version, the
-machine spec version, the seed, and an echo of the config; identical
-(config, seed, version) triples produce byte-identical reports.
+bitstring belongs), are rejected by name.  The check returns the typed
+config, which the handler reads: each rational is parsed into a Fraction
+there, once, and one that no report could print is refused by its key.  A
+handler passes on only the optional keys a config sets, so each default is
+stated once, in the library's signature.  Every report embeds the artifact
+version, the machine spec version, the seed, and an echo of the config as
+given; identical (config, seed, version) triples produce byte-identical
+reports.
 
 A command loads only the modules it reads: each handler imports its family's
 module on its first line, so a `solomonoff` command never loads `numpy`, and
@@ -30,7 +34,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import MACHINE_VERSION, __version__
-from .errors import KnightianError, at
+from .errors import KnightianError, at, exact, too_long
 
 
 class UsageExit(Exception):
@@ -50,11 +54,20 @@ EXPONENT_GUARD = 4300
 
 
 def _fraction(value) -> Fraction:
+    """value read exactly, a float as the decimal it prints as; ValueError if it is
+    no rational (a bool prints as "True" or "False", which is none)."""
     text = str(value)
     _mantissa, mark, exponent = text.lower().partition("e")
     if mark and abs(int(exponent)) > EXPONENT_GUARD:
         raise ValueError(f"the exponent of {text!r} lies beyond {EXPONENT_GUARD}")
     return Fraction(text)
+
+
+def _open_unit(value) -> Fraction:
+    p = _fraction(value)
+    if not 0 < p < 1:
+        raise ValueError(f"{p} lies outside (0, 1)")
+    return p
 
 
 def _rat(f: Fraction) -> dict:
@@ -63,19 +76,22 @@ def _rat(f: Fraction) -> dict:
 
 # -- config schemas -----------------------------------------------------------------
 #
-# A value kind is one of: a Kind, a leaf test; a one-item list [k], a list of any
-# length whose every item is a k; a tuple (k1, k2, ...), a list of exactly those
-# kinds in order; a dict, an object with exactly these keys, each required
-# unless its kind is wrapped in Opt; an Either of an object schema and any
-# kind, itself possibly an Either; or a ByKind, an object schema picked by the
-# object's 'kind'.  Kind, Opt, Either and ByKind are plain classes: a
+# A value kind is one of: a Kind, a leaf test or reader; a one-item list [k], a
+# list of any length whose every item is a k; a tuple (k1, k2, ...), a list of
+# exactly those kinds in order; a dict, an object with exactly these keys, each
+# required unless its kind is wrapped in Opt; an Either of an object schema and
+# any kind, itself possibly an Either; or a ByKind, an object schema picked by
+# the object's 'kind'.  _check returns the value with each read leaf replaced
+# by what its reader made of it; a schema states no defaults, as an optional
+# key left out stays out.  Kind, Opt, Either and ByKind are plain classes: a
 # dataclass adds about 1 ms to every CLI start.
 
 
 class Kind:
-    def __init__(self, name: str, test: Callable[[object], bool]):
+    def __init__(self, name: str, test: Callable | None = None, read: Callable | None = None):
         self.name = name  # what the value must be, for the error message
-        self.test = test
+        self.test = test  # value -> bool
+        self.read = read  # in place of test: value -> its typed form, or ValueError
 
 
 class Opt:
@@ -113,21 +129,11 @@ def _is_real(value) -> bool:
         return False
 
 
-def _is_rational(value) -> bool:
-    if isinstance(value, bool):
-        return False
-    try:
-        _fraction(value)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
-
-
 INT = Kind("an integer", _is_int)
 REAL = Kind("a finite real number", _is_real)
 BITS = Kind("a bitstring", lambda v: isinstance(v, str) and set(v) <= {"0", "1"})
-RATIONAL = Kind("a rational", _is_rational)
-OPEN_UNIT = Kind("a rational in (0, 1)", lambda v: _is_rational(v) and 0 < _fraction(v) < 1)
+RATIONAL = Kind("a rational", read=_fraction)
+OPEN_UNIT = Kind("a rational in (0, 1)", read=_open_unit)
 BOOL = Kind("a boolean", lambda v: isinstance(v, bool))
 STRING = Kind("a string", lambda v: isinstance(v, str))
 
@@ -160,8 +166,8 @@ def _bad(path: str, what: str, value) -> KnightianError:
     return KnightianError(f"{path} must be {what}, got {value!r}")
 
 
-def _check(value, kind, path: str = "config") -> None:
-    """Raise KnightianError naming the offending key unless value is of kind.
+def _check(value, kind, path: str = "config"):
+    """value typed by kind; raise KnightianError naming the offending key unless it is of kind.
 
     path is the subscript chain from the config root, e.g. config['game']['t'].
     """
@@ -184,26 +190,37 @@ def _check(value, kind, path: str = "config") -> None:
                 raise KnightianError(
                     f"{problem} key(s) in {path}: {', '.join(map(repr, sorted(keys)))}"
                 )
-        for key in sorted(value):
-            _check(value[key], kind[key], f"{path}[{key!r}]")
-    elif isinstance(kind, list):
+        return {key: _check(value[key], kind[key], f"{path}[{key!r}]") for key in sorted(value)}
+    if isinstance(kind, list):
         if not isinstance(value, list):
             raise _bad(path, "a list", value)
-        for i, item in enumerate(value):
-            _check(item, kind[0], f"{path}[{i}]")
-    elif isinstance(kind, tuple):
+        return [_check(item, kind[0], f"{path}[{i}]") for i, item in enumerate(value)]
+    if isinstance(kind, tuple):
         if not (isinstance(value, list) and len(value) == len(kind)):
             raise _bad(path, f"a list of {len(kind)} values", value)
-        for i, (item, item_kind) in enumerate(zip(value, kind)):
-            _check(item, item_kind, f"{path}[{i}]")
-    elif not kind.test(value):
-        raise _bad(path, kind.name, value)
+        return [_check(item, k, f"{path}[{i}]") for i, (item, k) in enumerate(zip(value, kind))]
+    if kind.read is None:
+        if not kind.test(value):
+            raise _bad(path, kind.name, value)
+        return value
+    try:
+        typed = kind.read(value)
+    except (ValueError, ZeroDivisionError):
+        raise _bad(path, kind.name, value) from None
+    if exact(typed) is None:
+        raise KnightianError(too_long(path))
+    return typed
+
+
+def _given(config: dict, keys) -> dict:
+    """The items of config under keys: a key left out takes the library's default."""
+    return {key: config[key] for key in keys if key in config}
 
 
 def _machine_config(config: dict) -> toyvm.MachineConfig:
     from . import toyvm
 
-    return toyvm.MachineConfig(**{k: v for k, v in config.items() if k in MACHINE})
+    return toyvm.MachineConfig(**_given(config, MACHINE))
 
 
 # -- freestate family ---------------------------------------------------------------
@@ -275,7 +292,7 @@ def _cmd_freestate_mix(config: dict, seed) -> dict:
         kind = "classical" if "classical" in c else "freestate"
         entries.append((f"config['components'][{i}][{kind!r}]", kind, c[kind]))
     kind, write, states = _alike(entries)
-    weights = [_fraction(c["weight"]) for c in comps]
+    weights = [c["weight"] for c in comps]
     return {kind: write(classical.prob_mix(list(zip(weights, states))))}
 
 
@@ -285,13 +302,7 @@ def _cmd_freestate_witness(config: dict, seed) -> dict:
     a = freestate.freestate_from_payload(config["freestate_a"], "config['freestate_a']")
     b = freestate.freestate_from_payload(config["freestate_b"], "config['freestate_b']")
     _same_dim("config['freestate_b']['dim']", b.dim, "config['freestate_a']['dim']", a.dim)
-    w = freestate.separating_witness(
-        a,
-        b,
-        tol=config.get("tol", 1e-6),
-        restarts=config.get("restarts", 64),
-        seed=seed or 0,
-    )
+    w = freestate.separating_witness(a, b, seed=seed or 0, **_given(config, ("tol", "restarts")))
     if w is None:
         return {"kind": "none"}
     found = {
@@ -344,9 +355,7 @@ def _cmd_solomonoff_regret(config: dict, seed) -> dict:
         q = toyvm.decode(config["q"])
     except KnightianError as exc:
         raise KnightianError(f"'q' is not one program: {exc}") from exc
-    report = prior.regret_report(
-        q, config["sequence"], mixture, [_fraction(e) for e in config["eps"]]
-    )
+    report = prior.regret_report(q, config["sequence"], mixture, config["eps"])
     curve = []
     for step, ratio in enumerate(report.per_step_ratios, start=1):
         curve.append(
@@ -504,9 +513,7 @@ def _cmd_arena_run(config: dict, seed) -> dict:
 
     if seed is None:
         raise KnightianError("arena run is stochastic: --seed is required")
-    game = config["game"]
-    rationals = {k: _fraction(game[k]) for k in ("epsilon", "delta")}
-    cfg = arena.GameConfig(**{**game, **rationals}, seed=seed)
+    cfg = arena.GameConfig(**config["game"], seed=seed)
     verdict = arena.run_game(
         _subject(config["subject"], "config['subject']"),
         _predictor(config["predictor"], "config['predictor']"),
@@ -528,10 +535,9 @@ def _cmd_arena_classify(config: dict, seed) -> dict:
     horizon, schedule = config["horizon"], config["schedule"]
     for i, (t, _, _) in enumerate(schedule):
         arena.check_window(t, horizon, "'horizon'", f"config['schedule'][{i}]: ")
-    game = {k: v for k, v in config.items() if k in ("trials", "input_model")}
+    game = _given(config, ("trials", "input_model"))
     games = [
-        arena.GameConfig(t, horizon, _fraction(eps), _fraction(delta), seed=seed, **game)
-        for t, eps, delta in schedule
+        arena.GameConfig(t, horizon, eps, delta, seed=seed, **game) for t, eps, delta in schedule
     ]
     return arena.classify(subjects, predictors, games)
 
@@ -586,7 +592,6 @@ def _cmd_gadgets_bostrom(config: dict, seed) -> dict:
         puzzle = gadgets.RoomPuzzle(
             **{
                 **config,
-                "prior_heads": _fraction(config["prior_heads"]),
                 "heads_colors": tuple(config["heads_colors"]),
                 "tails_colors": tuple(config["tails_colors"]),
             }
@@ -610,18 +615,15 @@ BOX_GUARD = 10**300
 def _cmd_gadgets_newcomb(config: dict, seed) -> dict:
     from . import gadgets
 
-    box_one = config.get("box_one", 1_000_000)
-    box_two = config.get("box_two", 1_000)
-    for key, box in (("box_one", box_one), ("box_two", box_two)):
+    boxes = _given(config, ("box_one", "box_two"))
+    for key, box in boxes.items():
         if abs(box) > BOX_GUARD:
             raise KnightianError(f"{key!r} must be at most {BOX_GUARD:.0e} in size, got {box}")
-    value = gadgets.newcomb_expected(
-        config["policy"], _fraction(config["accuracy"]), box_one, box_two
-    )
+    value = gadgets.newcomb_expected(config["policy"], config["accuracy"], **boxes)
     return {
         "policy": config["policy"],
         "expected": _rat(value),
-        "crossover_accuracy": _rat(gadgets.newcomb_crossover(box_one, box_two)),
+        "crossover_accuracy": _rat(gadgets.newcomb_crossover(**boxes)),
     }
 
 
@@ -629,9 +631,7 @@ def _cmd_gadgets_causal(config: dict, seed) -> dict:
     from . import gadgets
 
     graph = gadgets.graph_from_payload(config, "config")
-    violations = gadgets.causal_validate(
-        graph, check_disjoint_macro=config.get("check_disjoint_macro", True)
-    )
+    violations = gadgets.causal_validate(graph, **_given(config, ("check_disjoint_macro",)))
     return {
         "ok": not violations,
         "violations": [
@@ -737,11 +737,11 @@ def dispatch(argv: list[str]) -> int:
         if args.config:
             with open(args.config) as fh:
                 config = json.load(fh)
-        _check(config, schema)
+        typed = _check(config, schema)
         if args.format == "csv" and csv_rows is None:
             tabular = sorted(" ".join(k) for k, entry in COMMANDS.items() if entry[2])
             raise KnightianError(f"csv output is only available for: {', '.join(tabular)}")
-        result = handler(config, args.seed)
+        result = handler(typed, args.seed)
         if args.format == "csv":
             text = "".join(f"{line}\n" for line in csv_rows(result))
         else:

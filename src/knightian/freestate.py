@@ -437,7 +437,7 @@ def freestate_to_payload(s: Freestate) -> dict:
 
 
 def freestate_from_payload(payload: dict, path: str = "payload") -> Freestate:
-    dim = int(payload["dim"])
+    dim = payload["dim"]
     gens = []
     for i, g in enumerate(payload["generators"]):
         with at(f"{path}['generators'][{i}]"):
@@ -448,7 +448,7 @@ def freestate_from_payload(payload: dict, path: str = "payload") -> Freestate:
 
 def effect_from_payload(payload: dict, path: str = "payload") -> Effect:
     with at(f"{path}['entries']"):
-        return Effect(int(payload["dim"]), _matrix_from_payload(payload["entries"]))
+        return Effect(payload["dim"], _matrix_from_payload(payload["entries"]))
 
 
 def pure_from_payload(rows: list, path: str = "payload") -> PureState:

@@ -198,17 +198,20 @@ def bostrom_variant_two() -> RoomPuzzle:
 # -- the predictor's boxes -----------------------------------------------------------
 
 
+# the opaque and the transparent box as Nozick (1969) states the problem
+BOX_ONE, BOX_TWO = 1_000_000, 1_000
+
+
 def newcomb_expected(
     policy: str,
     accuracy: Fraction,
-    box_one: int = 1_000_000,
-    box_two: int = 1_000,
+    box_one: int = BOX_ONE,
+    box_two: int = BOX_TWO,
 ) -> Fraction:
     """Expected takings against a predictor of the given accuracy.
 
     The opaque box is filled exactly when the predictor foresaw one-boxing.
     """
-    accuracy = Fraction(accuracy)
     if not (0 <= accuracy <= 1):
         raise ValueError(f"'accuracy' = {accuracy} must be a probability")
     if policy == "one-box":
@@ -218,7 +221,7 @@ def newcomb_expected(
     raise ValueError(f"'policy' must be 'one-box' or 'two-box', got {policy!r}")
 
 
-def newcomb_crossover(box_one: int = 1_000_000, box_two: int = 1_000) -> Fraction:
+def newcomb_crossover(box_one: int = BOX_ONE, box_two: int = BOX_TWO) -> Fraction:
     """Predictor accuracy at which one-boxing starts to pay."""
     if box_one <= 0:
         raise ValueError(f"'box_one' must be positive, got {box_one}")
@@ -351,14 +354,11 @@ def acyclicity_check(graph: CausalGraph) -> bool:
 def graph_from_payload(payload: dict, path: str = "payload") -> CausalGraph:
     """The graph a payload describes; a bad node kind, edge or duplicate id is
     named by its path under path, e.g. config['edges'][1]."""
-    try:
-        nodes = []
-        for i, n in enumerate(payload["nodes"]):
-            with at(f"{path}['nodes'][{i}]['kind']"):  # a node checks only its kind
-                nodes.append(CausalNode(n["id"], n["kind"], n["time"]))
-        edges = tuple((c, e) for c, e in payload["edges"])
-    except (KeyError, TypeError) as exc:
-        raise MalformedGraph(f"bad graph payload: {exc}") from exc
+    nodes = []
+    for i, n in enumerate(payload["nodes"]):
+        with at(f"{path}['nodes'][{i}]['kind']"):  # a node checks only its kind
+            nodes.append(CausalNode(n["id"], n["kind"], n["time"]))
+    edges = tuple((c, e) for c, e in payload["edges"])
     known = {n.id for n in nodes}
     for i, (c, e) in enumerate(edges):
         with at(f"{path}['edges'][{i}]"):

@@ -27,7 +27,6 @@ that regime attached.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -176,7 +175,6 @@ class RegretReport:
     per_step_ratios: tuple[Fraction, ...]
     cumulative: tuple[Fraction, ...]  # one entry per prefix, the empty one first
     mistakes: dict[Fraction, int]
-    nonmistake_log2_excess: dict[Fraction, float]
 
     @property
     def ratio_product(self) -> Fraction:
@@ -213,16 +211,7 @@ def regret_report(
     cumulative = [u / h for u, h in zip(p_u, p_q)]
     steps = range(1, len(p_u))
     ratios = [cumulative[n] / cumulative[n - 1] for n in steps]
-    mistakes = {}
-    excess = {}
-    for eps in eps_list:
-        eps = Fraction(eps)
-        mistakes[eps] = sum(1 for r in ratios if r < 1 - eps)
-        # realized slack from steps where the mixture beat the hypothesis;
-        # it bounds how many mistakes the product inequality permits
-        excess[eps] = sum(
-            math.log2(float(r)) for r in ratios if r >= 1 - eps and r > 1
-        )
+    mistakes = {eps: sum(1 for r in ratios if r < 1 - eps) for eps in eps_list}
     return RegretReport(
         q=q,
         sequence=sequence,
@@ -231,7 +220,6 @@ def regret_report(
         per_step_ratios=tuple(ratios),
         cumulative=tuple(cumulative),
         mistakes=mistakes,
-        nonmistake_log2_excess=excess,
     )
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import STOCK_PAYLOADS
-from knightian import arena
+from knightian import arena, cli
 from knightian.errors import KnightianError
 
 F = Fraction
@@ -94,7 +94,8 @@ def test_subject_validation():
 
 def test_stock_payloads_parse_to_the_stock_subjects():
     for name, make in arena.STOCK_SUBJECTS.items():
-        assert arena.subject_from_payload(STOCK_PAYLOADS[name]) == make()
+        payload = cli._check(STOCK_PAYLOADS[name], cli.SUBJECT)  # the CLI reads each "prob" once
+        assert arena.subject_from_payload(payload) == make()
 
 
 # -- adversary ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import STOCK_PAYLOADS, pushed_out_pair
 from knightian import arena, cli, toyvm
+from knightian.errors import KnightianError
 from knightian import classical as cl, freestate as fs
 import oracles
 
@@ -422,6 +423,14 @@ def oblivious_gerbil_game(freebit_budget):
         # exact rationals that sum to 1 + 1e-13: both passed as within 1e-12 of 1 (exit 0)
         (("freestate", "interval"), {"classical": {"n": 2, "generators": [["0.5", "0.5000000000001"]]}, "event": [0, 1]}, "generators"),
         (("freestate", "mix"), {"components": [{"weight": "0.5", "classical": CLASSICAL_ONE}, {"weight": "0.5000000000001", "classical": CLASSICAL_ONE}]}, "weight"),
+        # a rational with a denominator of 4,301 digits, more than Python prints: each exited 1
+        # quoting Python's limit and naming no key
+        (("gadgets", "bostrom"), {**ROOM_PUZZLE, "prior_heads": "1e-4300"}, "prior_heads"),
+        (("solomonoff", "regret"), {**REGRET, "eps": ["1e-4300"]}, "eps"),
+        (("arena", "run"), {**RUN, "game": {**GAME, "epsilon": "1e-4300"}}, "epsilon"),
+        (("arena", "run"), {**RUN, "game": {**GAME, "delta": "1e-4300"}}, "delta"),
+        (("arena", "run"), {**RUN, "subject": with_edge(COIN, emit={"prob": "1e-4300"})}, "prob"),
+        (("arena", "classify"), {**CLASSIFY, "schedule": [[2, "1e-4300", "0.1"]]}, "schedule"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -431,6 +440,7 @@ def test_solomonoff_config_types_are_strict(tmp_path, capsys, command, config, k
     assert code == 1, err
     for name in (key,) if isinstance(key, str) else key:
         assert (name if name.startswith("config[") else repr(name)) in err, err
+    assert "set_int_max_str_digits" not in err, err
 
 
 def classical(*generators):
@@ -481,8 +491,9 @@ def test_an_exact_value_too_long_to_print_names_its_key(tmp_path, capsys, comman
 
 def test_an_exponent_past_the_guard_is_refused_before_it_is_expanded():
     started = time.monotonic()
-    assert not cli._is_rational("1e-10000000")
-    assert not cli._is_rational(f"1E+{cli.EXPONENT_GUARD + 1}")
+    for text in ("1e-10000000", f"1E+{cli.EXPONENT_GUARD + 1}"):
+        with pytest.raises(KnightianError, match="must be a rational"):
+            cli._check(text, cli.RATIONAL)
     assert time.monotonic() - started < 0.1
     assert cli._fraction(f"1e-{cli.EXPONENT_GUARD}") == Fraction(1, 10**cli.EXPONENT_GUARD)
     assert cli._fraction(1e308) == 10**308
@@ -561,6 +572,47 @@ def test_every_config_key_is_typed(tmp_path, capsys, group, command, config):
         assert (code, repr(key) in err) == (1, True), (key, err)
 
 
+# SHA-256 of each GOOD_CONFIGS report at --seed 1, in order
+GOOD_REPORT_DIGESTS = [
+    "0563ebac6976b1cfb4ebe8e98f9620334bad02cb28744f328b2a46121686aee4",  # freestate interval
+    "6758a0e4cba686ade21c0f3b0a7526499c441ed664ee98880d3c131c605445d5",  # freestate interval
+    "a7defcae5efb5bf0511862b8b365bd736fc8700e6fad750b9a960a32408b1c20",  # freestate witness
+    "e942674d16a7589b92c9a19f3597000480dffe2ac1abfc355662a64e9a7628d3",  # freestate or
+    "ac68b6a2a65f4c0a3c2de5eaffccc5a059905583d44d6cac030a35c59dbd6bc9",  # freestate or
+    "0a0260745a73d74be78cad6c8738a80157ad1789d3dc4c4c7296a5cde7684a71",  # freestate mix
+    "ee73fc87a3794be342cd25acb62b898113c623ca9a4c4ba242ba2e7438ff92f8",  # freestate mix
+    "3e68ef308454498e67af39389ded5f7dd1f77fab394471a71c5a027c5c191095",  # freestate clone-check
+    "02ac9c6afc0fcb50f72b25ceff14bbe5733f2e31e91d13ab3f898e24daf179d8",  # solomonoff predict
+    "d4a065b5a5848749225118762d186b53482a833eaf3cc5fe7d5d35e304c5255d",  # solomonoff regret
+    "0ecb2d78603ee39dc640e03757b1ae300c58a6afa9f5007ca366c86466468f6f",  # solomonoff diagonal
+    "b90438ebd5a6a4ada5c97f4af6e01a8eea95d1798ea3ed83d5819f34ccdcd3f7",  # solomonoff omega
+    "38ea54fd32c9f3c3c255331c16e3395b3807b940b22868e4df5cf4f37d31e172",  # soph k
+    "8e42419f018001805affd229e008d56d0a42f4b4ed7426bfe3be06a22d92e943",  # soph kset
+    "fe15520781bf89735bc9fe945d97d60c2d3a65d707705cd01c20c9fce9ec475e",  # soph soph
+    "404edf285e02bc391027aaa96cc92b35725358245b10a48761e86a34988ffae9",  # soph table
+    "2b88697604669603a5fac09a5995b8ba7cebf3f044a85ed3ff6557d6efbcc80c",  # arena run
+    "8b9980c416e6e41ce250c2f14defd0e5fd71b36bfe08b3672faf4e827faab529",  # arena classify
+    "14760a84c89c2dd55a1629956cd4d959ecf714665baa0e0b65136ef30cf277f4",  # gadgets chsh-classical
+    "41c419eab78077648ca833f1075aa14303be37b277e9f008c4aae689d4a77cad",  # gadgets chsh-quantum
+    "d706373b90fb6d19d5bd3e40c4a72be9692c0b8a0aa2a2d86ef8e63f8440796a",  # gadgets bostrom
+    "702fcfd4386bd9ff5ad8217bc8f969daeaed3dc8c67eff82d19c7f1a92f4c917",  # gadgets bostrom
+    "f50998268648ffff30e4cbb83e583be13d118746209b5aae862b27e52b779b33",  # gadgets newcomb
+    "beb64e9568c27fd620b6e530ef356bf32bc2168d6629efee2b39c70e2895857f",  # gadgets causal
+    "06adc8a9f65c73209a85a3e4c9d6523d87962de079f0e032afe794d7619b64c9",  # arena run
+    "9c1e1c6558245c6e8a870bd4758b6150c7f5c07bcaa8a1ceab3fdc7051e00253",  # arena classify
+]
+
+
+@pytest.mark.parametrize(
+    "group, command, config, digest",
+    [(*good, digest) for good, digest in zip(GOOD_CONFIGS, GOOD_REPORT_DIGESTS, strict=True)],
+)
+def test_every_command_report_bytes_are_pinned(tmp_path, capsys, group, command, config, digest):
+    code, out, err = invoke(capsys, group, command, "--seed", "1", "--config", write_config(tmp_path, config))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
 def leaf_paths(value, path=()):
     """Subscript paths to every scalar, empty list and empty object in a config."""
     items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
@@ -577,6 +629,37 @@ def replace_leaf(value, path, new):
     copy = dict(value) if isinstance(value, dict) else list(value)
     copy[key] = replace_leaf(value[key], rest, new)
     return copy
+
+
+def rational_leaves(config, schema) -> int:
+    """How many leaves of config the schema reads as rationals: each of them, and no
+    other leaf, is refused as not a rational when it alone is replaced by "x"."""
+    count = 0
+    for leaf in leaf_paths(config):
+        try:
+            cli._check(replace_leaf(config, leaf, "x"), schema)
+        except KnightianError as exc:
+            count += "must be a rational" in str(exc)
+    return count
+
+
+@pytest.mark.parametrize("group, command, config", GOOD_CONFIGS)
+def test_each_rational_is_read_once(tmp_path, capsys, group, command, config):
+    leaves = rational_leaves(config, cli.COMMANDS[(group, command)][1])
+    path = write_config(tmp_path, config)
+    reads = 0
+
+    def count(frame, event, arg):
+        nonlocal reads
+        reads += event == "call" and frame.f_code is cli._fraction.__code__
+
+    sys.setprofile(count)
+    try:
+        code = cli.dispatch([group, command, "--seed", "1", "--config", path])
+    finally:
+        sys.setprofile(None)
+    assert code == 0, capsys.readouterr().err
+    assert reads == leaves
 
 
 # a fixed pool of awkward leaves: edge integers, each size guard and one past it,
