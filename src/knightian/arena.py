@@ -538,15 +538,16 @@ class Verdict:
         return self.pass_fraction >= 1 - self.game.delta
 
     def to_payload(self) -> dict:
+        """The report's verdict; its exact values stay Fractions, for the CLI to print."""
         game, fraction = self.game, self.pass_fraction
         return {
             "trials": game.trials,
             "seed": game.seed,
-            "epsilon": str(game.epsilon),
-            "delta": str(game.delta),
-            "distances": [str(d) for d in self.distances],
+            "epsilon": game.epsilon,
+            "delta": game.delta,
+            "distances": list(self.distances),
             "distances_float": [float(d) for d in self.distances],
-            "pass_fraction": str(fraction),
+            "pass_fraction": fraction,
             "pass_fraction_float": float(fraction),
             "passed": self.passed,
             "confidence_interval_95": list(
@@ -616,8 +617,9 @@ def classify(
 
     "mechanistic-at-scale" when some supplied predictor passes every game for
     every subject in the class; "unpredicted-at-scale" otherwise (see the
-    disclaimer in the report).  An empty class, predictor list or game list
-    is named by its CLI key: 'class', 'predictors' or 'schedule'.
+    disclaimer in the report, whose exact values stay Fractions for the CLI to
+    print).  An empty class, predictor list or game list is named by its CLI
+    key: 'class', 'predictors' or 'schedule'.
     """
     # a label rests on games played: at least one per subject and predictor
     for key, items in (("class", reference_class), ("predictors", predictors), ("schedule", games)):
@@ -635,8 +637,8 @@ def classify(
                         "predictor": name,
                         "subject_index": s_idx,
                         "t": cfg.t,
-                        "epsilon": str(cfg.epsilon),
-                        "delta": str(cfg.delta),
+                        "epsilon": cfg.epsilon,
+                        "delta": cfg.delta,
                         "verdict": verdict.to_payload(),
                     }
                 )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import KnightianError, at, exact, too_long
+from .errors import KnightianError, at, exact
 
 if TYPE_CHECKING:
     from .freestate import Freestate
@@ -69,8 +69,6 @@ def _probabilities(g, dim: int) -> tuple[Fraction, ...]:
         raise ValueError(f"expected {dim} outcomes, got {len(vec)}")
     if any(v < 0 for v in vec):
         raise ValueError("probabilities must be nonnegative")
-    if None in map(exact, vec):
-        raise ValueError(too_long("a probability"))
     if sum(vec) != 1:
         raise ValueError(_not_one("probabilities", sum(vec)))
     return vec
@@ -89,10 +87,7 @@ def event_interval(
     if any(i < 0 or i >= s.dim for i in idx):
         raise BadEvent(f"'event' indices must lie in [0, {s.dim})")
     values = [sum((g[i] for i in idx), Fraction(0)) for g in s.generators]
-    lo, hi = min(values), max(values)
-    if None in (exact(lo), exact(hi)):
-        raise BadEvent(too_long("the probability of 'event'"))
-    return lo, hi
+    return min(values), max(values)
 
 
 # -- algebra --------------------------------------------------------------------
@@ -143,9 +138,7 @@ def prob_mix(
         raise KnightianError(f"'components' expand to {count} generators, more than {MIX_GUARD}")
     first = states[0]
     choices = itertools.product(*[s.generators for s in states])
-    # a classical generator of the mixture can be too long to print
-    with at("'components'"):
-        return replace(first, generators=tuple(first.weighted_sum(weights, c) for c in choices))
+    return replace(first, generators=tuple(first.weighted_sum(weights, c) for c in choices))
 
 
 # -- JSON -------------------------------------------------------------------------
@@ -155,7 +148,8 @@ def prob_mix(
 
 
 def classical_to_payload(s: ClassicalFreestate) -> dict:
-    return {"n": s.dim, "generators": [[str(v) for v in g] for g in s.generators]}
+    """The payload the reader takes, its generators' Fractions for the CLI to print."""
+    return {"n": s.dim, "generators": [list(g) for g in s.generators]}
 
 
 def classical_from_payload(payload: dict, path: str = "payload") -> ClassicalFreestate:

@@ -9,10 +9,11 @@ bitstring belongs), are rejected by name.  The check returns the typed
 config, which the handler reads: each rational is parsed into a Fraction
 there, once, and one that no report could print is refused by its key.  A
 handler passes on only the optional keys a config sets, so each default is
-stated once, in the library's signature.  Every report embeds the artifact
+stated once, in the library's signature.  A result keeps its Fractions,
+which ``dispatch`` alone prints, refusing one too long to print by its path,
+e.g. result['verdict']['distances'][0].  Every report embeds the artifact
 version, the machine spec version, the seed, and an echo of the config as
-given; identical (config, seed, version) triples produce byte-identical
-reports.
+given; identical (config, seed, version) triples produce byte-identical reports.
 
 A command loads only the modules it reads: each handler imports its family's
 module on its first line, so a `solomonoff` command never loads `numpy`, and
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import MACHINE_VERSION, __version__
-from .errors import KnightianError, at, exact, too_long
+from .errors import KnightianError, at, refuse_unprintable
 
 
 class UsageExit(Exception):
@@ -71,7 +72,7 @@ def _open_unit(value) -> Fraction:
 
 
 def _rat(f: Fraction) -> dict:
-    return {"exact": str(f), "float": float(f)}
+    return {"exact": f, "float": float(f)}
 
 
 # -- config schemas -----------------------------------------------------------------
@@ -207,8 +208,7 @@ def _check(value, kind, path: str = "config"):
         typed = kind.read(value)
     except (ValueError, ZeroDivisionError):
         raise _bad(path, kind.name, value) from None
-    if exact(typed) is None:
-        raise KnightianError(too_long(path))
+    refuse_unprintable(typed, path)
     return typed
 
 
@@ -237,7 +237,7 @@ def _cmd_freestate_interval(config: dict, seed) -> dict:
 
         s = classical.classical_from_payload(config["classical"], "config['classical']")
         lo, hi = classical.event_interval(s, config["event"])
-        return {"lo": float(lo), "hi": float(hi), "lo_exact": str(lo), "hi_exact": str(hi)}
+        return {"lo": float(lo), "hi": float(hi), "lo_exact": lo, "hi_exact": hi}
     from . import freestate
 
     s = freestate.freestate_from_payload(config["freestate"], "config['freestate']")
@@ -722,6 +722,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _write_fraction(value: Fraction) -> str:
+    """json.dumps's writer for a Fraction, the one report value it cannot write itself."""
+    if not isinstance(value, Fraction):
+        raise TypeError(f"a report cannot hold a {type(value).__name__}")
+    return str(value)
+
+
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -742,18 +749,22 @@ def dispatch(argv: list[str]) -> int:
             tabular = sorted(" ".join(k) for k, entry in COMMANDS.items() if entry[2])
             raise KnightianError(f"csv output is only available for: {', '.join(tabular)}")
         result = handler(typed, args.seed)
-        if args.format == "csv":
-            text = "".join(f"{line}\n" for line in csv_rows(result))
-        else:
-            envelope = {
-                "artifact_version": __version__,
-                "machine_version": MACHINE_VERSION,
-                "command": f"{args.group} {args.command}",
-                "seed": args.seed,
-                "config": config,
-                "result": result,
-            }
-            text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        try:
+            if args.format == "csv":
+                text = "".join(f"{line}\n" for line in csv_rows(result))
+            else:
+                envelope = {
+                    "artifact_version": __version__,
+                    "machine_version": MACHINE_VERSION,
+                    "command": f"{args.group} {args.command}",
+                    "seed": args.seed,
+                    "config": config,
+                    "result": result,
+                }
+                text = json.dumps(envelope, sort_keys=True, indent=2, default=_write_fraction) + "\n"
+        except ValueError:  # a value too long to print: searched for only now
+            refuse_unprintable(result, "result")
+            raise
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
@@ -763,7 +774,7 @@ def dispatch(argv: list[str]) -> int:
     except UsageExit as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
-    except (KnightianError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (KnightianError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path

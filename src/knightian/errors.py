@@ -2,6 +2,7 @@
 
 Every domain error in the package derives from KnightianError so the CLI can
 map "your inputs are bad" to exit code 1 and anything else to exit code 2.
+The library returns exact values as Fractions, and the CLI prints them.
 """
 
 import sys
@@ -34,5 +35,12 @@ def exact(v) -> str | None:
         return None
 
 
-def too_long(what: str) -> str:
-    return f"{what} has more than {sys.get_int_max_str_digits()} digits above or below its fraction bar"
+def refuse_unprintable(value, path: str) -> None:
+    """Raise a KnightianError naming the path of a value within value, a config's
+    or a report's, that exact cannot print; path names value itself."""
+    if isinstance(value, (dict, list, tuple)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            refuse_unprintable(item, f"{path}[{key!r}]")
+    elif exact(value) is None:
+        digits = sys.get_int_max_str_digits()
+        raise KnightianError(f"{path} has more than {digits} digits above or below its fraction bar")

@@ -39,7 +39,6 @@ RESTARTS_GUARD = 256
 class NotHermitian(KnightianError):
     def __init__(self, deviation: float):
         super().__init__(f"matrix is not Hermitian (max deviation {deviation:.3e})")
-        self.deviation = deviation
 
 
 class NotPSD(KnightianError):

@@ -95,12 +95,12 @@ def build_mixture(bound: int, cfg: MachineConfig = MachineConfig()) -> Mixture:
 
 
 def mixture_snapshot(mixture: Mixture) -> list[dict]:
-    """Reproducibility record: every hypothesis with its prior and posterior."""
+    """Reproducibility record: every hypothesis with its prior and posterior Fractions."""
     return [
         {
             "program": h.program.code,
-            "prior": str(h.prior),
-            "posterior": str(h.posterior),
+            "prior": h.prior,
+            "posterior": h.posterior,
         }
         for h in mixture.hypotheses
     ]

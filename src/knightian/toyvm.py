@@ -67,19 +67,6 @@ DEC = "0111"
 REPEAT = "1000"
 HALT = "1001"
 
-OPCODE_NAMES = {
-    EMIT0: "EMIT0",
-    EMIT1: "EMIT1",
-    RAND: "RAND",
-    QUOTE: "QUOTE",
-    JMP: "JMP",
-    JMPZ: "JMPZ",
-    INC: "INC",
-    DEC: "DEC",
-    REPEAT: "REPEAT",
-    HALT: "HALT",
-}
-
 COUNTER_MAX = 255
 
 ENUMERATION_GUARD = 24
@@ -95,8 +82,6 @@ class BadHeader(KnightianError):
 class LengthMismatch(KnightianError):
     def __init__(self, expected: int, got: int):
         super().__init__(f"program must be exactly {expected} bits, got {got}")
-        self.expected = expected
-        self.got = got
 
 
 class LimitExceeded(KnightianError):

@@ -452,38 +452,53 @@ def nines(digits):
 
 
 TINY = Fraction(1, 3**2800)  # its denominator has 1,336 digits
+# a coin that shows 1 once in 10**300 throws: over 18 steps a distance has 5,401 digits below its bar
+RARE_COIN = {**COIN, "edges": [{**edge, "emit": {"prob": "1e-300"}} for edge in COIN["edges"]]}
+RARE_GAME = {"t": 2, "u": 20, "epsilon": "1/2", "delta": "1/2", "trials": 1}
 
 
 @pytest.mark.parametrize(
     "command, config, key",
     [
         # 1e-4300 passes EXPONENT_GUARD, but its denominator has 4,301 digits
-        ("or", {"classicals": [classical(["1/2", "1/2"]), classical(["1e-4300", nines(4300)])]}, "config['classicals'][1]['generators'][0]"),
+        (("freestate", "or"), {"classicals": [classical(["1/2", "1/2"]), classical(["1e-4300", nines(4300)])]}, "config['classicals'][1]['generators'][0]"),
         # every input prints, but a product has a denominator of 6,001 digits
         (
-            "mix",
+            ("freestate", "mix"),
             {
                 "components": [
                     {"weight": "1e-3000", "classical": classical(["1e-3000", nines(3000)])},
                     {"weight": nines(3000), "classical": classical(["1/2", "1/2"])},
                 ]
             },
-            "'components'",
+            "result['classical']['generators'][0][0]",
         ),
         # every input prints, but 1e-3000 + 3**-2800 has a denominator of 4,337 digits
         (
-            "interval",
+            ("freestate", "interval"),
             {"classical": classical(["1e-3000", str(TINY), str(Fraction(1, 2) - Fraction(1, 10**3000)), str(Fraction(1, 2) - TINY)]), "event": [0, 1]},
-            "'event'",
+            "result['lo_exact']",
         ),
         # weights whose sum, 1e-3000 + 3**-2800, is not 1 and too long to quote
-        ("mix", {"components": [{"weight": "1e-3000", "classical": CLASSICAL_ONE}, {"weight": str(TINY), "classical": CLASSICAL_ONE}]}, "'weight'"),
+        (("freestate", "mix"), {"components": [{"weight": "1e-3000", "classical": CLASSICAL_ONE}, {"weight": str(TINY), "classical": CLASSICAL_ONE}]}, "'weight'"),
+        # one white room among 1000 heads rooms: the copy-weighted posterior has 4,302 digits below its bar
+        (
+            ("gadgets", "bostrom"),
+            {**ROOM_PUZZLE, "prior_heads": "1e-4299", "copies_if_heads": 1000, "heads_colors": ["blue"] * 999 + ["white"]},
+            "result['posterior_heads']['copy_weighted']['exact']",
+        ),
+        (("arena", "run"), {"subject": RARE_COIN, "predictor": {"kind": "table"}, "game": RARE_GAME}, "result['verdict']['distances'][0]"),
+        (
+            ("arena", "classify"),
+            {"class": [RARE_COIN], "predictors": [{"kind": "table"}], "schedule": [[2, "1/2", "1/2"]], "trials": 1, "horizon": 20},
+            "result['runs'][0]['verdict']['distances'][0]",
+        ),
     ],
-    ids=("or", "mix", "interval", "mix-weights"),
+    ids=("or", "mix", "interval", "mix-weights", "bostrom", "arena-run", "arena-classify"),
 )
 def test_an_exact_value_too_long_to_print_names_its_key(tmp_path, capsys, command, config, key):
     # Python prints no int of more than 4300 digits: the report could not hold the value
-    code, out, err = invoke(capsys, "freestate", command, "--config", write_config(tmp_path, config))
+    code, out, err = invoke(capsys, *command, "--config", write_config(tmp_path, config), "--seed", "1")
     assert code == 1, err
     assert key in err, err
     assert "set_int_max_str_digits" not in err, err
@@ -1267,6 +1282,18 @@ def test_internal_errors_exit_two(tmp_path, capsys, monkeypatch):
     code, out, err = invoke(capsys, "gadgets", "chsh-classical")
     assert code == 2
     assert "internal error" in err
+
+
+def test_an_internal_key_error_exits_two(capsys, monkeypatch):
+    # bad input raises KnightianError or ValueError, so a KeyError is the program's fault
+    def boom(config, seed):
+        raise KeyError("wires crossed")
+
+    key = ("gadgets", "chsh-classical")
+    monkeypatch.setitem(cli.COMMANDS, key, (boom, *cli.COMMANDS[key][1:]))
+    code, out, err = invoke(capsys, "gadgets", "chsh-classical")
+    assert code == 2
+    assert "internal error: KeyError" in err
 
 
 def test_gadgets_causal_cli(tmp_path, capsys):

@@ -110,7 +110,7 @@ def test_snapshot_posteriors_match_the_update_chain(cfg, history):
     for b in history:
         m = prior.update(m, b)
     expected = [
-        {"program": p.code, "prior": str(w), "posterior": str(post)}
+        {"program": p.code, "prior": w, "posterior": post}
         for (p, w), post in zip(priors, reference_posteriors(priors, history, cfg))
     ]
     assert prior.mixture_snapshot(m) == expected

@@ -1,4 +1,4 @@
-"""Every public function or class in src/ is read there, traced, or kept with a reason.
+"""Every public function, class or constant in src/ is read there, traced, or kept with a reason.
 
 Code that only the tests read lives in tests/oracles.py.  A name no src/ code
 reads stays in src/ only when bench/launch.py's TRACED wraps it (a traced run
@@ -19,11 +19,22 @@ KEPT = {
     "arena.one_freebit": "C07's subject",
     "freestate.full_freebit": "the Bloch-ball freestate",
     "complexity.measure_listing_overhead": "LISTING_OVERHEAD rests on it",
+    "complexity.LISTING_OVERHEAD": "the pinned constant the sophistication bound rests on",
+    "toyvm.HALT": "named by the toyvm-1 spec; the interpreter's else branch runs it",
 }
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level def, class or constant assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    return []
+
+
 def unread_public_names() -> set[str]:
-    """The public module-level defs and classes of src/ whose name no src/ code reads."""
+    """The public module-level defs, classes and constants of src/ whose name no src/ code reads."""
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     read = set()
     for tree in trees.values():
@@ -33,12 +44,11 @@ def unread_public_names() -> set[str]:
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     return {
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in read
+        for name in defined_names(node)
+        if not name.startswith("_") and name not in read
     }
 
 
