@@ -47,14 +47,24 @@ class ClassicalFreestate:
     generators: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        gens = tuple(_probabilities(g, self.dim) for g in self.generators)
+        gens = tuple(
+            g if isinstance(g, _Distribution) and len(g) == self.dim else _probabilities(g, self.dim)
+            for g in self.generators
+        )
         if not gens:
             raise ValueError("a freestate needs at least one generator")
         object.__setattr__(self, "generators", gens)
 
     def weighted_sum(self, weights: list[Fraction], choice) -> tuple[Fraction, ...]:
-        """sum_i weights[i] * choice[i], one generator of a mixture."""
-        return tuple(sum(w * g[i] for w, g in zip(weights, choice)) for i in range(self.dim))
+        """sum_i weights[i] * choice[i], one generator of a mixture.
+
+        prob_mix's weights sum to exactly 1, so the sum is a distribution
+        without being read again."""
+        return _Distribution(sum(w * g[i] for w, g in zip(weights, choice)) for i in range(self.dim))
+
+
+class _Distribution(tuple):
+    """A generator already read: nonnegative Fractions summing to exactly 1."""
 
 
 def _not_one(what: str, total: Fraction) -> str:
@@ -71,7 +81,7 @@ def _probabilities(g, dim: int) -> tuple[Fraction, ...]:
         raise ValueError("probabilities must be nonnegative")
     if sum(vec) != 1:
         raise ValueError(_not_one("probabilities", sum(vec)))
-    return vec
+    return _Distribution(vec)
 
 
 def _decimal_fraction(x) -> Fraction:

@@ -10,13 +10,17 @@ tolerances.  The classical kind, exact probability vectors, and the algebra
 on either kind (knightian_or, prob_mix) live in ``classical``.
 
 Hull membership and witness separation are one LP over the real
-vectorization of Hermitian matrices, delegated to scipy: the best margin of a
-separating functional, which by LP duality is the least L1 distance to the
-hull.  The witnesses built on it are re-checked independently.
+vectorization of Hermitian matrices: the best margin of a separating
+functional, which by LP duality is the least L1 distance to the hull.  A
+bounded-variable simplex solves it in floats; the float answer brackets the
+distance exactly, and when TOL_HULL falls inside the bracket the same simplex
+reruns in Fractions, so membership is decided exactly for the float data.
+The witnesses built on it are re-checked independently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -217,23 +221,13 @@ def _vec_herm(v: np.ndarray, d: int) -> np.ndarray:
     return m
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first use.
-
-    Importing scipy costs more than most CLI commands; only the LPs below
-    need it.
-    """
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
-
-
 def hull_contains(s: Freestate, rho: DensityMatrix) -> bool:
     """Is rho a convex combination of the generators?  Its least L1 distance to
-    the hull, by duality the best separating margin, is within TOL_HULL."""
+    the hull, by duality the best separating margin, is within TOL_HULL,
+    decided exactly for the float data."""
     if s.dim != rho.dim:
         raise DimMismatch(f"dims {s.dim} != {rho.dim}")
-    return _separating_functional(rho, s)[1] <= TOL_HULL
+    return not _separating_functional(rho, s)[2]
 
 
 @dataclass(frozen=True)
@@ -254,24 +248,170 @@ class HermitianWitness:
 
 def _separating_functional(
     rho: DensityMatrix, s: Freestate
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, bool]:
     """Hermitian W (entries bounded by 1) maximizing Tr(W rho) - max_g Tr(W g).
 
-    Feasible (W = 0) and bounded, so only numerics can fail it."""
+    Returns W, that margin (the L1 distance from rho to the hull), and whether
+    the margin exceeds TOL_HULL, decided exactly."""
     target = _herm_vec(np.asarray(rho.entries))
-    gen_vecs = [_herm_vec(np.asarray(g.entries)) for g in s.generators]
+    gens = np.stack([_herm_vec(np.asarray(g.entries)) for g in s.generators])
+    w, distance, outside = linprog(target, gens)
+    return _vec_herm(w, rho.dim), distance, outside
+
+
+# -- the hull LP --------------------------------------------------------------------
+#
+# In the real coordinates of _herm_vec (target t, generator rows g_i), the
+# separating functional solves
+#
+#   maximize m  subject to  <g_i - t, w> + m + s_i = 0,  s_i >= 0,  |w_j| <= 1,
+#
+# so m is the margin min_i <t - g_i, w>.  The row duals lam weigh the
+# generators, and by LP duality the best margin is the L1 distance
+# min ||t - sum_i lam_i g_i||_1 over the simplex.
+#
+# The simplex keeps the tableau B^-1 [A; c] of the n rows, with columns w (k),
+# m, then s (n), and the reduced costs of minimizing -m in its last row; the
+# reduced costs of s are lam.  A nonbasic variable sits at one of its bounds,
+# w_j at -1 or 1 and s_i at 0; m has none, so it stays basic.
+
+_FLOAT_EPS = 1e-11  # float reduced costs and pivot entries within this of 0 count as 0
+_STALL = 8  # degenerate steps in a row before Bland's rule takes over
+
+
+def _tableau(target: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    n, k = gens.shape
+    costs = np.concatenate([np.zeros(k), [-1.0], np.zeros(n)])
+    return np.vstack([np.hstack([gens - target, np.ones((n, 1)), np.eye(n)]), costs])
+
+
+def _cold_start(target: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, x): w_j = 1 where t_j exceeds g_0j, else -1; m basic in the row of the
+    least margin, s_i basic in the others."""
+    n, k = gens.shape
+    w = np.where(target > gens[0], 1.0, -1.0)
+    basis = np.arange(k + 1, k + 1 + n)
+    basis[np.argmin((target - gens) @ w)] = k
+    return basis, np.concatenate([w, np.zeros(1 + n)])
+
+
+def _pivot(t: np.ndarray, row: int, col: int) -> None:
+    t[row] = t[row] / t[row, col]
+    others = np.flatnonzero(t[:, col])
+    others = others[others != row]
+    t[others] -= np.outer(t[others, col], t[row])
+    t[others, col] = 0  # already exact in Fractions; in floats, rounding leftovers
+
+
+def _simplex(data: np.ndarray, basis, x: np.ndarray, eps, limit=math.inf):
+    """Pivot the basis in, then step to an optimal vertex: (tableau, basis, x).
+
+    data is the float or Fraction tableau; basis[r] is row r's basic column
+    and x gives every variable's value, a nonbasic one at one of its bounds.
+    Steps follow Dantzig's rule, and Bland's while the objective stalls, so no
+    basis repeats.  None when the basis is singular or its vertex infeasible;
+    a float solve stops after limit steps, optimal or not."""
+    n = len(data) - 1
+    k = data.shape[1] - 1 - n
+    lower = np.array([-1] * k + [-math.inf] + [0] * n, dtype=data.dtype)
+    upper = np.array([1] * k + [math.inf] * (1 + n), dtype=data.dtype)
+    t, x, placed = data.copy(), x.copy(), np.full(n, -1)
+    for col in sorted(basis, reverse=True):  # s first: each of their pivots touches one row
+        rows = np.flatnonzero((t[:-1, col] != 0) & (placed < 0))
+        if not rows.size:
+            return None
+        row = rows[np.argmax(np.abs(t[rows, col]))]
+        _pivot(t, row, col)
+        placed[row] = col
+    basis = placed
+    x[basis] = 0
+    x[basis] = -(t[:-1] @ x)
+    if (x < lower - eps).any() or (x > upper + eps).any():
+        return None
+    steps = stalled = 0
+    while steps < limit:
+        costs = t[-1]
+        movable = ((costs < -eps) & (x < upper)) | ((costs > eps) & (x > lower))
+        movable[basis] = False
+        entering = np.flatnonzero(movable)
+        if not entering.size:
+            break
+        col = entering[0] if stalled > _STALL else entering[np.argmax(np.abs(costs[entering]))]
+        rising = costs[col] < 0
+        step = upper[col] - x[col] if rising else x[col] - lower[col]  # to col's other bound
+        alpha = t[:-1, col] if rising else -t[:-1, col]  # basic values move by -step * alpha
+        bound = np.where(alpha > 0, lower[basis], upper[basis])
+        rows = np.flatnonzero((np.abs(alpha) > eps) & (np.abs(bound) < math.inf))
+        limits = (x[basis[rows]] - bound[rows]) / alpha[rows]
+        row = None
+        if rows.size and limits.min() < step:
+            step = limits.min()
+            tied = rows[limits == step]
+            row = tied[np.argmin(basis[tied])]
+        if step == math.inf:
+            break
+        x[basis] -= step * alpha
+        x[col] += step if rising else -step
+        if row is not None:
+            x[basis[row]] = bound[row]
+            _pivot(t, row, col)
+            basis[row] = col
+        steps += 1
+        stalled = stalled + 1 if step <= eps else 0
+    return t, basis, x
+
+
+def _float_solve(data: np.ndarray, basis: np.ndarray, x: np.ndarray):
+    """The float simplex from the given start: its last basis, x and lam, none of them verified."""
+    t, basis, x = _simplex(data, basis, x, _FLOAT_EPS, limit=4 * data.shape[1])
+    return basis, x, t[-1, 1 - len(data) :]  # lam: the reduced costs of s
+
+
+_fractions = np.vectorize(Fraction, otypes=[object])
+
+
+def _integers(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Python integers n and a power of two q with a == n / q exactly."""
+    ratios = [v.as_integer_ratio() for v in a.ravel().tolist()]
+    q = max(d for _, d in ratios)
+    return np.array([p * (q // d) for p, d in ratios], dtype=object).reshape(a.shape), q
+
+
+def _bracket(target: np.ndarray, gens: np.ndarray, w: np.ndarray, lam: np.ndarray):
+    """Exact lo <= distance <= hi at the float data, for any float w and lam.
+
+    Weak duality: the margin of w, clipped into the box, is at most the
+    distance, and the L1 residual of lam, clipped to lam >= 0 and
+    renormalized, is at least it.  The sums run in integers."""
+    data, q = _integers(np.vstack([target, gens]))
+    t, g = data[0], data[1:]
+    w, q_w = _integers(np.clip(np.nan_to_num(w), -1.0, 1.0))
+    lo = Fraction(((t - g) @ w).min(), q * q_w)
+    lam, _ = _integers(np.maximum(np.nan_to_num(lam), 0.0))
+    total = lam.sum()
+    hi = Fraction(np.abs(total * t - lam @ g).sum(), total * q) if total else math.inf
+    return lo, hi
+
+
+def linprog(target: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """The hull LP at the float data: (w, the distance, whether it exceeds TOL_HULL).
+
+    The float solve's w and lam bracket the distance exactly (Neumaier &
+    Shcherbina, Math. Programming 99, 2004).  When TOL_HULL falls inside the
+    bracket, the same simplex reruns on Fractions of the data, warm-started at
+    the float basis, and decides exactly (Applegate, Cook, Dash & Espinoza,
+    Oper. Res. Letters 35, 2007)."""
     k = len(target)
-    # variables: w (k reals, |w_i| <= 1), margin m; maximize m
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    a_ub = np.stack([np.append(g - target, 1.0) for g in gen_vecs])
-    b_ub = np.zeros(len(gen_vecs))
-    bounds = [(-1.0, 1.0)] * k + [(None, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise KnightianError("separating-functional LP failed")
-    w = _vec_herm(res.x[:k], rho.dim)
-    return w, float(res.x[-1])
+    data, cold = _tableau(target, gens), _cold_start(target, gens)
+    basis, x, lam = _float_solve(data, *cold)
+    w = np.clip(x[:k], -1.0, 1.0)
+    lo, hi = _bracket(target, gens, w, lam)
+    if lo > TOL_HULL or hi <= TOL_HULL:
+        return w, float(x[k]), lo > TOL_HULL
+    exact = _fractions(data)
+    warm = _fractions(np.nan_to_num(x))  # its nonbasic values sit exactly on their bounds
+    _, _, x = _simplex(exact, basis, warm, 0) or _simplex(exact, cold[0], _fractions(cold[1]), 0)
+    return x[:k].astype(float), float(x[k]), x[k] > TOL_HULL
 
 
 def _quadratic(psi: np.ndarray, m: DensityMatrix) -> float:
@@ -313,15 +453,13 @@ def separating_witness(
     if not 0 <= restarts <= RESTARTS_GUARD:
         raise ValueError(f"'restarts' must lie in [0, {RESTARTS_GUARD}], got {restarts}")
     for rho, other in [(g, s2) for g in s1.generators] + [(g, s1) for g in s2.generators]:
-        w, margin = _separating_functional(rho, other)
-        if margin > TOL_HULL:
+        w, _, outside = _separating_functional(rho, other)
+        if outside:
             break
     else:
         return None
 
     d = rho.dim
-    rng = np.random.default_rng(seed)
-
     best_psi, best_gap = None, tol
     # spectral vectors of the separating functional usually already work
     for start in np.linalg.eigh(w)[1].T:
@@ -334,6 +472,7 @@ def separating_witness(
         if gap > best_gap:
             best_psi, best_gap = polished, gap
     else:
+        rng = np.random.default_rng(seed)  # numpy.random loads only when a restart runs
         for _ in range(restarts):
             raw = rng.normal(size=d) + 1j * rng.normal(size=d)
             psi, gap = _ascend_pure(raw / np.linalg.norm(raw), rho, other)

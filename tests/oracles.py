@@ -92,3 +92,20 @@ def maximally_mixed(dim: int) -> freestate.DensityMatrix:
 
 def effect_to_payload(e: freestate.Effect) -> dict:
     return {"dim": e.dim, "entries": freestate._matrix_payload(e.entries)}
+
+
+def primal_l1_residual(s: freestate.Freestate, rho: freestate.DensityMatrix) -> float:
+    """The least L1 residual of rho against the hull, by scipy's HiGHS: a second solver for
+    the LP hull_contains decides."""
+    from scipy.optimize import linprog
+
+    target = freestate._herm_vec(np.asarray(rho.entries))
+    cols = np.stack([freestate._herm_vec(np.asarray(g.entries)) for g in s.generators], axis=1)
+    m, n = cols.shape
+    # min sum(s+ + s-)  s.t.  cols @ lam + s+ - s- = target, sum(lam) = 1, all >= 0
+    c = np.concatenate([np.zeros(n), np.ones(2 * m)])
+    a_eq = np.block([[cols, np.eye(m), -np.eye(m)], [np.ones((1, n)), np.zeros((1, 2 * m))]])
+    b_eq = np.concatenate([target, [1.0]])
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (n + 2 * m), method="highs")
+    assert res.success
+    return float(res.fun)

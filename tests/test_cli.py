@@ -1002,7 +1002,7 @@ PINNED_FREESTATE_REPORTS = {
         "witness",
         7,
         hermitian_witness_config(),
-        "90942937f4a67bc60d9fc2c5859d27988841281fd18b4d43300aec5d50cf5a6f",
+        "232d3b02a709186b2bd39019da2491c82ecc4a470360c1b6b1f51b25e0575b3e",
     ),
 }
 
@@ -1048,7 +1048,7 @@ FOOTPRINTS = {
     "import": ((), None, [], False, False),
     "freestate-interval": (("freestate", "interval"), KNIGHT_CLASSICAL, ["classical"], False, False),
     "freestate-interval-quantum": (("freestate", "interval"), QUANTUM_INTERVAL, QUANTUM_FAMILY, True, False),
-    "freestate-witness": (("freestate", "witness"), WITNESS, QUANTUM_FAMILY, True, True),
+    "freestate-witness": (("freestate", "witness"), WITNESS, QUANTUM_FAMILY, True, False),
     "freestate-or": (("freestate", "or"), {"classicals": [CLASSICAL, CLASSICAL]}, ["classical"], False, False),
     "freestate-or-quantum": (("freestate", "or"), {"freestates": [QUBIT_0, QUBIT_MIXED]}, QUANTUM_FAMILY, True, False),
     "freestate-mix": (("freestate", "mix"), {"components": [{"weight": "1", "classical": CLASSICAL}]}, ["classical"], False, False),

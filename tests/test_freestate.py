@@ -67,6 +67,21 @@ def test_classical_generators_must_be_distributions():
         cl.ClassicalFreestate(2, ((Fraction(1, 2), Fraction(1, 3)),))
 
 
+def test_each_classical_generator_is_read_once(monkeypatch):
+    # the payload reader reads each generator, and the freestate keeps it; or
+    # and mix build theirs from generators already read
+    calls = []
+    read = cl._probabilities
+    monkeypatch.setattr(cl, "_probabilities", lambda g, dim: calls.append(g) or read(g, dim))
+    a = cl.classical_from_payload({"n": 2, "generators": [["0.9", "0.1"], ["1/2", "1/2"]]})
+    b = cl.classical_from_payload({"n": 2, "generators": [[1, 0]]})
+    assert len(calls) == 3
+    either = cl.knightian_or(a, b, cl.prob_mix([("1/3", a), ("2/3", b)]))
+    assert len(calls) == 3 and len(either.generators) == 5
+    with pytest.raises(ValueError, match="expected 3 outcomes"):
+        cl.ClassicalFreestate(3, a.generators)
+
+
 # -- algebra ---------------------------------------------------------------------
 
 
@@ -350,24 +365,33 @@ def test_witness_soundness_on_random_pairs():
     assert seen >= 8  # random freestates are almost never hull-equal
 
 
-def primal_l1_residual(s, rho) -> float:
-    """The least L1 residual of rho against the hull: the primal LP hull_contains used to solve."""
-    from scipy.optimize import linprog
+SIMPLEX = fs._simplex  # unpatched: the oracle below and the counting wrapper call it
 
+
+def exact_distance(s, rho) -> Fraction:
+    """The exact fallback alone: the simplex in Fractions of the float data, from its cold start."""
     target = fs._herm_vec(np.asarray(rho.entries))
-    cols = np.stack([fs._herm_vec(np.asarray(g.entries)) for g in s.generators], axis=1)
-    m, n = cols.shape
-    # min sum(s+ + s-)  s.t.  cols @ lam + s+ - s- = target, sum(lam) = 1, all >= 0
-    c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    a_eq = np.block([[cols, np.eye(m), -np.eye(m)], [np.ones((1, n)), np.zeros((1, 2 * m))]])
-    b_eq = np.concatenate([target, [1.0]])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (n + 2 * m), method="highs")
-    assert res.success
-    return float(res.fun)
+    gens = np.stack([fs._herm_vec(np.asarray(g.entries)) for g in s.generators])
+    basis, x = fs._cold_start(target, gens)
+    _, _, x = SIMPLEX(fs._fractions(fs._tableau(target, gens)), basis, fs._fractions(x), 0)
+    return x[len(target)]
+
+
+def count_exact_solves(monkeypatch) -> list:
+    """Patch fs._simplex to note, per library call, whether it ran in Fractions."""
+    solves = []
+
+    def counted(data, basis, x, eps, **kwargs):
+        solves.append(eps == 0)
+        return SIMPLEX(data, basis, x, eps, **kwargs)
+
+    monkeypatch.setattr(fs, "_simplex", counted)
+    return solves
 
 
 def test_hull_membership_matches_the_primal_oracle():
-    # by LP duality the best separating margin is the least L1 residual
+    # by LP duality the best separating margin is the least L1 residual, here
+    # checked against a second solver, scipy's HiGHS
     rng = np.random.default_rng(2024)
     inside = 0
     for trial in range(240):
@@ -378,46 +402,99 @@ def test_hull_membership_matches_the_primal_oracle():
             rho = fs.DensityMatrix(dim, sum(w * g.entries for w, g in zip(lam, s.generators)))
         else:
             rho = random_density(rng, dim)
-        residual = primal_l1_residual(s, rho)
-        _, margin = fs._separating_functional(rho, s)
+        residual = oracles.primal_l1_residual(s, rho)
+        _, margin, outside = fs._separating_functional(rho, s)
         assert abs(margin - residual) <= 1e-9
-        assert fs.hull_contains(s, rho) == (residual <= fs.TOL_HULL)
+        assert fs.hull_contains(s, rho) == (not outside) == (residual <= fs.TOL_HULL)
         inside += residual <= fs.TOL_HULL
     assert 100 <= inside < 240
 
 
+def segment_leaving_a_hull(rng):
+    """A 3-generator hull in d = 3, and the states on a segment from its centre to a random state."""
+    s = random_freestate(rng, 3, 3)
+    inner = sum(g.entries for g in s.generators) / 3
+    outer = random_density(rng, 3).entries
+    return s, lambda mix: fs.DensityMatrix(3, (1 - mix) * inner + mix * outer)
+
+
+def crossing(s, at, level, steps):
+    """Bisect the segment for the last point found whose exact distance is at most level."""
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if exact_distance(s, at(mid)) <= level else (lo, mid)
+    return lo
+
+
 def test_hull_membership_is_decided_at_tol_hull():
-    # a state 5 TOL_HULL from the hull, found by bisecting the primal residual
-    # along a segment leaving it, is outside.  This near the hull both LPs are
-    # blurred by HiGHS's own feasibility tolerance (1e-7): the residual jumps
-    # from 0 to about 2e-7 as the segment leaves, and the two LPs differ by a
-    # few 1e-8
+    # a state 5 TOL_HULL from the hull, found by bisecting the exact distance
+    # along a segment leaving it, is outside; the centre is inside
     rng = np.random.default_rng(99)
     target = 5 * fs.TOL_HULL
     for _ in range(3):
-        s = random_freestate(rng, 3, 3)
-        inner = sum(g.entries for g in s.generators) / 3
-        outer = random_density(rng, 3).entries
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            mid = (lo + hi) / 2
-            rho = fs.DensityMatrix(3, (1 - mid) * inner + mid * outer)
-            lo, hi = (mid, hi) if primal_l1_residual(s, rho) <= target else (lo, mid)
-        rho = fs.DensityMatrix(3, (1 - lo) * inner + lo * outer)
-        residual = primal_l1_residual(s, rho)
-        assert residual == pytest.approx(target, rel=1e-2)
-        assert fs._separating_functional(rho, s)[1] == pytest.approx(residual, abs=1e-7)
+        s, at = segment_leaving_a_hull(rng)
+        rho = at(crossing(s, at, target, 40))
+        assert float(exact_distance(s, rho)) == pytest.approx(target, rel=1e-2)
         assert not fs.hull_contains(s, rho)
-        assert fs.hull_contains(s, fs.DensityMatrix(3, inner))
+        assert fs.hull_contains(s, at(0.0))
 
 
-def test_a_failed_lp_is_an_error_not_a_verdict(monkeypatch):
-    class Failed:
-        success = False
+def test_a_boundary_sweep_agrees_with_the_exact_fallback(monkeypatch):
+    # across each segment, and then float by float across the point where its
+    # exact distance crosses TOL_HULL, hull_contains gives the exact verdict;
+    # that close, the float bracket cannot decide and the exact simplex runs
+    rng = np.random.default_rng(99)
+    solves = count_exact_solves(monkeypatch)
+    verdicts = []
+    for _ in range(3):
+        s, at = segment_leaving_a_hull(rng)
+        edge = crossing(s, at, fs.TOL_HULL, 60)
+        mixes = list(np.linspace(0.0, 1.0, 21))
+        mixes += [edge + j * np.spacing(edge) for j in range(-12, 13)]
+        for mix in mixes:
+            inside = exact_distance(s, at(mix)) <= fs.TOL_HULL
+            assert fs.hull_contains(s, at(mix)) == inside, mix
+            verdicts.append(inside)
+    assert True in verdicts and False in verdicts
+    assert any(solves)
 
-    monkeypatch.setattr(fs, "linprog", lambda *args, **kwargs: Failed())
-    with pytest.raises(fs.KnightianError, match="LP failed"):
-        fs.hull_contains(qstate("0"), oracles.maximally_mixed(2))
+
+WRONG_BASES = {
+    # the row of m chosen for the float solve's w: with w negated, some s_i
+    # goes negative, so the warm start is infeasible and the exact simplex
+    # starts cold (with one generator it is feasible, and pivots on from there)
+    "infeasible": lambda basis, k: basis,
+    # m basic in every row: the warm start is singular
+    "singular": lambda basis, k: np.full_like(basis, k),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_BASES)
+def test_a_wrong_float_vertex_still_gets_the_exact_decision(monkeypatch, wrong):
+    # the float solve returns its w negated and lam = 0, so the bracket cannot
+    # decide; the exact simplex does, and its w attains the distance
+    def wrong_vertex(data, basis, x):
+        k = data.shape[1] - len(data)
+        x = np.concatenate([-x[:k], x[k:]])
+        return WRONG_BASES[wrong](basis, k), x, np.zeros(len(data) - 1)
+
+    rng = np.random.default_rng(17)
+    pairs = [
+        (fs.Freestate(2, (fs.ket("+").projector(), fs.ket("-").projector())), oracles.maximally_mixed(2)),
+        (fs.Freestate(2, (oracles.maximally_mixed(2),)), fs.ket("+").projector()),
+    ] + [(random_freestate(rng, 3, 3), random_density(rng, 3)) for _ in range(4)]
+    expected = [exact_distance(s, rho) for s, rho in pairs]
+    monkeypatch.setattr(fs, "_float_solve", wrong_vertex)
+    solves = count_exact_solves(monkeypatch)
+    for (s, rho), distance in zip(pairs, expected):
+        w, margin, outside = fs._separating_functional(rho, s)
+        assert outside == (distance > fs.TOL_HULL) == (not fs.hull_contains(s, rho))
+        assert margin == float(distance)
+        values = [float(np.real(np.trace(w @ (rho.entries - g.entries)))) for g in s.generators]
+        assert min(values) == pytest.approx(margin, abs=1e-12)
+    assert solves and all(solves)
+    assert [True, False] == [expected[0] <= fs.TOL_HULL, expected[1] <= fs.TOL_HULL]
 
 
 def assert_witness_reverifies(w, rho, other, tol):
