@@ -12,6 +12,15 @@ a static scan for RAND: jumps go back at most one instruction, so the
 instructions a run never executes form a suffix of the body, and cutting it
 off gives a strictly shorter program with the same run.
 
+A census at a smaller bound holds the same witness for every output whose
+shortest program fits it, so a search reads the smallest census that can
+answer it.  The print program P_x = QUOTE x bounds K(x) by |P_x| whenever it
+prints x under the budgets (Li and Vitanyi, An Introduction to Kolmogorov
+Complexity, ch. 3), so kolmogorov stops there; sophistication reads the
+listers at K(x) + c, past which no set qualifies; tabulate reads the one
+census at its bound for every row.  Every result still carries the bound
+that was asked for.
+
 Set-listing convention ("fixed in docs"): a program *lists* a set of
 equal-length strings by emitting
 
@@ -55,10 +64,10 @@ LISTING_OVERHEAD = 6
 OVERHEAD_MEASUREMENT_SET = ("1", "0", "01", "000000", "011010")
 
 #: Longest string length tabulate accepts: it lists all 2**n strings of each
-#: length n.  One length of 16 at bound 24 with 10 values of c takes about
-#: 0.4 s on a 2-core Xeon from cold caches, the census 0.1 s of it; the rest
-#: is one K(x) lookup and one row a string, as no listable set (width at
-#: most 8) holds a string of length 16.
+#: length n.  One length of 16 at bound 24 with 10 values of c takes 0.37-0.48 s
+#: on a 2-core Xeon VM from cold caches, the census 0.07-0.10 s of it; the rest
+#: is one K(x) lookup and one row a string, as no listable set (width at most
+#: 8) holds a string of length 16.
 TABLE_GUARD = 16
 
 
@@ -132,8 +141,20 @@ def parse_listing(bits: str) -> SetListing:
 def kolmogorov(
     x: str, bound: int, cfg: MachineConfig = MachineConfig()
 ) -> ComplexityResult | NotFound:
-    """Shortest deterministic program halting with output exactly x."""
-    return _result(toyvm.census(bound, cfg).witnesses.get(x), bound, cfg)
+    """Shortest deterministic program halting with output exactly x.
+
+    When the print program P_x = QUOTE x prints x under cfg, K(x) <= |P_x|,
+    so the census at |P_x| holds the same witness as the one at the bound.
+    An out-of-range bound is never capped: its census rejects it.
+    """
+    printer = toyvm.from_body(toyvm.QUOTE + x)
+    search = bound
+    if (
+        len(printer) < bound <= toyvm.ENUMERATION_GUARD
+        and toyvm.run(printer, cfg, "0" * cfg.rand_budget).output == x
+    ):
+        search = len(printer)
+    return _result(toyvm.census(search, cfg).witnesses.get(x), bound, cfg)
 
 
 def _result(witness: Program | None, bound: int, cfg: MachineConfig) -> ComplexityResult | NotFound:
@@ -211,12 +232,15 @@ def sophistication(
     """Least K(S) over listable S containing x with K(S) + log2|S| <= K(x) + c.
 
     The witness is the first of x's listers, in (K(S), set) order, that
-    qualifies.
+    qualifies.  No set with K(S) > K(x) + c qualifies, so the listers are
+    read at that bound when it is the smaller.
     """
     kx = kolmogorov(x, bound, cfg)
     if isinstance(kx, NotFound):
         return kx
-    hit = _first_qualifying(_listers(bound, cfg).get(x, ()), kx.value + c)
+    budget = kx.value + c
+    listers = _listers(min(bound, max(budget, 0)), cfg)
+    hit = _first_qualifying(listers.get(x, ()), budget)
     if hit is None:
         return NotFound(bound, cfg.step_budget)
     k_s, _, listing, program = hit
@@ -248,19 +272,21 @@ def tabulate(
 ) -> list[dict]:
     """Rows of x, K(x), and soph_c(x) for each requested c, for all x.
 
-    Each row reads K(x) and x's listers once, then takes the first
-    qualifying lister for each c, as sophistication does.
+    Each row reads K(x) and x's listers once from the one census at the
+    bound, then takes the first qualifying lister for each c, as
+    sophistication does.
     """
     for n in lengths:
         if not 0 <= n <= TABLE_GUARD:
             raise LimitExceeded(f"'lengths' holds {n}; each must lie in [0, {TABLE_GUARD}]")
     index = _listers(bound, cfg)
+    witnesses = toyvm.census(bound, cfg).witnesses
     columns = {c: f"soph_{c}" for c in cs}
     rows = []
     for n in lengths:
         for tup in itertools.product("01", repeat=n):
             x = "".join(tup)
-            kx = kolmogorov(x, bound, cfg)
+            kx = _result(witnesses.get(x), bound, cfg)
             if isinstance(kx, NotFound):
                 rows.append({"x": x, "k": None, **dict.fromkeys(columns.values())})
                 continue

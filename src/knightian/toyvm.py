@@ -71,7 +71,8 @@ COUNTER_MAX = 255
 
 ENUMERATION_GUARD = 24
 # the largest step, rand and output budget: with all three at 512 the census at
-# bound 24 takes about 0.15 s on a 2-core Xeon VM, against 0.11 s at the defaults
+# bound 24 takes 0.06-0.13 s on a 2-core Xeon VM, as long as at the defaults
+# within that VM's spread
 BUDGET_GUARD = 512
 
 
@@ -208,7 +209,8 @@ def _resume(
     # whole body's run, while census resumes there on a longer prefix.  Each
     # kind of step has one path: the pc moves on as an op is fetched (a taken
     # jump steps back two), EMIT0, EMIT1 and RAND share one budget check, and
-    # QUOTE and REPEAT one data loop.
+    # QUOTE and REPEAT emit their data (_data) as one slice that the step and
+    # output budgets bound.
     n_instr = len(body) // OPCODE_WIDTH
 
     def stopped(halted: bool | None) -> tuple[bool | None, int, int, int]:
@@ -230,23 +232,11 @@ def _resume(
             if op == JMP or counter == 0:
                 pc -= 2
         elif op == QUOTE or op == REPEAT:
-            data = body[pc * OPCODE_WIDTH :]
-            if op == REPEAT:
-                try:
-                    r_minus_1, pos = gamma_decode(data)
-                except BadHeader:
-                    return stopped(True)
-                if pos == len(data):  # empty pattern
-                    return stopped(True)
-                # each copy costs at least one step, so the cap never shows
-                copies = min(r_minus_1 + 1, cfg.step_budget)
-                data = itertools.chain.from_iterable(itertools.repeat(data[pos:], copies))
-            for bit in data:
-                if steps >= cfg.step_budget or len(out) >= cfg.output_budget:
-                    return stopped(False)
-                steps += 1
-                out.append(bit)
-            return stopped(True)
+            room = min(cfg.step_budget - steps, cfg.output_budget - len(out))
+            data, done = _data(op, body[pc * OPCODE_WIDTH :], room)
+            steps += len(data)
+            out.extend(data)
+            return stopped(done)
         elif op == INC:
             counter = min(counter + 1, COUNTER_MAX)
         elif op == DEC:
@@ -254,6 +244,23 @@ def _resume(
         else:  # HALT and all reserved opcodes
             return stopped(True)
     return stopped(None if pc == n_instr else True)
+
+
+def _data(op: str, tail: str, room: int) -> tuple[str, bool]:
+    # What the data op QUOTE or REPEAT emits from the raw body tail after it,
+    # cut to its first room bits (each costs one step and one output bit), and
+    # whether that is all of it, i.e. whether the run halts.  QUOTE emits the
+    # tail; REPEAT parses it as gamma(r - 1) + pattern and emits the pattern r
+    # times, or nothing when the tail is malformed.
+    if op == REPEAT:
+        try:
+            r_minus_1, pos = gamma_decode(tail)
+        except BadHeader:
+            return "", True
+        pattern = tail[pos:]
+        # copies past the room never show
+        tail = pattern * min(r_minus_1 + 1, room // max(len(pattern), 1) + 1)
+    return tail[:room], len(tail) <= room
 
 
 def enumerate_programs(max_len: int) -> list[Program]:
@@ -349,11 +356,12 @@ def census(bound: int, cfg: MachineConfig) -> Census:
     instruction, so the state in which the pc first reaches instruction k
     depends on the first k opcodes only.  A walk over opcode prefixes carries
     that state on a stream of RAND markers: a prefix whose run stops before the
-    next instruction covers every body that extends it, padding included,
-    bodies of 4k to 4k + 3 bits end at instruction k, and only the data after
-    QUOTE and REPEAT is enumerated, each tail resumed from its prefix's state.
-    A run's output string is its output_template, by which its programs join
-    a class.
+    next instruction covers every body that extends it, padding included, and
+    bodies of 4k to 4k + 3 bits end at instruction k.  A QUOTE or REPEAT op is
+    fetched once per prefix; only the data after it is enumerated, from the
+    state the fetch leaves.  Control never reads the data, so each tail is
+    read by the interpreter's own data rule, with no run of its own.  A run's
+    output string is its output_template, by which its programs join a class.
     """
     if bound < 0:
         raise ValueError(f"'bound' must be >= 0, got {bound}")
@@ -373,10 +381,9 @@ def census(bound: int, cfg: MachineConfig) -> Census:
     members = [array("I") for _ in weights]
     firsts: list[list[tuple[str, str]]] = [[] for _ in weights]
 
-    def cover(prefix: str, lengths: range, out: list[str], stop: bool, rands: int) -> None:
+    def cover(prefix: str, lengths: range, output: str, stop: bool, rands: int) -> None:
         # every body of a length in lengths that extends prefix runs to this end
         nonlocal halted
-        output = "".join(out)
         k = index.setdefault(output, len(index))
         if k == len(class_weights):
             class_weights.append(0)
@@ -393,27 +400,29 @@ def census(bound: int, cfg: MachineConfig) -> Census:
         # the pc first reaches instruction pc of every body extending prefix
         # in this state, and the bodies that end there halt
         pc, child = len(prefix) // OPCODE_WIDTH, len(prefix) + OPCODE_WIDTH
-        cover(prefix, range(len(prefix), min(child, top)), out, True, rands)
+        cover(prefix, range(len(prefix), min(child, top)), "".join(out), True, rands)
         if child >= top:
             return
         for op in _OPCODES:
             body = prefix + op
-            if op == QUOTE or op == REPEAT:  # the rest of the body is data
-                for length in range(child, top):
-                    for tail in itertools.product("01", repeat=length - child):
-                        program = body + "".join(tail)
-                        data_out = out.copy()
-                        stop, _, _, data_rands = _resume(
-                            program, cfg, stream, data_out, pc, counter, steps, rands
-                        )
-                        cover(program, range(length, length + 1), data_out, stop, data_rands)
-                continue
             next_out = out.copy()
+            # state is (counter, steps, rands)
             stop, *state = _resume(body, cfg, stream, next_out, pc, counter, steps, rands)
             if stop is None:
                 walk(body, next_out, *state)
-            else:  # state is (counter, steps, rands)
-                cover(body, range(child, top), next_out, stop, state[-1])
+            elif stop and (op == QUOTE or op == REPEAT):  # fetched: the rest is data
+                tails(op, body, "".join(next_out), state[1], rands)
+            else:
+                cover(body, range(child, top), "".join(next_out), stop, state[-1])
+
+    def tails(op: str, body: str, output: str, steps: int, rands: int) -> None:
+        # every body that extends body, whose last op is the data op fetched in
+        # this state; control never reads the data, so _data gives each run
+        room = min(cfg.step_budget - steps, cfg.output_budget - len(output))
+        for length in range(len(body), top):
+            for tail in map("".join, itertools.product("01", repeat=length - len(body))):
+                data, done = _data(op, tail, room)
+                cover(body + tail, range(length, length + 1), output + data, done, rands)
 
     if top:
         walk("", [], 0, 0, 0)

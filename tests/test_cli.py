@@ -732,6 +732,7 @@ def test_any_one_bad_leaf_exits_zero_or_one(tmp_path_factory, group, command, co
         (("arena", "run"), ("u", "t"), 8 + arena.HORIZON_GUARD, lambda v: fixed_table_game(u=v)),
         (("arena", "run"), "freebit_budget", arena.FREEBIT_GUARD, oblivious_gerbil_game),
         (("freestate", "mix"), "components", cl.MIX_GUARD, mix_of_one_set_of),
+        (("soph", "soph"), "bound", toyvm.ENUMERATION_GUARD, lambda v: {"x": "0", "c": 1, "bound": v}),
     ],
 )
 def test_size_guards_admit_their_bound_and_name_the_key_past_it(

@@ -86,6 +86,14 @@ def test_negative_bound_is_rejected():
         cx.kolmogorov("0", -1, CFG)
 
 
+def test_a_non_bitstring_x_is_rejected():
+    # K and sophistication build x's print program first, which refuses it
+    with pytest.raises(ValueError, match="not a bitstring"):
+        cx.kolmogorov("012", 16, CFG)
+    with pytest.raises(ValueError, match="not a bitstring"):
+        cx.sophistication("012", 1, 16, CFG)
+
+
 def test_patterned_strings_are_strictly_cheaper_than_some_plain_string():
     # exhaustive fact at this bound: every 8-bit string costs at most 19,
     # and the all-zero string costs strictly less
@@ -298,6 +306,48 @@ def test_sophistication_matches_the_reference_under_every_oracle_config(cfg):
     for x in strings(LISTABLE_LENGTHS):
         for c in WIDE_CS:
             assert cx.sophistication(x, c, 16, cfg) == reference_sophistication(x, c, 16, cfg), (x, c)
+
+
+def read_at_the_bound(x, c, bound, cfg):
+    """K(x) and soph_c(x) read from the census at the bound itself, with no cap."""
+    missing = cx.NotFound(bound, cfg.step_budget)
+    witness = tv.census(bound, cfg).witnesses.get(x)
+    if witness is None:
+        return missing, missing
+    k = len(witness)
+    hit = cx._first_qualifying(cx._listers(bound, cfg).get(x, ()), k + c)
+    kx = cx.ComplexityResult(k, witness, bound, cfg.step_budget)
+    if hit is None:
+        return kx, missing
+    k_s, _, listing, program = hit
+    return kx, cx.SophisticationResult(k_s, listing, program, k, bound, cfg.step_budget)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_capped_searches_match_the_census_at_the_bound(cfg):
+    # K(x) reads the census at |P_x| when its print program P_x prints x, and
+    # sophistication reads the listers at K(x) + c; each answer must be the
+    # one the census at the requested bound gives
+    unprinted = 0
+    for bound in range(23):
+        for x in strings(range(8)):
+            printer = tv.from_body(tv.QUOTE + x)
+            if len(printer) < bound:
+                unprinted += tv.run(printer, cfg, "0" * cfg.rand_budget).output != x
+            for c in (0, 2, 5, 9):
+                kx, soph = read_at_the_bound(x, c, bound, cfg)
+                assert cx.kolmogorov(x, bound, cfg) == kx, (x, bound)
+                assert cx.sophistication(x, c, bound, cfg) == soph, (x, c, bound)
+    # P_x emits |x| bits after one step, so short budgets leave the search uncapped
+    assert (unprinted > 0) == (min(cfg.step_budget - 1, cfg.output_budget) < 7)
+
+
+def test_a_table_reads_the_one_census_at_its_bound():
+    # a per-row cap would build the census at each print program's length too
+    for cache in (tv.census, cx._listable_sets, cx._listers):
+        cache.cache_clear()
+    cx.tabulate([0, 1, 2, 3], [0, 5], 20, CFG)
+    assert tv.census.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("bound", [16, 24])

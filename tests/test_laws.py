@@ -38,6 +38,25 @@ def test_coding_theorem_bound(bound, with_k):
     assert checked == with_k
 
 
+@pytest.mark.parametrize("bound, fitting", [(16, 63), (20, 511)])
+def test_print_program_bound(bound, fitting):
+    # K(x) <= |P_x|: the QUOTE program P_x = from_body("0011" + x) halts with
+    # output exactly x, without RAND, under the default budgets.  K is read
+    # from tabulate, whose one census is the one at the bound: kolmogorov
+    # stops its own search at |P_x|, so a K read from it would check that cap
+    # rather than the census.
+    cfg = toyvm.MachineConfig()
+    rows = complexity.tabulate(list(range(9)), [], bound, cfg)
+    checked = 0
+    for row in rows:
+        printer = toyvm.from_body(toyvm.QUOTE + row["x"])
+        if len(printer) > bound:
+            continue
+        checked += 1
+        assert row["k"] is not None and row["k"] <= len(printer), (row["x"], row["k"])
+    assert checked == fitting
+
+
 def random_quantum_pairs(seed: int, count: int):
     """(A, B): random freestates of one dimension d <= 4, with 2 or 3 generators each."""
     rng = np.random.default_rng(seed)

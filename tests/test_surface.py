@@ -14,8 +14,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "knightian"
 
 # "module.name" -> why a public name that no src/ code reads stays there
 KEPT = {
-    "toyvm.run": "the checked interpreter",
-    "toyvm.from_body": "the inverse of decode",
     "arena.one_freebit": "C07's subject",
     "freestate.full_freebit": "the Bloch-ball freestate",
     "complexity.measure_listing_overhead": "LISTING_OVERHEAD rests on it",
