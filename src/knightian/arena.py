@@ -25,10 +25,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import KnightianError
+from .record import Record, replace
 
 HORIZON_GUARD = 20
 FREEBIT_GUARD = 16
@@ -64,14 +64,12 @@ class ForecastViolatesCausality(KnightianError):
 Emission = tuple  # ("bit", "0"|"1") | ("prob", Fraction) | ("freebit", int)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     to: str
     emit: Emission
 
 
-@dataclass(frozen=True)
-class Subject:
+class Subject(Record):
     states: tuple[str, ...]
     initial: str
     edges: dict[tuple[str, str], Edge]
@@ -217,8 +215,7 @@ def variation_distance(d1: dict[str, Fraction], d2: dict[str, Fraction]) -> Frac
 # -- forecasts ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Forecast:
+class Forecast(Record):
     """A conditional law for the behavior suffix: a machine over behavior bits.
 
     memory is what the forecast holds at time t; step(memory, v, inputs, b) is
@@ -465,15 +462,14 @@ def check_window(t: int, u: int, end: str = "'u'", where: str = "") -> None:
         raise BudgetTooLarge(f"{where}{end} = {u} exceeds {TIME_GUARD}")
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(Record):
     t: int
     u: int
     epsilon: Fraction
     delta: Fraction
     trials: int
     seed: int
-    input_model: dict = field(default_factory=lambda: {"kind": "uniform"})
+    input_model: dict = {"kind": "uniform"}  # copied for each config
     adversary: str = "adaptive"  # or "oblivious"
 
     def __post_init__(self):
@@ -521,8 +517,7 @@ def clopper_pearson(k: int, n: int) -> tuple[float, float]:
     return lower, upper
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """A game and the variation distance of each of its trials."""
 
     game: GameConfig

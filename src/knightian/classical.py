@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import KnightianError, at, exact
+from .record import Record, replace
 
 if TYPE_CHECKING:
     from .freestate import Freestate
@@ -41,8 +41,7 @@ class BadEvent(KnightianError):
     pass
 
 
-@dataclass(frozen=True)
-class ClassicalFreestate:
+class ClassicalFreestate(Record):
     dim: int  # the number of outcomes
     generators: tuple[tuple[Fraction, ...], ...]
 

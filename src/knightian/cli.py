@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -84,8 +85,9 @@ def _rat(f: Fraction) -> dict:
 # any kind, itself possibly an Either; or a ByKind, an object schema picked by
 # the object's 'kind'.  _check returns the value with each read leaf replaced
 # by what its reader made of it; a schema states no defaults, as an optional
-# key left out stays out.  Kind, Opt, Either and ByKind are plain classes: a
-# dataclass adds about 1 ms to every CLI start.
+# key left out stays out.  Kind, Opt, Either and ByKind are plain classes, not
+# records (knightian.record): only the family modules load record, so a
+# command's start, before its handler runs, does not pay for it.
 
 
 class Kind:
@@ -783,4 +785,9 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # OpenBLAS starts a thread pool when numpy loads, 0.08-0.17 s of CPU a
+    # command on a 2-core Xeon VM, though no command's matrices are large
+    # enough to use it; a thread count the caller set is kept
+    if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(dispatch(sys.argv[1:]))

@@ -45,11 +45,11 @@ x's listers once for all its values of c.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import toyvm
 from .errors import KnightianError
+from .record import Record
 from .toyvm import LimitExceeded, MachineConfig, Program
 
 LISTING_WIDTH_FIELD = 3
@@ -75,22 +75,19 @@ class UnparseableConvention(KnightianError):
     """Bits do not follow the set-listing output convention."""
 
 
-@dataclass(frozen=True)
-class ComplexityResult:
+class ComplexityResult(Record):
     value: int
     witness_program: Program
     search_bound: int
     step_budget: int
 
 
-@dataclass(frozen=True)
-class NotFound:
+class NotFound(Record):
     search_bound: int
     step_budget: int
 
 
-@dataclass(frozen=True)
-class SetListing:
+class SetListing(Record):
     """A nonempty set of equal-length bitstrings, canonically sorted."""
 
     elements: tuple[str, ...]
@@ -216,8 +213,7 @@ def set_complexity(
     return _result(_listable_sets(bound, cfg).get(s.elements), bound, cfg)
 
 
-@dataclass(frozen=True)
-class SophisticationResult:
+class SophisticationResult(Record):
     value: int
     witness_set: SetListing
     witness_program: Program

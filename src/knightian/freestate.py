@@ -21,7 +21,6 @@ The witnesses built on it are re-checked independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +28,7 @@ import numpy as np
 from .classical import DimMismatch
 from .classical import event_interval  # noqa: F401  bench/launch.py's TRACED wraps freestate.event_interval
 from .errors import KnightianError, at
+from .record import Record
 
 TOL_NORM = 1e-9
 TOL_HERMITIAN = 1e-9
@@ -63,8 +63,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(Record):
     """A unit vector of complex amplitudes; compared up to global phase."""
 
     dim: int
@@ -113,8 +112,7 @@ def _hermitian_eigenvalues(obj) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     dim: int
     entries: np.ndarray
 
@@ -127,8 +125,7 @@ class DensityMatrix:
             raise TraceNotOne(float(tr.real))
 
 
-@dataclass(frozen=True)
-class Effect:
+class Effect(Record):
     """A measurement operator E with 0 <= E <= I; Tr(E rho) is a probability."""
 
     dim: int
@@ -142,8 +139,7 @@ class Effect:
             )
 
 
-@dataclass(frozen=True)
-class Freestate:
+class Freestate(Record):
     dim: int
     generators: tuple[DensityMatrix, ...]
 
@@ -230,16 +226,14 @@ def hull_contains(s: Freestate, rho: DensityMatrix) -> bool:
     return not _separating_functional(rho, s)[2]
 
 
-@dataclass(frozen=True)
-class PureWitness:
+class PureWitness(Record):
     psi: PureState
     value_on_state: float
     interval_on_other: tuple[float, float]
     gap: float
 
 
-@dataclass(frozen=True)
-class HermitianWitness:
+class HermitianWitness(Record):
     operator: np.ndarray
     value_on_state: float
     interval_on_other: tuple[float, float]

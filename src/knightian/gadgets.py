@@ -11,17 +11,16 @@ from __future__ import annotations
 import graphlib
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KnightianError, at
+from .record import Record
 
 
 # -- CHSH --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassicalChshResult:
+class ClassicalChshResult(Record):
     value: Fraction
     witness: tuple[tuple[int, int], tuple[int, int]]  # Alice's and Bob's tables
     table: tuple[dict, ...]  # all 16 deterministic strategies with values
@@ -103,8 +102,7 @@ class NoMatchingRoom(KnightianError):
     pass
 
 
-@dataclass(frozen=True)
-class RoomPuzzle:
+class RoomPuzzle(Record):
     prior_heads: Fraction
     copies_if_heads: int
     copies_if_tails: int
@@ -142,8 +140,7 @@ class RoomPuzzle:
             )
 
 
-@dataclass(frozen=True)
-class RoomPosterior:
+class RoomPosterior(Record):
     copy_weighted: Fraction
     branch_weighted: Fraction
     primary: Fraction  # per the puzzle's counting_rule
@@ -235,8 +232,7 @@ class MalformedGraph(KnightianError):
     pass
 
 
-@dataclass(frozen=True)
-class CausalNode:
+class CausalNode(Record):
     id: str
     kind: str  # "micro" | "macro"
     time: int
@@ -246,8 +242,7 @@ class CausalNode:
             raise MalformedGraph(f"node kind must be micro or macro, got {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class CausalGraph:
+class CausalGraph(Record):
     nodes: tuple[CausalNode, ...]
     edges: tuple[tuple[str, str], ...]  # (cause id, effect id)
 
@@ -266,8 +261,7 @@ def _check_edge(cause: str, effect: str, known: set[str]) -> None:
             raise MalformedGraph(f"edge ({cause!r}, {effect!r}): {node!r} is not an 'id' in 'nodes'")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     rule: str  # "R1" | "R2" | "R3"
     subject: tuple
     message: str

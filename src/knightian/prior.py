@@ -27,11 +27,11 @@ that regime attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import toyvm
 from .errors import KnightianError
+from .record import Record, replace
 from .toyvm import MachineConfig, Program
 
 
@@ -51,15 +51,19 @@ class UnsupportedSequence(KnightianError):
     """The designated hypothesis assigns the sequence zero probability."""
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(Record):
     program: Program
     prior: Fraction
     posterior: Fraction
 
+    def __init__(self, program: Program, prior: Fraction, posterior: Fraction):
+        # Mixture.hypotheses builds one per program: set the fields directly
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "posterior", posterior)
 
-@dataclass(frozen=True)
-class Mixture:
+
+class Mixture(Record):
     census: toyvm.Census
     bound: int  # enumeration bound L, quoted in all reports
     history: str
@@ -157,8 +161,7 @@ def update(mixture: Mixture, bit: str) -> Mixture:
     return replace(mixture, history=mixture.history + bit, survivors=tuple(survivors))
 
 
-@dataclass(frozen=True)
-class RegretReport:
+class RegretReport(Record):
     """Per-step comparison of the mixture against one designated hypothesis.
 
     cumulative[n] is Pr_mixture[seq[:n]] / Pr_hypothesis[seq[:n]], so each
@@ -223,8 +226,7 @@ def regret_report(
     )
 
 
-@dataclass(frozen=True)
-class DiagonalStep:
+class DiagonalStep(Record):
     bit: str
     conditional: Fraction  # M(hb) / M(h), b the realized bit and h the bits before it
     cumulative: Fraction  # M(hb), the mixture probability of the whole realized prefix

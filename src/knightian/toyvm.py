@@ -48,11 +48,11 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import KnightianError
+from .record import Record
 
 OPCODE_WIDTH = 4
 
@@ -116,12 +116,16 @@ def gamma_decode(bits: str, pos: int = 0) -> tuple[int, int]:
     return int(bits[z:end], 2), end
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """A validated self-delimiting program: header + body."""
 
     code: str
     body: str
+
+    def __init__(self, code: str, body: str):
+        # enumerate_programs builds one per program: set the fields directly
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "body", body)
 
     def __len__(self) -> int:
         return len(self.code)
@@ -147,8 +151,7 @@ def from_body(body: str) -> Program:
     return Program(code=gamma_encode(len(body) + 1) + body, body=body)
 
 
-@dataclass(frozen=True)
-class MachineConfig:
+class MachineConfig(Record):
     """Per-run budgets keeping every execution finite."""
 
     step_budget: int = 512
@@ -162,8 +165,7 @@ class MachineConfig:
                 raise ValueError(f"{key!r} must lie in [{low}, {BUDGET_GUARD}], got {value}")
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     output: str
     halted: bool
     steps_used: int
@@ -325,8 +327,7 @@ def sure_halts(program: Program, cfg: MachineConfig) -> bool:
 _MASK, _BITS = str.maketrans("0" + _RAND_MARK, "10"), str.maketrans(_RAND_MARK, "0")
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Record):
     """All programs of length <= bound, grouped by output template.
 
     A program P weighs 2**(bound - len(P)).  Each class is (template length,

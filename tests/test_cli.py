@@ -1030,46 +1030,50 @@ def test_arena_trials_guard_over_the_cli(tmp_path, capsys):
 
 
 # Runs one command in a fresh interpreter, then prints the knightian modules
-# it loaded and whether numpy and scipy were loaded.
+# it loaded, whether numpy and scipy were loaded, and whether knightian loaded
+# dataclasses, which its records do without.
 FOOTPRINT_PROBE = """
 import json, sys
+preloaded = "dataclasses" in sys.modules
 from knightian import cli
 argv = sys.argv[1:]
 if argv:
     assert cli.dispatch(argv) == 0, argv
 loaded = sorted(m for m in sys.modules if m.startswith("knightian."))
-print(json.dumps([loaded, "numpy" in sys.modules, "scipy" in sys.modules]))
+dataclasses = not preloaded and "dataclasses" in sys.modules
+print(json.dumps([loaded, "numpy" in sys.modules, "scipy" in sys.modules, dataclasses]))
 """
 CLI_CORE = ["knightian.cli", "knightian.errors"]
-QUANTUM_FAMILY = ["classical", "freestate"]  # freestate reads classical's DimMismatch
+QUANTUM_FAMILY = ["classical", "freestate", "record"]  # freestate reads classical's DimMismatch
 
 
-# id -> (command, config, the knightian modules it adds to the CLI's, numpy loaded, scipy loaded)
+# id -> (command, config, the knightian modules it adds to the CLI's, numpy loaded, scipy loaded);
+# no command loads dataclasses
 FOOTPRINTS = {
     "import": ((), None, [], False, False),
-    "freestate-interval": (("freestate", "interval"), KNIGHT_CLASSICAL, ["classical"], False, False),
+    "freestate-interval": (("freestate", "interval"), KNIGHT_CLASSICAL, ["classical", "record"], False, False),
     "freestate-interval-quantum": (("freestate", "interval"), QUANTUM_INTERVAL, QUANTUM_FAMILY, True, False),
     "freestate-witness": (("freestate", "witness"), WITNESS, QUANTUM_FAMILY, True, False),
-    "freestate-or": (("freestate", "or"), {"classicals": [CLASSICAL, CLASSICAL]}, ["classical"], False, False),
+    "freestate-or": (("freestate", "or"), {"classicals": [CLASSICAL, CLASSICAL]}, ["classical", "record"], False, False),
     "freestate-or-quantum": (("freestate", "or"), {"freestates": [QUBIT_0, QUBIT_MIXED]}, QUANTUM_FAMILY, True, False),
-    "freestate-mix": (("freestate", "mix"), {"components": [{"weight": "1", "classical": CLASSICAL}]}, ["classical"], False, False),
+    "freestate-mix": (("freestate", "mix"), {"components": [{"weight": "1", "classical": CLASSICAL}]}, ["classical", "record"], False, False),
     "freestate-mix-quantum": (("freestate", "mix"), {"components": [{"weight": 1, "freestate": QUBIT_0}]}, QUANTUM_FAMILY, True, False),
     "freestate-clone-check": (("freestate", "clone-check"), {"psi": [[1, 0], [0, 0]], "phi": [[0, 0], [1, 0]]}, QUANTUM_FAMILY, True, False),
-    "solomonoff-predict": (("solomonoff", "predict"), {"bound": 12, "history": ""}, ["prior", "toyvm"], False, False),
-    "solomonoff-regret": (("solomonoff", "regret"), {**REGRET, "eps": ["1/2"]}, ["prior", "toyvm"], False, False),
-    "solomonoff-diagonal": (("solomonoff", "diagonal"), {"bound": 12, "n": 2}, ["prior", "toyvm"], False, False),
-    "solomonoff-omega": (("solomonoff", "omega"), {"bound": 4}, ["prior", "toyvm"], False, False),
-    "soph-k": (("soph", "k"), {"x": "0", "bound": 8}, ["complexity", "toyvm"], False, False),
-    "soph-kset": (("soph", "kset"), {"elements": ["0", "1"], "bound": 8}, ["complexity", "toyvm"], False, False),
-    "soph-soph": (("soph", "soph"), {"x": "0", "c": 1, "bound": 8}, ["complexity", "toyvm"], False, False),
-    "soph-table": (("soph", "table"), {"lengths": [1], "cs": [1], "bound": 8}, ["complexity", "toyvm"], False, False),
-    "arena-run": (("arena", "run"), RUN, ["arena"], False, False),
-    "arena-classify": (("arena", "classify"), CLASSIFY, ["arena"], False, False),
-    "gadgets-chsh-classical": (("gadgets", "chsh-classical"), {}, ["gadgets"], False, False),
+    "solomonoff-predict": (("solomonoff", "predict"), {"bound": 12, "history": ""}, ["prior", "toyvm", "record"], False, False),
+    "solomonoff-regret": (("solomonoff", "regret"), {**REGRET, "eps": ["1/2"]}, ["prior", "toyvm", "record"], False, False),
+    "solomonoff-diagonal": (("solomonoff", "diagonal"), {"bound": 12, "n": 2}, ["prior", "toyvm", "record"], False, False),
+    "solomonoff-omega": (("solomonoff", "omega"), {"bound": 4}, ["prior", "toyvm", "record"], False, False),
+    "soph-k": (("soph", "k"), {"x": "0", "bound": 8}, ["complexity", "toyvm", "record"], False, False),
+    "soph-kset": (("soph", "kset"), {"elements": ["0", "1"], "bound": 8}, ["complexity", "toyvm", "record"], False, False),
+    "soph-soph": (("soph", "soph"), {"x": "0", "c": 1, "bound": 8}, ["complexity", "toyvm", "record"], False, False),
+    "soph-table": (("soph", "table"), {"lengths": [1], "cs": [1], "bound": 8}, ["complexity", "toyvm", "record"], False, False),
+    "arena-run": (("arena", "run"), RUN, ["arena", "record"], False, False),
+    "arena-classify": (("arena", "classify"), CLASSIFY, ["arena", "record"], False, False),
+    "gadgets-chsh-classical": (("gadgets", "chsh-classical"), {}, ["gadgets", "record"], False, False),
     "gadgets-chsh-quantum": (("gadgets", "chsh-quantum"), {}, [*QUANTUM_FAMILY, "gadgets"], True, False),
-    "gadgets-bostrom": (("gadgets", "bostrom"), {"variant": 1}, ["gadgets"], False, False),
-    "gadgets-newcomb": (("gadgets", "newcomb"), NEWCOMB, ["gadgets"], False, False),
-    "gadgets-causal": (("gadgets", "causal"), CAUSAL_GRAPH, ["gadgets"], False, False),
+    "gadgets-bostrom": (("gadgets", "bostrom"), {"variant": 1}, ["gadgets", "record"], False, False),
+    "gadgets-newcomb": (("gadgets", "newcomb"), NEWCOMB, ["gadgets", "record"], False, False),
+    "gadgets-causal": (("gadgets", "causal"), CAUSAL_GRAPH, ["gadgets", "record"], False, False),
 }
 
 
@@ -1093,7 +1097,7 @@ def test_each_command_imports_only_its_family(tmp_path, command, config, added, 
     )
     assert done.returncode == 0, done.stderr
     loaded = sorted(CLI_CORE + [f"knightian.{module}" for module in added])
-    assert json.loads(done.stdout) == [loaded, numpy, scipy]
+    assert json.loads(done.stdout) == [loaded, numpy, scipy, False]
 
 
 def run_module(*argv):
@@ -1112,6 +1116,36 @@ def test_python_dash_m_knightian_runs_the_cli():
     done = run_module("gadgets", "no-such-command")
     assert done.returncode == 1
     assert "no-such-command" in done.stderr
+
+
+def test_main_runs_blas_on_one_thread_unless_the_caller_set_a_count(monkeypatch):
+    # OpenBLAS reads its thread count when numpy loads, so main sets it before dispatch
+    counts = []
+    monkeypatch.setattr(cli, "dispatch", lambda argv: counts.append(os.environ.get("OPENBLAS_NUM_THREADS")) or 0)
+    monkeypatch.setattr(sys, "argv", ["knightian", "gadgets", "chsh-classical"])
+    for preset in ({}, {"OPENBLAS_NUM_THREADS": "4"}, {"OMP_NUM_THREADS": "2"}):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.setenv(name, "")  # so that undo restores the caller's value
+            monkeypatch.delenv(name)
+        for name, value in preset.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as done:
+            cli.main()
+        assert done.value.code == 0
+    assert counts == ["1", "4", None]
+
+
+def test_a_single_thread_witness_keeps_its_pinned_report(tmp_path):
+    # python -m knightian goes through main, which runs OpenBLAS on one thread
+    command, seed, config, digest = PINNED_FREESTATE_REPORTS["hermitian-witness"]
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["freestate", command, "--config", write_config(tmp_path, config), "--seed", str(seed)]
+    done = subprocess.run(
+        [sys.executable, "-m", "knightian", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
 
 
 def test_a_deviation_past_the_float_range_is_one_error_line(tmp_path):

@@ -8,13 +8,15 @@ chs. 3-4), or `classical`'s Knightian or and `freestate`'s hull LP.
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_freestate
-from knightian import classical, complexity, freestate, prior, toyvm
+from knightian import classical, complexity, freestate, gadgets, prior, toyvm
 
 SHORT_STRINGS = ["".join(bits) for n in range(9) for bits in itertools.product("01", repeat=n)]
 
@@ -77,3 +79,41 @@ def test_or_of_a_state_with_itself_is_that_state():
     # or(A, A) is hull-equal to A, so no witness tells them apart
     for a, _ in random_quantum_pairs(67, 24):
         assert freestate.separating_witness(a, classical.knightian_or(a, a)) is None
+
+
+# (2 + sqrt 2) / 4, the most any quantum strategy wins the CHSH game with
+# (Cirel'son, Lett. Math. Phys. 4, 1980)
+TSIRELSON = (2 + math.sqrt(2)) / 4
+
+
+def test_tsirelson_bound():
+    # no measurement angles on the Bell pair beat it, and the optimal ones reach it
+    rng = random.Random(73)
+    for _ in range(200):
+        alice = (rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
+        bob = (rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
+        assert gadgets.chsh_quantum_value(alice, bob) <= TSIRELSON + 1e-12, (alice, bob)
+    best = gadgets.chsh_quantum_value(gadgets.CHSH_OPTIMAL_ALICE, gadgets.CHSH_OPTIMAL_BOB)
+    assert abs(best - TSIRELSON) <= 1e-12
+
+
+@pytest.mark.parametrize("bound, equal", [(16, 54), (20, 0)])
+def test_semimeasure_law(bound, equal):
+    # M(h0) + M(h1) <= M(h) for the 127 strings h of length <= 6, with
+    # equality exactly when no class that emits h stops there: a class whose
+    # template is |h| long gives its mass to h and none to either extension.
+    # At bound 20 some class stops at every such h.
+    queue = [prior.build_mixture(bound, toyvm.MachineConfig())]
+    classes = queue[0].census.classes
+    equalities = 0
+    for mixture in queue:
+        zero, one = prior.update(mixture, "0"), prior.update(mixture, "1")
+        whole = prior.joint_probability(mixture)
+        split = prior.joint_probability(zero) + prior.joint_probability(one)
+        stops = any(classes[k][0] == len(mixture.history) for k, _ in mixture.survivors)
+        assert split <= whole, mixture.history
+        assert (split == whole) == (not stops), mixture.history
+        equalities += not stops
+        if len(mixture.history) < 6:
+            queue += [zero, one]
+    assert len(queue) == 127 and equalities == equal
