@@ -35,8 +35,8 @@ TOL_HERMITIAN = 1e-9
 TOL_PSD = 1e-9
 TOL_TRACE = 1e-9
 TOL_HULL = 1e-7  # boundary ties count as "member"
-# each witness restart is an ascent of up to 120 steps: about 6 ms in d = 3 on a
-# 2-core Xeon VM, so the guard costs at most about 1.5 s there
+# each witness restart is an ascent of up to 120 steps: about 3 ms in d = 3 with 8
+# generators on a 2-core Xeon VM, so the guard costs at most about 0.8 s there
 RESTARTS_GUARD = 256
 
 
@@ -412,15 +412,22 @@ def _quadratic(psi: np.ndarray, m: DensityMatrix) -> float:
     return float(np.real(psi.conj() @ np.asarray(m.entries) @ psi))
 
 
-def _quadratic_interval(psi: np.ndarray, s: Freestate) -> tuple[float, float]:
-    vals = [_quadratic(psi, g) for g in s.generators]
-    return min(vals), max(vals)
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
 
 
-def _pure_gap(psi: np.ndarray, rho: DensityMatrix, s: Freestate) -> float:
+def _pure_gap(psi: np.ndarray, rho: DensityMatrix, s: Freestate):
+    """One evaluation of a candidate: (value on rho, (lo, hi) on s, the exclusion
+    gap, the gap's gradient toward the first active extreme, tangent to the sphere)."""
     value = _quadratic(psi, rho)
-    lo, hi = _quadratic_interval(psi, s)
-    return max(value - hi, lo - value)
+    vals = [_quadratic(psi, g) for g in s.generators]
+    lo, hi = min(vals), max(vals)
+    if value - hi >= lo - value:
+        direction = np.asarray(rho.entries) - np.asarray(s.generators[vals.index(hi)].entries)
+    else:
+        direction = np.asarray(s.generators[vals.index(lo)].entries) - np.asarray(rho.entries)
+    grad = 2.0 * direction @ psi
+    return value, (lo, hi), max(value - hi, lo - value), grad - np.real(np.vdot(psi, grad)) * psi
 
 
 def separating_witness(
@@ -435,12 +442,14 @@ def separating_witness(
     Set equality is decided by mutual hull membership of all generators, each
     of s1 against s2, then each of s2 against s1, with hull_contains's LP.
     The first generator rho outside the other's hull keeps its LP's
-    separating functional, and a pure state is searched (spectral vectors of
-    the functional, then random-restart ascent) whose expectation interval on
-    the other set excludes rho's value by more than tol.  If the pure search
-    fails, the Hermitian functional is returned instead; if even its margin
-    is within tol, the sets are indistinguishable at this tolerance and the
-    result is None.
+    separating functional, and a pure state is searched whose expectation
+    interval on the other set excludes rho's value by more than tol.  The
+    spectral vectors of the functional are tried first; one ascent loop then
+    polishes the best of them if it clears tol, or else runs from `restarts`
+    random unit vectors drawn from `seed`, and the first strict improvement
+    wins.  If the pure search fails, the Hermitian functional is returned
+    instead; if even its margin is within tol, the sets are indistinguishable
+    at this tolerance and the result is None.
     """
     if s1.dim != s2.dim:
         raise DimMismatch(f"dims {s1.dim} != {s2.dim}")
@@ -454,76 +463,51 @@ def separating_witness(
         return None
 
     d = rho.dim
-    best_psi, best_gap = None, tol
+    best_psi, best = None, (None, None, tol)  # best[2], the gap a candidate must beat
     # spectral vectors of the separating functional usually already work
     for start in np.linalg.eigh(w)[1].T:
         psi = np.asarray(start, dtype=complex)
-        gap = _pure_gap(psi, rho, other)
-        if gap > best_gap:
-            best_psi, best_gap = psi, gap
+        evaluation = _pure_gap(psi, rho, other)
+        if evaluation[2] > best[2]:
+            best_psi, best = psi, evaluation
     if best_psi is not None:
-        polished, gap = _ascend_pure(best_psi, rho, other)
-        if gap > best_gap:
-            best_psi, best_gap = polished, gap
+        starts = [best_psi]
     else:
         rng = np.random.default_rng(seed)  # numpy.random loads only when a restart runs
-        for _ in range(restarts):
-            raw = rng.normal(size=d) + 1j * rng.normal(size=d)
-            psi, gap = _ascend_pure(raw / np.linalg.norm(raw), rho, other)
-            if gap > best_gap:
-                best_psi, best_gap = psi, gap
+        starts = (_unit(rng.normal(size=d) + 1j * rng.normal(size=d)) for _ in range(restarts))
+    for start in starts:
+        psi, evaluation = _ascend_pure(start, rho, other, (best_psi, best))
+        if evaluation[2] > best[2]:
+            best_psi, best = psi, evaluation
     if best_psi is not None:
-        return PureWitness(
-            PureState(d, best_psi),
-            _quadratic(best_psi, rho),
-            _quadratic_interval(best_psi, other),
-            best_gap,
-        )
+        return PureWitness(PureState(d, best_psi), *best[:3])
 
-    herm_vals = [
-        float(np.real(np.trace(w @ np.asarray(g.entries)))) for g in other.generators
-    ]
     value = float(np.real(np.trace(w @ np.asarray(rho.entries))))
-    lo, hi = min(herm_vals), max(herm_vals)
+    vals = [float(np.real(np.trace(w @ np.asarray(g.entries)))) for g in other.generators]
+    lo, hi = min(vals), max(vals)
     gap = max(value - hi, lo - value)
-    if gap <= tol:
-        return None
-    return HermitianWitness(w, value, (lo, hi), gap)
+    return None if gap <= tol else HermitianWitness(w, value, (lo, hi), gap)
 
 
-def _ascend_pure(start: np.ndarray, rho: DensityMatrix, s: Freestate) -> tuple[np.ndarray, float]:
-    """Projected local ascent of the exclusion gap on the unit sphere: (psi, its gap)."""
-    psi = start / np.linalg.norm(start)
+def _ascend_pure(start: np.ndarray, rho: DensityMatrix, s: Freestate, known: tuple):
+    """Projected local ascent of the exclusion gap on the unit sphere: (psi, its _pure_gap).
+
+    Each point is evaluated once: known, a point and its _pure_gap, stands for
+    the start when the start normalizes to it bit for bit, and an accepted
+    trial's gradient is the next step's."""
+    psi = _unit(start)
+    current = known[1] if np.array_equal(psi, known[0]) else _pure_gap(psi, rho, s)
     step = 0.25
-    current = _pure_gap(psi, rho, s)
     for _ in range(120):
-        grad = _gap_gradient(psi, rho, s)
-        trial = psi + step * grad
-        trial = trial / np.linalg.norm(trial)
-        value = _pure_gap(trial, rho, s)
-        if value > current + 1e-14:
-            psi, current = trial, value
+        trial = _unit(psi + step * current[3])
+        evaluation = _pure_gap(trial, rho, s)
+        if evaluation[2] > current[2] + 1e-14:
+            psi, current = trial, evaluation
         else:
             step *= 0.5
             if step < 1e-6:
                 break
     return psi, current
-
-
-def _gap_gradient(psi: np.ndarray, rho: DensityMatrix, s: Freestate) -> np.ndarray:
-    # gradient of <psi|rho|psi> minus the (first) active extreme of the other set
-    vals = [_quadratic(psi, g) for g in s.generators]
-    lo, hi = min(vals), max(vals)
-    value = _quadratic(psi, rho)
-    if value - hi >= lo - value:
-        active = s.generators[vals.index(hi)]
-        direction = np.asarray(rho.entries) - np.asarray(active.entries)
-    else:
-        active = s.generators[vals.index(lo)]
-        direction = np.asarray(active.entries) - np.asarray(rho.entries)
-    grad = 2.0 * direction @ psi
-    # project out the radial component
-    return grad - np.real(np.vdot(psi, grad)) * psi
 
 
 # -- common states ----------------------------------------------------------------

@@ -2,8 +2,9 @@
 predictor's two boxes, and the micro/macro causal-arrow discipline.
 
 Everything classical here is exact rational arithmetic; only the quantum
-measurement angles use floats.  `numpy` and `freestate` load only for the
-quantum CHSH value, so the other gadgets run without them.
+measurement angles use floats.  `numpy` loads only for the quantum CHSH
+value, which works on the Bell pair's matrix directly, so the other gadgets
+run without it.
 """
 
 from __future__ import annotations
@@ -46,15 +47,6 @@ def chsh_classical_optimum() -> ClassicalChshResult:
     return ClassicalChshResult(best["value"], (best["alice"], best["bob"]), tuple(rows))
 
 
-def _bell_pair():
-    import numpy as np
-
-    from . import freestate
-
-    amps = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    return freestate.PureState(4, amps).projector()
-
-
 def _about_axis(theta: float, outcome: int):
     """Rank-1 projector for measuring along angle theta in the X-Z plane."""
     import numpy as np
@@ -71,14 +63,13 @@ def chsh_quantum_value(
     """Win probability for measurement-angle strategies on the Bell pair.
 
     Angles live in the X-Z plane, which suffices for the optimum.  The
-    probability for each (x, y) is an effect expectation on the shared
-    two-qubit state.
+    probability for each (x, y) sums Tr(P rho) over the product projectors P
+    of the winning outcomes, with rho the Bell pair's density matrix.
     """
     import numpy as np
 
-    from . import freestate
-
-    rho = _bell_pair()
+    amps = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    rho = np.outer(amps, amps.conj())
     total = 0.0
     for x, y in itertools.product((0, 1), repeat=2):
         win = 0.0
@@ -86,7 +77,7 @@ def chsh_quantum_value(
             if (a + b) % 2 != (x & y):
                 continue
             proj = np.kron(_about_axis(alice_angles[x], a), _about_axis(bob_angles[y], b))
-            win += freestate.expectation(rho, freestate.Effect(4, proj))
+            win += float(np.real(np.trace(proj @ rho)))
         total += win
     return total / 4
 

@@ -102,15 +102,14 @@ def gamma_encode(n: int) -> str:
     return "0" * (len(b) - 1) + b
 
 
-def gamma_decode(bits: str, pos: int = 0) -> tuple[int, int]:
-    """Decode a gamma code starting at pos; return (value, next position)."""
-    z = pos
+def gamma_decode(bits: str) -> tuple[int, int]:
+    """Decode the gamma code at the start of bits; return (value, the position after it)."""
+    z = 0
     while z < len(bits) and bits[z] == "0":
         z += 1
     if z == len(bits):
         raise BadHeader("ran out of bits scanning for the gamma stop bit")
-    k = z - pos
-    end = z + 1 + k
+    end = 2 * z + 1
     if end > len(bits):
         raise BadHeader("gamma code truncated")
     return int(bits[z:end], 2), end

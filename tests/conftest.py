@@ -67,6 +67,25 @@ def pushed_out_pair(rng: np.random.Generator):
     return freestate.Freestate(d, (rho,)), hull
 
 
+def c10_draws():
+    """Acceptance criterion C10's seeded draws, in the order one rng makes them.
+
+    100 (freestate, effect, 200 hull weights) samples in d = 2..4, then 30
+    (s1, s2) witness pairs with 1 to 3 generators each."""
+    rng = np.random.default_rng(777)
+    samples = []
+    for _ in range(100):
+        dim = int(rng.integers(2, 5))
+        s = random_freestate(rng, dim, int(rng.integers(2, 5)))
+        e = random_effect(rng, dim)
+        samples.append((s, e, [rng.dirichlet(np.full(len(s.generators), 0.4)) for _ in range(200)]))
+    pairs = []
+    for _ in range(30):
+        dim = int(rng.integers(2, 5))
+        pairs.append(tuple(random_freestate(rng, dim, int(rng.integers(1, 4))) for _ in range(2)))
+    return samples, pairs
+
+
 def _edge(source, on_input, to, emit):
     return {"from": source, "on_input": on_input, "to": to, "emit": emit}
 

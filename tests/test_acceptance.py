@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_effect, random_freestate
+from conftest import c10_draws, random_effect
 from knightian import arena, classical as cl, cli, complexity as cx, freestate as fs, gadgets as gd, prior, toyvm as tv
 
 F = Fraction
@@ -251,23 +251,16 @@ def test_c09_bostrom_posteriors():
 
 def test_c10_freestate_numerics():
     with criterion("C10 hull sampling stays inside; witnesses re-verify", 120.0):
-        rng = np.random.default_rng(777)
-        for _ in range(100):
-            dim = int(rng.integers(2, 5))
-            s = random_freestate(rng, dim, int(rng.integers(2, 5)))
-            e = random_effect(rng, dim)
+        samples, pairs = c10_draws()
+        for s, e, weights in samples:
             lo, hi = fs.effect_interval(s, e)
-            for _ in range(200):
-                lam = rng.dirichlet(np.full(len(s.generators), 0.4))
+            for lam in weights:
                 rho = sum(w * g.entries for w, g in zip(lam, s.generators))
                 value = float(np.real(np.trace(e.entries @ rho)))
                 assert lo - 1e-9 <= value <= hi + 1e-9
         tol = 1e-6
         returned = 0
-        for trial in range(30):
-            dim = int(rng.integers(2, 5))
-            s1 = random_freestate(rng, dim, int(rng.integers(1, 4)))
-            s2 = random_freestate(rng, dim, int(rng.integers(1, 4)))
+        for trial, (s1, s2) in enumerate(pairs):
             witness = fs.separating_witness(s1, s2, tol=tol, seed=trial)
             if witness is None:
                 continue

@@ -1070,7 +1070,7 @@ FOOTPRINTS = {
     "arena-run": (("arena", "run"), RUN, ["arena", "record"], False, False),
     "arena-classify": (("arena", "classify"), CLASSIFY, ["arena", "record"], False, False),
     "gadgets-chsh-classical": (("gadgets", "chsh-classical"), {}, ["gadgets", "record"], False, False),
-    "gadgets-chsh-quantum": (("gadgets", "chsh-quantum"), {}, [*QUANTUM_FAMILY, "gadgets"], True, False),
+    "gadgets-chsh-quantum": (("gadgets", "chsh-quantum"), {}, ["gadgets", "record"], True, False),
     "gadgets-bostrom": (("gadgets", "bostrom"), {"variant": 1}, ["gadgets", "record"], False, False),
     "gadgets-newcomb": (("gadgets", "newcomb"), NEWCOMB, ["gadgets", "record"], False, False),
     "gadgets-causal": (("gadgets", "causal"), CAUSAL_GRAPH, ["gadgets", "record"], False, False),

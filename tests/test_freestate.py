@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import json
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pushed_out_pair, random_density, random_effect, random_freestate
+from conftest import c10_draws, pushed_out_pair, random_density, random_effect, random_freestate
 from knightian import classical as cl, freestate as fs
 from knightian.errors import KnightianError
 import oracles
@@ -533,6 +535,50 @@ def test_witness_none_when_no_gap_clears_the_tolerance():
     assert fs.separating_witness(qstate("0"), mixed, tol=1.0, restarts=2) is None
     w = fs.separating_witness(qstate("0"), mixed)
     assert_witness_reverifies(w, qstate("0").generators[0], mixed, 1e-6)
+
+
+def witness_digest(witnesses) -> str:
+    """SHA-256 over each witness's kind, value, interval, gap and vector or operator bytes."""
+    h = hashlib.sha256()
+    for w in witnesses:
+        h.update(type(w).__name__.encode())
+        if w is not None:
+            h.update(np.array([w.value_on_state, *w.interval_on_other, w.gap]).tobytes())
+            h.update((w.psi.amplitudes if isinstance(w, fs.PureWitness) else w.operator).tobytes())
+    return h.hexdigest()
+
+
+def test_witnesses_of_seeded_draws_are_pinned():
+    # C10's 30 pairs at their seeds, then pushed_out_pair at seeds 0-39 with 8
+    # restarts, at the default tol and at 0.05, which 17 of those 31 draws no
+    # longer clear: the draws reach the spectral, restart, Hermitian and None paths
+    witnesses = [fs.separating_witness(s1, s2, seed=trial) for trial, (s1, s2) in enumerate(c10_draws()[1])]
+    for seed in range(40):
+        pair = pushed_out_pair(np.random.default_rng(seed))
+        if pair is not None:
+            witnesses += [fs.separating_witness(*pair, tol, restarts=8, seed=seed) for tol in (1e-6, 0.05)]
+    kinds = collections.Counter(type(w).__name__ for w in witnesses)
+    assert kinds == {"PureWitness": 44, "HermitianWitness": 31, "NoneType": 17}
+    assert witness_digest(witnesses) == "df25e06602022711550f352e27f6ea7dd930ba40e4a3f71ded6f83407de394ca"
+
+
+def test_the_witness_search_evaluates_each_point_once(monkeypatch):
+    # every _quadratic call of one search, by the bytes of its psi: each point,
+    # a spectral vector, an ascent's start or a trial, is read once on rho and
+    # on each generator of the other set; an accepted trial's gradient, and
+    # the winner's value and interval, are kept, not recomputed.  C10's pairs
+    # take the spectral path, and the pushed-out draws at seeds 5 and 7 the
+    # restart path to a pure and to a Hermitian witness.
+    draws = [(s1, s2, trial) for trial, (s1, s2) in enumerate(c10_draws()[1])]
+    draws += [(*pushed_out_pair(np.random.default_rng(seed)), seed) for seed in (5, 7)]
+    calls = collections.Counter()
+    quadratic = fs._quadratic
+    monkeypatch.setattr(fs, "_quadratic", lambda psi, m: calls.update([psi.tobytes()]) or quadratic(psi, m))
+    for s1, s2, seed in draws:
+        calls.clear()
+        fs.separating_witness(s1, s2, restarts=8, seed=seed)
+        reads = {1 + len(s1.generators), 1 + len(s2.generators)}
+        assert len(set(calls.values())) == 1 and set(calls.values()) <= reads, seed
 
 
 # -- serialization -----------------------------------------------------------------

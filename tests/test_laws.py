@@ -81,6 +81,31 @@ def test_or_of_a_state_with_itself_is_that_state():
         assert freestate.separating_witness(a, classical.knightian_or(a, a)) is None
 
 
+def random_classical(rng: random.Random, n: int) -> classical.ClassicalFreestate:
+    """1 to 3 exact distributions over n outcomes: integer weights 0..9, the last at least 1, normalized."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        weights = [rng.randint(0, 9) for _ in range(n - 1)]
+        weights.append(rng.randint(1, 9))
+        gens.append(tuple(Fraction(w, sum(weights)) for w in weights))
+    return classical.ClassicalFreestate(n, tuple(gens))
+
+
+def test_or_event_interval_spans_both_intervals():
+    # an event's interval over or(A, B) is exactly [min lo, max hi] of its
+    # intervals over A and over B: a linear functional's extremes over the
+    # hull of the union sit at generators of A or of B
+    rng = random.Random(79)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a, b = random_classical(rng, n), random_classical(rng, n)
+        event = [i for i in range(n) if rng.random() < 0.5]
+        (lo_a, hi_a), (lo_b, hi_b) = classical.event_interval(a, event), classical.event_interval(b, event)
+        union = classical.event_interval(classical.knightian_or(a, b), event)
+        assert union == (min(lo_a, lo_b), max(hi_a, hi_b)), (a, b, event)
+        assert all(type(end) is Fraction for end in union)
+
+
 # (2 + sqrt 2) / 4, the most any quantum strategy wins the CHSH game with
 # (Cirel'son, Lett. Math. Phys. 4, 1980)
 TSIRELSON = (2 + math.sqrt(2)) / 4
