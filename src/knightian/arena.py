@@ -379,7 +379,7 @@ class TablePredictor:
     contexts.
     """
 
-    def __init__(self, context: int):
+    def __init__(self, context: int = 1):
         if not 0 <= context <= TIME_GUARD:
             raise ValueError(f"'context' must lie in [0, {TIME_GUARD}], got {context}")
         self.context = context

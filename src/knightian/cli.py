@@ -72,6 +72,17 @@ def _open_unit(value) -> Fraction:
     return p
 
 
+def _seed(text: str) -> int:
+    """--seed read as a 64-bit seed, checked before any command runs."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+    return seed
+
+
 def _rat(f: Fraction) -> dict:
     return {"exact": f, "float": float(f)}
 
@@ -505,7 +516,7 @@ def _predictor(spec: dict, path: str):
     from . import arena
 
     if spec["kind"] == "table":
-        return arena.TablePredictor(spec.get("context", 1))
+        return arena.TablePredictor(**_given(spec, ("context",)))
     members = enumerate(spec["family"])
     return arena.BayesPredictor([_subject(m, f"{path}['family'][{i}]") for i, m in members])
 
@@ -718,7 +729,7 @@ def build_parser() -> _Parser:
     parser.add_argument("group", choices=sorted({g for g, _ in COMMANDS}))
     parser.add_argument("command")
     parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument("--seed", type=int, default=None, help="64-bit experiment seed")
+    parser.add_argument("--seed", type=_seed, default=None, help="64-bit experiment seed")
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     return parser

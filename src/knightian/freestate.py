@@ -455,6 +455,8 @@ def separating_witness(
         raise DimMismatch(f"dims {s1.dim} != {s2.dim}")
     if not 0 <= restarts <= RESTARTS_GUARD:
         raise ValueError(f"'restarts' must lie in [0, {RESTARTS_GUARD}], got {restarts}")
+    if not tol >= 0:  # a negative tol would pass off a gap <= 0, an overlap, as a witness
+        raise ValueError(f"'tol' must be >= 0, got {tol}")
     for rho, other in [(g, s2) for g in s1.generators] + [(g, s1) for g in s2.generators]:
         w, _, outside = _separating_functional(rho, other)
         if outside:

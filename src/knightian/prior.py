@@ -51,18 +51,6 @@ class UnsupportedSequence(KnightianError):
     """The designated hypothesis assigns the sequence zero probability."""
 
 
-class Hypothesis(Record):
-    program: Program
-    prior: Fraction
-    posterior: Fraction
-
-    def __init__(self, program: Program, prior: Fraction, posterior: Fraction):
-        # Mixture.hypotheses builds one per program: set the fields directly
-        object.__setattr__(self, "program", program)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "posterior", posterior)
-
-
 class Mixture(Record):
     census: toyvm.Census
     bound: int  # enumeration bound L, quoted in all reports
@@ -74,23 +62,6 @@ class Mixture(Record):
         """C = sum of 2**-len(P) over the class."""
         return Fraction(self.census.total, 2**self.bound)
 
-    @property
-    def hypotheses(self) -> tuple[Hypothesis, ...]:
-        """Every enumerated program with its prior and its posterior given the history.
-
-        Derived on each access: each program reads its class's likelihood, on
-        the scale 2**len(history), from the survivors.
-        """
-        classes, total = self.census.classes, self.census.total
-        lits = dict(self.survivors)
-        mass = sum(classes[k][3] << lits[k] for k in lits)
-        hyps = []
-        for p, k in zip(toyvm.enumerate_programs(self.bound), self.census.members):
-            weight = 1 << (self.bound - len(p))
-            posterior = Fraction(weight << lits[k], mass) if k in lits else Fraction(0)
-            hyps.append(Hypothesis(p, Fraction(weight, total), posterior))
-        return tuple(hyps)
-
 
 def build_mixture(bound: int, cfg: MachineConfig = MachineConfig()) -> Mixture:
     """Mixture over all programs of length <= bound, fresh (empty history)."""
@@ -99,15 +70,21 @@ def build_mixture(bound: int, cfg: MachineConfig = MachineConfig()) -> Mixture:
 
 
 def mixture_snapshot(mixture: Mixture) -> list[dict]:
-    """Reproducibility record: every hypothesis with its prior and posterior Fractions."""
-    return [
-        {
-            "program": h.program.code,
-            "prior": h.prior,
-            "posterior": h.posterior,
-        }
-        for h in mixture.hypotheses
-    ]
+    """Reproducibility record: every program with its prior and posterior Fractions.
+
+    A program's prior is its weight 2**(L - len(P)) over the census total.  Its
+    posterior is the weight times its class's likelihood, on the scale
+    2**len(history), over the survivors' mass, or 0 for a dropped class.
+    """
+    bound, total = mixture.bound, mixture.census.total
+    lits = dict(mixture.survivors)
+    mass = sum(mixture.census.classes[k][3] << lits[k] for k in lits)
+    rows = []
+    for p, k in zip(toyvm.enumerate_programs(bound), mixture.census.members):
+        weight = 1 << (bound - len(p))
+        posterior = Fraction(weight << lits[k], mass) if k in lits else Fraction(0)
+        rows.append({"program": p.code, "prior": Fraction(weight, total), "posterior": posterior})
+    return rows
 
 
 def joint_probability(mixture: Mixture, bits: str = "") -> Fraction:

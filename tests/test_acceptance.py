@@ -94,10 +94,10 @@ def test_c04_dominance_exhaustive():
             mixture = prior.build_mixture(bound, cfg)
             mass = {s: prior.joint_probability(mixture, s) for s in sequences}
             checked = 0
-            for h in mixture.hypotheses:
-                floor = F(1, 2 ** len(h.program))
+            for program in tv.enumerate_programs(bound):
+                floor = F(1, 2 ** len(program))
                 for s in sequences:
-                    p_q = tv.prefix_probability(h.program, s, cfg)
+                    p_q = tv.prefix_probability(program, s, cfg)
                     if p_q > 0:
                         assert mass[s] / p_q >= floor
                         checked += 1

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import STOCK_PAYLOADS, pushed_out_pair
-from knightian import arena, cli, toyvm
+from knightian import arena, cli, complexity as cx, toyvm
 from knightian.errors import KnightianError
 from knightian import classical as cl, freestate as fs
 import oracles
@@ -295,6 +295,14 @@ def mix_of_one_set_of(generators):
     return {"components": [{"weight": "1", "classical": {"n": 2, "generators": [["1", "0"]] * generators}}]}
 
 
+def table_of_cells(cells):
+    # rows x (len(cs) + 1) cells, repeats counted: 16 or 17 columns, the rows in binary
+    width = 16 if cells % 16 == 0 else 17
+    rows, cs = cells // width, [0] * (width - 1)
+    assert cells % width == 0 and rows < 2**17
+    return {"lengths": [n for n in range(17) if rows >> n & 1], "cs": cs, "bound": 8}
+
+
 def oblivious_gerbil_game(freebit_budget):
     # t = 2 leaves the gerbil's freebit, at step 2, out of training
     subject = {**GERBIL, "freebit_budget": freebit_budget}
@@ -431,6 +439,8 @@ def oblivious_gerbil_game(freebit_budget):
         (("arena", "run"), {**RUN, "game": {**GAME, "delta": "1e-4300"}}, "delta"),
         (("arena", "run"), {**RUN, "subject": with_edge(COIN, emit={"prob": "1e-4300"})}, "prob"),
         (("arena", "classify"), {**CLASSIFY, "schedule": [[2, "1e-4300", "0.1"]]}, "schedule"),
+        # well typed, but a gap <= 0 passed for a witness (exit 0)
+        (("freestate", "witness"), {**WITNESS, "tol": -0.5}, "tol"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -733,6 +743,7 @@ def test_any_one_bad_leaf_exits_zero_or_one(tmp_path_factory, group, command, co
         (("arena", "run"), "freebit_budget", arena.FREEBIT_GUARD, oblivious_gerbil_game),
         (("freestate", "mix"), "components", cl.MIX_GUARD, mix_of_one_set_of),
         (("soph", "soph"), "bound", toyvm.ENUMERATION_GUARD, lambda v: {"x": "0", "c": 1, "bound": v}),
+        (("soph", "table"), ("lengths", "cs"), cx.CELLS_GUARD, table_of_cells),
     ],
 )
 def test_size_guards_admit_their_bound_and_name_the_key_past_it(
@@ -1233,6 +1244,19 @@ def test_freestate_witness_cli_reports_hermitian_and_none(tmp_path, capsys):
     config = write_config(tmp_path, {**WITNESS, "tol": 1.0, "restarts": 2})
     result = invoke_json(capsys, "freestate", "witness", "--config", config, "--seed", "1")["result"]
     assert result == {"kind": "none"}
+
+
+@pytest.mark.parametrize("seed, code", [(-1, 1), (0, 0), (2**64 - 1, 0), (2**64, 1)])
+def test_seed_is_checked_before_anything_runs(tmp_path, capsys, seed, code):
+    # restarts run on this draw, so numpy refused -1 there, naming no key, while
+    # a draw whose spectral start cleared tol took it, as did the arena
+    single, hull = pushed_out_pair(np.random.default_rng(2))
+    witness = {"freestate_a": fs.freestate_to_payload(single), "freestate_b": fs.freestate_to_payload(hull)}
+    for command, config in ((("freestate", "witness"), {**witness, "restarts": 2}), (("arena", "run"), RUN)):
+        path = write_config(tmp_path, config)
+        got, out, err = invoke(capsys, *command, "--config", path, "--seed", str(seed))
+        assert got == code, err
+        assert code == 0 or "--seed" in err, err
 
 
 def test_freestate_clone_check_cli(tmp_path, capsys):

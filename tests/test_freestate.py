@@ -537,6 +537,15 @@ def test_witness_none_when_no_gap_clears_the_tolerance():
     assert_witness_reverifies(w, qstate("0").generators[0], mixed, 1e-6)
 
 
+def test_a_negative_tol_is_refused():
+    # at tol -0.5 this draw once gave a "pure witness" of gap -0.119: rho's value,
+    # 0.257, lies inside the other set's interval [0.078, 0.376]
+    single, hull = pushed_out_pair(np.random.default_rng(32))
+    with pytest.raises(ValueError, match="'tol'"):
+        fs.separating_witness(single, hull, tol=-0.5, restarts=0)
+    assert fs.separating_witness(single, hull, tol=0, restarts=0).gap > 0
+
+
 def witness_digest(witnesses) -> str:
     """SHA-256 over each witness's kind, value, interval, gap and vector or operator bytes."""
     h = hashlib.sha256()

@@ -4,7 +4,8 @@ A differential test compares a fast path with a second copy of the same
 algorithm, so a defect both copies share, or a wrong definition, passes it.
 A law links two families that share no code path, e.g. `prior`'s mixture and
 `complexity`'s K(x) (Li & Vitanyi, An Introduction to Kolmogorov Complexity,
-chs. 3-4), or `classical`'s Knightian or and `freestate`'s hull LP.
+chs. 3-4), or `classical`'s Knightian or and `freestate`'s hull LP, or holds
+of every member of a family, as the freebit law of every `arena` predictor.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import random_freestate
-from knightian import classical, complexity, freestate, gadgets, prior, toyvm
+from knightian import arena, classical, complexity, freestate, gadgets, prior, toyvm
 
 SHORT_STRINGS = ["".join(bits) for n in range(9) for bits in itertools.product("01", repeat=n)]
 
@@ -142,3 +143,43 @@ def test_semimeasure_law(bound, equal):
         if len(mixture.history) < 6:
             queue += [zero, one]
     assert len(queue) == 127 and equalities == equal
+
+
+CHAIN_EMISSIONS = [("bit", "0"), ("bit", "1")] + [("prob", Fraction(p)) for p in ("1/2", "1/3", "3/4")]
+
+
+def chain(rng: random.Random, t: int, u: int, k: int) -> arena.Subject:
+    """Inputs ignored, step v emits a literal or a coin, except k distinct freebits in [t, u)."""
+    emits = [rng.choice(CHAIN_EMISSIONS) for _ in range(u)] + [("bit", "0")]
+    for idx, pos in enumerate(rng.sample(range(t, u), k)):
+        emits[pos] = ("freebit", idx)
+    edges = {(f"c{v}", i): arena.Edge(f"c{min(v + 1, u)}", emits[v]) for v in range(u + 1) for i in "01"}
+    return arena.Subject(tuple(f"c{v}" for v in range(u + 1)), "c0", edges, k)
+
+
+def test_freebit_law():
+    # k freebits in the window: each forecast suffix fixes one freebit pattern,
+    # so the per-pattern overlaps sum to at most 1 and the least is at most
+    # 2**-k.  The adversary's distance, 1 - the least, is then at least
+    # 1 - 2**-k for every predictor, with no slack when the forecast is fair
+    # on the freebits and matches the rest of the window.
+    rng = random.Random(83)
+    tight = {"table": 0, "bayes": 0}
+    for trial in range(300):
+        k = rng.randint(1, 6)
+        t = rng.randint(0, 4)
+        u = t + k + rng.randint(0, 4)
+        subject = chain(rng, t, u, k)
+        inputs = "".join(rng.choice("01") for _ in range(u))
+        behavior = "".join(rng.choice("01") for _ in range(t))
+        if trial % 2:
+            kind, predictor = "table", arena.TablePredictor(rng.randint(0, 2))
+        else:
+            family = [subject] + [chain(rng, t, u, 0) for _ in range(rng.randint(0, 3))]
+            kind, predictor = "bayes", arena.BayesPredictor(family)
+        forecast = predictor.emit_forecast(inputs[:t], behavior)
+        _, distance = arena.adversary_resolution(subject, forecast, inputs, t, u)
+        floor = 1 - Fraction(1, 2**k)
+        assert distance >= floor, (trial, kind, k, distance)
+        tight[kind] += distance == floor
+    assert all(tight.values()), tight

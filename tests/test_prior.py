@@ -18,11 +18,12 @@ def mixture_oracle_probability(mixture, prefix):
     cfg = tv.MachineConfig(rand_budget=6)
     total = Fraction(0)
     weight_stream = Fraction(1, 2**cfg.rand_budget)
-    for h in mixture.hypotheses:
+    for p in tv.enumerate_programs(mixture.bound):
+        weight = Fraction(1, 2 ** len(p)) / mixture.normalizer
         for bits in itertools.product("01", repeat=cfg.rand_budget):
-            r = tv.run(h.program, cfg, "".join(bits))
+            r = tv.run(p, cfg, "".join(bits))
             if len(r.output) >= len(prefix) and r.output[: len(prefix)] == prefix:
-                total += h.prior * weight_stream
+                total += weight * weight_stream
     return total
 
 
@@ -138,9 +139,10 @@ def test_survivors_match_the_reference_scan(cfg):
         # the snapshot's posteriors, on the last history of this bound
         lits = dict(matches)
         mass = sum(census.classes[k][3] << lits[k] for k in lits)
-        for h, k in zip(m.hypotheses, census.members):
-            weight = 1 << (bound - len(h.program))
-            assert h.posterior == (Fraction(weight << lits[k], mass) if k in lits else 0)
+        programs = tv.enumerate_programs(bound)
+        for row, p, k in zip(prior.mixture_snapshot(m), programs, census.members):
+            weight = 1 << (bound - len(p))
+            assert row["posterior"] == (Fraction(weight << lits[k], mass) if k in lits else 0)
 
 
 @pytest.mark.parametrize("history", ["", "0", "1", "0110", "101101", "000000"])
@@ -180,9 +182,7 @@ def test_negative_bound_is_rejected():
 
 def test_single_hypothesis_mixture():
     m = prior.build_mixture(1, CFG)
-    assert len(m.hypotheses) == 1
-    assert m.hypotheses[0].program.body == ""
-    assert m.hypotheses[0].prior == 1
+    assert prior.mixture_snapshot(m) == [{"program": tv.from_body("").code, "prior": 1, "posterior": 1}]
 
 
 def test_normalizer_matches_direct_summation():
@@ -191,14 +191,14 @@ def test_normalizer_matches_direct_summation():
         (Fraction(1, 2 ** len(p)) for p in tv.enumerate_programs(12)), Fraction(0)
     )
     assert m.normalizer == direct == Fraction(7, 8)
-    assert sum(h.prior for h in m.hypotheses) == 1
+    assert sum(row["prior"] for row in prior.mixture_snapshot(m)) == 1
 
 
 def test_prior_weights_halve_per_extra_bit():
     m = prior.build_mixture(12, CFG)
     by_len = {}
-    for h in m.hypotheses:
-        by_len.setdefault(len(h.program), h.prior)
+    for row in prior.mixture_snapshot(m):
+        by_len.setdefault(len(row["program"]), row["prior"])
     lengths = sorted(by_len)
     for a, b in zip(lengths, lengths[1:]):
         assert by_len[b] / by_len[a] == Fraction(1, 2 ** (b - a))
@@ -243,7 +243,7 @@ def test_posterior_of_contradicted_program_is_zero():
     m = prior.build_mixture(12, CFG)
     m = prior.update(m, "1")
     emit0 = tv.from_body(tv.EMIT0).code
-    post = {h.program.code: h.posterior for h in m.hypotheses}
+    post = {row["program"]: row["posterior"] for row in prior.mixture_snapshot(m)}
     assert post[emit0] == 0
     assert sum(post.values()) == 1
 
@@ -253,7 +253,7 @@ def test_update_keeps_posteriors_normalized():
     m = prior.build_mixture(16, CFG)
     for b in "0110":
         m = prior.update(m, b)
-        assert sum(h.posterior for h in m.hypotheses) == 1
+        assert sum(row["posterior"] for row in prior.mixture_snapshot(m)) == 1
 
 
 def test_zero_mass_history_raises():
@@ -264,11 +264,11 @@ def test_zero_mass_history_raises():
 
 def test_dominance_on_short_sequences():
     m = prior.build_mixture(12, CFG)
-    for h in m.hypotheses:
-        floor = Fraction(1, 2 ** len(h.program))
+    for program in tv.enumerate_programs(12):
+        floor = Fraction(1, 2 ** len(program))
         for n in (1, 2, 3):
             for seq in map("".join, itertools.product("01", repeat=n)):
-                p_q = tv.prefix_probability(h.program, seq, CFG)
+                p_q = tv.prefix_probability(program, seq, CFG)
                 if p_q > 0:
                     assert prior.joint_probability(m, seq) / p_q >= floor
 
@@ -315,7 +315,7 @@ def test_regret_on_random_supported_sequences():
     rng = random.Random(17)
     m = prior.build_mixture(15, CFG)
     q = tv.from_body(tv.RAND + tv.JMP)  # uniform over all sequences
-    assert any(h.program.code == q.code for h in m.hypotheses)
+    assert any(row["program"] == q.code for row in prior.mixture_snapshot(m))
     floor = Fraction(1, 2 ** len(q))
     for _ in range(100):
         seq = "".join(rng.choice("01") for _ in range(6))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from knightian import arena, classical, complexity, prior, toyvm
+from knightian import arena, classical, complexity, toyvm
 from knightian.record import Record, replace
 
 
@@ -107,13 +107,10 @@ def test_a_mutable_default_is_not_shared():
 
 
 def test_a_class_body_init_is_left_alone():
-    # the classes built in bulk keep their own __init__, and are records still
-    for cls in (toyvm.Program, prior.Hypothesis):
-        assert "__init__" in vars(cls) and cls.__init__ is not Record.__init__
+    # the class built in bulk keeps its own __init__, and is a record still
+    assert "__init__" in vars(toyvm.Program) and toyvm.Program.__init__ is not Record.__init__
     program = toyvm.Program(code="1", body="")
     assert program == toyvm.Program("1", "") == toyvm.decode("1")
     assert repr(program) == "Program(code='1', body='')"
     with pytest.raises(AttributeError):
         program.code = "0"
-    hypothesis = prior.Hypothesis(program, Fraction(1, 2), Fraction(0))
-    assert replace(hypothesis, posterior=Fraction(1)) == prior.Hypothesis(program, Fraction(1, 2), Fraction(1))
