@@ -135,6 +135,16 @@ def subject_from_payload(payload: dict) -> Subject:
     )
 
 
+def _trace(subject: Subject, inputs: str) -> list[Emission]:
+    """The subject's emission at each step of the input trace."""
+    state, emissions = subject.initial, []
+    for i in inputs:
+        edge = subject.edges[(state, i)]
+        emissions.append(edge.emit)
+        state = edge.to
+    return emissions
+
+
 def _window_emissions(subject: Subject, inputs: str, t: int, u: int) -> list[Emission]:
     """The emissions over [t, u) on the realized inputs, guards checked first.
 
@@ -144,21 +154,11 @@ def _window_emissions(subject: Subject, inputs: str, t: int, u: int) -> list[Emi
     check_window(t, u)
     if len(inputs) < u:
         raise ValueError("input trace shorter than the horizon")
-    state = subject.initial
-    for v in range(t):
-        state = subject.edges[(state, inputs[v])].to
-    consumed: set[int] = set()
-    emissions = []
-    for v in range(t, u):
-        edge = subject.edges[(state, inputs[v])]
-        if edge.emit[0] == "freebit":
-            if edge.emit[1] in consumed:
-                raise SubjectSpecError(
-                    f"freebit {edge.emit[1]} consumed twice (double duty is forbidden)"
-                )
-            consumed.add(edge.emit[1])
-        emissions.append(edge.emit)
-        state = edge.to
+    emissions = _trace(subject, inputs[:u])[t:]
+    consumed = [value for kind, value in emissions if kind == "freebit"]
+    for k, idx in enumerate(consumed):
+        if idx in consumed[:k]:
+            raise SubjectSpecError(f"freebit {idx} consumed twice (double duty is forbidden)")
     return emissions
 
 
@@ -566,22 +566,14 @@ def run_game(subject: Subject, predictor, cfg: GameConfig) -> Verdict:
     for trial in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{trial}")
         inputs = draw_inputs(cfg.input_model, cfg.u, rng)
-        state = subject.initial
         behavior = ""
-        for v in range(cfg.t):
-            edge = subject.edges[(state, inputs[v])]
-            kind = edge.emit[0]
-            if kind == "bit":
-                b = edge.emit[1]
-            elif kind == "prob":
-                b = "1" if rng.random() < float(edge.emit[1]) else "0"
-            else:
+        for kind, value in _trace(subject, inputs[: cfg.t]):
+            if kind == "freebit":
                 raise SubjectSpecError(
                     "freebit consumed during training; adversarial resolution "
                     "after the forecast would contradict streamed observations"
                 )
-            behavior += b
-            state = edge.to
+            behavior += value if kind == "bit" else "1" if rng.random() < float(value) else "0"
         forecast = predictor.emit_forecast(inputs[: cfg.t], behavior)
         probe_causality(forecast, inputs, cfg.t, cfg.u, rng)
         if cfg.adversary == "adaptive":

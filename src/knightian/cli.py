@@ -485,7 +485,7 @@ def _cmd_soph_table(config: dict, seed) -> dict:
 
 
 def _table_csv(result: dict):
-    cs = result["cs"]
+    cs = dict.fromkeys(result["cs"])  # the distinct c, as tabulate keys each row
     yield "x,k," + ",".join(f"soph_{c}" for c in cs)
     for row in result["rows"]:
         cells = [row["x"], "" if row["k"] is None else str(row["k"])]

@@ -294,14 +294,15 @@ def tabulate(
     for n in lengths:
         for tup in itertools.product("01", repeat=n):
             x = "".join(tup)
-            kx = _result(witnesses.get(x), bound, cfg)
-            if isinstance(kx, NotFound):
+            witness = witnesses.get(x)
+            if witness is None:
                 rows.append({"x": x, "k": None, **dict.fromkeys(columns.values())})
                 continue
+            kx = len(witness)
             entries = index.get(x, ())
-            row: dict = {"x": x, "k": kx.value}
+            row: dict = {"x": x, "k": kx}
             for c, column in columns.items():
-                hit = _first_qualifying(entries, kx.value + c)
+                hit = _first_qualifying(entries, kx + c)
                 row[column] = None if hit is None else hit[0]
             rows.append(row)
     return rows

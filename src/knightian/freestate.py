@@ -72,7 +72,9 @@ class PureState(Record):
     def __post_init__(self):
         amps = _freeze(np.asarray(self.amplitudes).reshape(-1))
         object.__setattr__(self, "amplitudes", amps)
-        if self.dim < 1 or amps.shape != (self.dim,):
+        if self.dim < 1:
+            raise ValueError("a pure state needs at least one amplitude")
+        if amps.shape != (self.dim,):
             raise ValueError(f"amplitudes must be a length-{self.dim} vector")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")

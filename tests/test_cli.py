@@ -1215,6 +1215,22 @@ def test_soph_table_csv(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_soph_table_csv_has_one_column_per_distinct_c(tmp_path, capsys):
+    # a repeated c wrote its header twice (x,k,soph_1,soph_1), while the JSON row keys it once
+    cs = [1, 0, 1]
+    config = write_config(tmp_path, {"lengths": [2], "cs": cs, "bound": 12})
+    report = invoke_json(capsys, "soph", "table", "--config", config)
+    code, out, err = invoke(capsys, "soph", "table", "--config", config, "--format", "csv")
+    assert code == 0, err
+    header, *lines = out.strip().splitlines()
+    assert header == "x,k,soph_1,soph_0"
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert rows == [
+        {key: "" if value is None else str(value) for key, value in row.items()}
+        for row in report["result"]["rows"]
+    ]
+
+
 def test_freestate_witness_cli(tmp_path, capsys):
     payload_a = fs.freestate_to_payload(fs.Freestate(2, (fs.ket("0").projector(),)))
     payload_b = fs.freestate_to_payload(fs.Freestate(2, (oracles.maximally_mixed(2),)))
@@ -1266,6 +1282,14 @@ def test_freestate_clone_check_cli(tmp_path, capsys):
     )
     report = invoke_json(capsys, "freestate", "clone-check", "--config", config)
     assert report["result"]["feasible"] is False
+
+
+def test_freestate_clone_check_refuses_an_empty_state(tmp_path, capsys):
+    # it exited 1 with "amplitudes must be a length-0 vector", a shape the empty list has
+    config = write_config(tmp_path, {"psi": [], "phi": []})
+    code, out, err = invoke(capsys, "freestate", "clone-check", "--config", config)
+    assert code == 1 and out == ""
+    assert "config['psi']: a pure state needs at least one amplitude" in err, err
 
 
 def test_freestate_mix_cli_matches_expansion(tmp_path, capsys):

@@ -183,3 +183,25 @@ def test_freebit_law():
         assert distance >= floor, (trial, kind, k, distance)
         tight[kind] += distance == floor
     assert all(tight.values()), tight
+
+
+def test_bayes_law():
+    # A Bayes filter over a finite family F that holds the true subject, with
+    # no freebits: the mixture's KL divergence from the truth over [0, u) is
+    # at most ln|F|, so by the chain rule the expected KL of the window's
+    # forecast from the window's true law is too.  Pinsker and Jensen bound
+    # the expected distance by sqrt(ln|F| / 2), and Hoeffding puts the mean
+    # of n independent trials above that by more than sqrt(ln(1/delta) / (2n))
+    # with chance at most delta.  |F| <= 3 keeps the bound below 1.
+    rng = random.Random(89)
+    trials, delta = 60, 1e-3
+    for case in range(40):
+        size = rng.randint(2, 3)
+        t = rng.randint(0, 6)
+        u = t + rng.randint(1, 3)
+        family = [chain(rng, t, u, 0) for _ in range(size)]
+        game = arena.GameConfig(t, u, Fraction(1, 2), Fraction(1, 2), trials, case)
+        verdict = arena.run_game(rng.choice(family), arena.BayesPredictor(family), game)
+        mean = sum(verdict.distances) / trials
+        bound = math.sqrt(math.log(size) / 2) + math.sqrt(math.log(1 / delta) / (2 * trials))
+        assert bound < 1 and mean <= bound, (case, size, t, u, float(mean))

@@ -1,8 +1,9 @@
-"""Every public function, class or constant in src/ is read there, traced, or kept with a reason.
+"""Every function, class or constant in src/ is read there, or, if public, traced or kept with a reason.
 
-Code that only the tests read lives in tests/oracles.py.  A name no src/ code
-reads stays in src/ only when bench/launch.py's TRACED wraps it (a traced run
-fails without it) or when KEPT gives the reason.
+Code that only the tests read lives in tests/oracles.py.  A public name no
+src/ code reads stays in src/ only when bench/launch.py's TRACED wraps it (a
+traced run fails without it) or when KEPT gives the reason; a private one
+never stays.
 """
 
 import ast
@@ -31,8 +32,11 @@ def defined_names(node: ast.stmt) -> list[str]:
     return []
 
 
-def unread_public_names() -> set[str]:
-    """The public module-level defs, classes and constants of src/ whose name no src/ code reads."""
+def unread_names() -> set[str]:
+    """The module-level defs, classes and constants of src/ whose name no src/ code reads.
+
+    Dunder names, such as __all__, are read by Python itself.
+    """
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     read = set()
     for tree in trees.values():
@@ -46,16 +50,26 @@ def unread_public_names() -> set[str]:
         for module, tree in trees.items()
         for node in tree.body
         for name in defined_names(node)
-        if not name.startswith("_") and name not in read
+        if not (name.startswith("__") and name.endswith("__")) and name not in read
     }
+
+
+def is_private(qualified: str) -> bool:
+    return qualified.split(".")[1].startswith("_")
 
 
 def test_every_unread_public_name_is_traced_or_kept():
     traced = {f"{module}.{path}" for module, paths in load_launch().TRACED.items() for path in paths}
-    loose = sorted(unread_public_names() - traced - KEPT.keys())
+    loose = sorted(name for name in unread_names() - traced - KEPT.keys() if not is_private(name))
     assert not loose, f"read only by tests; move to tests/oracles.py or give a reason in KEPT: {loose}"
+
+
+def test_every_private_name_is_read():
+    # a private helper is no one's interface: if src/ does not read it, it goes
+    loose = sorted(filter(is_private, unread_names()))
+    assert not loose, f"no src/ code reads them; delete them or move them to tests/oracles.py: {loose}"
 
 
 def test_every_kept_name_is_unread():
     # a name src/ reads needs no reason, so the table cannot go stale
-    assert sorted(KEPT.keys() - unread_public_names()) == []
+    assert sorted(KEPT.keys() - unread_names()) == []
