@@ -6,11 +6,13 @@ length bound.  The bound and step budget are part of every result: these are
 time-bounded, machine-relative numbers, never quotable without their regime.
 
 The witnesses come from toyvm.census, the one run of the enumerated class
-that the mixture and Omega read too.  Deterministic means the run halts
-without executing RAND.  That picks the same shortest, lex-first witnesses as
-a static scan for RAND: jumps go back at most one instruction, so the
-instructions a run never executes form a suffix of the body, and cutting it
-off gives a strictly shorter program with the same run.
+that the mixture and Omega read too.  A witness there is a code, so K(x) is
+its length, and a Program is decoded only for a result that is returned.
+Deterministic means the run halts without executing RAND.  That picks the
+same shortest, lex-first witnesses as a static scan for RAND: jumps go back
+at most one instruction, so the instructions a run never executes form a
+suffix of the body, and cutting it off gives a strictly shorter program with
+the same run.
 
 A census at a smaller bound holds the same witness for every output whose
 shortest program fits it, so a search reads the smallest census that can
@@ -39,7 +41,10 @@ It is read from an inverted index, built once per (bound, cfg), that maps
 each string to the listable sets holding it in (K(S), set) order: those sets
 are a subsequence of the full order, so the first of them that qualifies is
 the least K(S) with the same witness, and a row of the table reads K(x) and
-x's listers once for all its values of c.
+x's listers once for all its values of c.  The index holds each set as its
+sorted elements, read off each witness output by the one listing rule that
+parse_listing applies too; sophistication builds the SetListing of the one
+set it reports.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ LISTING_OVERHEAD = 6
 OVERHEAD_MEASUREMENT_SET = ("1", "0", "01", "000000", "011010")
 
 #: Longest string length tabulate accepts: it lists all 2**n strings of each
-#: length n.  One length of 16 at bound 24 with 10 values of c takes 0.37-0.48 s
-#: on a 2-core Xeon VM from cold caches, the census 0.07-0.10 s of it; the rest
+#: length n.  One length of 16 at bound 24 with 10 values of c takes 0.23-0.26 s
+#: on a 2-core Xeon VM from cold caches, the census 0.04-0.05 s of it; the rest
 #: is one K(x) lookup and one row a string, as no listable set (width at most
 #: 8) holds a string of length 16.
 TABLE_GUARD = 16
@@ -125,21 +130,29 @@ class SetListing(Record):
 
 def parse_listing(bits: str) -> SetListing:
     """Decode an output under the set-listing convention."""
+    elements = _listed(bits)
+    if isinstance(elements, str):
+        raise UnparseableConvention(elements)
+    return SetListing(elements)
+
+
+def _listed(bits: str) -> tuple[str, ...] | str:
+    """The sorted elements bits list under the convention, or why they list none.
+
+    The width field holds w - 1, so w is at most LISTING_MAX_WIDTH.
+    """
     if len(bits) < LISTING_WIDTH_FIELD:
-        raise UnparseableConvention("shorter than the width field")
+        return "shorter than the width field"
     width = int(bits[:LISTING_WIDTH_FIELD], 2) + 1
     rest = bits[LISTING_WIDTH_FIELD:]
     if not rest:
-        if width > LISTING_MAX_WIDTH:
-            raise UnparseableConvention(f"width {width} beyond {LISTING_MAX_WIDTH}")
-        cube = ["".join(b) for b in itertools.product("01", repeat=width)]
-        return SetListing(tuple(cube))
+        return tuple(map("".join, itertools.product("01", repeat=width)))
     if len(rest) % width != 0:
-        raise UnparseableConvention("element block not a multiple of the width")
-    pieces = [rest[i : i + width] for i in range(0, len(rest), width)]
-    if len(set(pieces)) != len(pieces):
-        raise UnparseableConvention("duplicate elements in listing")
-    return SetListing(tuple(pieces))
+        return "element block not a multiple of the width"
+    pieces = {rest[i : i + width] for i in range(0, len(rest), width)}
+    if len(pieces) != len(rest) // width:
+        return "duplicate elements in listing"
+    return tuple(sorted(pieces))
 
 
 def kolmogorov(
@@ -161,38 +174,37 @@ def kolmogorov(
     return _result(toyvm.census(search, cfg).witnesses.get(x), bound, cfg)
 
 
-def _result(witness: Program | None, bound: int, cfg: MachineConfig) -> ComplexityResult | NotFound:
+def _result(witness: str | None, bound: int, cfg: MachineConfig) -> ComplexityResult | NotFound:
     if witness is None:
         return NotFound(bound, cfg.step_budget)
-    return ComplexityResult(len(witness), witness, bound, cfg.step_budget)
+    return ComplexityResult(len(witness), toyvm.decode(witness), bound, cfg.step_budget)
 
 
 @lru_cache(maxsize=8)
-def _listable_sets(bound: int, cfg: MachineConfig) -> dict[tuple[str, ...], Program]:
-    """Every parseable set reachable at the bound with its shortest lister.
+def _listable_sets(bound: int, cfg: MachineConfig) -> dict[tuple[str, ...], str]:
+    """Every parseable set reachable at the bound with its shortest lister's code.
 
-    Sorted by (K(S), set), the order the lister index keeps.
+    A set is its sorted elements.  Sorted by (K(S), set), the order the lister
+    index keeps.
     """
-    table: dict[tuple[str, ...], Program] = {}
-    for output, program in toyvm.census(bound, cfg).witnesses.items():
-        try:
-            listing = parse_listing(output)
-        except UnparseableConvention:
-            continue
-        table.setdefault(listing.elements, program)
+    table: dict[tuple[str, ...], str] = {}
+    for output, code in toyvm.census(bound, cfg).witnesses.items():
+        elements = _listed(output)
+        if not isinstance(elements, str):
+            table.setdefault(elements, code)
     return dict(sorted(table.items(), key=lambda item: (len(item[1]), item[0])))
 
 
-#: An index entry: (K(S), (|S| - 1).bit_length(), S, its shortest lister).
-Lister = tuple[int, int, SetListing, Program]
+#: An index entry: (K(S), (|S| - 1).bit_length(), S's elements, its shortest lister's code).
+Lister = tuple[int, int, tuple[str, ...], str]
 
 
 @lru_cache(maxsize=8)
 def _listers(bound: int, cfg: MachineConfig) -> dict[str, list[Lister]]:
     """Each string to the listable sets that hold it, in (K(S), set) order."""
     index: dict[str, list[Lister]] = {}
-    for elements, program in _listable_sets(bound, cfg).items():
-        entry = (len(program), (len(elements) - 1).bit_length(), SetListing(elements), program)
+    for elements, code in _listable_sets(bound, cfg).items():
+        entry = (len(code), (len(elements) - 1).bit_length(), elements, code)
         for x in elements:
             index.setdefault(x, []).append(entry)
     return index
@@ -246,8 +258,10 @@ def sophistication(
     hit = _first_qualifying(listers.get(x, ()), budget)
     if hit is None:
         return NotFound(bound, cfg.step_budget)
-    k_s, _, listing, program = hit
-    return SophisticationResult(k_s, listing, program, kx.value, bound, cfg.step_budget)
+    k_s, _, elements, code = hit
+    return SophisticationResult(
+        k_s, SetListing(elements), toyvm.decode(code), kx.value, bound, cfg.step_budget
+    )
 
 
 def measure_listing_overhead(

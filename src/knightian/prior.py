@@ -28,6 +28,7 @@ that regime attached.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from . import toyvm
 from .errors import KnightianError
@@ -74,16 +75,27 @@ def mixture_snapshot(mixture: Mixture) -> list[dict]:
 
     A program's prior is its weight 2**(L - len(P)) over the census total.  Its
     posterior is the weight times its class's likelihood, on the scale
-    2**len(history), over the survivors' mass, or 0 for a dropped class.
+    2**len(history), over the survivors' mass, or 0 for a dropped class.  So
+    the prior depends on len(P) alone and the posterior on len(P) and the
+    class's literal count: each is built once per such shape.
     """
     bound, total = mixture.bound, mixture.census.total
     lits = dict(mixture.survivors)
     mass = sum(mixture.census.classes[k][3] << lits[k] for k in lits)
+
+    @cache
+    def prior_of(size: int) -> Fraction:
+        return Fraction(1 << (bound - size), total)
+
+    @cache
+    def posterior_of(size: int, count: int | None) -> Fraction:
+        return Fraction(0) if count is None else Fraction(1 << (bound - size + count), mass)
+
     rows = []
     for p, k in zip(toyvm.enumerate_programs(bound), mixture.census.members):
-        weight = 1 << (bound - len(p))
-        posterior = Fraction(weight << lits[k], mass) if k in lits else Fraction(0)
-        rows.append({"program": p.code, "prior": Fraction(weight, total), "posterior": posterior})
+        size = len(p.code)
+        posterior = posterior_of(size, lits.get(k))
+        rows.append({"program": p.code, "prior": prior_of(size), "posterior": posterior})
     return rows
 
 
@@ -129,9 +141,10 @@ def update(mixture: Mixture, bit: str) -> Mixture:
     if bit not in ("0", "1"):
         raise ValueError(f"bit must be '0' or '1', got {bit!r}")
     n, want = len(mixture.history), int(bit)
+    classes = mixture.census.classes
     survivors = []
     for k, lits in mixture.survivors:
-        length, mask, bits, _weight = mixture.census.classes[k]
+        length, mask, bits, _weight = classes[k]
         shift = length - 1 - n  # slot n's bit in the mask and the bits
         if shift >= 0 and ((bits >> shift) ^ want) & (mask >> shift) & 1 == 0:
             survivors.append((k, lits + ((mask >> shift) & 1)))

@@ -71,8 +71,8 @@ COUNTER_MAX = 255
 
 ENUMERATION_GUARD = 24
 # the largest step, rand and output budget: with all three at 512 the census at
-# bound 24 takes 0.06-0.13 s on a 2-core Xeon VM, as long as at the defaults
-# within that VM's spread
+# bound 24 takes 0.04-0.06 s in a fresh process on a 2-core Xeon VM, about as
+# long as the 0.04-0.05 s at the defaults
 BUDGET_GUARD = 512
 
 
@@ -322,26 +322,47 @@ def sure_halts(program: Program, cfg: MachineConfig) -> bool:
 
 # -- the census of the enumerated class -----------------------------------------------
 
-# a template string as the literal-slot mask and the literal bits of a class
-_MASK, _BITS = str.maketrans("0" + _RAND_MARK, "10"), str.maketrans(_RAND_MARK, "0")
+# an encoded template as the literal-slot mask and the literal bits of a class
+_MASK = bytes.maketrans(b"0" + _RAND_MARK.encode(), b"10")
+_BITS = bytes.maketrans(_RAND_MARK.encode(), b"0")
 
 
 class Census(Record):
     """All programs of length <= bound, grouped by output template.
 
-    A program P weighs 2**(bound - len(P)).  Each class is (template length,
-    literal-slot mask, literal bits, weight), with slot i of the template at
-    bit length - 1 - i of the mask and the bits.  members holds the class
-    index of each program, in enumerate_programs order.
+    A program P weighs 2**(bound - len(P)).  templates maps each class's
+    template to its weight, in order of discovery, and members holds the class
+    index of each program, in enumerate_programs order.  classes, the rows the
+    mixture reads, are built from templates on first read.  A witness is a
+    code: K reads its length, and complexity decodes only the ones it returns.
     """
 
-    classes: tuple[tuple[int, int, int, int], ...]
+    templates: dict[str, int]
     total: int  # Kraft normalizer C times 2**bound
     halted: int  # weight of the programs that surely halt
-    #: each output of a run that halts without executing RAND, mapped to its
-    #: first such program in length-then-lex order, in order of discovery
-    witnesses: dict[str, Program]
+    #: each output of a run that halts without executing RAND, mapped to the
+    #: code of its first such program in length-then-lex order, in order of
+    #: discovery
+    witnesses: dict[str, str]
     members: array  # of "I"; 4 bytes a program
+
+    @property
+    def classes(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Each class as (template length, literal-slot mask, literal bits, weight).
+
+        Slot i of the template is bit length - 1 - i of the mask and the bits.
+        Only the mixture reads these rows, so they are built on first read.
+        """
+        try:
+            return self._classes
+        except AttributeError:
+            rows = []
+            for template, weight in self.templates.items():
+                slots = template.encode()
+                mask, bits = b"0" + slots.translate(_MASK), b"0" + slots.translate(_BITS)
+                rows.append((len(template), int(mask, 2), int(bits, 2), weight))
+            object.__setattr__(self, "_classes", tuple(rows))
+            return self._classes
 
 
 #: the sixteen opcodes, in the lex order of the bodies they begin
@@ -359,9 +380,11 @@ def census(bound: int, cfg: MachineConfig) -> Census:
     next instruction covers every body that extends it, padding included, and
     bodies of 4k to 4k + 3 bits end at instruction k.  A QUOTE or REPEAT op is
     fetched once per prefix; only the data after it is enumerated, from the
-    state the fetch leaves.  Control never reads the data, so each tail is
-    read by the interpreter's own data rule, with no run of its own.  A run's
-    output string is its output_template, by which its programs join a class.
+    state the fetch leaves, all the tails of one length in one pass.  Control
+    never reads the data, so each tail is read by the interpreter's own data
+    rule, with no run of its own, and a QUOTE tail that fits the room is its
+    own data.  A run's output string is its output_template, by which its
+    programs join a class.
     """
     if bound < 0:
         raise ValueError(f"'bound' must be >= 0, got {bound}")
@@ -372,14 +395,19 @@ def census(bound: int, cfg: MachineConfig) -> Census:
     while (size := len(gamma_encode(len(weights) + 1)) + len(weights)) <= bound:
         weights.append(1 << (bound - size))
     top = len(weights)  # every body is shorter
+    # every m-bit data tail, in lex order; the data op takes an opcode's bits
+    all_tails = [
+        list(map("".join, itertools.product("01", repeat=m))) for m in range(top - OPCODE_WIDTH)
+    ]
     stream = _RAND_MARK * cfg.rand_budget
     index: dict[str, int] = {}  # template -> class index, in order of discovery
     class_weights: list[int] = []
     halted = 0
-    # per body length, in lex order: each body's class, and each output of a
-    # run that halts without executing RAND with the first body that gives it
+    # per body length, in lex order: each body's class, and the runs that halt
+    # without executing RAND, as (head, [(output, end), ...]) with each body
+    # head + end
     members = [array("I") for _ in weights]
-    firsts: list[list[tuple[str, str]]] = [[] for _ in weights]
+    firsts: list[list[tuple[str, list[tuple[str, str]]]]] = [[] for _ in weights]
 
     def cover(prefix: str, lengths: range, output: str, stop: bool, rands: int) -> None:
         # every body of a length in lengths that extends prefix runs to this end
@@ -394,7 +422,7 @@ def census(bound: int, cfg: MachineConfig) -> Census:
                 halted += n * weights[length]
             members[length].extend(itertools.repeat(k, n))
         if stop and not rands:
-            firsts[lengths[0]].append((output, prefix.ljust(lengths[0], "0")))
+            firsts[lengths[0]].append((prefix.ljust(lengths[0], "0"), [(output, "")]))
 
     def walk(prefix: str, out: list[str], counter: int, steps: int, rands: int) -> None:
         # the pc first reaches instruction pc of every body extending prefix
@@ -417,29 +445,43 @@ def census(bound: int, cfg: MachineConfig) -> Census:
 
     def tails(op: str, body: str, output: str, steps: int, rands: int) -> None:
         # every body that extends body, whose last op is the data op fetched in
-        # this state; control never reads the data, so _data gives each run
+        # this state, all the tails of one length at once; control never reads
+        # the data, so _data gives each run, and a QUOTE tail that fits the
+        # room is all its run emits
+        nonlocal halted
         room = min(cfg.step_budget - steps, cfg.output_budget - len(output))
         for length in range(len(body), top):
-            for tail in map("".join, itertools.product("01", repeat=length - len(body))):
-                data, done = _data(op, tail, room)
-                cover(body + tail, range(length, length + 1), output + data, done, rands)
+            data = all_tails[length - len(body)]
+            if op == QUOTE and length - len(body) <= room:  # each run emits its tail and halts
+                outputs = [output + tail for tail in data]
+                halting = list(zip(outputs, data))
+            else:
+                runs = [_data(op, tail, room) for tail in data]
+                outputs = [output + emitted for emitted, _done in runs]
+                halting = [(o, tail) for o, tail, (_, done) in zip(outputs, data, runs) if done]
+            ks = [index.setdefault(o, len(index)) for o in outputs]
+            class_weights.extend([0] * (len(index) - len(class_weights)))
+            weight = weights[length]
+            for k in ks:
+                class_weights[k] += weight
+            members[length].extend(ks)
+            halted += len(halting) * weight
+            if halting and not rands:
+                firsts[length].append((body, halting))
 
     if top:
         walk("", [], 0, 0, 0)
-    witnesses: dict[str, Program] = {}
+    witnesses: dict[str, str] = {}
     for length, found in enumerate(firsts):
         header = gamma_encode(length + 1)
-        for output, body in found:
-            if output not in witnesses:
-                witnesses[output] = Program(header + body, body)
-    classes = tuple(
-        (len(t), int("0" + t.translate(_MASK), 2), int("0" + t.translate(_BITS), 2), w)
-        for t, w in zip(index, class_weights)
-    )
+        for head, runs in found:
+            for output, end in runs:
+                if output not in witnesses:
+                    witnesses[output] = header + head + end
     in_order = array("I")
     for block in members:
         in_order.extend(block)
-    return Census(classes, sum(class_weights), halted, witnesses, in_order)
+    return Census(dict(zip(index, class_weights)), sum(class_weights), halted, witnesses, in_order)
 
 
 def contains_rand(program: Program) -> bool:

@@ -638,6 +638,27 @@ def test_every_command_report_bytes_are_pinned(tmp_path, capsys, group, command,
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
+# the census at the bounds the benchmark reads, where data tails run to 11 bits:
+# (group, command, config, SHA-256 of the report at --seed 1)
+GUARD_SCALE_REPORTS = [
+    ("soph", "table", {"lengths": list(range(1, 8)), "cs": list(range(10)), "bound": 24}, "041bfada79d9fe1f844bd26c5afa79410ed1cd483aa6e85fc735383436bab281"),
+    ("soph", "k", {"x": "0110100", "bound": 22}, "7af86e6084ba9ee1ea4c61f990739b0e67b6ea524d3dded3d02836157deea724"),
+    ("soph", "k", {"x": "00000000000", "bound": 22}, "9a60623c8d584afa8529283cc77c1a6cfdb1e39467cd03b1babc864d0acfdb8a"),
+    ("soph", "kset", {"elements": ["001", "100", "111"], "bound": 22}, "bb1d404ffd94ffa48ba312b08712b3490aedecbb8243959a36fa82b60c9d3ca8"),
+    ("soph", "kset", {"elements": ["001", "100"], "bound": 22}, "6261910c68f9ecd8f0126658eb6656f61e286743c7afd7258a7534c8d0d9b80f"),
+    ("soph", "soph", {"x": "011010", "c": 3, "bound": 22}, "10e5cf174f1c7a14c248adcf80de143d81b471d3640a7d7419b9f1f9c7396bde"),
+    ("solomonoff", "predict", {"bound": 20, "history": "0110"}, "634bc0ac3cb2f44d43f159f735196fc0f2f0e17404e10f1204b5fa326c8fa588"),
+    ("solomonoff", "omega", {"bound": 20}, "641b9941b05d87f90dd6f5e27a99ef9f44c3a53f2c17561ddcac4f7c8b7218b5"),
+]
+
+
+@pytest.mark.parametrize("group, command, config, digest", GUARD_SCALE_REPORTS)
+def test_guard_scale_report_bytes_are_pinned(tmp_path, capsys, group, command, config, digest):
+    code, out, err = invoke(capsys, group, command, "--seed", "1", "--config", write_config(tmp_path, config))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
 def leaf_paths(value, path=()):
     """Subscript paths to every scalar, empty list and empty object in a config."""
     items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()

@@ -55,7 +55,7 @@ def static_scan_outputs(bound, cfg):
             continue
         r = tv.run(p, cfg, stream)
         if r.halted and r.output not in table:
-            table[r.output] = p
+            table[r.output] = p.code
     return table
 
 
@@ -71,9 +71,9 @@ def test_census_witnesses_match_the_static_scan(cfg):
     oracle = static_scan_outputs(BOUND, cfg)
     assert list(tv.census(BOUND, cfg).witnesses.items()) == list(oracle.items())
     listable = {}
-    for output, program in oracle.items():
+    for output, code in oracle.items():
         try:
-            listable.setdefault(cx.parse_listing(output).elements, program)
+            listable.setdefault(cx.parse_listing(output).elements, code)
         except cx.UnparseableConvention:
             pass
     by_k_then_set = sorted(listable.items(), key=lambda item: (len(item[1]), item[0]))
@@ -154,13 +154,20 @@ def test_parse_listing_explicit_and_cube_forms():
     assert cx.parse_listing("000").elements == ("0", "1")
 
 
+def test_the_width_field_holds_every_width_up_to_the_max():
+    # the field holds w - 1, so no width it holds is past the max
+    assert cx.LISTING_MAX_WIDTH == 2**cx.LISTING_WIDTH_FIELD
+    fields = [format(v, f"0{cx.LISTING_WIDTH_FIELD}b") for v in range(2**cx.LISTING_WIDTH_FIELD)]
+    assert [cx.parse_listing(f).width for f in fields] == list(range(1, cx.LISTING_MAX_WIDTH + 1))
+
+
 def test_parse_listing_rejections():
-    with pytest.raises(cx.UnparseableConvention):
-        cx.parse_listing("00")  # shorter than the width field
-    with pytest.raises(cx.UnparseableConvention):
-        cx.parse_listing("001" + "010")  # block not a multiple of the width
-    with pytest.raises(cx.UnparseableConvention):
-        cx.parse_listing("001" + "0101")  # duplicate elements
+    with pytest.raises(cx.UnparseableConvention, match="shorter than the width field"):
+        cx.parse_listing("00")
+    with pytest.raises(cx.UnparseableConvention, match="not a multiple of the width"):
+        cx.parse_listing("001" + "010")
+    with pytest.raises(cx.UnparseableConvention, match="duplicate elements"):
+        cx.parse_listing("001" + "0101")
 
 
 def test_render_parse_round_trip():
@@ -261,15 +268,15 @@ def reference_sophistication(x, c, bound, cfg):
     if isinstance(kx, cx.NotFound):
         return kx
     qualifying = [
-        (len(program), elements, program)
-        for elements, program in sorted(cx._listable_sets(bound, cfg).items())
-        if x in elements and (len(elements) - 1).bit_length() <= kx.value + c - len(program)
+        (len(code), elements, code)
+        for elements, code in sorted(cx._listable_sets(bound, cfg).items())
+        if x in elements and (len(elements) - 1).bit_length() <= kx.value + c - len(code)
     ]
     if not qualifying:
         return cx.NotFound(bound, cfg.step_budget)
-    k_s, elements, program = min(qualifying, key=lambda q: q[0])
+    k_s, elements, code = min(qualifying, key=lambda q: q[0])
     return cx.SophisticationResult(
-        k_s, cx.SetListing(elements), program, kx.value, bound, cfg.step_budget
+        k_s, cx.SetListing(elements), tv.decode(code), kx.value, bound, cfg.step_budget
     )
 
 
@@ -323,11 +330,13 @@ def read_at_the_bound(x, c, bound, cfg):
         return missing, missing
     k = len(witness)
     hit = cx._first_qualifying(cx._listers(bound, cfg).get(x, ()), k + c)
-    kx = cx.ComplexityResult(k, witness, bound, cfg.step_budget)
+    kx = cx.ComplexityResult(k, tv.decode(witness), bound, cfg.step_budget)
     if hit is None:
         return kx, missing
-    k_s, _, listing, program = hit
-    return kx, cx.SophisticationResult(k_s, listing, program, k, bound, cfg.step_budget)
+    k_s, _, elements, code = hit
+    return kx, cx.SophisticationResult(
+        k_s, cx.SetListing(elements), tv.decode(code), k, bound, cfg.step_budget
+    )
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
@@ -369,7 +378,7 @@ def test_each_string_lists_the_sets_holding_it_in_the_listable_order():
     assert sum(map(len, index.values())) == sum(map(len, sets))
     for x, entries in index.items():
         holding = [(len(p), (len(e) - 1).bit_length(), e, p) for e, p in sets.items() if x in e]
-        assert [(k, exponent, s.elements, p) for k, exponent, s, p in entries] == holding
+        assert entries == holding
 
 
 def test_the_lister_scan_stops_at_the_first_set_past_the_budget():

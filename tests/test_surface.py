@@ -19,6 +19,7 @@ KEPT = {
     "freestate.full_freebit": "the Bloch-ball freestate",
     "complexity.measure_listing_overhead": "LISTING_OVERHEAD rests on it",
     "complexity.LISTING_OVERHEAD": "the pinned constant the sophistication bound rests on",
+    "complexity.LISTING_MAX_WIDTH": "the convention's widest set, which the width field's size fixes",
     "toyvm.HALT": "named by the toyvm-1 spec; the interpreter's else branch runs it",
 }
 

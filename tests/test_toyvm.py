@@ -394,12 +394,9 @@ def reference_census(bound, cfg):
         if r.halted:
             halted += w
             if r.rands_used == 0 and r.output not in witnesses:
-                witnesses[r.output] = p
-    classes = tuple(
-        (len(t), int("0" + t.translate(tv._MASK), 2), int("0" + t.translate(tv._BITS), 2), w)
-        for t, w in zip(index, weights.values())
-    )
-    return tv.Census(classes, sum(weights.values()), halted, witnesses, members)
+                witnesses[r.output] = p.code
+    templates = dict(zip(index, weights.values()))
+    return tv.Census(templates, sum(weights.values()), halted, witnesses, members)
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
