@@ -11,12 +11,13 @@ diagonal walk report, when some hypothesis abstains after h.
 Control flow never reads the random stream, so a program's whole
 contribution is its output template, its halting flag and its length.  The
 mixture reads toyvm.census, the one cached run of the enumerated class that
-also feeds omega_truncated and complexity's K: each distinct template
-carries the integer weight sum of 2**(L - len(P)) over the programs that
-produce it.  A mixture's memory is its survivors, the classes that can still
-emit the history: conditioning narrows them, and queries sum over them, not
-programs, with the same Fractions as the per-program sum.  The snapshot and
-regret read the programs' classes from the census, so neither runs a program.
+also feeds omega_truncated and complexity's K: each class is a distinct
+template with the integer weight sum of 2**(L - len(P)) over the programs
+that produce it.  A mixture's memory is its survivors, the classes that can
+still emit the history, each read slot by slot off its template:
+conditioning narrows them, and queries sum over them, not programs, with the
+same Fractions as the per-program sum.  The snapshot and regret read the
+programs' classes from the census, so neither runs a program.
 
 Everything here is exact dyadic-rational arithmetic (fractions.Fraction):
 the toy machine only ever produces probabilities 2**-k, so log-domain floats
@@ -81,7 +82,7 @@ def mixture_snapshot(mixture: Mixture) -> list[dict]:
     """
     bound, total = mixture.bound, mixture.census.total
     lits = dict(mixture.survivors)
-    mass = sum(mixture.census.classes[k][3] << lits[k] for k in lits)
+    mass = sum(mixture.census.classes[k][1] << lits[k] for k in lits)
 
     @cache
     def prior_of(size: int) -> Fraction:
@@ -92,10 +93,10 @@ def mixture_snapshot(mixture: Mixture) -> list[dict]:
         return Fraction(0) if count is None else Fraction(1 << (bound - size + count), mass)
 
     rows = []
-    for p, k in zip(toyvm.enumerate_programs(bound), mixture.census.members):
-        size = len(p.code)
+    for code, k in zip(toyvm.enumerate_programs(bound), mixture.census.members):
+        size = len(code)
         posterior = posterior_of(size, lits.get(k))
-        rows.append({"program": p.code, "prior": prior_of(size), "posterior": posterior})
+        rows.append({"program": code, "prior": prior_of(size), "posterior": posterior})
     return rows
 
 
@@ -108,7 +109,7 @@ def joint_probability(mixture: Mixture, bits: str = "") -> Fraction:
     for bit in bits:
         mixture = update(mixture, bit)
     classes = mixture.census.classes
-    mass = sum(classes[k][3] << lits for k, lits in mixture.survivors)
+    mass = sum(classes[k][1] << lits for k, lits in mixture.survivors)
     if mass == 0:  # the census is empty at bound 0, so its total is 0 too
         return Fraction(0)
     return Fraction(mass, mixture.census.total << len(mixture.history))
@@ -134,20 +135,22 @@ def update(mixture: Mixture, bit: str) -> Mixture:
     """Condition on one observed bit by narrowing the survivors.
 
     A class emits the history h with probability 2**(count - len(h)), count
-    its literal slots among the first len(h).  It stays if it is longer than h
-    and its slot len(h) is the bit or a RAND slot; no extension brings a
+    its literal slots among the first len(h).  It stays if its template's slot
+    len(h) is the bit, adding a literal, or a RAND slot; a template no longer
+    than h has no such slot, so the class abstains.  No extension brings a
     dropped class back, and its programs get posterior 0.
     """
     if bit not in ("0", "1"):
         raise ValueError(f"bit must be '0' or '1', got {bit!r}")
-    n, want = len(mixture.history), int(bit)
+    n = len(mixture.history)
     classes = mixture.census.classes
     survivors = []
     for k, lits in mixture.survivors:
-        length, mask, bits, _weight = classes[k]
-        shift = length - 1 - n  # slot n's bit in the mask and the bits
-        if shift >= 0 and ((bits >> shift) ^ want) & (mask >> shift) & 1 == 0:
-            survivors.append((k, lits + ((mask >> shift) & 1)))
+        slot = classes[k][0][n : n + 1]
+        if slot == bit:
+            survivors.append((k, lits + 1))
+        elif slot == "?":
+            survivors.append((k, lits))
     return replace(mixture, history=mixture.history + bit, survivors=tuple(survivors))
 
 

@@ -13,10 +13,7 @@ every start: importing it loads ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, 8-14 ms on a 2-core Xeon VM, and each decorated class then
 builds its methods with ``exec``, 1.0-1.6 ms a class, and a command loads up
 to 13 of them.  Record reads each class's annotations once and builds
-nothing.  A class built in bulk (``toyvm.Program``) writes a short
-``__init__`` that sets its fields one by one, as a dataclass's would, and
-Record leaves it alone: the generic one here loops over the fields in Python.
-Fields are set with ``object.__setattr__`` and read with ``getattr``, never
+nothing.  Fields are set with ``object.__setattr__`` and read with ``getattr``, never
 through ``__dict__``: reading an instance's ``__dict__`` moves its attributes
 out of their inline storage, and each later read of a field then takes about
 twice as long.

@@ -41,7 +41,8 @@ template, its output with "?" at each RAND slot, whose slots carry
 independent fair bits; sure-halting is read off that same run.  census runs
 the whole class on such a stream, once per shared opcode prefix: jumps go
 back one instruction, so a run reaches instruction k in a state that the
-first k opcodes fix.
+first k opcodes fix.  It groups the programs by template, and a class is its
+template and its weight, all a mixture reads of it.
 """
 
 from __future__ import annotations
@@ -120,11 +121,6 @@ class Program(Record):
 
     code: str
     body: str
-
-    def __init__(self, code: str, body: str):
-        # enumerate_programs builds one per program: set the fields directly
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "body", body)
 
     def __len__(self) -> int:
         return len(self.code)
@@ -264,22 +260,20 @@ def _data(op: str, tail: str, room: int) -> tuple[str, bool]:
     return tail[:room], len(tail) <= room
 
 
-def enumerate_programs(max_len: int) -> list[Program]:
-    """All valid programs with total length <= max_len, length-then-lex order.
+def enumerate_programs(max_len: int) -> list[str]:
+    """The codes of all valid programs with total length <= max_len, length-then-lex order.
 
     The bodies of each length come from itertools.product (one empty tuple at
     length 0) behind that length's header, encoded once.
     """
     if max_len > ENUMERATION_GUARD:
         raise LimitExceeded(f"'bound' = {max_len} exceeds the guard {ENUMERATION_GUARD}")
-    programs = []
+    codes = []
     for body_len in itertools.count():
         header = gamma_encode(body_len + 1)
         if len(header) + body_len > max_len:
-            return programs
-        for bits in itertools.product("01", repeat=body_len):
-            body = "".join(bits)
-            programs.append(Program(header + body, body))
+            return codes
+        codes.extend(header + "".join(bits) for bits in itertools.product("01", repeat=body_len))
 
 
 # -- exact output distributions ------------------------------------------------
@@ -290,8 +284,8 @@ _RAND_MARK = "?"
 def output_template(program: Program, cfg: MachineConfig) -> tuple[str, bool]:
     """The run's output with "?" at each RAND slot, and whether it halted.
 
-    RAND is write-through, so a run on a stream of "?" markers gives it; census
-    keys its classes by this string.
+    RAND is write-through, so a run on a stream of "?" markers gives it; a
+    census class is this string with its weight.
     """
     r = _execute(program.body, cfg, _RAND_MARK * cfg.rand_budget)
     return r.output, r.halted
@@ -322,22 +316,20 @@ def sure_halts(program: Program, cfg: MachineConfig) -> bool:
 
 # -- the census of the enumerated class -----------------------------------------------
 
-# an encoded template as the literal-slot mask and the literal bits of a class
-_MASK = bytes.maketrans(b"0" + _RAND_MARK.encode(), b"10")
-_BITS = bytes.maketrans(_RAND_MARK.encode(), b"0")
-
-
 class Census(Record):
     """All programs of length <= bound, grouped by output template.
 
-    A program P weighs 2**(bound - len(P)).  templates maps each class's
-    template to its weight, in order of discovery, and members holds the class
-    index of each program, in enumerate_programs order.  classes, the rows the
-    mixture reads, are built from templates on first read.  A witness is a
-    code: K reads its length, and complexity decodes only the ones it returns.
+    A program P weighs 2**(bound - len(P)).  classes holds each class as its
+    template and its weight, in order of discovery, and members holds the class
+    index of each program, in enumerate_programs order.  The template is the
+    class's one encoding: the mixture reads slot n of it by the rule that
+    prefix_probability states.  So a lumped class, the 2**m QUOTE tails of m
+    bits after a run that emits o, would be the template o followed by m "?"
+    slots, weighing the tails together.  A witness is a code: K reads its
+    length, and complexity decodes only the ones it returns.
     """
 
-    templates: dict[str, int]
+    classes: tuple[tuple[str, int], ...]  # (template, weight)
     total: int  # Kraft normalizer C times 2**bound
     halted: int  # weight of the programs that surely halt
     #: each output of a run that halts without executing RAND, mapped to the
@@ -345,24 +337,6 @@ class Census(Record):
     #: discovery
     witnesses: dict[str, str]
     members: array  # of "I"; 4 bytes a program
-
-    @property
-    def classes(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Each class as (template length, literal-slot mask, literal bits, weight).
-
-        Slot i of the template is bit length - 1 - i of the mask and the bits.
-        Only the mixture reads these rows, so they are built on first read.
-        """
-        try:
-            return self._classes
-        except AttributeError:
-            rows = []
-            for template, weight in self.templates.items():
-                slots = template.encode()
-                mask, bits = b"0" + slots.translate(_MASK), b"0" + slots.translate(_BITS)
-                rows.append((len(template), int(mask, 2), int(bits, 2), weight))
-            object.__setattr__(self, "_classes", tuple(rows))
-            return self._classes
 
 
 #: the sixteen opcodes, in the lex order of the bodies they begin
@@ -481,7 +455,8 @@ def census(bound: int, cfg: MachineConfig) -> Census:
     in_order = array("I")
     for block in members:
         in_order.extend(block)
-    return Census(dict(zip(index, class_weights)), sum(class_weights), halted, witnesses, in_order)
+    classes = tuple(zip(index, class_weights))
+    return Census(classes, sum(class_weights), halted, witnesses, in_order)
 
 
 def contains_rand(program: Program) -> bool:

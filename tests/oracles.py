@@ -16,8 +16,13 @@ from knightian import complexity, freestate, toyvm
 ABSTAIN = "⊥"
 
 
-def kraft_sum(programs: list[toyvm.Program]) -> Fraction:
-    return sum((Fraction(1, 2 ** len(p)) for p in programs), Fraction(0))
+def kraft_sum(codes: list[str]) -> Fraction:
+    return sum((Fraction(1, 2 ** len(code)) for code in codes), Fraction(0))
+
+
+def programs(bound: int) -> list[toyvm.Program]:
+    """The enumerated programs, decoded from their codes, in enumerate_programs order."""
+    return [toyvm.decode(code) for code in toyvm.enumerate_programs(bound)]
 
 
 def output_distribution(

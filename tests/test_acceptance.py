@@ -16,6 +16,7 @@ import pytest
 
 from conftest import c10_draws, random_effect
 from knightian import arena, classical as cl, cli, complexity as cx, freestate as fs, gadgets as gd, prior, toyvm as tv
+import oracles
 
 F = Fraction
 
@@ -94,7 +95,7 @@ def test_c04_dominance_exhaustive():
             mixture = prior.build_mixture(bound, cfg)
             mass = {s: prior.joint_probability(mixture, s) for s in sequences}
             checked = 0
-            for program in tv.enumerate_programs(bound):
+            for program in oracles.programs(bound):
                 floor = F(1, 2 ** len(program))
                 for s in sequences:
                     p_q = tv.prefix_probability(program, s, cfg)

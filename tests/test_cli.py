@@ -649,6 +649,10 @@ GUARD_SCALE_REPORTS = [
     ("soph", "soph", {"x": "011010", "c": 3, "bound": 22}, "10e5cf174f1c7a14c248adcf80de143d81b471d3640a7d7419b9f1f9c7396bde"),
     ("solomonoff", "predict", {"bound": 20, "history": "0110"}, "634bc0ac3cb2f44d43f159f735196fc0f2f0e17404e10f1204b5fa326c8fa588"),
     ("solomonoff", "omega", {"bound": 20}, "641b9941b05d87f90dd6f5e27a99ef9f44c3a53f2c17561ddcac4f7c8b7218b5"),
+    ("solomonoff", "diagonal", {"bound": 18, "n": 16}, "074cce5ccb18a22b43ce36dbc2b9fd2f0820217d244c9838b8e5d72fc01b6b96"),
+    ("solomonoff", "regret", {"bound": 18, "q": "000100100100100", "sequence": "011010011101", "eps": ["1/10", "1/2"]}, "123f4cf3efb00d8d3b5673327291fa7331e9d4b8dd1a4c58357aca3ad304bc7c"),
+    ("solomonoff", "predict", {"bound": 24, "history": "1011"}, "dfa8fe7c7b6c5154b462e0b298a25675489bd96d66b5bd7b217088e7d83f45be"),
+    ("solomonoff", "predict", {"bound": 16, "history": "0110", "snapshot": True}, "e51d3d6acbd0c6d70ee0b062ea42c0a4b7ec4e1ffbec38a2e525e580fcb9346d"),
 ]
 
 

@@ -50,7 +50,7 @@ def static_scan_outputs(bound, cfg):
     RAND in its static instruction stream and ran the rest on a zero stream."""
     table = {}
     stream = "0" * cfg.rand_budget
-    for p in tv.enumerate_programs(bound):
+    for p in oracles.programs(bound):
         if tv.contains_rand(p):
             continue
         r = tv.run(p, cfg, stream)

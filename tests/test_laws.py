@@ -136,7 +136,7 @@ def test_semimeasure_law(bound, equal):
         zero, one = prior.update(mixture, "0"), prior.update(mixture, "1")
         whole = prior.joint_probability(mixture)
         split = prior.joint_probability(zero) + prior.joint_probability(one)
-        stops = any(classes[k][0] == len(mixture.history) for k, _ in mixture.survivors)
+        stops = any(len(classes[k][0]) == len(mixture.history) for k, _ in mixture.survivors)
         assert split <= whole, mixture.history
         assert (split == whole) == (not stops), mixture.history
         equalities += not stops

@@ -18,7 +18,7 @@ def mixture_oracle_probability(mixture, prefix):
     cfg = tv.MachineConfig(rand_budget=6)
     total = Fraction(0)
     weight_stream = Fraction(1, 2**cfg.rand_budget)
-    for p in tv.enumerate_programs(mixture.bound):
+    for p in oracles.programs(mixture.bound):
         weight = Fraction(1, 2 ** len(p)) / mixture.normalizer
         for bits in itertools.product("01", repeat=cfg.rand_budget):
             r = tv.run(p, cfg, "".join(bits))
@@ -36,17 +36,13 @@ def reference_matches(census, prefix):
     """
     tv.check_bits(prefix)
     n = len(prefix)
-    target = int(prefix, 2) if prefix else 0
-    for k, (length, mask, bits, _weight) in enumerate(census.classes):
-        if length >= n:
-            shift = length - n
-            literals = mask >> shift
-            if ((bits >> shift) ^ target) & literals == 0:
-                yield k, literals.bit_count()
+    for k, (template, _weight) in enumerate(census.classes):
+        if len(template) >= n and all(slot in (bit, "?") for slot, bit in zip(template, prefix)):
+            yield k, n - template[:n].count("?")
 
 
 def reference_joint_from_matches(census, prefix):
-    mass = sum(census.classes[k][3] << lits for k, lits in reference_matches(census, prefix))
+    mass = sum(census.classes[k][1] << lits for k, lits in reference_matches(census, prefix))
     return Fraction(mass, census.total << len(prefix)) if mass else Fraction(0)
 
 
@@ -58,8 +54,8 @@ def conditioned(mixture, history):
 
 def reference_priors(bound, cfg):
     """The per-program mixture: every program with weight 2**-len(P) / C."""
-    programs = tv.enumerate_programs(bound)
-    normalizer = oracles.kraft_sum(programs)
+    programs = oracles.programs(bound)
+    normalizer = oracles.kraft_sum([p.code for p in programs])
     return [(p, Fraction(1, 2 ** len(p)) / normalizer) for p in programs]
 
 
@@ -98,7 +94,7 @@ def test_snapshot_runs_no_program_once_the_census_is_built(monkeypatch):
 
     monkeypatch.setattr(tv, "_execute", no_runs)
     snapshot = prior.mixture_snapshot(m)
-    assert [h["program"] for h in snapshot] == [p.code for p in tv.enumerate_programs(12)]
+    assert [h["program"] for h in snapshot] == tv.enumerate_programs(12)
 
 
 @pytest.mark.parametrize(
@@ -138,10 +134,10 @@ def test_survivors_match_the_reference_scan(cfg):
                 assert prior.predict_next(m) == p1 / (p0 + p1)
         # the snapshot's posteriors, on the last history of this bound
         lits = dict(matches)
-        mass = sum(census.classes[k][3] << lits[k] for k in lits)
-        programs = tv.enumerate_programs(bound)
-        for row, p, k in zip(prior.mixture_snapshot(m), programs, census.members):
-            weight = 1 << (bound - len(p))
+        mass = sum(census.classes[k][1] << lits[k] for k in lits)
+        codes = tv.enumerate_programs(bound)
+        for row, code, k in zip(prior.mixture_snapshot(m), codes, census.members):
+            weight = 1 << (bound - len(code))
             assert row["posterior"] == (Fraction(weight << lits[k], mass) if k in lits else 0)
 
 
@@ -188,7 +184,7 @@ def test_single_hypothesis_mixture():
 def test_normalizer_matches_direct_summation():
     m = prior.build_mixture(12, CFG)
     direct = sum(
-        (Fraction(1, 2 ** len(p)) for p in tv.enumerate_programs(12)), Fraction(0)
+        (Fraction(1, 2 ** len(code)) for code in tv.enumerate_programs(12)), Fraction(0)
     )
     assert m.normalizer == direct == Fraction(7, 8)
     assert sum(row["prior"] for row in prior.mixture_snapshot(m)) == 1
@@ -264,7 +260,7 @@ def test_zero_mass_history_raises():
 
 def test_dominance_on_short_sequences():
     m = prior.build_mixture(12, CFG)
-    for program in tv.enumerate_programs(12):
+    for program in oracles.programs(12):
         floor = Fraction(1, 2 ** len(program))
         for n in (1, 2, 3):
             for seq in map("".join, itertools.product("01", repeat=n)):
@@ -362,7 +358,7 @@ def test_regret_hypothesis_side_matches_prefix_probability(cfg):
     # supporting, often partway: a bit its template refuses, or one past its end
     rng = random.Random(f"regret:{cfg}")
     m = prior.build_mixture(14, cfg)
-    for q in tv.enumerate_programs(14):
+    for q in oracles.programs(14):
         template, _halted = tv.output_template(q, cfg)
         supported = "".join(rng.choice("01") if slot == "?" else slot for slot in template[:8])
         cut = rng.randint(0, len(supported))

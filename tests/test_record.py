@@ -106,9 +106,25 @@ def test_a_mutable_default_is_not_shared():
     assert b.input_model == game().input_model == {"kind": "uniform"}
 
 
+class Code(Record):
+    # a class that sets its fields in its own __init__, as a dataclass's would
+    code: str
+    body: str
+
+    def __init__(self, code: str, body: str):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "body", body)
+
+
 def test_a_class_body_init_is_left_alone():
-    # the class built in bulk keeps its own __init__, and is a record still
-    assert "__init__" in vars(toyvm.Program) and toyvm.Program.__init__ is not Record.__init__
+    # a class with its own __init__ keeps it, and is a record still
+    assert Code.__init__ is not Record.__init__
+    code = Code(code="1", body="")
+    assert code == Code("1", "") and code != Code("0100", "0")
+    assert repr(code) == "Code(code='1', body='')"
+    with pytest.raises(AttributeError):
+        code.code = "0"
+    # Program, a plain record, is built by position or keyword alike
     program = toyvm.Program(code="1", body="")
     assert program == toyvm.Program("1", "") == toyvm.decode("1")
     assert repr(program) == "Program(code='1', body='')"

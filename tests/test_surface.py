@@ -74,3 +74,35 @@ def test_every_private_name_is_read():
 def test_every_kept_name_is_unread():
     # a name src/ reads needs no reason, so the table cannot go stale
     assert sorted(KEPT.keys() - unread_names()) == []
+
+
+def undeclared_record_state() -> list[str]:
+    """Each object.__setattr__(self, "name", ...) in src/ whose name the enclosing
+    class does not declare as a field, as "module.Class.name"."""
+    found = []
+    for path in SRC.glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = {
+                node.target.id
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            }
+            for call in ast.walk(cls):
+                if (
+                    isinstance(call, ast.Call)
+                    and ast.unparse(call.func) == "object.__setattr__"
+                    and len(call.args) >= 2
+                    and ast.unparse(call.args[0]) == "self"
+                    and isinstance(call.args[1], ast.Constant)
+                    and call.args[1].value not in fields
+                ):
+                    found.append(f"{path.stem}.{cls.name}.{call.args[1].value}")
+    return found
+
+
+def test_a_record_keeps_no_state_outside_its_fields():
+    # ==, hash, repr and replace see only the fields, so a name set beside them
+    # silently drops out of all four
+    assert undeclared_record_state() == []
