@@ -653,6 +653,11 @@ GUARD_SCALE_REPORTS = [
     ("solomonoff", "regret", {"bound": 18, "q": "000100100100100", "sequence": "011010011101", "eps": ["1/10", "1/2"]}, "123f4cf3efb00d8d3b5673327291fa7331e9d4b8dd1a4c58357aca3ad304bc7c"),
     ("solomonoff", "predict", {"bound": 24, "history": "1011"}, "dfa8fe7c7b6c5154b462e0b298a25675489bd96d66b5bd7b217088e7d83f45be"),
     ("solomonoff", "predict", {"bound": 16, "history": "0110", "snapshot": True}, "e51d3d6acbd0c6d70ee0b062ea42c0a4b7ec4e1ffbec38a2e525e580fcb9346d"),
+    # loops that small budgets cut short, REPEAT rooms shorter than a pattern,
+    # and the largest budgets
+    ("soph", "kset", {"elements": ["001", "100"], "bound": 22, "step_budget": 40, "rand_budget": 3, "output_budget": 16}, "fed6ac03c040299c21ded7f47628aafe1322cbee518a7fd0a5a44b543d9ebf4f"),
+    ("solomonoff", "omega", {"bound": 22, "step_budget": 512, "rand_budget": 512, "output_budget": 512}, "f8a1d5dd468396ff8ec9c24a5ccdf5cdeab599048027a4edd4447d7929b7ac69"),
+    ("soph", "k", {"x": "0000000000", "bound": 20, "step_budget": 12}, "3f1423f8e60374d4a0a8236a1827feaffdf3d03c693649c1722607a24a3430dd"),
 ]
 
 
