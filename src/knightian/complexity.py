@@ -69,8 +69,8 @@ LISTING_OVERHEAD = 6
 OVERHEAD_MEASUREMENT_SET = ("1", "0", "01", "000000", "011010")
 
 #: Longest string length tabulate accepts: it lists all 2**n strings of each
-#: length n.  One length of 16 at bound 24 with 10 values of c takes 0.23-0.26 s
-#: on a 2-core Xeon VM from cold caches, the census 0.04-0.05 s of it; the rest
+#: length n.  One length of 16 at bound 24 with 10 values of c takes 0.14-0.17 s
+#: on a 2-core Xeon VM from cold caches, the census 0.014-0.018 s of it; the rest
 #: is one K(x) lookup and one row a string, as no listable set (width at most
 #: 8) holds a string of length 16.
 TABLE_GUARD = 16

@@ -33,6 +33,13 @@ output), or finishes a QUOTE/REPEAT.  Execution also stops, *without*
 halting, when a budget runs out: steps (one per executed instruction, plus
 one per bit emitted by QUOTE/REPEAT), random bits, or output bits.
 
+Jumps go back one instruction, so a run can repeat a state only by
+alternating a taken jump with the op before it.  Three such pairs never emit,
+halt or leave: INC or DEC before JMP, a JMPZ that falls through before JMP,
+and DEC before a taken JMPZ.  Only the step budget can end them, and it ends
+them with the output, rands and halted flag they had on entry, so the
+interpreter spends the rest of the budget at once instead of stepping it.
+
 Random bits are write-through: RAND copies a stream bit to the output and
 nothing else ever reads it, so the control path, step count and output
 *length* of a run do not depend on the stream.  Several routines below lean
@@ -72,8 +79,8 @@ COUNTER_MAX = 255
 
 ENUMERATION_GUARD = 24
 # the largest step, rand and output budget: with all three at 512 the census at
-# bound 24 takes 0.04-0.06 s in a fresh process on a 2-core Xeon VM, about as
-# long as the 0.04-0.05 s at the defaults
+# bound 24 takes 0.018-0.021 s in a fresh process on a 2-core Xeon VM, a little
+# longer than the 0.014-0.018 s at the defaults
 BUDGET_GUARD = 512
 
 
@@ -105,9 +112,7 @@ def gamma_encode(n: int) -> str:
 
 def gamma_decode(bits: str) -> tuple[int, int]:
     """Decode the gamma code at the start of bits; return (value, the position after it)."""
-    z = 0
-    while z < len(bits) and bits[z] == "0":
-        z += 1
+    z = len(bits) - len(bits.lstrip("0"))  # the leading zeros
     if z == len(bits):
         raise BadHeader("ran out of bits scanning for the gamma stop bit")
     end = 2 * z + 1
@@ -207,7 +212,10 @@ def _resume(
     # kind of step has one path: the pc moves on as an op is fetched (a taken
     # jump steps back two), EMIT0, EMIT1 and RAND share one budget check, and
     # QUOTE and REPEAT emit their data (_data) as one slice that the step and
-    # output budgets bound.
+    # output budgets bound.  A jump taken into a silent two-op loop (see the
+    # module docstring) spends the rest of the step budget at once.  The
+    # counter it then returns is stale, but a counter is read only when halted
+    # is None, where census resumes.
     n_instr = len(body) // OPCODE_WIDTH
 
     def stopped(halted: bool | None) -> tuple[bool | None, int, int, int]:
@@ -228,6 +236,11 @@ def _resume(
         elif op == JMP or op == JMPZ:
             if op == JMP or counter == 0:
                 pc -= 2
+                # the op jumped onto ("" off the body): the three silent pairs
+                prev = body[pc * OPCODE_WIDTH : (pc + 1) * OPCODE_WIDTH]
+                if prev == DEC or op == JMP and (prev == INC or prev == JMPZ and counter):
+                    steps = cfg.step_budget
+                    return stopped(False)
         elif op == QUOTE or op == REPEAT:
             room = min(cfg.step_budget - steps, cfg.output_budget - len(out))
             data, done = _data(op, body[pc * OPCODE_WIDTH :], room)
@@ -254,10 +267,39 @@ def _data(op: str, tail: str, room: int) -> tuple[str, bool]:
             r_minus_1, pos = gamma_decode(tail)
         except BadHeader:
             return "", True
-        pattern = tail[pos:]
-        # copies past the room never show
-        tail = pattern * min(r_minus_1 + 1, room // max(len(pattern), 1) + 1)
+        [data], done = _repeat(r_minus_1 + 1, (tail[pos:],), room)
+        return data, done
     return tail[:room], len(tail) <= room
+
+
+def _repeat(r: int, patterns: tuple[str, ...], room: int) -> tuple[list[str], bool]:
+    # REPEAT's rule for a block of tails with one header gamma(r - 1): each
+    # emits its pattern r times, cut to room.  The patterns share a length, so
+    # the copies that show and whether all of them fit are the block's.
+    width = len(patterns[0])
+    copies = min(r, room // max(width, 1) + 1)  # copies past the room never show
+    return [(pattern * copies)[:room] for pattern in patterns], width * copies <= room
+
+
+def _repeat_tails(m: int, room: int) -> list[tuple[str, bool]]:
+    # _data(REPEAT, tail, room) for every m-bit tail, in lex order, one header
+    # block at a time.  The all-zero tail and those too short for their header
+    # (2z + 1 bits after z leading zeros) come first, and emit nothing and
+    # halt; then, for z down to 0, each header of 2z + 1 bits heads the block
+    # of every pattern of the m - 2z - 1 bits left.
+    runs = [("", True)] * (1 << (m - (m + 1) // 2))
+    for z in reversed(range((m + 1) // 2)):
+        patterns = _tails(m - 2 * z - 1)
+        for r in range((1 << z) + 1, (2 << z) + 1):
+            data, done = _repeat(r, patterns, room)
+            runs += zip(data, itertools.repeat(done))
+    return runs
+
+
+@lru_cache(maxsize=None)
+def _tails(m: int) -> tuple[str, ...]:
+    # every m-bit string, in lex order
+    return tuple(map("".join, itertools.product("01", repeat=m)))
 
 
 def enumerate_programs(max_len: int) -> list[str]:
@@ -357,8 +399,9 @@ def census(bound: int, cfg: MachineConfig) -> Census:
     state the fetch leaves, all the tails of one length in one pass.  Control
     never reads the data, so each tail is read by the interpreter's own data
     rule, with no run of its own, and a QUOTE tail that fits the room is its
-    own data.  A run's output string is its output_template, by which its
-    programs join a class.
+    own data.  REPEAT reads its tails a header block at a time (_repeat_tails),
+    and keeps the runs of each tail length and room.  A run's output string is
+    its output_template, by which its programs join a class.
     """
     if bound < 0:
         raise ValueError(f"'bound' must be >= 0, got {bound}")
@@ -369,10 +412,8 @@ def census(bound: int, cfg: MachineConfig) -> Census:
     while (size := len(gamma_encode(len(weights) + 1)) + len(weights)) <= bound:
         weights.append(1 << (bound - size))
     top = len(weights)  # every body is shorter
-    # every m-bit data tail, in lex order; the data op takes an opcode's bits
-    all_tails = [
-        list(map("".join, itertools.product("01", repeat=m))) for m in range(top - OPCODE_WIDTH)
-    ]
+    # the runs of every m-bit REPEAT tail in a room, kept while the census runs
+    repeat_tails = lru_cache(maxsize=None)(_repeat_tails)
     stream = _RAND_MARK * cfg.rand_budget
     index: dict[str, int] = {}  # template -> class index, in order of discovery
     class_weights: list[int] = []
@@ -420,17 +461,18 @@ def census(bound: int, cfg: MachineConfig) -> Census:
     def tails(op: str, body: str, output: str, steps: int, rands: int) -> None:
         # every body that extends body, whose last op is the data op fetched in
         # this state, all the tails of one length at once; control never reads
-        # the data, so _data gives each run, and a QUOTE tail that fits the
-        # room is all its run emits
+        # the data, so _data gives each run (REPEAT's a block at a time), and a
+        # QUOTE tail that fits the room is all its run emits
         nonlocal halted
         room = min(cfg.step_budget - steps, cfg.output_budget - len(output))
         for length in range(len(body), top):
-            data = all_tails[length - len(body)]
-            if op == QUOTE and length - len(body) <= room:  # each run emits its tail and halts
+            m = length - len(body)
+            data = _tails(m)
+            if op == QUOTE and m <= room:  # each run emits its tail and halts
                 outputs = [output + tail for tail in data]
                 halting = list(zip(outputs, data))
             else:
-                runs = [_data(op, tail, room) for tail in data]
+                runs = repeat_tails(m, room) if op == REPEAT else [_data(op, tail, room) for tail in data]
                 outputs = [output + emitted for emitted, _done in runs]
                 halting = [(o, tail) for o, tail, (_, done) in zip(outputs, data, runs) if done]
             ks = [index.setdefault(o, len(index)) for o in outputs]

@@ -284,14 +284,13 @@ def test_mirror_is_a_length_preserving_involution():
 # -- oracles: the interpreter and enumeration loop before one path per step -------
 
 
-def reference_execute(body, cfg, rand_stream):
-    """Oracle: the interpreter with a branch per opcode and a copy of the data loop each for QUOTE and REPEAT."""
+def reference_execute(body, cfg, rand_stream, pc=0, counter=0, steps=0, rands=0, out=""):
+    """Oracle: the interpreter with a branch per opcode and a copy of the data loop each for QUOTE and REPEAT.
+
+    It steps every instruction, from the given state on (the start of a run by default).
+    """
     n_instr = len(body) // tv.OPCODE_WIDTH
-    out = []
-    pc = 0
-    counter = 0
-    steps = 0
-    rands = 0
+    out = list(out)
 
     def stopped(halted):
         return tv.RunResult("".join(out), halted, steps, rands)
@@ -410,6 +409,67 @@ def test_interpreter_matches_the_reference_on_random_long_bodies():
         body = "".join(rng.choice("01") for _ in range(rng.randint(0, 200)))
         stream = "".join(rng.choice("01") for _ in range(cfg.rand_budget))
         assert tv.run(tv.from_body(body), cfg, stream) == reference_execute(body, cfg, stream), body
+
+
+def test_resume_matches_the_reference_from_mid_run_states():
+    # bodies rich in two-op loops, entered at any pc with counters at and near
+    # both clamps and step counts at and near the budget
+    rng = random.Random(31)
+    loop_ops = [tv.JMP, tv.JMPZ, tv.INC, tv.DEC]
+    for _ in range(20_000):
+        cfg = rng.choice(ORACLE_CONFIGS)
+        ops = [
+            rng.choice(loop_ops) if rng.random() < 0.6 else format(rng.randrange(16), "04b")
+            for _ in range(rng.randint(1, 10))
+        ]
+        body = "".join(ops) + "".join(rng.choice("01") for _ in range(rng.randint(0, 6)))
+        pc = rng.randint(0, len(ops))
+        counter = rng.choice([0, 1, 254, 255, rng.randint(0, tv.COUNTER_MAX)])
+        near_budget = max(cfg.step_budget - rng.randint(0, 3), 0)
+        steps = rng.choice([near_budget, rng.randint(0, cfg.step_budget)])
+        rands = rng.randint(0, cfg.rand_budget)
+        out = "".join(rng.choice("01?") for _ in range(rng.randint(0, cfg.output_budget)))
+        stream = "".join(rng.choice("01") for _ in range(cfg.rand_budget))
+        state = (pc, counter, steps, rands)
+        emitted = list(out)
+        halted, _counter, *used = tv._resume(body, cfg, stream, emitted, *state)
+        got = tv.RunResult("".join(emitted), halted is not False, *used)
+        assert got == reference_execute(body, cfg, stream, *state, out), (body, cfg, state, out)
+
+
+@pytest.mark.parametrize("m", range(15))
+def test_repeat_blocks_match_the_data_rule_on_every_tail(m):
+    tails = tv._tails(m)
+    assert list(tails) == ["".join(bits) for bits in itertools.product("01", repeat=m)]
+    for room in range(71):
+        assert tv._repeat_tails(m, room) == [tv._data(tv.REPEAT, tail, room) for tail in tails], room
+
+
+def reference_gamma_decode(bits):
+    """Oracle: gamma_decode scanning for the stop bit a character at a time."""
+    z = 0
+    while z < len(bits) and bits[z] == "0":
+        z += 1
+    if z == len(bits):
+        raise tv.BadHeader("ran out of bits scanning for the gamma stop bit")
+    end = 2 * z + 1
+    if end > len(bits):
+        raise tv.BadHeader("gamma code truncated")
+    return int(bits[z:end], 2), end
+
+
+def outcome(decode, bits):
+    try:
+        return decode(bits)
+    except (tv.BadHeader, ValueError) as e:
+        return type(e), str(e)
+
+
+def test_gamma_decode_matches_the_character_scan():
+    for n in range(9):
+        for chars in itertools.product("01?", repeat=n):
+            bits = "".join(chars)
+            assert outcome(tv.gamma_decode, bits) == outcome(reference_gamma_decode, bits), bits
 
 
 def test_enumeration_matches_the_reference_at_every_bound():
