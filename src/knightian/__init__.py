@@ -17,6 +17,11 @@ Subpackages:
   probabilistic and Knightian (freebit) branches.
 - ``gadgets``: CHSH game values, anthropic room puzzles, predictor-payoff
   expectations, and the micro/macro causal-graph validator.
+- ``cli``: the command-line front end's core, which every command runs: the
+  argv reader, the config schema check, dispatch and the report writer.
+- ``cli_freestate``, ``cli_solomonoff``, ``cli_soph``, ``cli_arena`` and
+  ``cli_gadgets``: each group's command handlers, config schemas and CSV
+  writers, in one ``COMMANDS`` table; a command loads its own group alone.
 """
 
 from .errors import KnightianError

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import STOCK_PAYLOADS
-from knightian import arena, cli
+from knightian import arena, cli, cli_arena
 from knightian.errors import KnightianError
 
 F = Fraction
@@ -94,7 +94,7 @@ def test_subject_validation():
 
 def test_stock_payloads_parse_to_the_stock_subjects():
     for name, make in arena.STOCK_SUBJECTS.items():
-        payload = cli._check(STOCK_PAYLOADS[name], cli.SUBJECT)  # the CLI reads each "prob" once
+        payload = cli._check(STOCK_PAYLOADS[name], cli_arena.SUBJECT)  # the CLI reads each "prob" once
         assert arena.subject_from_payload(payload) == make()
 
 

@@ -21,6 +21,10 @@ from knightian import classical as cl, freestate as fs
 import oracles
 
 
+# every (group, command) pair, read off the group tables
+ALL_COMMANDS = {(group, command) for group in cli.GROUPS for command in cli._commands(group)}
+
+
 def invoke(capsys, *argv):
     code = cli.dispatch(list(argv))
     captured = capsys.readouterr()
@@ -584,7 +588,7 @@ def test_mismatched_sets_name_the_entry(tmp_path, capsys, command, config, path)
 
 
 def test_good_configs_cover_every_command():
-    assert {(group, command) for group, command, _ in GOOD_CONFIGS} == set(cli.COMMANDS)
+    assert {(group, command) for group, command, _ in GOOD_CONFIGS} == ALL_COMMANDS
 
 
 @pytest.mark.parametrize("group, command, config", GOOD_CONFIGS)
@@ -700,7 +704,7 @@ def rational_leaves(config, schema) -> int:
 
 @pytest.mark.parametrize("group, command, config", GOOD_CONFIGS)
 def test_each_rational_is_read_once(tmp_path, capsys, group, command, config):
-    leaves = rational_leaves(config, cli.COMMANDS[(group, command)][1])
+    leaves = rational_leaves(config, cli._commands(group)[command][1])
     path = write_config(tmp_path, config)
     reads = 0
 
@@ -1092,36 +1096,36 @@ QUANTUM_FAMILY = ["classical", "freestate", "record"]  # freestate reads classic
 # no command loads dataclasses
 FOOTPRINTS = {
     "import": ((), None, [], False, False),
-    "freestate-interval": (("freestate", "interval"), KNIGHT_CLASSICAL, ["classical", "record"], False, False),
-    "freestate-interval-quantum": (("freestate", "interval"), QUANTUM_INTERVAL, QUANTUM_FAMILY, True, False),
-    "freestate-witness": (("freestate", "witness"), WITNESS, QUANTUM_FAMILY, True, False),
-    "freestate-or": (("freestate", "or"), {"classicals": [CLASSICAL, CLASSICAL]}, ["classical", "record"], False, False),
-    "freestate-or-quantum": (("freestate", "or"), {"freestates": [QUBIT_0, QUBIT_MIXED]}, QUANTUM_FAMILY, True, False),
-    "freestate-mix": (("freestate", "mix"), {"components": [{"weight": "1", "classical": CLASSICAL}]}, ["classical", "record"], False, False),
-    "freestate-mix-quantum": (("freestate", "mix"), {"components": [{"weight": 1, "freestate": QUBIT_0}]}, QUANTUM_FAMILY, True, False),
-    "freestate-clone-check": (("freestate", "clone-check"), {"psi": [[1, 0], [0, 0]], "phi": [[0, 0], [1, 0]]}, QUANTUM_FAMILY, True, False),
-    "solomonoff-predict": (("solomonoff", "predict"), {"bound": 12, "history": ""}, ["prior", "toyvm", "record"], False, False),
-    "solomonoff-regret": (("solomonoff", "regret"), {**REGRET, "eps": ["1/2"]}, ["prior", "toyvm", "record"], False, False),
-    "solomonoff-diagonal": (("solomonoff", "diagonal"), {"bound": 12, "n": 2}, ["prior", "toyvm", "record"], False, False),
-    "solomonoff-omega": (("solomonoff", "omega"), {"bound": 4}, ["prior", "toyvm", "record"], False, False),
-    "soph-k": (("soph", "k"), {"x": "0", "bound": 8}, ["complexity", "toyvm", "record"], False, False),
-    "soph-kset": (("soph", "kset"), {"elements": ["0", "1"], "bound": 8}, ["complexity", "toyvm", "record"], False, False),
-    "soph-soph": (("soph", "soph"), {"x": "0", "c": 1, "bound": 8}, ["complexity", "toyvm", "record"], False, False),
-    "soph-table": (("soph", "table"), {"lengths": [1], "cs": [1], "bound": 8}, ["complexity", "toyvm", "record"], False, False),
-    "arena-run": (("arena", "run"), RUN, ["arena", "record"], False, False),
-    "arena-classify": (("arena", "classify"), CLASSIFY, ["arena", "record"], False, False),
-    "gadgets-chsh-classical": (("gadgets", "chsh-classical"), {}, ["gadgets", "record"], False, False),
-    "gadgets-chsh-quantum": (("gadgets", "chsh-quantum"), {}, ["gadgets", "record"], True, False),
-    "gadgets-bostrom": (("gadgets", "bostrom"), {"variant": 1}, ["gadgets", "record"], False, False),
-    "gadgets-newcomb": (("gadgets", "newcomb"), NEWCOMB, ["gadgets", "record"], False, False),
-    "gadgets-causal": (("gadgets", "causal"), CAUSAL_GRAPH, ["gadgets", "record"], False, False),
+    "freestate-interval": (("freestate", "interval"), KNIGHT_CLASSICAL, ["cli_freestate", "classical", "record"], False, False),
+    "freestate-interval-quantum": (("freestate", "interval"), QUANTUM_INTERVAL, ["cli_freestate", *QUANTUM_FAMILY], True, False),
+    "freestate-witness": (("freestate", "witness"), WITNESS, ["cli_freestate", *QUANTUM_FAMILY], True, False),
+    "freestate-or": (("freestate", "or"), {"classicals": [CLASSICAL, CLASSICAL]}, ["cli_freestate", "classical", "record"], False, False),
+    "freestate-or-quantum": (("freestate", "or"), {"freestates": [QUBIT_0, QUBIT_MIXED]}, ["cli_freestate", *QUANTUM_FAMILY], True, False),
+    "freestate-mix": (("freestate", "mix"), {"components": [{"weight": "1", "classical": CLASSICAL}]}, ["cli_freestate", "classical", "record"], False, False),
+    "freestate-mix-quantum": (("freestate", "mix"), {"components": [{"weight": 1, "freestate": QUBIT_0}]}, ["cli_freestate", *QUANTUM_FAMILY], True, False),
+    "freestate-clone-check": (("freestate", "clone-check"), {"psi": [[1, 0], [0, 0]], "phi": [[0, 0], [1, 0]]}, ["cli_freestate", *QUANTUM_FAMILY], True, False),
+    "solomonoff-predict": (("solomonoff", "predict"), {"bound": 12, "history": ""}, ["cli_solomonoff", "prior", "toyvm", "record"], False, False),
+    "solomonoff-regret": (("solomonoff", "regret"), {**REGRET, "eps": ["1/2"]}, ["cli_solomonoff", "prior", "toyvm", "record"], False, False),
+    "solomonoff-diagonal": (("solomonoff", "diagonal"), {"bound": 12, "n": 2}, ["cli_solomonoff", "prior", "toyvm", "record"], False, False),
+    "solomonoff-omega": (("solomonoff", "omega"), {"bound": 4}, ["cli_solomonoff", "prior", "toyvm", "record"], False, False),
+    "soph-k": (("soph", "k"), {"x": "0", "bound": 8}, ["cli_soph", "complexity", "toyvm", "record"], False, False),
+    "soph-kset": (("soph", "kset"), {"elements": ["0", "1"], "bound": 8}, ["cli_soph", "complexity", "toyvm", "record"], False, False),
+    "soph-soph": (("soph", "soph"), {"x": "0", "c": 1, "bound": 8}, ["cli_soph", "complexity", "toyvm", "record"], False, False),
+    "soph-table": (("soph", "table"), {"lengths": [1], "cs": [1], "bound": 8}, ["cli_soph", "complexity", "toyvm", "record"], False, False),
+    "arena-run": (("arena", "run"), RUN, ["cli_arena", "arena", "record"], False, False),
+    "arena-classify": (("arena", "classify"), CLASSIFY, ["cli_arena", "arena", "record"], False, False),
+    "gadgets-chsh-classical": (("gadgets", "chsh-classical"), {}, ["cli_gadgets", "gadgets", "record"], False, False),
+    "gadgets-chsh-quantum": (("gadgets", "chsh-quantum"), {}, ["cli_gadgets", "gadgets", "record"], True, False),
+    "gadgets-bostrom": (("gadgets", "bostrom"), {"variant": 1}, ["cli_gadgets", "gadgets", "record"], False, False),
+    "gadgets-newcomb": (("gadgets", "newcomb"), NEWCOMB, ["cli_gadgets", "gadgets", "record"], False, False),
+    "gadgets-causal": (("gadgets", "causal"), CAUSAL_GRAPH, ["cli_gadgets", "gadgets", "record"], False, False),
 }
 
 
 def test_every_command_declares_its_footprint():
     # a new command must say which modules it loads
     declared = {command for command, *_ in FOOTPRINTS.values()}
-    assert sorted(set(cli.COMMANDS) - declared) == []
+    assert sorted(ALL_COMMANDS - declared) == []
 
 
 @pytest.mark.parametrize("command, config, added, numpy, scipy", FOOTPRINTS.values(), ids=list(FOOTPRINTS))
@@ -1139,6 +1143,86 @@ def test_each_command_imports_only_its_family(tmp_path, command, config, added, 
     assert done.returncode == 0, done.stderr
     loaded = sorted(CLI_CORE + [f"knightian.{module}" for module in added])
     assert json.loads(done.stdout) == [loaded, numpy, scipy, False]
+
+
+def test_importing_the_cli_loads_no_argparse_and_no_group():
+    # every command paid about 3 ms for argparse and its parser, and compiled
+    # the handlers of the four groups it does not run
+    probe = (
+        "import json, sys; import knightian.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'argparse' or m.startswith('knightian.cli_'))))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
+# argv spellings of `gadgets newcomb --config PATH --seed 3` (CONFIG stands for the
+# path), each printing the canonical spelling's bytes
+CANONICAL_ARGV = ["gadgets", "newcomb", "--config", "CONFIG", "--seed", "3"]
+ACCEPTED_ARGV = {
+    "options-first": ["--seed", "3", "--config", "CONFIG", "gadgets", "newcomb"],
+    "options-between": ["gadgets", "--config", "CONFIG", "newcomb", "--seed", "3"],
+    "equals-form": ["gadgets", "newcomb", "--config=CONFIG", "--seed=3"],
+    "repeated-seed": ["gadgets", "newcomb", "--seed", "9", "--config", "CONFIG", "--seed", "3"],
+    "explicit-json": ["gadgets", "newcomb", "--format", "json", "--config", "CONFIG", "--seed", "3"],
+}
+
+
+def with_config(argv, path):
+    return [token.replace("CONFIG", path) for token in argv]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED_ARGV.values(), ids=list(ACCEPTED_ARGV))
+def test_options_may_come_anywhere_in_either_form(tmp_path, capsys, argv):
+    path = write_config(tmp_path, NEWCOMB)
+    canonical = invoke(capsys, *with_config(CANONICAL_ARGV, path))
+    assert canonical[0] == 0, canonical[2]
+    assert invoke(capsys, *with_config(argv, path)) == canonical
+
+
+# malformed argv -> the token its error must name
+MALFORMED_ARGV = {
+    "unknown-group": (["nonsense", "newcomb"], "'nonsense'"),
+    "unknown-command": (["gadgets", "no-such-command"], "'no-such-command'"),
+    "unknown-option": (["gadgets", "newcomb", "--config", "CONFIG", "--verbose"], "'--verbose'"),
+    "abbreviated-option": (["gadgets", "newcomb", "--conf", "CONFIG"], "'--conf'"),
+    "single-dash-option": (["gadgets", "newcomb", "-c", "CONFIG"], "'-c'"),
+    "missing-value-at-end": (["gadgets", "newcomb", "--config"], "--config"),
+    "missing-value-before-option": (["gadgets", "newcomb", "--config", "--seed", "3"], "--config"),
+    "bad-format": (["gadgets", "chsh-classical", "--format", "xml"], "'xml'"),
+    "bad-seed": (["gadgets", "newcomb", "--config", "CONFIG", "--seed", "seven"], "--seed"),
+    "no-positional": (["--config", "CONFIG"], "GROUP"),
+    "missing-command": (["gadgets", "--config", "CONFIG"], "COMMAND"),
+    "extra-positional": (["gadgets", "newcomb", "again", "--config", "CONFIG"], "'again'"),
+}
+
+
+@pytest.mark.parametrize("argv, token", MALFORMED_ARGV.values(), ids=list(MALFORMED_ARGV))
+def test_malformed_argv_exits_one_naming_its_token(tmp_path, capsys, argv, token):
+    code, out, err = invoke(capsys, *with_config(argv, write_config(tmp_path, NEWCOMB)))
+    assert (code, out) == (1, ""), err
+    assert token in err.splitlines()[0], err
+    assert cli.USAGE in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["gadgets", "newcomb", "--help"]])
+def test_help_prints_the_usage_line_and_exits_zero(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(cli.USAGE + "\n")
+    assert cli.__doc__ in out
+
+
+def test_help_lists_every_group_and_command():
+    # the help text is the docstring, so a command added to a group's table must be added there too
+    doc = cli.__doc__.split("Groups and their commands:\n", 1)[1].split("\n\n", 1)[0]
+    listed = {group: rest.split(", ") for group, rest in (line.split(None, 1) for line in doc.splitlines())}
+    assert listed == {group: list(cli._commands(group)) for group in cli.GROUPS}
 
 
 def run_module(*argv):
@@ -1389,9 +1473,9 @@ def test_internal_errors_exit_two(tmp_path, capsys, monkeypatch):
     def boom(config, seed):
         raise RuntimeError("wires crossed")
 
-    key = ("gadgets", "chsh-classical")
-    _, schema, csv_rows = cli.COMMANDS[key]
-    monkeypatch.setitem(cli.COMMANDS, key, (boom, schema, csv_rows))
+    table = cli._commands("gadgets")
+    _, schema, csv_rows = table["chsh-classical"]
+    monkeypatch.setitem(table, "chsh-classical", (boom, schema, csv_rows))
     code, out, err = invoke(capsys, "gadgets", "chsh-classical")
     assert code == 2
     assert "internal error" in err
@@ -1402,8 +1486,8 @@ def test_an_internal_key_error_exits_two(capsys, monkeypatch):
     def boom(config, seed):
         raise KeyError("wires crossed")
 
-    key = ("gadgets", "chsh-classical")
-    monkeypatch.setitem(cli.COMMANDS, key, (boom, *cli.COMMANDS[key][1:]))
+    table = cli._commands("gadgets")
+    monkeypatch.setitem(table, "chsh-classical", (boom, *table["chsh-classical"][1:]))
     code, out, err = invoke(capsys, "gadgets", "chsh-classical")
     assert code == 2
     assert "internal error: KeyError" in err

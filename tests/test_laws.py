@@ -205,3 +205,22 @@ def test_bayes_law():
         mean = sum(verdict.distances) / trials
         bound = math.sqrt(math.log(size) / 2) + math.sqrt(math.log(1 / delta) / (2 * trials))
         assert bound < 1 and mean <= bound, (case, size, t, u, float(mean))
+
+
+def test_freebit_law_is_tight_for_the_subjects_own_filter():
+    # A Bayes filter over the subject alone, trained on behavior the subject
+    # can show, forecasts each literal and coin of the window at its true law
+    # and each freebit as a fair coin, so every pattern's overlap is 2**-k and
+    # the adversary's distance is 1 - 2**-k exactly.
+    rng = random.Random(97)
+    for trial in range(40):
+        k = rng.randint(1, 6)
+        t = rng.randint(0, 4)
+        u = t + k + rng.randint(0, 4)
+        subject = chain(rng, t, u, k)
+        inputs = "".join(rng.choice("01") for _ in range(u))
+        emits = [subject.edges[(f"c{v}", inputs[v])].emit for v in range(t)]
+        behavior = "".join(value if kind == "bit" else rng.choice("01") for kind, value in emits)
+        forecast = arena.BayesPredictor([subject]).emit_forecast(inputs[:t], behavior)
+        _, distance = arena.adversary_resolution(subject, forecast, inputs, t, u)
+        assert distance == 1 - Fraction(1, 2**k), (trial, k, t, u, distance)

@@ -371,7 +371,8 @@ def reference_enumerate(max_len):
 
 
 def reference_census(bound, cfg):
-    """Oracle: the census that runs every program once, in enumerate_programs order."""
+    """Oracle: the census that runs every program once, in enumerate_programs order,
+    through reference_execute, which shares no data loop with the census it checks."""
     stream = tv._RAND_MARK * cfg.rand_budget
     index = {}  # template -> class index, in order of discovery
     weights = {}
@@ -379,7 +380,7 @@ def reference_census(bound, cfg):
     halted = 0
     witnesses = {}
     for p in oracles.programs(bound):
-        r = tv._execute(p.body, cfg, stream)
+        r = reference_execute(p.body, cfg, stream)
         w = 1 << (bound - len(p))
         k = index.setdefault(r.output, len(index))
         weights[k] = weights.get(k, 0) + w
