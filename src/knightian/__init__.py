@@ -18,10 +18,13 @@ Subpackages:
 - ``gadgets``: CHSH game values, anthropic room puzzles, predictor-payoff
   expectations, and the micro/macro causal-graph validator.
 - ``cli``: the command-line front end's core, which every command runs: the
-  argv reader, the config schema check, dispatch and the report writer.
+  argv reader, the config schema check, dispatch and the report writer, which
+  refuses a value too long to print.
 - ``cli_freestate``, ``cli_solomonoff``, ``cli_soph``, ``cli_arena`` and
   ``cli_gadgets``: each group's command handlers, config schemas and CSV
-  writers, in one ``COMMANDS`` table; a command loads its own group alone.
+  writers, in one ``COMMANDS`` table, and the readers of the configs' states,
+  subjects and graphs; a command loads its own group alone, and a group
+  imports its family's modules at its top.
 """
 
 from .errors import KnightianError

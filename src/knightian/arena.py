@@ -111,30 +111,6 @@ class Subject(Record):
                 raise SubjectSpecError(f"unknown 'emit' kind {kind!r}")
 
 
-def subject_from_payload(payload: dict) -> Subject:
-    edges = {}
-    for k, e in enumerate(payload["edges"]):
-        emit = e["emit"]
-        if isinstance(emit, str):
-            emission: Emission = ("bit", emit)
-        elif "prob" in emit:
-            emission = ("prob", emit["prob"])
-        else:
-            emission = ("freebit", emit["freebit"])
-        key = (e["from"], e["on_input"])
-        if key in edges:
-            raise SubjectSpecError(
-                f"'edges'[{k}] is a second edge from {key[0]!r} on input {key[1]!r}"
-            )
-        edges[key] = Edge(e["to"], emission)
-    return Subject(
-        states=tuple(payload["states"]),
-        initial=payload["initial"],
-        edges=edges,
-        freebit_budget=payload.get("freebit_budget", 0),
-    )
-
-
 def _trace(subject: Subject, inputs: str) -> list[Emission]:
     """The subject's emission at each step of the input trace."""
     state, emissions = subject.initial, []
@@ -280,8 +256,8 @@ def probe_causality(forecast: Forecast, inputs: str, t: int, u: int, rng) -> Non
     )
     past = "".join(rng.choice("01") for _ in range(v - t))
 
-    def opinion(path: str) -> Fraction:
-        return forecast.prob_one(forecast.fold(t, path, past), v, path)
+    def opinion(bits: str) -> Fraction:
+        return forecast.prob_one(forecast.fold(t, bits, past), v, bits)
 
     if opinion(inputs) != opinion(flipped):
         raise ForecastViolatesCausality(

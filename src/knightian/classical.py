@@ -7,7 +7,9 @@ linear, so its extreme values over the hull sit at generators.
 
 knightian_or and prob_mix take quantum freestates (``freestate.Freestate``)
 as well: the result is the first state's kind with new generators.  This
-module imports no numpy, so a classical command never loads it.
+module imports no numpy, so a classical command never loads it.  The JSON
+form of either kind is read and written in ``cli_freestate``, beside its
+schema.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import KnightianError, at, exact
+from .errors import KnightianError, exact
 from .record import Record, replace
 
 if TYPE_CHECKING:
@@ -148,23 +150,3 @@ def prob_mix(
     first = states[0]
     choices = itertools.product(*[s.generators for s in states])
     return replace(first, generators=tuple(first.weighted_sum(weights, c) for c in choices))
-
-
-# -- JSON -------------------------------------------------------------------------
-#
-# The reader takes the path of its payload, e.g. config['classical'], and names
-# it, down to the generator index, in any validation error it raises.
-
-
-def classical_to_payload(s: ClassicalFreestate) -> dict:
-    """The payload the reader takes, its generators' Fractions for the CLI to print."""
-    return {"n": s.dim, "generators": [list(g) for g in s.generators]}
-
-
-def classical_from_payload(payload: dict, path: str = "payload") -> ClassicalFreestate:
-    gens = []
-    for i, g in enumerate(payload["generators"]):
-        with at(f"{path}['generators'][{i}]"):
-            gens.append(_probabilities(g, payload["n"]))
-    with at(f"{path}['generators']"):
-        return ClassicalFreestate(payload["n"], tuple(gens))

@@ -18,10 +18,13 @@ Groups and their commands:
 
 Each group's commands live in `knightian.cli_<group>`, whose one table,
 ``COMMANDS``, gives each command its handler, its config schema and, for the
-tabular commands, its CSV rows.  A command loads its own group alone, and
-each handler imports its family's module on its first line, so a
-`solomonoff` command never loads `numpy`, and a classical freestate command
-reads `classical` alone.  The envelope's machine version is the package's
+tabular commands, its CSV rows; the group module also reads its configs'
+payloads into the library's objects, and writes them back.  A command loads
+its own group alone, and a group module imports its family's modules at its
+top, so a `solomonoff` command never loads `numpy`.  In the group modules,
+the one import inside a function is `freestate`'s, on `cli_freestate`'s
+quantum paths, as only it loads `numpy`: a classical freestate command reads
+`classical` alone.  The envelope's machine version is the package's
 `MACHINE_VERSION`, so only the commands that build a machine config, or
 decode a program, load `toyvm`.
 
@@ -48,11 +51,12 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable
 
 from . import MACHINE_VERSION, __version__
-from .errors import KnightianError, refuse_unprintable
+from .errors import KnightianError, exact
 
 
 class UsageExit(Exception):
@@ -88,6 +92,30 @@ def _seed(text: str) -> int:
 
 def _rat(f: Fraction) -> dict:
     return {"exact": f, "float": float(f)}
+
+
+def refuse_unprintable(value, path: str) -> None:
+    """Raise a KnightianError naming the path of a value within value, a config's
+    or a report's, that exact cannot print; path names value itself."""
+    if isinstance(value, (dict, list, tuple)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            refuse_unprintable(item, f"{path}[{key!r}]")
+    elif exact(value) is None:
+        digits = sys.get_int_max_str_digits()
+        raise KnightianError(f"{path} has more than {digits} digits above or below its fraction bar")
+
+
+@contextmanager
+def at(path: str):
+    """Re-raise a validation error of the block as a KnightianError naming path.
+
+    path is where the checked value sits in the config, e.g.
+    config['freestate']['generators'][0].
+    """
+    try:
+        yield
+    except (KnightianError, ValueError) as exc:
+        raise KnightianError(f"{path}: {exc}") from exc
 
 
 # -- config schemas -----------------------------------------------------------------
@@ -333,3 +361,12 @@ def main() -> None:
     if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    # `python -m knightian.cli` runs this file as __main__, a second copy of
+    # the module: its Kind and Opt objects are not those the group tables
+    # import from knightian.cli, so the package's copy must run the command
+    import knightian.cli
+
+    knightian.cli.main()

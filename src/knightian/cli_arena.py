@@ -1,11 +1,12 @@
-"""The `arena` commands: run and classify, both seeded."""
+"""The `arena` commands: run and classify, both seeded, and the reader of their subjects."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cli import BITS, INT, RATIONAL, STRING, ByKind, Either, Kind, Opt, _fraction, _given
-from .errors import KnightianError, at
+from . import arena
+from .cli import BITS, INT, RATIONAL, STRING, ByKind, Either, Kind, Opt, _fraction, _given, at
+from .errors import KnightianError
 
 
 def _open_unit(value) -> Fraction:
@@ -38,13 +39,35 @@ GAME = {
 }
 
 
+def subject_from_payload(payload: dict) -> arena.Subject:
+    edges = {}
+    for k, e in enumerate(payload["edges"]):
+        emit = e["emit"]
+        if isinstance(emit, str):
+            emission: arena.Emission = ("bit", emit)
+        elif "prob" in emit:
+            emission = ("prob", emit["prob"])
+        else:
+            emission = ("freebit", emit["freebit"])
+        key = (e["from"], e["on_input"])
+        if key in edges:
+            raise arena.SubjectSpecError(
+                f"'edges'[{k}] is a second edge from {key[0]!r} on input {key[1]!r}"
+            )
+        edges[key] = arena.Edge(e["to"], emission)
+    return arena.Subject(
+        states=tuple(payload["states"]),
+        initial=payload["initial"],
+        edges=edges,
+        freebit_budget=payload.get("freebit_budget", 0),
+    )
+
+
 def _subject(spec, path: str) -> arena.Subject:
     """A stock subject by name, or a subject object parsed once; path names the entry."""
-    from . import arena
-
     if not isinstance(spec, str):
         with at(path):
-            return arena.subject_from_payload(spec)
+            return subject_from_payload(spec)
     if spec not in arena.STOCK_SUBJECTS:
         raise KnightianError(
             f"{path}: unknown stock subject {spec!r}; have {sorted(arena.STOCK_SUBJECTS)}"
@@ -53,8 +76,6 @@ def _subject(spec, path: str) -> arena.Subject:
 
 
 def _predictor(spec: dict, path: str):
-    from . import arena
-
     if spec["kind"] == "table":
         return arena.TablePredictor(**_given(spec, ("context",)))
     members = enumerate(spec["family"])
@@ -62,8 +83,6 @@ def _predictor(spec: dict, path: str):
 
 
 def _cmd_run(config: dict, seed) -> dict:
-    from . import arena
-
     if seed is None:
         raise KnightianError("arena run is stochastic: --seed is required")
     cfg = arena.GameConfig(**config["game"], seed=seed)
@@ -76,8 +95,6 @@ def _cmd_run(config: dict, seed) -> dict:
 
 
 def _cmd_classify(config: dict, seed) -> dict:
-    from . import arena
-
     if seed is None:
         raise KnightianError("arena classify is stochastic: --seed is required")
     subjects = [_subject(s, f"config['class'][{i}]") for i, s in enumerate(config["class"])]

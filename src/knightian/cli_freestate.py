@@ -1,19 +1,77 @@
 """The `freestate` commands: interval, witness, or, mix and clone-check.
 
-Only a quantum payload loads `freestate`, and with it `numpy`; a classical
-one reads `classical` alone.
+Here too are the readers of their configs' freestates, effects and pure
+states, and the writers of the freestates their reports hold.  Each reader
+takes the path of its payload, e.g. config['classical'], and names it, down
+to the generator index, in any validation error it raises.  Only a quantum
+payload loads `freestate`, and with it `numpy`; a classical one reads
+`classical` alone.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .cli import INT, RATIONAL, REAL, Either, Opt, _given
+from . import classical
+from .cli import INT, RATIONAL, REAL, Either, Opt, _given, at
 from .errors import KnightianError
 
 MATRIX = [[(REAL, REAL)]]  # rows of [re, im] entries
 CLASSICAL = {"n": INT, "generators": [[RATIONAL]]}
 FREESTATE = {"dim": INT, "generators": [MATRIX]}
+
+
+def classical_to_payload(s: classical.ClassicalFreestate) -> dict:
+    """The payload the reader takes, its generators' Fractions for the CLI to print."""
+    return {"n": s.dim, "generators": [list(g) for g in s.generators]}
+
+
+def classical_from_payload(payload: dict, path: str) -> classical.ClassicalFreestate:
+    n, gens = payload["n"], []
+    for i, g in enumerate(payload["generators"]):
+        with at(f"{path}['generators'][{i}]"):
+            gens.append(classical.ClassicalFreestate(n, (g,)).generators[0])
+    with at(f"{path}['generators']"):
+        return classical.ClassicalFreestate(n, tuple(gens))
+
+
+def _matrix_payload(m) -> list:
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+
+def _matrix_from_payload(rows: list) -> list:
+    """The complex entries, row by row, which freestate's records read as a matrix."""
+    return [[complex(re, im) for re, im in row] for row in rows]
+
+
+def freestate_to_payload(s: freestate.Freestate) -> dict:
+    return {"dim": s.dim, "generators": [_matrix_payload(g.entries) for g in s.generators]}
+
+
+def freestate_from_payload(payload: dict, path: str) -> freestate.Freestate:
+    from . import freestate
+
+    dim, gens = payload["dim"], []
+    for i, g in enumerate(payload["generators"]):
+        with at(f"{path}['generators'][{i}]"):
+            gens.append(freestate.DensityMatrix(dim, _matrix_from_payload(g)))
+    with at(f"{path}['generators']"):
+        return freestate.Freestate(dim, tuple(gens))
+
+
+def effect_from_payload(payload: dict, path: str) -> freestate.Effect:
+    from . import freestate
+
+    with at(f"{path}['entries']"):
+        return freestate.Effect(payload["dim"], _matrix_from_payload(payload["entries"]))
+
+
+def pure_from_payload(rows: list, path: str) -> freestate.PureState:
+    """A pure state from its [re, im] amplitude rows."""
+    from . import freestate
+
+    with at(path):
+        return freestate.PureState(len(rows), [complex(re, im) for re, im in rows])
 
 
 def _same_dim(path: str, dim: int, first: str, first_dim: int) -> None:
@@ -23,15 +81,13 @@ def _same_dim(path: str, dim: int, first: str, first_dim: int) -> None:
 
 def _cmd_interval(config: dict, seed) -> dict:
     if "classical" in config:
-        from . import classical
-
-        s = classical.classical_from_payload(config["classical"], "config['classical']")
+        s = classical_from_payload(config["classical"], "config['classical']")
         lo, hi = classical.event_interval(s, config["event"])
         return {"lo": float(lo), "hi": float(hi), "lo_exact": lo, "hi_exact": hi}
     from . import freestate
 
-    s = freestate.freestate_from_payload(config["freestate"], "config['freestate']")
-    e = freestate.effect_from_payload(config["effect"], "config['effect']")
+    s = freestate_from_payload(config["freestate"], "config['freestate']")
+    e = effect_from_payload(config["effect"], "config['effect']")
     _same_dim("config['effect']['dim']", e.dim, "config['freestate']['dim']", s.dim)
     lo, hi = freestate.effect_interval(s, e)
     return {"lo": lo, "hi": hi}
@@ -45,13 +101,9 @@ def _alike(entries: list[tuple[str, str, dict]]) -> tuple[str, Callable, list]:
     """
     first_path, kind, first = entries[0]
     if kind == "classical":
-        from . import classical
-
-        parse, write, size = classical.classical_from_payload, classical.classical_to_payload, "n"
+        parse, write, size = classical_from_payload, classical_to_payload, "n"
     else:
-        from . import freestate
-
-        parse, write, size = freestate.freestate_from_payload, freestate.freestate_to_payload, "dim"
+        parse, write, size = freestate_from_payload, freestate_to_payload, "dim"
     for path, other, payload in entries[1:]:
         if other != kind:
             raise KnightianError(f"{path} must be a {kind!r} set like the first one, got {other!r}")
@@ -60,8 +112,6 @@ def _alike(entries: list[tuple[str, str, dict]]) -> tuple[str, Callable, list]:
 
 
 def _cmd_or(config: dict, seed) -> dict:
-    from . import classical
-
     key = "classicals" if "classicals" in config else "freestates"
     if len(config[key]) < 2:
         raise KnightianError(f"{key!r} must hold at least two freestates")
@@ -72,8 +122,6 @@ def _cmd_or(config: dict, seed) -> dict:
 
 
 def _cmd_mix(config: dict, seed) -> dict:
-    from . import classical
-
     comps = config["components"]
     if not comps:
         raise KnightianError("'components' must hold at least one component")
@@ -89,8 +137,8 @@ def _cmd_mix(config: dict, seed) -> dict:
 def _cmd_witness(config: dict, seed) -> dict:
     from . import freestate
 
-    a = freestate.freestate_from_payload(config["freestate_a"], "config['freestate_a']")
-    b = freestate.freestate_from_payload(config["freestate_b"], "config['freestate_b']")
+    a = freestate_from_payload(config["freestate_a"], "config['freestate_a']")
+    b = freestate_from_payload(config["freestate_b"], "config['freestate_b']")
     _same_dim("config['freestate_b']['dim']", b.dim, "config['freestate_a']['dim']", a.dim)
     w = freestate.separating_witness(a, b, seed=seed or 0, **_given(config, ("tol", "restarts")))
     if w is None:
@@ -103,14 +151,14 @@ def _cmd_witness(config: dict, seed) -> dict:
     if isinstance(w, freestate.PureWitness):
         psi = [[float(v.real), float(v.imag)] for v in w.psi.amplitudes]
         return {"kind": "pure", "psi": psi, **found}
-    return {"kind": "hermitian", "operator": freestate._matrix_payload(w.operator), **found}
+    return {"kind": "hermitian", "operator": _matrix_payload(w.operator), **found}
 
 
 def _cmd_clone_check(config: dict, seed) -> dict:
     from . import freestate
 
-    psi = freestate.pure_from_payload(config["psi"], "config['psi']")
-    phi = freestate.pure_from_payload(config["phi"], "config['phi']")
+    psi = pure_from_payload(config["psi"], "config['psi']")
+    phi = pure_from_payload(config["phi"], "config['phi']")
     if phi.dim != psi.dim:
         raise KnightianError(
             f"config['phi'] has {phi.dim} amplitudes, but config['psi'] has {psi.dim}"

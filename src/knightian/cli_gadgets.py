@@ -1,14 +1,14 @@
-"""The `gadgets` commands: chsh-classical, chsh-quantum, bostrom, newcomb and causal."""
+"""The `gadgets` commands: chsh-classical, chsh-quantum, bostrom, newcomb and causal,
+and the reader of causal's graph."""
 
 from __future__ import annotations
 
-from .cli import BOOL, INT, RATIONAL, REAL, STRING, Either, Kind, Opt, _given, _is_int, _rat
+from . import gadgets
+from .cli import BOOL, INT, RATIONAL, REAL, STRING, Either, Kind, Opt, _given, _is_int, _rat, at
 from .errors import KnightianError
 
 
 def _cmd_chsh_classical(config: dict, seed) -> dict:
-    from . import gadgets
-
     result = gadgets.chsh_classical_optimum()
     return {
         "value": _rat(result.value),
@@ -32,8 +32,6 @@ def _chsh_csv(result: dict):
 
 
 def _cmd_chsh_quantum(config: dict, seed) -> dict:
-    from . import gadgets
-
     alice = tuple(float(a) for a in config.get("alice", gadgets.CHSH_OPTIMAL_ALICE))
     bob = tuple(float(b) for b in config.get("bob", gadgets.CHSH_OPTIMAL_BOB))
     return {
@@ -44,8 +42,6 @@ def _cmd_chsh_quantum(config: dict, seed) -> dict:
 
 
 def _cmd_bostrom(config: dict, seed) -> dict:
-    from . import gadgets
-
     if "variant" in config:
         variants = {1: gadgets.bostrom_variant_one, 2: gadgets.bostrom_variant_two}
         puzzle = variants[config["variant"]]()
@@ -74,8 +70,6 @@ BOX_GUARD = 10**300
 
 
 def _cmd_newcomb(config: dict, seed) -> dict:
-    from . import gadgets
-
     boxes = _given(config, ("box_one", "box_two"))
     for key, box in boxes.items():
         if abs(box) > BOX_GUARD:
@@ -88,10 +82,24 @@ def _cmd_newcomb(config: dict, seed) -> dict:
     }
 
 
-def _cmd_causal(config: dict, seed) -> dict:
-    from . import gadgets
+def graph_from_payload(payload: dict, path: str) -> gadgets.CausalGraph:
+    """The graph a payload describes; a bad node kind, edge or duplicate id is
+    named by its path under path, e.g. config['edges'][1]."""
+    nodes = []
+    for i, n in enumerate(payload["nodes"]):
+        with at(f"{path}['nodes'][{i}]['kind']"):  # a node checks only its kind
+            nodes.append(gadgets.CausalNode(n["id"], n["kind"], n["time"]))
+    edges = tuple((c, e) for c, e in payload["edges"])
+    known = {n.id for n in nodes}
+    for i, (c, e) in enumerate(edges):
+        with at(f"{path}['edges'][{i}]"):
+            gadgets.check_edge(c, e, known)
+    with at(f"{path}['nodes']"):
+        return gadgets.CausalGraph(tuple(nodes), edges)
 
-    graph = gadgets.graph_from_payload(config, "config")
+
+def _cmd_causal(config: dict, seed) -> dict:
+    graph = graph_from_payload(config, "config")
     violations = gadgets.causal_validate(graph, **_given(config, ("check_disjoint_macro",)))
     return {
         "ok": not violations,

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import prior, toyvm
 from .cli import BITS, BOOL, INT, MACHINE, RATIONAL, Opt, _machine_config, _rat
 from .errors import KnightianError
 
 
 def _cmd_predict(config: dict, seed) -> dict:
-    from . import prior
-
     mixture = prior.build_mixture(config["bound"], _machine_config(config))
     for bit in config["history"]:
         mixture = prior.update(mixture, bit)
@@ -22,8 +21,6 @@ def _cmd_predict(config: dict, seed) -> dict:
 
 
 def _cmd_regret(config: dict, seed) -> dict:
-    from . import prior, toyvm
-
     mixture = prior.build_mixture(config["bound"], _machine_config(config))
     try:
         q = toyvm.decode(config["q"])
@@ -63,8 +60,6 @@ def _regret_csv(result: dict):
 
 
 def _cmd_diagonal(config: dict, seed) -> dict:
-    from . import prior
-
     mixture = prior.build_mixture(config["bound"], _machine_config(config))
     bits, steps = prior.diagonal_sequence(mixture, config["n"])
     return {
@@ -77,8 +72,6 @@ def _cmd_diagonal(config: dict, seed) -> dict:
 
 
 def _cmd_omega(config: dict, seed) -> dict:
-    from . import prior
-
     cfg = _machine_config(config)
     value = prior.omega_truncated(config["bound"], cfg)
     return {"omega": _rat(value), "bound": config["bound"], "step_budget": cfg.step_budget}

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+from . import complexity
 from .cli import BITS, INT, MACHINE, _machine_config
 
 
 def _complexity_payload(result) -> dict:
-    from . import complexity
-
     if isinstance(result, complexity.NotFound):
         return {
             "found": False,
@@ -28,16 +27,12 @@ def _complexity_payload(result) -> dict:
 
 
 def _cmd_k(config: dict, seed) -> dict:
-    from . import complexity
-
     return _complexity_payload(
         complexity.kolmogorov(config["x"], config["bound"], _machine_config(config))
     )
 
 
 def _cmd_kset(config: dict, seed) -> dict:
-    from . import complexity
-
     listing = complexity.SetListing(tuple(config["elements"]))
     return _complexity_payload(
         complexity.set_complexity(listing, config["bound"], _machine_config(config))
@@ -45,8 +40,6 @@ def _cmd_kset(config: dict, seed) -> dict:
 
 
 def _cmd_soph(config: dict, seed) -> dict:
-    from . import complexity
-
     return _complexity_payload(
         complexity.sophistication(
             config["x"], config["c"], config["bound"], _machine_config(config)
@@ -55,8 +48,6 @@ def _cmd_soph(config: dict, seed) -> dict:
 
 
 def _cmd_table(config: dict, seed) -> dict:
-    from . import complexity
-
     rows = complexity.tabulate(
         config["lengths"], config["cs"], config["bound"], _machine_config(config)
     )

@@ -117,10 +117,6 @@ class SetListing(Record):
             if not all(c in "01" for c in e):
                 raise ValueError(f"not a bitstring: {e!r}")
 
-    @property
-    def width(self) -> int:
-        return len(self.elements[0])
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -7,7 +7,8 @@ functional in scope is linear, its extreme values over the hull are attained
 at generators, which makes effect intervals exact up to float rounding.
 Quantum states are complex float matrices with explicit validation
 tolerances.  The classical kind, exact probability vectors, and the algebra
-on either kind (knightian_or, prob_mix) live in ``classical``.
+on either kind (knightian_or, prob_mix) live in ``classical``; the JSON form
+of states, effects and freestates, in ``cli_freestate``.
 
 Hull membership and witness separation are one LP over the real
 vectorization of Hermitian matrices: the best margin of a separating
@@ -27,7 +28,7 @@ import numpy as np
 
 from .classical import DimMismatch
 from .classical import event_interval  # noqa: F401  bench/launch.py's TRACED wraps freestate.event_interval
-from .errors import KnightianError, at
+from .errors import KnightianError
 from .record import Record
 
 TOL_NORM = 1e-9
@@ -536,42 +537,3 @@ def full_freebit() -> Freestate:
     """The whole Bloch-ball qubit hull spanned by the six axis states."""
     gens = tuple(ket(s).projector() for s in ("0", "1", "+", "-", "i", "-i"))
     return Freestate(2, gens)
-
-
-# -- JSON -------------------------------------------------------------------------
-#
-# Each reader takes the path of its payload, e.g. config['freestate'], and names
-# it, down to the generator index, in any validation error it raises.
-
-
-def _matrix_payload(m: np.ndarray) -> list:
-    return [[[float(np.real(v)), float(np.imag(v))] for v in row] for row in np.asarray(m)]
-
-
-def _matrix_from_payload(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
-def freestate_to_payload(s: Freestate) -> dict:
-    return {"dim": s.dim, "generators": [_matrix_payload(g.entries) for g in s.generators]}
-
-
-def freestate_from_payload(payload: dict, path: str = "payload") -> Freestate:
-    dim = payload["dim"]
-    gens = []
-    for i, g in enumerate(payload["generators"]):
-        with at(f"{path}['generators'][{i}]"):
-            gens.append(DensityMatrix(dim, _matrix_from_payload(g)))
-    with at(f"{path}['generators']"):
-        return Freestate(dim, tuple(gens))
-
-
-def effect_from_payload(payload: dict, path: str = "payload") -> Effect:
-    with at(f"{path}['entries']"):
-        return Effect(payload["dim"], _matrix_from_payload(payload["entries"]))
-
-
-def pure_from_payload(rows: list, path: str = "payload") -> PureState:
-    """A pure state from its [re, im] amplitude rows."""
-    with at(path):
-        return PureState(len(rows), [complex(re, im) for re, im in rows])

@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import KnightianError, at
+from .errors import KnightianError
 from .record import Record
 
 
@@ -243,10 +243,10 @@ class CausalGraph(Record):
             raise MalformedGraph("duplicate node ids")
         known = set(ids)
         for c, e in self.edges:
-            _check_edge(c, e, known)
+            check_edge(c, e, known)
 
 
-def _check_edge(cause: str, effect: str, known: set[str]) -> None:
+def check_edge(cause: str, effect: str, known: set[str]) -> None:
     for node in (cause, effect):
         if node not in known:
             raise MalformedGraph(f"edge ({cause!r}, {effect!r}): {node!r} is not an 'id' in 'nodes'")
@@ -289,20 +289,20 @@ def causal_validate(
                     "non-forward arrow points at a macro node",
                 )
             )
-    for node_id in backward_into:
-        if nodes[node_id].kind != "micro":
-            continue  # already an R1 violation
+    for n in graph.nodes:  # in node order, as R3 below, so no report hangs on set order
+        if n.id not in backward_into or n.kind != "micro":
+            continue  # a macro node there is already an R1 violation
         incident = [
             (c, e)
             for c, e in graph.edges
-            if (c == node_id or e == node_id)
-            and not (e == node_id and nodes[c].time >= nodes[e].time)
+            if (c == n.id or e == n.id)
+            and not (e == n.id and nodes[c].time >= nodes[e].time)
         ]
         if incident:
             violations.append(
                 Violation(
                     "R2",
-                    (node_id,),
+                    (n.id,),
                     "micro node caused from its future also touches other edges",
                 )
             )
@@ -334,19 +334,3 @@ def acyclicity_check(graph: CausalGraph) -> bool:
     except graphlib.CycleError:
         return False
     return True
-
-
-def graph_from_payload(payload: dict, path: str = "payload") -> CausalGraph:
-    """The graph a payload describes; a bad node kind, edge or duplicate id is
-    named by its path under path, e.g. config['edges'][1]."""
-    nodes = []
-    for i, n in enumerate(payload["nodes"]):
-        with at(f"{path}['nodes'][{i}]['kind']"):  # a node checks only its kind
-            nodes.append(CausalNode(n["id"], n["kind"], n["time"]))
-    edges = tuple((c, e) for c, e in payload["edges"])
-    known = {n.id for n in nodes}
-    for i, (c, e) in enumerate(edges):
-        with at(f"{path}['edges'][{i}]"):
-            _check_edge(c, e, known)
-    with at(f"{path}['nodes']"):
-        return CausalGraph(tuple(nodes), edges)

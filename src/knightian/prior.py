@@ -59,11 +59,6 @@ class Mixture(Record):
     history: str
     survivors: tuple[tuple[int, int], ...]  # (class index, literal count), as update says
 
-    @property
-    def normalizer(self) -> Fraction:
-        """C = sum of 2**-len(P) over the class."""
-        return Fraction(self.census.total, 2**self.bound)
-
 
 def build_mixture(bound: int, cfg: MachineConfig = MachineConfig()) -> Mixture:
     """Mixture over all programs of length <= bound, fresh (empty history)."""

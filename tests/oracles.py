@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from knightian import complexity, freestate, toyvm
+from knightian import cli_freestate, complexity, freestate, prior, toyvm
 
 #: Distinguished outcome for "did not emit enough bits within budget".
 ABSTAIN = "⊥"
@@ -18,6 +18,11 @@ ABSTAIN = "⊥"
 
 def kraft_sum(codes: list[str]) -> Fraction:
     return sum((Fraction(1, 2 ** len(code)) for code in codes), Fraction(0))
+
+
+def normalizer(mixture: prior.Mixture) -> Fraction:
+    """C = sum of 2**-len(P) over the mixture's class."""
+    return Fraction(mixture.census.total, 2**mixture.bound)
 
 
 def programs(bound: int) -> list[toyvm.Program]:
@@ -72,13 +77,17 @@ def mirror(program: toyvm.Program) -> toyvm.Program:
     return toyvm.from_body("".join(out))
 
 
+def listing_width(listing: complexity.SetListing) -> int:
+    """The common length of the set's elements."""
+    return len(listing.elements[0])
+
+
 def render_listing(listing: complexity.SetListing) -> str:
     """Canonical explicit output for a set (sorted elements; no cube form)."""
-    if listing.width > complexity.LISTING_MAX_WIDTH:
-        raise ValueError(f"width {listing.width} beyond {complexity.LISTING_MAX_WIDTH}")
-    return format(listing.width - 1, f"0{complexity.LISTING_WIDTH_FIELD}b") + "".join(
-        listing.elements
-    )
+    width = listing_width(listing)
+    if width > complexity.LISTING_MAX_WIDTH:
+        raise ValueError(f"width {width} beyond {complexity.LISTING_MAX_WIDTH}")
+    return format(width - 1, f"0{complexity.LISTING_WIDTH_FIELD}b") + "".join(listing.elements)
 
 
 def validate_density(m) -> freestate.DensityMatrix:
@@ -96,7 +105,7 @@ def maximally_mixed(dim: int) -> freestate.DensityMatrix:
 
 
 def effect_to_payload(e: freestate.Effect) -> dict:
-    return {"dim": e.dim, "entries": freestate._matrix_payload(e.entries)}
+    return {"dim": e.dim, "entries": cli_freestate._matrix_payload(e.entries)}
 
 
 def primal_l1_residual(s: freestate.Freestate, rho: freestate.DensityMatrix) -> float:

@@ -95,7 +95,7 @@ def test_subject_validation():
 def test_stock_payloads_parse_to_the_stock_subjects():
     for name, make in arena.STOCK_SUBJECTS.items():
         payload = cli._check(STOCK_PAYLOADS[name], cli_arena.SUBJECT)  # the CLI reads each "prob" once
-        assert arena.subject_from_payload(payload) == make()
+        assert cli_arena.subject_from_payload(payload) == make()
 
 
 # -- adversary ----------------------------------------------------------------------

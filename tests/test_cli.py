@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import STOCK_PAYLOADS, pushed_out_pair
 from knightian import arena, cli, complexity as cx, toyvm
 from knightian.errors import KnightianError
-from knightian import classical as cl, freestate as fs
+from knightian import classical as cl, cli_freestate, freestate as fs
 import oracles
 
 
@@ -988,8 +988,8 @@ def hermitian_witness_config():
     # the draw of test_freestate_witness_cli_reports_hermitian_and_none
     single, hull = pushed_out_pair(np.random.default_rng(7))
     return {
-        "freestate_a": fs.freestate_to_payload(single),
-        "freestate_b": fs.freestate_to_payload(hull),
+        "freestate_a": cli_freestate.freestate_to_payload(single),
+        "freestate_b": cli_freestate.freestate_to_payload(hull),
         "restarts": 8,
     }
 
@@ -1145,6 +1145,25 @@ def test_each_command_imports_only_its_family(tmp_path, command, config, added, 
     assert json.loads(done.stdout) == [loaded, numpy, scipy, False]
 
 
+def test_a_csv_refusal_loads_no_numpy(tmp_path):
+    # the refusal names every tabular command, so it loads every group and its
+    # family's modules, but no quantum path runs
+    probe = (
+        "import json, sys; from knightian import cli; code = cli.dispatch(sys.argv[1:]); "
+        "print(json.dumps([code, 'numpy' in sys.modules, 'scipy' in sys.modules]))"
+    )
+    argv = ["freestate", "interval", "--config", write_config(tmp_path, QUANTUM_INTERVAL), "--format", "csv"]
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert json.loads(done.stdout) == [1, False, False]
+    assert done.stderr == (
+        "error: csv output is only available for: gadgets chsh-classical, solomonoff regret, soph table\n"
+    )
+
+
 def test_importing_the_cli_loads_no_argparse_and_no_group():
     # every command paid about 3 ms for argparse and its parser, and compiled
     # the handlers of the four groups it does not run
@@ -1225,12 +1244,13 @@ def test_help_lists_every_group_and_command():
     assert listed == {group: list(cli._commands(group)) for group in cli.GROUPS}
 
 
-def run_module(*argv):
-    """python -m knightian in a fresh interpreter, on this checkout's src/."""
+def run_module(*argv, module="knightian", env=()):
+    """python -m module in a fresh interpreter, on this checkout's src/, with env's variables set."""
     src = Path(cli.__file__).resolve().parents[1]
     return subprocess.run(
-        [sys.executable, "-m", "knightian", *argv],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", module, *argv],
+        env={**os.environ, "PYTHONPATH": str(src), **dict(env)},
+        capture_output=True, text=True, timeout=120,
     )
 
 
@@ -1241,6 +1261,40 @@ def test_python_dash_m_knightian_runs_the_cli():
     done = run_module("gadgets", "no-such-command")
     assert done.returncode == 1
     assert "no-such-command" in done.stderr
+
+
+@pytest.mark.parametrize("command, config", [("chsh-classical", None), ("newcomb", NEWCOMB)])
+def test_python_dash_m_knightian_cli_prints_what_python_dash_m_knightian_prints(tmp_path, command, config):
+    # cli.py run as __main__ is a second copy of the module, whose Kind and Opt
+    # are not the group tables' own: the package's copy has to run the command
+    argv = ["gadgets", command] + (["--config", write_config(tmp_path, config)] if config else [])
+    done = run_module(*argv, module="knightian.cli")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run_module(*argv).stdout
+
+
+# two micro nodes, each caused from its future and touching other edges: two R2 violations
+TWO_R2_GRAPH = {
+    "nodes": [
+        {"id": "a", "kind": "micro", "time": 1},
+        {"id": "b", "kind": "micro", "time": 1},
+        {"id": "c", "kind": "macro", "time": 0},
+    ],
+    "edges": [["a", "b"], ["b", "a"], ["c", "a"], ["c", "b"]],
+}
+
+
+def test_a_causal_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # listed in set order, the two R2 violations swapped places between hash seeds 0 and 2
+    config = write_config(tmp_path, TWO_R2_GRAPH)
+    runs = [
+        run_module("gadgets", "causal", "--config", config, env={"PYTHONHASHSEED": seed})
+        for seed in ("0", "2")
+    ]
+    assert [done.returncode for done in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    violations = json.loads(runs[0].stdout)["result"]["violations"]
+    assert [(v["rule"], v["subject"]) for v in violations] == [("R2", ["a"]), ("R2", ["b"])]
 
 
 def test_main_runs_blas_on_one_thread_unless_the_caller_set_a_count(monkeypatch):
@@ -1346,8 +1400,8 @@ def test_soph_table_csv_has_one_column_per_distinct_c(tmp_path, capsys):
 
 
 def test_freestate_witness_cli(tmp_path, capsys):
-    payload_a = fs.freestate_to_payload(fs.Freestate(2, (fs.ket("0").projector(),)))
-    payload_b = fs.freestate_to_payload(fs.Freestate(2, (oracles.maximally_mixed(2),)))
+    payload_a = cli_freestate.freestate_to_payload(fs.Freestate(2, (fs.ket("0").projector(),)))
+    payload_b = cli_freestate.freestate_to_payload(fs.Freestate(2, (oracles.maximally_mixed(2),)))
     config = write_config(tmp_path, {"freestate_a": payload_a, "freestate_b": payload_b})
     report = invoke_json(capsys, "freestate", "witness", "--config", config, "--seed", "1")
     assert report["result"]["kind"] == "pure"
@@ -1358,15 +1412,15 @@ def test_freestate_witness_cli_reports_hermitian_and_none(tmp_path, capsys):
     # a pinned draw where no pure state separates (see test_freestate.py)
     single, hull = pushed_out_pair(np.random.default_rng(7))
     payload = {
-        "freestate_a": fs.freestate_to_payload(single),
-        "freestate_b": fs.freestate_to_payload(hull),
+        "freestate_a": cli_freestate.freestate_to_payload(single),
+        "freestate_b": cli_freestate.freestate_to_payload(hull),
         "restarts": 8,
     }
     config = write_config(tmp_path, payload)
     result = invoke_json(capsys, "freestate", "witness", "--config", config, "--seed", "7")["result"]
     assert set(result) == {"kind", "operator", "value_on_state", "interval_on_other", "gap"}
     assert result["kind"] == "hermitian"
-    w = fs._matrix_from_payload(result["operator"])
+    w = cli_freestate._matrix_from_payload(result["operator"])
     value = float(np.real(np.trace(w @ single.generators[0].entries)))
     vals = [float(np.real(np.trace(w @ g.entries))) for g in hull.generators]
     assert result["gap"] == pytest.approx(max(value - max(vals), min(vals) - value), abs=1e-12)
@@ -1381,7 +1435,7 @@ def test_seed_is_checked_before_anything_runs(tmp_path, capsys, seed, code):
     # restarts run on this draw, so numpy refused -1 there, naming no key, while
     # a draw whose spectral start cleared tol took it, as did the arena
     single, hull = pushed_out_pair(np.random.default_rng(2))
-    witness = {"freestate_a": fs.freestate_to_payload(single), "freestate_b": fs.freestate_to_payload(hull)}
+    witness = {"freestate_a": cli_freestate.freestate_to_payload(single), "freestate_b": cli_freestate.freestate_to_payload(hull)}
     for command, config in ((("freestate", "witness"), {**witness, "restarts": 2}), (("arena", "run"), RUN)):
         path = write_config(tmp_path, config)
         got, out, err = invoke(capsys, *command, "--config", path, "--seed", str(seed))
@@ -1407,10 +1461,10 @@ def test_freestate_clone_check_refuses_an_empty_state(tmp_path, capsys):
 
 
 def test_freestate_mix_cli_matches_expansion(tmp_path, capsys):
-    a = fs.freestate_to_payload(
+    a = cli_freestate.freestate_to_payload(
         fs.Freestate(2, (fs.ket("0").projector(), fs.ket("1").projector()))
     )
-    b = fs.freestate_to_payload(
+    b = cli_freestate.freestate_to_payload(
         fs.Freestate(2, (fs.ket("+").projector(), fs.ket("-").projector()))
     )
     config = write_config(
@@ -1427,7 +1481,7 @@ def test_quantum_interval_over_the_cli(tmp_path, capsys):
     config = write_config(
         tmp_path,
         {
-            "freestate": fs.freestate_to_payload(state),
+            "freestate": cli_freestate.freestate_to_payload(state),
             "effect": oracles.effect_to_payload(effect),
         },
     )
@@ -1436,8 +1490,8 @@ def test_quantum_interval_over_the_cli(tmp_path, capsys):
 
 
 def test_quantum_or_over_the_cli(tmp_path, capsys):
-    a = fs.freestate_to_payload(fs.Freestate(2, (fs.ket("0").projector(),)))
-    b = fs.freestate_to_payload(fs.Freestate(2, (fs.ket("1").projector(),)))
+    a = cli_freestate.freestate_to_payload(fs.Freestate(2, (fs.ket("0").projector(),)))
+    b = cli_freestate.freestate_to_payload(fs.Freestate(2, (fs.ket("1").projector(),)))
     config = write_config(tmp_path, {"freestates": [a, b]})
     report = invoke_json(capsys, "freestate", "or", "--config", config)
     assert len(report["result"]["freestate"]["generators"]) == 2

@@ -158,7 +158,7 @@ def test_the_width_field_holds_every_width_up_to_the_max():
     # the field holds w - 1, so no width it holds is past the max
     assert cx.LISTING_MAX_WIDTH == 2**cx.LISTING_WIDTH_FIELD
     fields = [format(v, f"0{cx.LISTING_WIDTH_FIELD}b") for v in range(2**cx.LISTING_WIDTH_FIELD)]
-    assert [cx.parse_listing(f).width for f in fields] == list(range(1, cx.LISTING_MAX_WIDTH + 1))
+    assert [oracles.listing_width(cx.parse_listing(f)) for f in fields] == list(range(1, cx.LISTING_MAX_WIDTH + 1))
 
 
 def test_parse_listing_rejections():

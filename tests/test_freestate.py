@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import c10_draws, pushed_out_pair, random_density, random_effect, random_freestate
-from knightian import classical as cl, freestate as fs
+from knightian import classical as cl, cli_freestate, freestate as fs
 from knightian.errors import KnightianError
 import oracles
 
@@ -75,8 +75,8 @@ def test_each_classical_generator_is_read_once(monkeypatch):
     calls = []
     read = cl._probabilities
     monkeypatch.setattr(cl, "_probabilities", lambda g, dim: calls.append(g) or read(g, dim))
-    a = cl.classical_from_payload({"n": 2, "generators": [["0.9", "0.1"], ["1/2", "1/2"]]})
-    b = cl.classical_from_payload({"n": 2, "generators": [[1, 0]]})
+    a = cli_freestate.classical_from_payload({"n": 2, "generators": [["0.9", "0.1"], ["1/2", "1/2"]]}, "a")
+    b = cli_freestate.classical_from_payload({"n": 2, "generators": [[1, 0]]}, "b")
     assert len(calls) == 3
     either = cl.knightian_or(a, b, cl.prob_mix([("1/3", a), ("2/3", b)]))
     assert len(calls) == 3 and len(either.generators) == 5
@@ -596,9 +596,9 @@ def test_the_witness_search_evaluates_each_point_once(monkeypatch):
 def test_quantum_payload_round_trip():
     rng = np.random.default_rng(3)
     s = random_freestate(rng, 3, 2)
-    payload = fs.freestate_to_payload(s)
+    payload = cli_freestate.freestate_to_payload(s)
     json.dumps(payload)  # must be serializable
-    back = fs.freestate_from_payload(payload)
+    back = cli_freestate.freestate_from_payload(payload, "payload")
     assert back.dim == s.dim
     for a, b in zip(back.generators, s.generators):
         assert np.allclose(a.entries, b.entries, atol=1e-12)
@@ -608,10 +608,10 @@ def test_classical_payload_round_trip_is_exact():
     s = cl.ClassicalFreestate(
         3, ((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),)
     )
-    back = cl.classical_from_payload(cl.classical_to_payload(s))
+    back = cli_freestate.classical_from_payload(cli_freestate.classical_to_payload(s), "payload")
     assert back == s
 
 
 def test_decimal_strings_parse_exactly():
-    s = cl.classical_from_payload({"n": 2, "generators": [["0.9", "0.1"]]})
+    s = cli_freestate.classical_from_payload({"n": 2, "generators": [["0.9", "0.1"]]}, "payload")
     assert s.generators[0] == (Fraction(9, 10), Fraction(1, 10))

@@ -201,6 +201,15 @@ def test_double_duty_micro_violates_r2():
     assert "R2" in [v.rule for v in gd.causal_validate(g)]
 
 
+def test_r2_violations_come_in_node_order():
+    # each of a and b is caused from its future and touches other edges
+    a, b, c = node("a", "micro", 1), node("b", "micro", 1), node("c", "macro", 0)
+    edges = (("a", "b"), ("b", "a"), ("c", "a"), ("c", "b"))
+    for nodes in ((a, b, c), (b, c, a), (c, b, a)):
+        found = gd.causal_validate(gd.CausalGraph(nodes, edges))
+        assert [v.subject for v in found] == [(n.id,) for n in nodes if n.kind == "micro"]
+
+
 def test_two_macro_amplifications_violate_r3():
     g = gd.CausalGraph(
         (node("f", "micro", 0), node("F", "macro", 1), node("G", "macro", 2)),

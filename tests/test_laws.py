@@ -18,6 +18,7 @@ import pytest
 
 from conftest import random_freestate
 from knightian import arena, classical, complexity, freestate, gadgets, prior, toyvm
+import oracles
 
 SHORT_STRINGS = ["".join(bits) for n in range(9) for bits in itertools.product("01", repeat=n)]
 
@@ -35,7 +36,7 @@ def test_coding_theorem_bound(bound, with_k):
         if isinstance(k, complexity.NotFound):
             continue
         checked += 1
-        floor = Fraction(1, 2**k.value) / mixture.normalizer
+        floor = Fraction(1, 2**k.value) / oracles.normalizer(mixture)
         mass = prior.joint_probability(mixture, x)
         assert mass >= floor, (x, k.value)
     assert checked == with_k

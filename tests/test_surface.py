@@ -1,4 +1,5 @@
-"""Every function, class or constant in src/ is read there, or, if public, traced or kept with a reason.
+"""Every function, class, constant, method or property in src/ is read there, or,
+if public, traced or kept with a reason.
 
 Code that only the tests read lives in tests/oracles.py.  A public name no
 src/ code reads stays in src/ only when bench/launch.py's TRACED wraps it (a
@@ -33,30 +34,43 @@ def defined_names(node: ast.stmt) -> list[str]:
     return []
 
 
-def unread_names() -> set[str]:
-    """The module-level defs, classes and constants of src/ whose name no src/ code reads.
+def methods(node: ast.stmt) -> list[str]:
+    """The methods and properties a module-level class defines; a record's
+    fields are data, not methods, and stay out."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
 
-    Dunder names, such as __all__, are read by Python itself.
+
+def is_dunder(qualified: str) -> bool:
+    name = qualified.rsplit(".", 1)[-1]
+    return name.startswith("__") and name.endswith("__")
+
+
+def unread_names() -> set[str]:
+    """The module-level defs, classes and constants of src/ whose name no src/ code
+    reads, and the methods and properties that no src/ code reads as an attribute.
+
+    Dunder names, such as __all__ or __len__, are read by Python itself.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
-    read = set()
+    names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return {
-        f"{module}.{name}"
-        for module, tree in trees.items()
-        for node in tree.body
-        for name in defined_names(node)
-        if not (name.startswith("__") and name.endswith("__")) and name not in read
-    }
+                attributes.add(node.attr)
+    read, unread = names | attributes, set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            unread.update(f"{module}.{name}" for name in defined_names(node) if name not in read)
+            unread.update(f"{module}.{node.name}.{name}" for name in methods(node) if name not in attributes)
+    return {name for name in unread if not is_dunder(name)}
 
 
 def is_private(qualified: str) -> bool:
-    return qualified.split(".")[1].startswith("_")
+    return qualified.rsplit(".", 1)[-1].startswith("_")
 
 
 def test_every_unread_public_name_is_traced_or_kept():
