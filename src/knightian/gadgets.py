@@ -2,9 +2,9 @@
 predictor's two boxes, and the micro/macro causal-arrow discipline.
 
 Everything classical here is exact rational arithmetic; only the quantum
-measurement angles use floats.  `numpy` loads only for the quantum CHSH
-value, which works on the Bell pair's matrix directly, so the other gadgets
-run without it.
+measurement angles use floats.  The quantum CHSH value is float arithmetic
+on the four nonzero entries of the Bell pair's density matrix, so no gadget
+loads `numpy`.
 """
 
 from __future__ import annotations
@@ -47,14 +47,20 @@ def chsh_classical_optimum() -> ClassicalChshResult:
     return ClassicalChshResult(best["value"], (best["alice"], best["bob"]), tuple(rows))
 
 
-def _about_axis(theta: float, outcome: int):
-    """Rank-1 projector for measuring along angle theta in the X-Z plane."""
-    import numpy as np
+# R, each of the four nonzero entries (the corners) of the Bell pair's density matrix
+_BELL_CORNER = (1 / math.sqrt(2)) ** 2
 
-    v = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
+
+def _about_axis(theta: float, outcome: int) -> tuple[float, float]:
+    """Unit vector u of the rank-1 projector u u^T for measuring along angle theta in the X-Z plane."""
     if outcome == 1:
-        v = np.array([-math.sin(theta), math.cos(theta)], dtype=complex)
-    return np.outer(v, v.conj())
+        return -math.sin(theta), math.cos(theta)
+    return math.cos(theta), math.sin(theta)
+
+
+def _fused(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as a fused multiply-add rounds it."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
 
 
 def chsh_quantum_value(
@@ -63,21 +69,28 @@ def chsh_quantum_value(
     """Win probability for measurement-angle strategies on the Bell pair.
 
     Angles live in the X-Z plane, which suffices for the optimum.  The
-    probability for each (x, y) sums Tr(P rho) over the product projectors P
-    of the winning outcomes, with rho the Bell pair's density matrix.
-    """
-    import numpy as np
+    probability for each (x, y) sums Tr(P rho) over the product projectors
+    P = kron(u u^T, v v^T) of the winning outcomes, with rho the Bell pair's
+    density matrix.  Only rho's four corners are nonzero, each R, so
+    Tr(P rho) = (P00 R + P03 R) + (P30 R + P33 R), and each corner of P is a
+    product of products, e.g. P03 = (u0 u1)(v0 v1), which equals P30.
 
-    amps = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    rho = np.outer(amps, amps.conj())
+    The second term of each pair is added with one rounding, by a fused
+    multiply-add, because the BLAS matrix product that this value was first
+    computed with adds it so.  Summed the same way, every value, and so every
+    report, keeps the same bits; rounded twice, about one value in seven
+    would move by one to three ulps.
+    """
+    r = _BELL_CORNER
     total = 0.0
     for x, y in itertools.product((0, 1), repeat=2):
         win = 0.0
         for a, b in itertools.product((0, 1), repeat=2):
             if (a + b) % 2 != (x & y):
                 continue
-            proj = np.kron(_about_axis(alice_angles[x], a), _about_axis(bob_angles[y], b))
-            win += float(np.real(np.trace(proj @ rho)))
+            (u0, u1), (v0, v1) = _about_axis(alice_angles[x], a), _about_axis(bob_angles[y], b)
+            p00, p03, p33 = (u0 * u0) * (v0 * v0), (u0 * u1) * (v0 * v1), (u1 * u1) * (v1 * v1)
+            win += _fused(p03, r, p00 * r) + _fused(p33, r, p03 * r)
         total += win
     return total / 4
 

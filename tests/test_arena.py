@@ -9,6 +9,7 @@ import pytest
 from conftest import STOCK_PAYLOADS
 from knightian import arena, cli, cli_arena
 from knightian.errors import KnightianError
+from oracles import reference_clopper_pearson, reference_pattern_overlaps
 
 F = Fraction
 
@@ -325,24 +326,6 @@ def test_bayes_forecast_machine_matches_refiltering():
     assert dead, "no family lost all its weight in training"
 
 
-def reference_pattern_overlaps(subject, forecast, inputs, t, u):
-    """Per-pattern overlaps summed over every suffix of the forecast's support."""
-    emissions = arena._window_emissions(subject, inputs, t, u)
-    freebits = sorted(
-        (value, pos) for pos, (kind, value) in enumerate(emissions) if kind == "freebit"
-    )
-    factors = [(pos, law) for pos, law in enumerate(map(arena._law, emissions)) if law is not None]
-    overlaps = {}
-    for suffix, f in arena.forecast_distribution(forecast, inputs, t, u).items():
-        c = 1
-        for pos, law in factors:
-            c *= law[suffix[pos]]
-        if c:
-            pattern = "".join(suffix[pos] for _, pos in freebits)
-            overlaps[pattern] = overlaps.get(pattern, F(0)) + min(f, c)
-    return [idx for idx, _ in freebits], overlaps
-
-
 def chain_subject(rng, t, u):
     """A chain that ignores its inputs and spends distinct freebits after t, in shuffled order."""
     budget = rng.randint(1, 4)
@@ -539,30 +522,6 @@ def test_clopper_pearson_brackets_the_estimate():
     lo, hi = arena.clopper_pearson(5, 10)
     assert lo == pytest.approx(0.187086, abs=1e-4)
     assert hi == pytest.approx(0.812914, abs=1e-4)
-
-
-def reference_clopper_pearson(k, n):
-    """The interval by bisection on two separate tail sums, P(X >= k) and P(X <= k)."""
-    alpha = 1 - arena.CONFIDENCE
-
-    def sf(p):
-        return sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(k, n + 1))
-
-    def cdf(p):
-        return sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(0, k + 1))
-
-    def bisect(f, target, lo, hi):
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            if f(mid) < target:
-                hi = mid
-            else:
-                lo = mid
-        return (lo + hi) / 2
-
-    lower = 0.0 if k == 0 else bisect(sf, alpha / 2, 1.0, 0.0)
-    upper = 1.0 if k == n else bisect(cdf, alpha / 2, 0.0, 1.0)
-    return lower, upper
 
 
 @pytest.mark.parametrize(

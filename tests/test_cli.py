@@ -1115,7 +1115,7 @@ FOOTPRINTS = {
     "arena-run": (("arena", "run"), RUN, ["cli_arena", "arena", "record"], False, False),
     "arena-classify": (("arena", "classify"), CLASSIFY, ["cli_arena", "arena", "record"], False, False),
     "gadgets-chsh-classical": (("gadgets", "chsh-classical"), {}, ["cli_gadgets", "gadgets", "record"], False, False),
-    "gadgets-chsh-quantum": (("gadgets", "chsh-quantum"), {}, ["cli_gadgets", "gadgets", "record"], True, False),
+    "gadgets-chsh-quantum": (("gadgets", "chsh-quantum"), {}, ["cli_gadgets", "gadgets", "record"], False, False),
     "gadgets-bostrom": (("gadgets", "bostrom"), {"variant": 1}, ["cli_gadgets", "gadgets", "record"], False, False),
     "gadgets-newcomb": (("gadgets", "newcomb"), NEWCOMB, ["cli_gadgets", "gadgets", "record"], False, False),
     "gadgets-causal": (("gadgets", "causal"), CAUSAL_GRAPH, ["cli_gadgets", "gadgets", "record"], False, False),
@@ -1295,6 +1295,36 @@ def test_a_causal_report_does_not_depend_on_the_hash_seed(tmp_path):
     assert runs[0].stdout == runs[1].stdout
     violations = json.loads(runs[0].stdout)["result"]["violations"]
     assert [(v["rule"], v["subject"]) for v in violations] == [("R2", ["a"]), ("R2", ["b"])]
+
+
+# the SHA-256 of each report, from one interpreter; argv[1] is a JSON list of command lines
+DIGEST_PROBE = """
+import contextlib, hashlib, io, json, sys
+from knightian import cli
+digests = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.dispatch(argv)
+    digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest() if code == 0 else code)
+print(json.dumps(digests))
+"""
+
+
+def test_every_pinned_report_is_the_same_under_two_hash_seeds(tmp_path):
+    commands = [
+        [group, command, "--seed", "1", "--config", write_config(tmp_path, config, f"config{i}.json")]
+        for i, (group, command, config) in enumerate(GOOD_CONFIGS)
+    ]
+    src = Path(cli.__file__).resolve().parents[1]
+    for seed in ("0", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", DIGEST_PROBE, json.dumps(commands)],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == GOOD_REPORT_DIGESTS, seed
 
 
 def test_main_runs_blas_on_one_thread_unless_the_caller_set_a_count(monkeypatch):

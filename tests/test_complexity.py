@@ -8,6 +8,7 @@ import pytest
 from conftest import ORACLE_CONFIGS
 from knightian import complexity as cx, toyvm as tv
 import oracles
+from oracles import reference_row, reference_sophistication
 
 CFG = tv.MachineConfig()
 BOUND = 20
@@ -260,34 +261,6 @@ def test_sophistication_compares_exponents_exactly():
             r = cx.sophistication(x, c, BOUND, CFG)
             got = r.value if isinstance(r, cx.SophisticationResult) else None
             assert got == (min(costs) if costs else None), (x, c)
-
-
-def reference_sophistication(x, c, bound, cfg):
-    """The least K(S) by a min over every qualifying set, taken in set order."""
-    kx = cx.kolmogorov(x, bound, cfg)
-    if isinstance(kx, cx.NotFound):
-        return kx
-    qualifying = [
-        (len(code), elements, code)
-        for elements, code in sorted(cx._listable_sets(bound, cfg).items())
-        if x in elements and (len(elements) - 1).bit_length() <= kx.value + c - len(code)
-    ]
-    if not qualifying:
-        return cx.NotFound(bound, cfg.step_budget)
-    k_s, elements, code = min(qualifying, key=lambda q: q[0])
-    return cx.SophisticationResult(
-        k_s, cx.SetListing(elements), tv.decode(code), kx.value, bound, cfg.step_budget
-    )
-
-
-def reference_row(x, cs, bound, cfg):
-    """A table row built from reference_sophistication."""
-    kx = cx.kolmogorov(x, bound, cfg)
-    row = {"x": x, "k": None if isinstance(kx, cx.NotFound) else kx.value}
-    for c in cs:
-        s = reference_sophistication(x, c, bound, cfg)
-        row[f"soph_{c}"] = None if isinstance(s, cx.NotFound) else s.value
-    return row
 
 
 # every string the listing convention can hold: widths 1..8, and the empty string

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knightian import gadgets as gd
+from oracles import reference_chsh_quantum_value
 
 F = Fraction
 
@@ -78,6 +79,20 @@ def test_quantum_value_is_shift_invariant(shift):
         tuple(b + shift for b in gd.CHSH_OPTIMAL_BOB),
     )
     assert shifted == pytest.approx(base, abs=1e-9)
+
+
+def test_quantum_value_is_the_matrix_products_value_bit_for_bit():
+    # == on floats: the value in plain floats adds the same terms, each pair
+    # with the one rounding of the matrix product's fused multiply-add
+    rng = random.Random(34)
+    draws = [
+        tuple(tuple(rng.uniform(-scale, scale) for _ in range(2)) for _ in range(2))
+        for scale in (1.0, math.pi, 10.0, 1e3, 1e8)
+        for _ in range(500)
+    ]
+    draws += [(gd.CHSH_OPTIMAL_ALICE, gd.CHSH_OPTIMAL_BOB), ((0.2, 0.2), (0.2, 0.2)), ((0.0, -0.0), (0.0, math.pi))]
+    for alice, bob in draws:
+        assert gd.chsh_quantum_value(alice, bob) == reference_chsh_quantum_value(alice, bob), (alice, bob)
 
 
 # -- rooms ----------------------------------------------------------------------

@@ -7,6 +7,13 @@ import pytest
 from conftest import ORACLE_CONFIGS
 from knightian import prior, toyvm as tv
 import oracles
+from oracles import (
+    reference_joint,
+    reference_joint_from_matches,
+    reference_matches,
+    reference_posteriors,
+    reference_priors,
+)
 
 CFG = tv.MachineConfig()
 # budgets small enough that runs stop on every budget within bound 16
@@ -27,50 +34,10 @@ def mixture_oracle_probability(mixture, prefix):
     return total
 
 
-def reference_matches(census, prefix):
-    """(class index, n - r) for each class that can emit prefix, n = len(prefix).
-
-    It does so with probability 2**-r, r its RAND slots among the first n, so
-    2**(n - r) on the scale 2**n; a class shorter than n abstains.  One scan
-    of the whole census, the route the survivors replace.
-    """
-    tv.check_bits(prefix)
-    n = len(prefix)
-    for k, (template, _weight) in enumerate(census.classes):
-        if len(template) >= n and all(slot in (bit, "?") for slot, bit in zip(template, prefix)):
-            yield k, n - template[:n].count("?")
-
-
-def reference_joint_from_matches(census, prefix):
-    mass = sum(census.classes[k][1] << lits for k, lits in reference_matches(census, prefix))
-    return Fraction(mass, census.total << len(prefix)) if mass else Fraction(0)
-
-
 def conditioned(mixture, history):
     for b in history:
         mixture = prior.update(mixture, b)
     return mixture
-
-
-def reference_priors(bound, cfg):
-    """The per-program mixture: every program with weight 2**-len(P) / C."""
-    programs = oracles.programs(bound)
-    normalizer = oracles.kraft_sum([p.code for p in programs])
-    return [(p, Fraction(1, 2 ** len(p)) / normalizer) for p in programs]
-
-
-def reference_joint(priors, prefix, cfg):
-    return sum((w * tv.prefix_probability(p, prefix, cfg) for p, w in priors), Fraction(0))
-
-
-def reference_posteriors(priors, history, cfg):
-    """The per-program update chain: reweigh every prior, then normalize, bit by bit."""
-    posts = [w for _, w in priors]
-    for i in range(1, len(history) + 1):
-        raw = [w * tv.prefix_probability(p, history[:i], cfg) for p, w in priors]
-        total = sum(raw, Fraction(0))
-        posts = [r / total for r in raw] if total > 0 else raw
-    return posts
 
 
 @pytest.mark.parametrize("cfg", [CFG, TIGHT])

@@ -1,6 +1,5 @@
 import itertools
 import random
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -10,6 +9,7 @@ from conftest import ORACLE_CONFIGS
 import knightian
 from knightian import toyvm as tv
 import oracles
+from oracles import reference_census, reference_enumerate, reference_execute, reference_gamma_decode
 
 CFG = tv.MachineConfig()
 STREAM0 = "0" * CFG.rand_budget
@@ -281,116 +281,7 @@ def test_mirror_is_a_length_preserving_involution():
         assert oracles.mirror(m).code == p.code
 
 
-# -- oracles: the interpreter and enumeration loop before one path per step -------
-
-
-def reference_execute(body, cfg, rand_stream, pc=0, counter=0, steps=0, rands=0, out=""):
-    """Oracle: the interpreter with a branch per opcode and a copy of the data loop each for QUOTE and REPEAT.
-
-    It steps every instruction, from the given state on (the start of a run by default).
-    """
-    n_instr = len(body) // tv.OPCODE_WIDTH
-    out = list(out)
-
-    def stopped(halted):
-        return tv.RunResult("".join(out), halted, steps, rands)
-
-    while True:
-        if pc < 0 or pc >= n_instr:
-            return stopped(True)
-        if steps >= cfg.step_budget:
-            return stopped(False)
-        op = body[pc * tv.OPCODE_WIDTH : (pc + 1) * tv.OPCODE_WIDTH]
-        steps += 1
-        if op == tv.EMIT0 or op == tv.EMIT1:
-            if len(out) >= cfg.output_budget:
-                return stopped(False)
-            out.append(op[-1])
-            pc += 1
-        elif op == tv.RAND:
-            if rands >= cfg.rand_budget:
-                return stopped(False)
-            if len(out) >= cfg.output_budget:
-                return stopped(False)
-            out.append(rand_stream[rands])
-            rands += 1
-            pc += 1
-        elif op == tv.QUOTE:
-            tail = body[(pc + 1) * tv.OPCODE_WIDTH :]
-            for bit in tail:
-                if steps >= cfg.step_budget:
-                    return stopped(False)
-                if len(out) >= cfg.output_budget:
-                    return stopped(False)
-                steps += 1
-                out.append(bit)
-            return stopped(True)
-        elif op == tv.REPEAT:
-            tail = body[(pc + 1) * tv.OPCODE_WIDTH :]
-            try:
-                r_minus_1, pos = tv.gamma_decode(tail)
-            except tv.BadHeader:
-                return stopped(True)
-            pattern = tail[pos:]
-            if not pattern:
-                return stopped(True)
-            for bit in itertools.chain.from_iterable([pattern] * (r_minus_1 + 1)):
-                if steps >= cfg.step_budget:
-                    return stopped(False)
-                if len(out) >= cfg.output_budget:
-                    return stopped(False)
-                steps += 1
-                out.append(bit)
-            return stopped(True)
-        elif op == tv.JMP:
-            pc -= 1
-        elif op == tv.JMPZ:
-            pc = pc - 1 if counter == 0 else pc + 1
-        elif op == tv.INC:
-            counter = min(counter + 1, tv.COUNTER_MAX)
-            pc += 1
-        elif op == tv.DEC:
-            counter = max(counter - 1, 0)
-            pc += 1
-        else:
-            return stopped(True)
-
-
-def reference_enumerate(max_len):
-    """Oracle: the enumeration loop with an empty-body branch and a header per program."""
-    programs = []
-    body_len = 0
-    while len(tv.gamma_encode(body_len + 1)) + body_len <= max_len:
-        if body_len == 0:
-            programs.append(tv.from_body(""))
-        else:
-            for bits in itertools.product("01", repeat=body_len):
-                programs.append(tv.from_body("".join(bits)))
-        body_len += 1
-    return programs
-
-
-def reference_census(bound, cfg):
-    """Oracle: the census that runs every program once, in enumerate_programs order,
-    through reference_execute, which shares no data loop with the census it checks."""
-    stream = tv._RAND_MARK * cfg.rand_budget
-    index = {}  # template -> class index, in order of discovery
-    weights = {}
-    members = array("I")
-    halted = 0
-    witnesses = {}
-    for p in oracles.programs(bound):
-        r = reference_execute(p.body, cfg, stream)
-        w = 1 << (bound - len(p))
-        k = index.setdefault(r.output, len(index))
-        weights[k] = weights.get(k, 0) + w
-        members.append(k)
-        if r.halted:
-            halted += w
-            if r.rands_used == 0 and r.output not in witnesses:
-                witnesses[r.output] = p.code
-    classes = tuple(zip(index, weights.values()))
-    return tv.Census(classes, sum(weights.values()), halted, witnesses, members)
+# -- the interpreter, enumeration and census against their reference paths -----
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
@@ -444,19 +335,6 @@ def test_repeat_blocks_match_the_data_rule_on_every_tail(m):
     assert list(tails) == ["".join(bits) for bits in itertools.product("01", repeat=m)]
     for room in range(71):
         assert tv._repeat_tails(m, room) == [tv._data(tv.REPEAT, tail, room) for tail in tails], room
-
-
-def reference_gamma_decode(bits):
-    """Oracle: gamma_decode scanning for the stop bit a character at a time."""
-    z = 0
-    while z < len(bits) and bits[z] == "0":
-        z += 1
-    if z == len(bits):
-        raise tv.BadHeader("ran out of bits scanning for the gamma stop bit")
-    end = 2 * z + 1
-    if end > len(bits):
-        raise tv.BadHeader("gamma code truncated")
-    return int(bits[z:end], 2), end
 
 
 def outcome(decode, bits):
