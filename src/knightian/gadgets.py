@@ -9,6 +9,7 @@ loads `numpy`.
 
 from __future__ import annotations
 
+import collections
 import graphlib
 import itertools
 import math
@@ -282,57 +283,43 @@ def causal_validate(
         and without that reading two same-instant nodes could validate a
         cycle.
     R2: a micro node receiving a non-forward arrow is a dead end — it may
-        have no other incident edge of any kind (no double duty).
+        have no other incident edge of any kind (no double duty).  A
+        self-loop is non-forward and also an edge leaving its node, so a
+        micro node with one breaks R2.
     R3 (conservative reading, can be switched off): a micro node may have at
         most one outgoing edge to the macro layer, since two macro effects
         would amount to two independent amplifications of one unmeasured
         fact.
+
+    One pass over the edges gathers what the rules read, so the check is
+    linear in nodes plus edges.  R1 comes in edge order, then R2 and R3 in
+    node order, so no report hangs on set order.
     """
     violations = []
     nodes = {n.id: n for n in graph.nodes}
-    backward_into = {
-        e for c, e in graph.edges if nodes[c].time >= nodes[e].time
-    }
+    # touched: the nodes met by some edge other than a non-forward arrow into them
+    backward_into, touched, macro_out = set(), set(), collections.Counter()
     for c, e in graph.edges:
-        if nodes[c].time >= nodes[e].time and nodes[e].kind != "micro":
+        head = nodes[e]
+        touched.add(c)  # every edge leaves its tail, a self-loop's included
+        if nodes[c].time < head.time:
+            touched.add(e)
+        else:
+            backward_into.add(e)
+            if head.kind != "micro":
+                violations.append(Violation("R1", (c, e), "non-forward arrow points at a macro node"))
+        if head.kind == "macro":
+            macro_out[c] += 1
+    for n in graph.nodes:  # a macro node caused from its future is already an R1 violation
+        if n.kind == "micro" and n.id in backward_into and n.id in touched:
             violations.append(
-                Violation(
-                    "R1",
-                    (c, e),
-                    "non-forward arrow points at a macro node",
-                )
-            )
-    for n in graph.nodes:  # in node order, as R3 below, so no report hangs on set order
-        if n.id not in backward_into or n.kind != "micro":
-            continue  # a macro node there is already an R1 violation
-        incident = [
-            (c, e)
-            for c, e in graph.edges
-            if (c == n.id or e == n.id)
-            and not (e == n.id and nodes[c].time >= nodes[e].time)
-        ]
-        if incident:
-            violations.append(
-                Violation(
-                    "R2",
-                    (n.id,),
-                    "micro node caused from its future also touches other edges",
-                )
+                Violation("R2", (n.id,), "micro node caused from its future also touches other edges")
             )
     if check_disjoint_macro:
         for n in graph.nodes:
-            if n.kind != "micro":
-                continue
-            macro_out = [
-                (c, e) for c, e in graph.edges if c == n.id and nodes[e].kind == "macro"
-            ]
-            if len(macro_out) > 1:
+            if n.kind == "micro" and macro_out[n.id] > 1:
                 violations.append(
-                    Violation(
-                        "R3",
-                        (n.id,),
-                        "micro node feeds two macro nodes over disjoint pathways",
-                    )
+                    Violation("R3", (n.id,), "micro node feeds two macro nodes over disjoint pathways")
                 )
     return violations
 

@@ -130,9 +130,6 @@ class Program(Record):
     def __len__(self) -> int:
         return len(self.code)
 
-    def __str__(self) -> str:
-        return self.code
-
 
 def decode(bits: str) -> Program:
     """Parse bits as exactly one program (header + body, nothing more)."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from knightian import arena, cli_freestate, complexity, freestate, prior, toyvm
+from knightian import arena, cli_freestate, complexity, freestate, gadgets, prior, toyvm
 
 #: Distinguished outcome for "did not emit enough bits within budget".
 ABSTAIN = "⊥"
@@ -404,3 +404,74 @@ def reference_chsh_quantum_value(
             win += float(np.real(np.trace(proj @ rho)))
         total += win
     return total / 4
+
+
+# -- gadgets: the causal-arrow rules, one edge scan per rule and micro node ---------
+
+
+def reference_causal_validate(
+    graph: gadgets.CausalGraph, check_disjoint_macro: bool = True
+) -> list[gadgets.Violation]:
+    """All rule violations, as causal_validate found them before its one pass over
+    the edges: R2 and R3 rescan every edge for each micro node, and a micro
+    self-loop is not counted as an edge leaving its node.
+
+    R1: a non-forward arrow (cause not strictly earlier than effect) may
+        point only at a micro node.  Simultaneous arrows count as
+        non-forward: causation "forward in time" means strictly forward,
+        and without that reading two same-instant nodes could validate a
+        cycle.
+    R2: a micro node receiving a non-forward arrow is a dead end — it may
+        have no other incident edge of any kind (no double duty).
+    R3 (conservative reading, can be switched off): a micro node may have at
+        most one outgoing edge to the macro layer, since two macro effects
+        would amount to two independent amplifications of one unmeasured
+        fact.
+    """
+    violations = []
+    nodes = {n.id: n for n in graph.nodes}
+    backward_into = {
+        e for c, e in graph.edges if nodes[c].time >= nodes[e].time
+    }
+    for c, e in graph.edges:
+        if nodes[c].time >= nodes[e].time and nodes[e].kind != "micro":
+            violations.append(
+                gadgets.Violation(
+                    "R1",
+                    (c, e),
+                    "non-forward arrow points at a macro node",
+                )
+            )
+    for n in graph.nodes:  # in node order, as R3 below, so no report hangs on set order
+        if n.id not in backward_into or n.kind != "micro":
+            continue  # a macro node there is already an R1 violation
+        incident = [
+            (c, e)
+            for c, e in graph.edges
+            if (c == n.id or e == n.id)
+            and not (e == n.id and nodes[c].time >= nodes[e].time)
+        ]
+        if incident:
+            violations.append(
+                gadgets.Violation(
+                    "R2",
+                    (n.id,),
+                    "micro node caused from its future also touches other edges",
+                )
+            )
+    if check_disjoint_macro:
+        for n in graph.nodes:
+            if n.kind != "micro":
+                continue
+            macro_out = [
+                (c, e) for c, e in graph.edges if c == n.id and nodes[e].kind == "macro"
+            ]
+            if len(macro_out) > 1:
+                violations.append(
+                    gadgets.Violation(
+                        "R3",
+                        (n.id,),
+                        "micro node feeds two macro nodes over disjoint pathways",
+                    )
+                )
+    return violations

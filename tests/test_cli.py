@@ -445,6 +445,8 @@ def oblivious_gerbil_game(freebit_budget):
         (("arena", "classify"), {**CLASSIFY, "schedule": [[2, "1e-4300", "0.1"]]}, "schedule"),
         # well typed, but a gap <= 0 passed for a witness (exit 0)
         (("freestate", "witness"), {**WITNESS, "tol": -0.5}, "tol"),
+        # well typed, but no room in a branch: the library's own guard, reached by no other test
+        (("gadgets", "bostrom"), {**ROOM_PUZZLE, "copies_if_heads": 0, "heads_colors": []}, "copies_if_heads"),
     ],
     ids=lambda value: value[1] if isinstance(value, tuple) else None,
 )
@@ -1591,3 +1593,9 @@ def test_gadgets_causal_cli(tmp_path, capsys):
     report = invoke_json(capsys, "gadgets", "causal", "--config", config)
     assert report["result"]["ok"] is True
     assert report["result"]["acyclic"] is True
+
+    # a micro self-loop reported "ok": true beside "acyclic": false
+    config = write_config(tmp_path, {"nodes": [{"id": "f", "kind": "micro", "time": 0}], "edges": [["f", "f"]]})
+    result = invoke_json(capsys, "gadgets", "causal", "--config", config)["result"]
+    assert (result["ok"], result["acyclic"]) == (False, False)
+    assert [(v["rule"], v["subject"]) for v in result["violations"]] == [("R2", ["f"])]

@@ -1,12 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knightian import gadgets as gd
-from oracles import reference_chsh_quantum_value
+from oracles import reference_causal_validate, reference_chsh_quantum_value
 
 F = Fraction
 
@@ -214,6 +215,11 @@ def test_double_duty_micro_violates_r2():
         (("F", "f"), ("f", "G")),
     )
     assert "R2" in [v.rule for v in gd.causal_validate(g)]
+    # a self-loop is non-forward and also an edge leaving its node
+    loop = gd.CausalGraph((node("f", "micro", 0),), (("f", "f"),))
+    assert gd.causal_validate(loop) == [
+        gd.Violation("R2", ("f",), "micro node caused from its future also touches other edges")
+    ]
 
 
 def test_r2_violations_come_in_node_order():
@@ -261,28 +267,30 @@ def test_malformed_graphs():
         node("a", "meso", 0)
 
 
-def random_graph(rng: random.Random) -> gd.CausalGraph:
-    n = rng.randint(2, 9)
+def random_multigraph(rng: random.Random, self_loops: bool) -> gd.CausalGraph:
+    """1 to 9 nodes over few times, so equal times are common; edges drawn with
+    replacement, so repeated edges are too, and self-loops only when asked."""
+    n = rng.randint(1, 9)
     nodes = tuple(
-        gd.CausalNode(f"n{i}", rng.choice(("micro", "macro")), rng.randint(0, 5))
-        for i in range(n)
+        gd.CausalNode(f"n{i}", rng.choice(("micro", "macro")), rng.randint(0, 3)) for i in range(n)
     )
-    edges = []
-    for _ in range(rng.randint(0, 14)):
-        c, e = rng.sample(range(n), 2)
-        edges.append((f"n{c}", f"n{e}"))
-    return gd.CausalGraph(nodes, tuple(edges))
+    pairs = [(c, e) for c in range(n) for e in range(n) if self_loops or c != e]
+    edges = tuple((f"n{c}", f"n{e}") for c, e in rng.choices(pairs, k=rng.randint(0, 14) if pairs else 0))
+    return gd.CausalGraph(nodes, edges)
 
 
 def test_validated_graphs_are_acyclic():
-    rng = random.Random(1234)
-    validated = 0
-    for _ in range(2_000):
-        g = random_graph(rng)
-        if not gd.causal_validate(g):
+    rng = random.Random(11)
+    validated = missed_by_the_reference = 0
+    for _ in range(10_000):
+        g = random_multigraph(rng, self_loops=True)
+        acyclic = gd.acyclicity_check(g)
+        if not gd.causal_validate(g, check_disjoint_macro=rng.random() < 0.5):
             validated += 1
-            assert gd.acyclicity_check(g)
-    assert validated > 50  # the sample actually exercises the property
+            assert acyclic, g
+        missed_by_the_reference += not acyclic and not reference_causal_validate(g)
+    # the sample holds cycles that counting a self-loop as an edge leaving its node catches
+    assert validated > 500 and missed_by_the_reference > 100
 
 
 def dfs_acyclic(graph: gd.CausalGraph) -> bool:
@@ -330,3 +338,47 @@ def test_acyclicity_matches_the_dfs_oracle():
     assert verdicts == {True, False}
     loop = gd.CausalGraph((node("a", "macro", 0),), (("a", "a"),))
     assert not gd.acyclicity_check(loop)
+
+
+def test_causal_validate_matches_the_edge_scanning_reference():
+    # without self-loops the one pass and the per-node scans agree on every violation
+    rng = random.Random(2024)
+    rules, one_node = set(), 0
+    for _ in range(20_000):
+        g = random_multigraph(rng, self_loops=False)
+        one_node += len(g.nodes) == 1
+        for flag in (True, False):
+            found = gd.causal_validate(g, check_disjoint_macro=flag)
+            assert found == reference_causal_validate(g, check_disjoint_macro=flag), g
+            rules.update(v.rule for v in found)
+    assert rules == {"R1", "R2", "R3"} and one_node > 100  # the sample reaches every rule
+
+
+def timed_validate(graph: gd.CausalGraph) -> tuple[list[gd.Violation], float]:
+    start = time.perf_counter()
+    found = gd.causal_validate(graph)
+    return found, time.perf_counter() - start
+
+
+def test_causal_validate_is_linear_on_a_long_chain_and_a_wide_fan():
+    # per-node edge scans took about 15 s on the chain and 4 s on the fan
+    rng = random.Random(5)
+    # M0 -> m0 -> M1 -> m1 -> ...: each micro node is caused from its future by the macro
+    # node before it, and each but the last feeds the next macro node: 9,999 R2
+    chain = [
+        node(f"{name}{k}", kind, k) for k in range(10_000) for name, kind in (("M", "macro"), ("m", "micro"))
+    ]
+    rng.shuffle(chain)
+    edges = [(f"M{k}", f"m{k}") for k in range(10_000)] + [(f"m{k}", f"M{k + 1}") for k in range(9_999)]
+    found, seconds = timed_validate(gd.CausalGraph(tuple(chain), tuple(edges)))
+    assert seconds < 1.0
+    expected = [(n.id,) for n in chain if n.kind == "micro" and n.id != "m9999"]
+    assert len(expected) == 9_999
+    assert [(v.rule, v.subject) for v in found] == [("R2", subject) for subject in expected]
+    # 10,000 micro sources, each feeding both of two macro sinks: 10,000 R3
+    fan = [node(f"s{k}", "micro", 0) for k in range(10_000)] + [node("X", "macro", 1), node("Y", "macro", 1)]
+    rng.shuffle(fan)
+    edges = [(f"s{k}", sink) for k in range(10_000) for sink in ("X", "Y")]
+    found, seconds = timed_validate(gd.CausalGraph(tuple(fan), tuple(edges)))
+    assert seconds < 1.0
+    assert [(v.rule, v.subject) for v in found] == [("R3", (n.id,)) for n in fan if n.kind == "micro"]
