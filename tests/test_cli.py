@@ -1,4 +1,6 @@
+import atexit
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -1220,6 +1222,8 @@ MALFORMED_ARGV = {
     "no-positional": (["--config", "CONFIG"], "GROUP"),
     "missing-command": (["gadgets", "--config", "CONFIG"], "COMMAND"),
     "extra-positional": (["gadgets", "newcomb", "again", "--config", "CONFIG"], "'again'"),
+    "empty-value-equals-form": (["gadgets", "chsh-classical", "--out="], "--out"),
+    "empty-value": (["gadgets", "chsh-classical", "--config", ""], "--config"),
 }
 
 
@@ -1331,8 +1335,9 @@ def test_every_pinned_report_is_the_same_under_two_hash_seeds(tmp_path):
 
 def test_main_runs_blas_on_one_thread_unless_the_caller_set_a_count(monkeypatch):
     # OpenBLAS reads its thread count when numpy loads, so main sets it before dispatch
-    counts = []
+    counts, hooks = [], []
     monkeypatch.setattr(cli, "dispatch", lambda argv: counts.append(os.environ.get("OPENBLAS_NUM_THREADS")) or 0)
+    monkeypatch.setattr(atexit, "register", hooks.append)  # none for this process's own exit
     monkeypatch.setattr(sys, "argv", ["knightian", "gadgets", "chsh-classical"])
     for preset in ({}, {"OPENBLAS_NUM_THREADS": "4"}, {"OMP_NUM_THREADS": "2"}):
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -1344,6 +1349,69 @@ def test_main_runs_blas_on_one_thread_unless_the_caller_set_a_count(monkeypatch)
             cli.main()
         assert done.value.code == 0
     assert counts == ["1", "4", None]
+    assert hooks == [gc.freeze] * 3
+
+
+# runs cli.main on argv[1:] in a fresh interpreter; the checker, registered
+# first, runs after main's own exit hook
+EXIT_HOOK_PROBE = """
+import atexit, gc, sys
+from knightian import cli
+atexit.register(lambda: print("at exit", gc.get_freeze_count()))
+sys.argv = ["knightian", *sys.argv[1:]]
+try:
+    cli.main()
+except SystemExit as done:
+    print("caught", done.code, gc.get_freeze_count())
+"""
+
+
+def test_main_freezes_the_heap_only_at_interpreter_exit(tmp_path):
+    argv = ["gadgets", "newcomb", "--config", write_config(tmp_path, NEWCOMB), "--out", str(tmp_path / "out")]
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", EXIT_HOOK_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    caught, at_exit = done.stdout.splitlines()
+    assert caught == "caught 0 0"
+    assert at_exit.startswith("at exit ") and int(at_exit.split()[-1]) > 0, at_exit
+
+
+# one GOOD_CONFIGS command a group, witness loading numpy, and a config refused after it has
+WHOLE_OUTPUT = [
+    *(
+        next(row for row in GOOD_CONFIGS if row[:2] == pair)
+        for pair in [
+            ("arena", "classify"),
+            ("freestate", "witness"),
+            ("gadgets", "newcomb"),
+            ("solomonoff", "predict"),
+            ("soph", "table"),
+        ]
+    ),
+    ("freestate", "witness", {**WITNESS, "tol": -0.5}),
+]
+
+
+@pytest.mark.parametrize(
+    "group, command, config", WHOLE_OUTPUT, ids=[*(f"{g}-{c}" for g, c, _ in WHOLE_OUTPUT[:-1]), "refused"]
+)
+def test_output_is_whole_after_the_heap_is_frozen_at_exit(tmp_path, capsys, group, command, config):
+    # a frozen exit runs no collection, so nothing may rely on one to flush a file
+    argv = [group, command, "--seed", "1", "--config", write_config(tmp_path, config)]
+    expected = invoke(capsys, *argv)
+    printed = run_module(*argv)
+    assert (printed.returncode, printed.stdout, printed.stderr) == expected
+    out = tmp_path / "report"
+    written = run_module(*argv, "--out", str(out))
+    assert (written.returncode, written.stdout, written.stderr) == (expected[0], "", expected[2])
+    if expected[0] == 0:
+        assert out.read_bytes() == expected[1].encode()
+    else:
+        assert expected[2].startswith("error: ") and expected[2].count("\n") == 1, expected[2]
+        assert not out.exists()
 
 
 def test_a_single_thread_witness_keeps_its_pinned_report(tmp_path):
