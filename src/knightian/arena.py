@@ -213,8 +213,10 @@ class Forecast(Record):
     conditional: object  # callable (memory, v, inputs) -> Fraction
 
     def prob_one(self, memory, v: int, inputs: str) -> Fraction:
-        p = Fraction(self.conditional(memory, v, inputs))
-        if not (0 <= p <= 1):
+        p = self.conditional(memory, v, inputs)
+        if not isinstance(p, Fraction):
+            p = Fraction(p)
+        if not 0 <= p.numerator <= p.denominator:
             raise ValueError(f"forecast produced {p}, not a probability")
         return p
 
@@ -284,30 +286,54 @@ def _pattern_overlaps(
     (lumpability: Kemeny and Snell, Finite Markov Chains, 1960).
     Children with f = 0 or c = 0 are dropped.  So the forecast is asked once
     per node.
+
+    f and c are integer pairs (numerator, positive denominator) in lowest
+    terms, which spares each node Fraction's arithmetic and hashing.  Lowest
+    terms is the one form a Fraction keeps too, so two nodes merge exactly
+    when their Fractions are equal, and the forecast is asked about the same
+    memories in the same order; pairs left unreduced would split equal nodes
+    and ask about some memories twice.  Each pattern's sum is reduced as it
+    grows and becomes a Fraction once.
     """
     emissions = _window_emissions(subject, inputs, t, u)
-    # node (memory, f, c, pattern in position order) -> multiplicity
-    level = {(forecast.memory, Fraction(1), 1, ""): 1}
+    # node (memory, f, c, pattern in position order) -> multiplicity, with f and
+    # c each flattened to its numerator and denominator
+    level = {(forecast.memory, 1, 1, 1, 1, ""): 1}
     for v, emit in enumerate(emissions, start=t):
         law = _law(emit)
+        weights = (
+            {"0": (1, 1), "1": (1, 1)} if law is None
+            else {b: (w.numerator, w.denominator) for b, w in law.items()}
+        )
         children: dict[tuple, int] = {}
-        for (memory, f, c, pattern), mult in level.items():
+        for (memory, fn, fd, cn, cd, pattern), mult in level.items():
             p1 = forecast.prob_one(memory, v, inputs)
-            for b, q in (("0", 1 - p1), ("1", p1)):
-                weight = 1 if law is None else law[b]
-                if q and weight:
-                    child = (forecast.step(memory, v, inputs, b), f * q, c * weight,
-                             pattern + b if law is None else pattern)
+            pn, pd = p1.numerator, p1.denominator
+            for b, qn in (("0", pd - pn), ("1", pn)):
+                wn, wd = weights[b]
+                if qn and wn:
+                    child = (forecast.step(memory, v, inputs, b), *_times(fn, fd, qn, pd),
+                             *_times(cn, cd, wn, wd), pattern + b if law is None else pattern)
                     children[child] = children.get(child, 0) + mult
         level = children
     # a pattern's bits go in ascending freebit index, not in position order
     consumed = [value for kind, value in emissions if kind == "freebit"]
     order = sorted(range(len(consumed)), key=consumed.__getitem__)
-    overlaps: dict[str, Fraction] = {}
-    for (_, f, c, pattern), mult in level.items():
+    sums: dict[str, tuple[int, int]] = {}
+    for (_, fn, fd, cn, cd, pattern), mult in level.items():
         pattern = "".join(map(pattern.__getitem__, order))
-        overlaps[pattern] = overlaps.get(pattern, Fraction(0)) + mult * min(f, c)
-    return sorted(consumed), overlaps
+        n, d = (fn, fd) if fn * cd <= cn * fd else (cn, cd)  # min(f, c)
+        sn, sd = sums.get(pattern, (0, 1))
+        n, d = sn * d + mult * n * sd, sd * d
+        g = math.gcd(n, d)
+        sums[pattern] = n // g, d // g
+    return sorted(consumed), {pattern: Fraction(n, d) for pattern, (n, d) in sums.items()}
+
+
+def _times(n: int, d: int, m: int, e: int) -> tuple[int, int]:
+    """(n/d)(m/e) in lowest terms, for n/d and m/e in lowest terms with d, e > 0."""
+    g, h = math.gcd(n, e), math.gcd(m, d)
+    return (n // g) * (m // h), (d // h) * (e // g)
 
 
 def adversary_resolution(
@@ -370,9 +396,11 @@ class TablePredictor:
         for v, b in enumerate(behavior):
             counts.setdefault(self._key(inputs[: v + 1]), [0, 0])[int(b)] += 1
 
+        probs = {key: Fraction(ones, zeros + ones) for key, (zeros, ones) in counts.items()}
+        half = Fraction(1, 2)  # an unseen context
+
         def conditional(memory: None, v: int, inputs: str) -> Fraction:
-            zeros, ones = counts.get(self._key(inputs[: v + 1]), (1, 1))  # unseen: 1/2
-            return Fraction(ones, zeros + ones)
+            return probs.get(self._key(inputs[: v + 1]), half)
 
         # the conditional reads no behavior bit, so nothing need be remembered
         return Forecast(None, lambda memory, v, inputs, b: None, conditional)

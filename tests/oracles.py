@@ -348,6 +348,34 @@ def reference_pattern_overlaps(subject, forecast, inputs, t, u):
     return [idx for idx, _ in freebits], overlaps
 
 
+def reference_lumped_overlaps(subject, forecast, inputs, t, u):
+    """The lumped walk as it was with Fraction nodes: a node's f is a Fraction,
+    its c an int or a Fraction, and the nodes are keyed by them."""
+    emissions = arena._window_emissions(subject, inputs, t, u)
+    # node (memory, f, c, pattern in position order) -> multiplicity
+    level = {(forecast.memory, Fraction(1), 1, ""): 1}
+    for v, emit in enumerate(emissions, start=t):
+        law = arena._law(emit)
+        children: dict[tuple, int] = {}
+        for (memory, f, c, pattern), mult in level.items():
+            p1 = forecast.prob_one(memory, v, inputs)
+            for b, q in (("0", 1 - p1), ("1", p1)):
+                weight = 1 if law is None else law[b]
+                if q and weight:
+                    child = (forecast.step(memory, v, inputs, b), f * q, c * weight,
+                             pattern + b if law is None else pattern)
+                    children[child] = children.get(child, 0) + mult
+        level = children
+    # a pattern's bits go in ascending freebit index, not in position order
+    consumed = [value for kind, value in emissions if kind == "freebit"]
+    order = sorted(range(len(consumed)), key=consumed.__getitem__)
+    overlaps: dict[str, Fraction] = {}
+    for (_, f, c, pattern), mult in level.items():
+        pattern = "".join(map(pattern.__getitem__, order))
+        overlaps[pattern] = overlaps.get(pattern, Fraction(0)) + mult * min(f, c)
+    return sorted(consumed), overlaps
+
+
 def reference_clopper_pearson(k, n):
     """The interval by bisection on two separate tail sums, P(X >= k) and P(X <= k)."""
     alpha = 1 - arena.CONFIDENCE

@@ -9,7 +9,7 @@ import pytest
 from conftest import STOCK_PAYLOADS
 from knightian import arena, cli, cli_arena
 from knightian.errors import KnightianError
-from oracles import reference_clopper_pearson, reference_pattern_overlaps
+from oracles import reference_clopper_pearson, reference_lumped_overlaps, reference_pattern_overlaps
 
 F = Fraction
 
@@ -195,7 +195,24 @@ def test_adversary_at_the_full_freebit_guard_is_affordable():
     # every suffix has forecast mass 2^-k and is the whole law of one assignment
     assert assignment == (0,) * k
     assert d == 1 - F(1, 2**k)
-    assert elapsed < 10.0, f"{k} freebits took {elapsed:.1f}s"
+    assert elapsed < 3.0, f"{k} freebits took {elapsed:.1f}s"
+
+
+def test_adversary_on_interleaved_coins_and_freebits_is_affordable():
+    # the walk's worst arithmetic: the black box merges no two pasts, and the
+    # coins of P(1) = 1/(v + 2) give c a new factor in its denominator at each odd step
+    n = 16
+    states = tuple(f"c{v}" for v in range(n + 1))
+    emits = [("freebit", v // 2) if v % 2 == 0 else ("prob", F(1, v + 2)) for v in range(n)]
+    edges = {(f"c{v}", i): arena.Edge(f"c{v + 1}", emits[v]) for v in range(n) for i in "01"}
+    edges.update({(f"c{n}", i): arena.Edge(f"c{n}", ("bit", "0")) for i in "01"})
+    subject = arena.Subject(states, "c0", edges, n // 2)
+    forecast = black_box(lambda past, v, inputs: F(1, 3 + len(past) % 5))
+    started = time.perf_counter()
+    _, d = arena.adversary_resolution(subject, forecast, "0" * n, 0, n)
+    elapsed = time.perf_counter() - started
+    assert d == F(264599, 264600)
+    assert elapsed < 1.0, f"{n} steps took {elapsed:.2f}s"
 
 
 # -- differential oracles: the adversary, the lumped walk and the Bayes forecast machine --
@@ -377,7 +394,7 @@ def test_lumped_walk_matches_the_full_enumeration():
             forecast = arena.TablePredictor(rng.randint(0, 2)).emit_forecast(*record(rng, t))
         else:
             forecast = random_forecast(seed)
-        enumerated, walked = [], []
+        enumerated, walked, lumped = [], [], []
         try:
             expected = reference_pattern_overlaps(subject, counting(forecast, enumerated), inputs, t, u)
         except arena.SubjectSpecError:
@@ -385,7 +402,12 @@ def test_lumped_walk_matches_the_full_enumeration():
                 arena._pattern_overlaps(subject, forecast, inputs, t, u)
             outcomes["double duty"] += 1
             continue
-        assert arena._pattern_overlaps(subject, counting(forecast, walked), inputs, t, u) == expected
+        got = arena._pattern_overlaps(subject, counting(forecast, walked), inputs, t, u)
+        assert got == expected
+        # exact sums do not show how the nodes were lumped; the asks do
+        assert got == reference_lumped_overlaps(subject, counting(forecast, lumped), inputs, t, u)
+        assert all(type(overlap) is F for overlap in got[1].values())
+        assert walked == lumped
         outcomes[kind] += 1
         outcomes["freebits"] += bool(expected[0])
         spent = [idx for what, idx in arena._window_emissions(subject, inputs, t, u) if what == "freebit"]
@@ -411,6 +433,21 @@ def test_only_reachable_prefixes_are_asked():
 
 
 # -- forecasts and causality ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(0, F(0)), (1, F(1)), (True, F(1)), (0.25, F(1, 4)), (F(1, 3), F(1, 3)), ("2/7", F(2, 7))],
+)
+def test_prob_one_reads_any_rational(value, expected):
+    p = constant_forecast(value).prob_one("", 0, "0")
+    assert type(p) is F and p == expected
+
+
+@pytest.mark.parametrize("value, shown", [(F(3, 2), "3/2"), (F(-1, 4), "-1/4"), (1.5, "3/2"), (-1, "-1")])
+def test_prob_one_refuses_what_is_not_a_probability(value, shown):
+    with pytest.raises(ValueError, match=f"^forecast produced {shown}, not a probability$"):
+        constant_forecast(value).prob_one("", 0, "0")
 
 
 def test_forecast_distribution_is_a_distribution():

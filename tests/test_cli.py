@@ -315,144 +315,153 @@ def oblivious_gerbil_game(freebit_budget):
     return {**RUN, "subject": subject, "game": {**GAME, "t": 2, "adversary": "oblivious"}}
 
 
-# The name predates the other four groups; it is kept so the solomonoff ids stay stable.
-@pytest.mark.parametrize(
-    "command, config, key",
-    [
-        (("solomonoff", "predict"), {"bound": 12, "history": 5}, "history"),
-        (("solomonoff", "predict"), {"bound": 12, "history": "01x"}, "history"),
-        (("solomonoff", "predict"), {"bound": "12", "history": ""}, "bound"),
-        (("solomonoff", "predict"), {"bound": True, "history": ""}, "bound"),
-        (("solomonoff", "predict"), {"bound": 12.0, "history": ""}, "bound"),
-        (("solomonoff", "predict"), {"bound": 12, "history": "", "snapshot": "yes"}, "snapshot"),
-        (("solomonoff", "predict"), {"bound": 12, "history": "", "step_budget": "64"}, "step_budget"),
-        (("solomonoff", "regret"), {"bound": 12, "q": 5, "sequence": "00", "eps": []}, "q"),
-        (("solomonoff", "regret"), {**REGRET, "sequence": 0, "eps": []}, "sequence"),
-        (("solomonoff", "regret"), {**REGRET, "eps": "1/2"}, "eps"),
-        (("solomonoff", "regret"), {**REGRET, "eps": ["half"]}, "eps"),
-        (("solomonoff", "regret"), {**REGRET, "eps": [False]}, "eps"),
-        (("solomonoff", "diagonal"), {"bound": 12, "n": 8.5}, "n"),
-        (("solomonoff", "omega"), {"bound": "20"}, "bound"),
-        (("soph", "k"), {"x": 7, "bound": 12}, "x"),
-        (("soph", "k"), {"x": "0", "bound": 12.9}, "bound"),
-        (("soph", "table"), {"lengths": ["2"], "cs": [6], "bound": 12}, "lengths"),
-        (("soph", "kset"), {"elements": "01", "bound": 12}, "elements"),
-        (("arena", "run"), {**RUN, "game": {**GAME, "trials": 2.7}}, "trials"),
-        (("arena", "run"), {**RUN, "predictor": {"kind": "table", "oops": 1}}, "predictor"),
-        (("arena", "classify"), {**CLASSIFY, "schedule": [[2.5, "0.1", "0.1"]]}, "schedule"),
-        (("gadgets", "bostrom"), {"variant": "1"}, "variant"),
-        (("gadgets", "bostrom"), {"variant": True}, "variant"),
-        (("gadgets", "newcomb"), {**NEWCOMB, "box_one": 1.5}, "box_one"),
-        (("gadgets", "causal"), {**CAUSAL_GRAPH, "check_disjoint_macro": "no"}, "check_disjoint_macro"),
-        (("freestate", "interval"), {**KNIGHT_CLASSICAL, "event": ["1"]}, "event"),
-        (("freestate", "witness"), {**WITNESS, "restarts": 2.5}, "restarts"),
-        # well typed, but each would divide by zero
-        (("arena", "run"), {**RUN, "predictor": {"kind": "bayes", "family": []}}, "family"),
-        (("arena", "run"), {**RUN, "game": {**GAME, "input_model": {"kind": "fixed", "bits": ""}}}, "bits"),
-        (("gadgets", "newcomb"), {**NEWCOMB, "box_one": 0}, "box_one"),
-        # json.load reads NaN and Infinity; a real must be finite, and fit a float
-        (("freestate", "clone-check"), {"psi": [[NAN, 0], [0, 0]], "phi": [[0, 0], [1, 0]]}, "psi"),
-        (("freestate", "witness"), {**WITNESS, "tol": NAN}, "tol"),
-        (("freestate", "witness"), {**WITNESS, "tol": INF}, "tol"),
-        (("gadgets", "chsh-quantum"), {"alice": [NAN, 0]}, "alice"),
-        (("gadgets", "chsh-quantum"), {"bob": [10**400, 0]}, "bob"),
-        # causal nodes and edges are typed, not cast: time 0.2 and 0.9 both truncated to 0
-        (("gadgets", "causal"), {"nodes": timed_nodes(0.2, 0.9), "edges": [["f", "F"]]}, "time"),
-        (("gadgets", "causal"), {**CAUSAL_GRAPH, "nodes": timed_nodes(0, INF)}, "time"),
-        (("gadgets", "causal"), {**CAUSAL_GRAPH, "edges": [["F", "f", "x"]]}, "edges"),
-        (("soph", "table"), {"lengths": [1000000], "cs": [1], "bound": 12}, "lengths"),
-        # well typed, but each overflowed a float (exit 2): a generator, weight or box past float range
-        (("freestate", "interval"), {**KNIGHT_CLASSICAL, "classical": HUGE_CLASSICAL}, "generators"),
-        (("freestate", "interval"), {**KNIGHT_CLASSICAL, "classical": BIG_INT_CLASSICAL}, "generators"),
-        (("freestate", "or"), {"classicals": [HUGE_CLASSICAL, HUGE_CLASSICAL]}, "generators"),
-        (("freestate", "mix"), {"components": [{"weight": "1", "classical": BIG_INT_CLASSICAL}]}, "generators"),
-        (("freestate", "mix"), {"components": [{"weight": "1e400", "classical": HUGE_CLASSICAL}]}, "generators"),
-        (("freestate", "mix"), {"components": [{"weight": "1e400", "classical": KNIGHT_CLASSICAL["classical"]}]}, "weight"),
-        (("freestate", "mix"), {"components": [{"weight": "1e400", "freestate": QUBIT_0}]}, "weight"),
-        (("gadgets", "newcomb"), {**NEWCOMB, "box_one": 10**400}, "box_one"),
-        (("gadgets", "newcomb"), {**NEWCOMB, "box_two": 10**400}, "box_two"),
-        # well typed, but each ran out of memory (exit 2) or keyed on a truncated window (exit 0)
-        (("solomonoff", "predict"), {"bound": 12, "history": "", "rand_budget": 10**18}, "rand_budget"),
-        (("arena", "run"), table_run(10**18), "context"),
-        (("arena", "run"), table_run(-3), "context"),
-        # well typed, but out of range: the message names the key (a tuple: every one of them)
-        (("arena", "run"), {**RUN, "game": {**GAME, "t": 6, "u": 4}}, ("t", "u")),
-        (("arena", "run"), {**RUN, "game": {**GAME, "epsilon": "0"}}, "epsilon"),
-        (("arena", "run"), {**RUN, "game": {**GAME, "delta": "1"}}, "delta"),
-        (("arena", "run"), {**RUN, "game": {**GAME, "trials": 0}}, "trials"),
-        (("arena", "run"), {**RUN, "subject": with_edge(COIN, emit={"prob": "3/2"})}, "prob"),
-        (("solomonoff", "diagonal"), {"bound": 12, "n": 0}, "n"),
-        (("solomonoff", "omega"), {"bound": -1}, "bound"),
-        (("gadgets", "newcomb"), {**NEWCOMB, "accuracy": "2"}, "accuracy"),
-        (("freestate", "interval"), {**KNIGHT_CLASSICAL, "event": [2]}, "event"),
-        # an empty class still has its schedule checked
-        (("arena", "classify"), {**CLASSIFY, "class": [], "horizon": 5, "schedule": [[9, "0.1", "0.1"]]}, "t"),
-        # well typed, but too short: a label needs a game, a union two sets, a mixture a component
-        (("arena", "classify"), {**CLASSIFY, "class": []}, "class"),
-        (("arena", "classify"), {**CLASSIFY, "schedule": []}, "schedule"),
-        (("freestate", "or"), {"classicals": [KNIGHT_CLASSICAL["classical"]]}, "classicals"),
-        (("freestate", "or"), {"freestates": [QUBIT_0]}, "freestates"),
-        (("freestate", "mix"), {"components": []}, "components"),
-        # well typed, but out of range
-        (("arena", "run"), {**RUN, "game": {**GAME, "adversary": "lazy"}}, "adversary"),
-        # a rational whose exponent alone would take seconds to expand
-        (("freestate", "mix"), {"components": [{"weight": "1e-10000000", "classical": KNIGHT_CLASSICAL["classical"]}]}, "weight"),
-        # well typed, but the mixture or the designated program has no mass there
-        (("solomonoff", "predict"), {"bound": 4, "history": "01"}, ("history", "bound")),
-        (("solomonoff", "diagonal"), {"bound": 13, "n": 5}, ("n", "bound")),
-        (("solomonoff", "regret"), {**REGRET, "q": "0001101001100000000", "eps": []}, ("q", "bound")),
-        (("solomonoff", "regret"), {**REGRET, "sequence": "01", "eps": []}, ("sequence", "q")),
-        # well typed, but not one program
-        (("solomonoff", "regret"), {**REGRET, "q": "0001", "eps": []}, "q"),
-        (("solomonoff", "regret"), {**REGRET, "q": EMIT_ZERO_Q[:10], "eps": []}, "q"),
-        # well typed, but a set fails the library's check: a key that is a path is quoted whole
-        (("freestate", "interval"), {**QUANTUM_INTERVAL, "freestate": {"dim": 2, "generators": [PROJECTOR_0, SKEW]}}, "config['freestate']['generators'][1]"),
-        (("freestate", "interval"), {**QUANTUM_INTERVAL, "effect": {"dim": 2, "entries": SKEW}}, "config['effect']['entries']"),
-        (("freestate", "interval"), {**KNIGHT_CLASSICAL, "classical": NEGATIVE_CLASSICAL}, "config['classical']['generators'][1]"),
-        (("freestate", "or"), {"classicals": [CLASSICAL_ONE, NEGATIVE_CLASSICAL]}, "config['classicals'][1]['generators'][1]"),
-        (("freestate", "witness"), {**WITNESS, "freestate_b": {"dim": 2, "generators": [TRACE_TWO]}}, "config['freestate_b']['generators'][0]"),
-        (("freestate", "clone-check"), {"psi": [[0, 0], [0, 0]], "phi": [[1, 0], [0, 0]]}, "config['psi']"),
-        (("freestate", "interval"), {"freestate": QUTRIT_0, "effect": {"dim": 3, "entries": PROJECTOR_0}}, "config['effect']['entries']"),
-        (("freestate", "interval"), {"freestate": QUTRIT_0, "effect": {"dim": 2, "entries": PROJECTOR_0}}, "config['effect']['dim']"),
-        (("freestate", "interval"), {**QUANTUM_INTERVAL, "freestate": {"dim": 3, "generators": [PROJECTOR_0]}}, "config['freestate']['generators'][0]"),
-        (("freestate", "witness"), {**WITNESS, "freestate_b": QUTRIT_0}, "config['freestate_b']['dim']"),
-        (("freestate", "clone-check"), {"psi": [[1, 0], [0, 0]], "phi": [[1, 0], [0, 0], [0, 0]]}, "config['phi']"),
-        (("freestate", "mix"), {"components": [{"weight": "-1", "classical": CLASSICAL_ONE}, {"weight": "2", "classical": CLASSICAL_ONE}]}, "weight"),
-        # well typed, but a gadget's own check fails
-        (("gadgets", "bostrom"), {**ROOM_PUZZLE, "prior_heads": "3/2"}, "prior_heads"),
-        (("gadgets", "bostrom"), {**ROOM_PUZZLE, "copies_if_heads": 3}, ("copies_if_heads", "heads_colors")),
-        (("gadgets", "bostrom"), {**ROOM_PUZZLE, "counting_rule": "zzz"}, "counting_rule"),
-        (("gadgets", "bostrom"), {**ROOM_PUZZLE, "prior_heads": "0", "observed_color": "blue"}, ("observed_color", "prior_heads")),
-        (("gadgets", "causal"), {**CAUSAL_GRAPH, "nodes": [CAUSAL_GRAPH["nodes"][0], {"id": "F", "kind": "zz", "time": 1}]}, "config['nodes'][1]['kind']"),
-        (("gadgets", "causal"), {**CAUSAL_GRAPH, "edges": [["F", "f"], ["a", "b"]]}, "config['edges'][1]"),
-        (("gadgets", "newcomb"), {**NEWCOMB, "policy": ""}, "policy"),
-        # well typed, but not a set listing
-        (("soph", "kset"), {"elements": ["01", "1"], "bound": 12}, "elements"),
-        (("soph", "kset"), {"elements": [], "bound": 12}, "elements"),
-        # a table with no lengths still reads its bound: both exited 0 with no rows
-        (("soph", "table"), {"lengths": [], "cs": [1], "bound": 99}, "bound"),
-        (("soph", "table"), {"lengths": [], "cs": [1], "bound": -1}, "bound"),
-        # an edge to a renamed or missing node names the nodes' key as well as the edge
-        (("gadgets", "causal"), {**CAUSAL_GRAPH, "nodes": timed_nodes(0, 1)[:1]}, ("config['edges'][0]", "id", "nodes")),
-        # exact rationals that sum to 1 + 1e-13: both passed as within 1e-12 of 1 (exit 0)
-        (("freestate", "interval"), {"classical": {"n": 2, "generators": [["0.5", "0.5000000000001"]]}, "event": [0, 1]}, "generators"),
-        (("freestate", "mix"), {"components": [{"weight": "0.5", "classical": CLASSICAL_ONE}, {"weight": "0.5000000000001", "classical": CLASSICAL_ONE}]}, "weight"),
-        # a rational with a denominator of 4,301 digits, more than Python prints: each exited 1
-        # quoting Python's limit and naming no key
-        (("gadgets", "bostrom"), {**ROOM_PUZZLE, "prior_heads": "1e-4300"}, "prior_heads"),
-        (("solomonoff", "regret"), {**REGRET, "eps": ["1e-4300"]}, "eps"),
-        (("arena", "run"), {**RUN, "game": {**GAME, "epsilon": "1e-4300"}}, "epsilon"),
-        (("arena", "run"), {**RUN, "game": {**GAME, "delta": "1e-4300"}}, "delta"),
-        (("arena", "run"), {**RUN, "subject": with_edge(COIN, emit={"prob": "1e-4300"})}, "prob"),
-        (("arena", "classify"), {**CLASSIFY, "schedule": [[2, "1e-4300", "0.1"]]}, "schedule"),
-        # well typed, but a gap <= 0 passed for a witness (exit 0)
-        (("freestate", "witness"), {**WITNESS, "tol": -0.5}, "tol"),
-        # well typed, but no room in a branch: the library's own guard, reached by no other test
-        (("gadgets", "bostrom"), {**ROOM_PUZZLE, "copies_if_heads": 0, "heads_colors": []}, "copies_if_heads"),
-    ],
-    ids=lambda value: value[1] if isinstance(value, tuple) else None,
-)
-def test_solomonoff_config_types_are_strict(tmp_path, capsys, command, config, key):
+REFUSED_CONFIGS = [
+    (("solomonoff", "predict"), {"bound": 12, "history": 5}, "history"),
+    (("solomonoff", "predict"), {"bound": 12, "history": "01x"}, "history"),
+    (("solomonoff", "predict"), {"bound": "12", "history": ""}, "bound"),
+    (("solomonoff", "predict"), {"bound": True, "history": ""}, "bound"),
+    (("solomonoff", "predict"), {"bound": 12.0, "history": ""}, "bound"),
+    (("solomonoff", "predict"), {"bound": 12, "history": "", "snapshot": "yes"}, "snapshot"),
+    (("solomonoff", "predict"), {"bound": 12, "history": "", "step_budget": "64"}, "step_budget"),
+    (("solomonoff", "regret"), {"bound": 12, "q": 5, "sequence": "00", "eps": []}, "q"),
+    (("solomonoff", "regret"), {**REGRET, "sequence": 0, "eps": []}, "sequence"),
+    (("solomonoff", "regret"), {**REGRET, "eps": "1/2"}, "eps"),
+    (("solomonoff", "regret"), {**REGRET, "eps": ["half"]}, "eps"),
+    (("solomonoff", "regret"), {**REGRET, "eps": [False]}, "eps"),
+    (("solomonoff", "diagonal"), {"bound": 12, "n": 8.5}, "n"),
+    (("solomonoff", "omega"), {"bound": "20"}, "bound"),
+    (("soph", "k"), {"x": 7, "bound": 12}, "x"),
+    (("soph", "k"), {"x": "0", "bound": 12.9}, "bound"),
+    (("soph", "table"), {"lengths": ["2"], "cs": [6], "bound": 12}, "lengths"),
+    (("soph", "kset"), {"elements": "01", "bound": 12}, "elements"),
+    (("arena", "run"), {**RUN, "game": {**GAME, "trials": 2.7}}, "trials"),
+    (("arena", "run"), {**RUN, "predictor": {"kind": "table", "oops": 1}}, "predictor"),
+    (("arena", "classify"), {**CLASSIFY, "schedule": [[2.5, "0.1", "0.1"]]}, "schedule"),
+    (("gadgets", "bostrom"), {"variant": "1"}, "variant"),
+    (("gadgets", "bostrom"), {"variant": True}, "variant"),
+    (("gadgets", "newcomb"), {**NEWCOMB, "box_one": 1.5}, "box_one"),
+    (("gadgets", "causal"), {**CAUSAL_GRAPH, "check_disjoint_macro": "no"}, "check_disjoint_macro"),
+    (("freestate", "interval"), {**KNIGHT_CLASSICAL, "event": ["1"]}, "event"),
+    (("freestate", "witness"), {**WITNESS, "restarts": 2.5}, "restarts"),
+    # well typed, but each would divide by zero
+    (("arena", "run"), {**RUN, "predictor": {"kind": "bayes", "family": []}}, "family"),
+    (("arena", "run"), {**RUN, "game": {**GAME, "input_model": {"kind": "fixed", "bits": ""}}}, "bits"),
+    (("gadgets", "newcomb"), {**NEWCOMB, "box_one": 0}, "box_one"),
+    # json.load reads NaN and Infinity; a real must be finite, and fit a float
+    (("freestate", "clone-check"), {"psi": [[NAN, 0], [0, 0]], "phi": [[0, 0], [1, 0]]}, "psi"),
+    (("freestate", "witness"), {**WITNESS, "tol": NAN}, "tol"),
+    (("freestate", "witness"), {**WITNESS, "tol": INF}, "tol"),
+    (("gadgets", "chsh-quantum"), {"alice": [NAN, 0]}, "alice"),
+    (("gadgets", "chsh-quantum"), {"bob": [10**400, 0]}, "bob"),
+    # causal nodes and edges are typed, not cast: time 0.2 and 0.9 both truncated to 0
+    (("gadgets", "causal"), {"nodes": timed_nodes(0.2, 0.9), "edges": [["f", "F"]]}, "time"),
+    (("gadgets", "causal"), {**CAUSAL_GRAPH, "nodes": timed_nodes(0, INF)}, "time"),
+    (("gadgets", "causal"), {**CAUSAL_GRAPH, "edges": [["F", "f", "x"]]}, "edges"),
+    (("soph", "table"), {"lengths": [1000000], "cs": [1], "bound": 12}, "lengths"),
+    # well typed, but each overflowed a float (exit 2): a generator, weight or box past float range
+    (("freestate", "interval"), {**KNIGHT_CLASSICAL, "classical": HUGE_CLASSICAL}, "generators"),
+    (("freestate", "interval"), {**KNIGHT_CLASSICAL, "classical": BIG_INT_CLASSICAL}, "generators"),
+    (("freestate", "or"), {"classicals": [HUGE_CLASSICAL, HUGE_CLASSICAL]}, "generators"),
+    (("freestate", "mix"), {"components": [{"weight": "1", "classical": BIG_INT_CLASSICAL}]}, "generators"),
+    (("freestate", "mix"), {"components": [{"weight": "1e400", "classical": HUGE_CLASSICAL}]}, "generators"),
+    (("freestate", "mix"), {"components": [{"weight": "1e400", "classical": KNIGHT_CLASSICAL["classical"]}]}, "weight"),
+    (("freestate", "mix"), {"components": [{"weight": "1e400", "freestate": QUBIT_0}]}, "weight"),
+    (("gadgets", "newcomb"), {**NEWCOMB, "box_one": 10**400}, "box_one"),
+    (("gadgets", "newcomb"), {**NEWCOMB, "box_two": 10**400}, "box_two"),
+    # well typed, but each ran out of memory (exit 2) or keyed on a truncated window (exit 0)
+    (("solomonoff", "predict"), {"bound": 12, "history": "", "rand_budget": 10**18}, "rand_budget"),
+    (("arena", "run"), table_run(10**18), "context"),
+    (("arena", "run"), table_run(-3), "context"),
+    # well typed, but out of range: the message names the key (a tuple: every one of them)
+    (("arena", "run"), {**RUN, "game": {**GAME, "t": 6, "u": 4}}, ("t", "u")),
+    (("arena", "run"), {**RUN, "game": {**GAME, "epsilon": "0"}}, "epsilon"),
+    (("arena", "run"), {**RUN, "game": {**GAME, "delta": "1"}}, "delta"),
+    (("arena", "run"), {**RUN, "game": {**GAME, "trials": 0}}, "trials"),
+    (("arena", "run"), {**RUN, "subject": with_edge(COIN, emit={"prob": "3/2"})}, "prob"),
+    (("solomonoff", "diagonal"), {"bound": 12, "n": 0}, "n"),
+    (("solomonoff", "omega"), {"bound": -1}, "bound"),
+    (("gadgets", "newcomb"), {**NEWCOMB, "accuracy": "2"}, "accuracy"),
+    (("freestate", "interval"), {**KNIGHT_CLASSICAL, "event": [2]}, "event"),
+    # an empty class still has its schedule checked
+    (("arena", "classify"), {**CLASSIFY, "class": [], "horizon": 5, "schedule": [[9, "0.1", "0.1"]]}, "t"),
+    # well typed, but too short: a label needs a game, a union two sets, a mixture a component
+    (("arena", "classify"), {**CLASSIFY, "class": []}, "class"),
+    (("arena", "classify"), {**CLASSIFY, "schedule": []}, "schedule"),
+    (("freestate", "or"), {"classicals": [KNIGHT_CLASSICAL["classical"]]}, "classicals"),
+    (("freestate", "or"), {"freestates": [QUBIT_0]}, "freestates"),
+    (("freestate", "mix"), {"components": []}, "components"),
+    # well typed, but out of range
+    (("arena", "run"), {**RUN, "game": {**GAME, "adversary": "lazy"}}, "adversary"),
+    # a rational whose exponent alone would take seconds to expand
+    (("freestate", "mix"), {"components": [{"weight": "1e-10000000", "classical": KNIGHT_CLASSICAL["classical"]}]}, "weight"),
+    # well typed, but the mixture or the designated program has no mass there
+    (("solomonoff", "predict"), {"bound": 4, "history": "01"}, ("history", "bound")),
+    (("solomonoff", "diagonal"), {"bound": 13, "n": 5}, ("n", "bound")),
+    (("solomonoff", "regret"), {**REGRET, "q": "0001101001100000000", "eps": []}, ("q", "bound")),
+    (("solomonoff", "regret"), {**REGRET, "sequence": "01", "eps": []}, ("sequence", "q")),
+    # well typed, but not one program
+    (("solomonoff", "regret"), {**REGRET, "q": "0001", "eps": []}, "q"),
+    (("solomonoff", "regret"), {**REGRET, "q": EMIT_ZERO_Q[:10], "eps": []}, "q"),
+    # well typed, but a set fails the library's check: a key that is a path is quoted whole
+    (("freestate", "interval"), {**QUANTUM_INTERVAL, "freestate": {"dim": 2, "generators": [PROJECTOR_0, SKEW]}}, "config['freestate']['generators'][1]"),
+    (("freestate", "interval"), {**QUANTUM_INTERVAL, "effect": {"dim": 2, "entries": SKEW}}, "config['effect']['entries']"),
+    (("freestate", "interval"), {**KNIGHT_CLASSICAL, "classical": NEGATIVE_CLASSICAL}, "config['classical']['generators'][1]"),
+    (("freestate", "or"), {"classicals": [CLASSICAL_ONE, NEGATIVE_CLASSICAL]}, "config['classicals'][1]['generators'][1]"),
+    (("freestate", "witness"), {**WITNESS, "freestate_b": {"dim": 2, "generators": [TRACE_TWO]}}, "config['freestate_b']['generators'][0]"),
+    (("freestate", "clone-check"), {"psi": [[0, 0], [0, 0]], "phi": [[1, 0], [0, 0]]}, "config['psi']"),
+    (("freestate", "interval"), {"freestate": QUTRIT_0, "effect": {"dim": 3, "entries": PROJECTOR_0}}, "config['effect']['entries']"),
+    (("freestate", "interval"), {"freestate": QUTRIT_0, "effect": {"dim": 2, "entries": PROJECTOR_0}}, "config['effect']['dim']"),
+    (("freestate", "interval"), {**QUANTUM_INTERVAL, "freestate": {"dim": 3, "generators": [PROJECTOR_0]}}, "config['freestate']['generators'][0]"),
+    (("freestate", "witness"), {**WITNESS, "freestate_b": QUTRIT_0}, "config['freestate_b']['dim']"),
+    (("freestate", "clone-check"), {"psi": [[1, 0], [0, 0]], "phi": [[1, 0], [0, 0], [0, 0]]}, "config['phi']"),
+    (("freestate", "mix"), {"components": [{"weight": "-1", "classical": CLASSICAL_ONE}, {"weight": "2", "classical": CLASSICAL_ONE}]}, "weight"),
+    # well typed, but a gadget's own check fails
+    (("gadgets", "bostrom"), {**ROOM_PUZZLE, "prior_heads": "3/2"}, "prior_heads"),
+    (("gadgets", "bostrom"), {**ROOM_PUZZLE, "copies_if_heads": 3}, ("copies_if_heads", "heads_colors")),
+    (("gadgets", "bostrom"), {**ROOM_PUZZLE, "counting_rule": "zzz"}, "counting_rule"),
+    (("gadgets", "bostrom"), {**ROOM_PUZZLE, "prior_heads": "0", "observed_color": "blue"}, ("observed_color", "prior_heads")),
+    (("gadgets", "causal"), {**CAUSAL_GRAPH, "nodes": [CAUSAL_GRAPH["nodes"][0], {"id": "F", "kind": "zz", "time": 1}]}, "config['nodes'][1]['kind']"),
+    (("gadgets", "causal"), {**CAUSAL_GRAPH, "edges": [["F", "f"], ["a", "b"]]}, "config['edges'][1]"),
+    (("gadgets", "newcomb"), {**NEWCOMB, "policy": ""}, "policy"),
+    # well typed, but not a set listing
+    (("soph", "kset"), {"elements": ["01", "1"], "bound": 12}, "elements"),
+    (("soph", "kset"), {"elements": [], "bound": 12}, "elements"),
+    # a table with no lengths still reads its bound: both exited 0 with no rows
+    (("soph", "table"), {"lengths": [], "cs": [1], "bound": 99}, "bound"),
+    (("soph", "table"), {"lengths": [], "cs": [1], "bound": -1}, "bound"),
+    # an edge to a renamed or missing node names the nodes' key as well as the edge
+    (("gadgets", "causal"), {**CAUSAL_GRAPH, "nodes": timed_nodes(0, 1)[:1]}, ("config['edges'][0]", "id", "nodes")),
+    # exact rationals that sum to 1 + 1e-13: both passed as within 1e-12 of 1 (exit 0)
+    (("freestate", "interval"), {"classical": {"n": 2, "generators": [["0.5", "0.5000000000001"]]}, "event": [0, 1]}, "generators"),
+    (("freestate", "mix"), {"components": [{"weight": "0.5", "classical": CLASSICAL_ONE}, {"weight": "0.5000000000001", "classical": CLASSICAL_ONE}]}, "weight"),
+    # a rational with a denominator of 4,301 digits, more than Python prints: each exited 1
+    # quoting Python's limit and naming no key
+    (("gadgets", "bostrom"), {**ROOM_PUZZLE, "prior_heads": "1e-4300"}, "prior_heads"),
+    (("solomonoff", "regret"), {**REGRET, "eps": ["1e-4300"]}, "eps"),
+    (("arena", "run"), {**RUN, "game": {**GAME, "epsilon": "1e-4300"}}, "epsilon"),
+    (("arena", "run"), {**RUN, "game": {**GAME, "delta": "1e-4300"}}, "delta"),
+    (("arena", "run"), {**RUN, "subject": with_edge(COIN, emit={"prob": "1e-4300"})}, "prob"),
+    (("arena", "classify"), {**CLASSIFY, "schedule": [[2, "1e-4300", "0.1"]]}, "schedule"),
+    # well typed, but a gap <= 0 passed for a witness (exit 0)
+    (("freestate", "witness"), {**WITNESS, "tol": -0.5}, "tol"),
+    # well typed, but no room in a branch: the library's own guard, reached by no other test
+    (("gadgets", "bostrom"), {**ROOM_PUZZLE, "copies_if_heads": 0, "heads_colors": []}, "copies_if_heads"),
+]
+
+
+def refused_id(row):
+    """The command and a digest of the config and its keys: an id that no other row's place changes."""
+    (group, command), config, key = row
+    digest = hashlib.sha256(json.dumps([config, key], sort_keys=True).encode()).hexdigest()[:8]
+    return f"{group}-{command}-{digest}"
+
+
+REFUSED_IDS = [refused_id(row) for row in REFUSED_CONFIGS]
+assert len(set(REFUSED_IDS)) == len(REFUSED_IDS), "two refused configs share an id"
+
+
+@pytest.mark.parametrize("command, config, key", REFUSED_CONFIGS, ids=REFUSED_IDS)
+def test_a_refused_config_names_its_key(tmp_path, capsys, command, config, key):
     path = write_config(tmp_path, config)
     code, out, err = invoke(capsys, *command, "--config", path, "--seed", "1")
     assert code == 1, err
