@@ -456,12 +456,128 @@ def refused_id(row):
     return f"{group}-{command}-{digest}"
 
 
-REFUSED_IDS = [refused_id(row) for row in REFUSED_CONFIGS]
+# The ids the first 108 rows were recorded under, when an id still held the row's place; each row
+# keeps its recorded id wherever it moves, and a row added later is named by refused_id alone.
+RECORDED_IDS = {
+    "solomonoff-predict-02117aa6": "predict-config0-history",
+    "solomonoff-predict-1e02e2ac": "predict-config1-history",
+    "solomonoff-predict-f6c08e85": "predict-config2-bound",
+    "solomonoff-predict-01384cc5": "predict-config3-bound",
+    "solomonoff-predict-d3f446be": "predict-config4-bound",
+    "solomonoff-predict-b7dec659": "predict-config5-snapshot",
+    "solomonoff-predict-e1a9d0db": "predict-config6-step_budget",
+    "solomonoff-regret-73b1b34a": "regret-config7-q",
+    "solomonoff-regret-1ff0cdf2": "regret-config8-sequence",
+    "solomonoff-regret-150f31f5": "regret-config9-eps",
+    "solomonoff-regret-4456b42d": "regret-config10-eps",
+    "solomonoff-regret-b5ae1a5f": "regret-config11-eps",
+    "solomonoff-diagonal-7e1e50cd": "diagonal-config12-n",
+    "solomonoff-omega-d38b5393": "omega-config13-bound",
+    "soph-k-02c902f9": "k-config14-x",
+    "soph-k-dc4af646": "k-config15-bound",
+    "soph-table-f86cba80": "table-config16-lengths",
+    "soph-kset-85ff96be": "kset-config17-elements",
+    "arena-run-5e12e9dd": "run-config18-trials",
+    "arena-run-f6832685": "run-config19-predictor",
+    "arena-classify-2455ee7a": "classify-config20-schedule",
+    "gadgets-bostrom-2215e9c3": "bostrom-config21-variant",
+    "gadgets-bostrom-91f1fc6d": "bostrom-config22-variant",
+    "gadgets-newcomb-b75de7a2": "newcomb-config23-box_one",
+    "gadgets-causal-662239b7": "causal-config24-check_disjoint_macro",
+    "freestate-interval-b832764c": "interval-config25-event",
+    "freestate-witness-8c568058": "witness-config26-restarts",
+    "arena-run-a47b5a89": "run-config27-family",
+    "arena-run-a192661c": "run-config28-bits",
+    "gadgets-newcomb-cf89f666": "newcomb-config29-box_one",
+    "freestate-clone-check-c8c406ee": "clone-check-config30-psi",
+    "freestate-witness-f26a68be": "witness-config31-tol",
+    "freestate-witness-329b4abb": "witness-config32-tol",
+    "gadgets-chsh-quantum-dad8ce77": "chsh-quantum-config33-alice",
+    "gadgets-chsh-quantum-d202267a": "chsh-quantum-config34-bob",
+    "gadgets-causal-a759f2d3": "causal-config35-time",
+    "gadgets-causal-18206b6c": "causal-config36-time",
+    "gadgets-causal-4fd95673": "causal-config37-edges",
+    "soph-table-4764fd9a": "table-config38-lengths",
+    "freestate-interval-822703d1": "interval-config39-generators",
+    "freestate-interval-6910a43a": "interval-config40-generators",
+    "freestate-or-591924cb": "or-config41-generators",
+    "freestate-mix-f4ae37b4": "mix-config42-generators",
+    "freestate-mix-77e3070c": "mix-config43-generators",
+    "freestate-mix-22ba38ba": "mix-config44-weight",
+    "freestate-mix-fd4380ad": "mix-config45-weight",
+    "gadgets-newcomb-f82f2a52": "newcomb-config46-box_one",
+    "gadgets-newcomb-2e79c568": "newcomb-config47-box_two",
+    "solomonoff-predict-3e6d3e53": "predict-config48-rand_budget",
+    "arena-run-67e94f54": "run-config49-context",
+    "arena-run-4b31f468": "run-config50-context",
+    "arena-run-5abc2088": "run-config51-u",
+    "arena-run-9cb96d1d": "run-config52-epsilon",
+    "arena-run-b939901d": "run-config53-delta",
+    "arena-run-1fe5f0d6": "run-config54-trials",
+    "arena-run-17fc95c5": "run-config55-prob",
+    "solomonoff-diagonal-bd7a9fd8": "diagonal-config56-n",
+    "solomonoff-omega-76f24261": "omega-config57-bound",
+    "gadgets-newcomb-148a1982": "newcomb-config58-accuracy",
+    "freestate-interval-dd51679c": "interval-config59-event",
+    "arena-classify-1c5f1d7b": "classify-config60-t",
+    "arena-classify-0c8cd28b": "classify-config61-class",
+    "arena-classify-c17f4b67": "classify-config62-schedule",
+    "freestate-or-334269f7": "or-config63-classicals",
+    "freestate-or-d56996c7": "or-config64-freestates",
+    "freestate-mix-eb87073d": "mix-config65-components",
+    "arena-run-3c857527": "run-config66-adversary",
+    "freestate-mix-4e51b5a0": "mix-config67-weight",
+    "solomonoff-predict-9865b377": "predict-config68-bound",
+    "solomonoff-diagonal-bb01c1a2": "diagonal-config69-bound",
+    "solomonoff-regret-5e381495": "regret-config70-bound",
+    "solomonoff-regret-1a04dd35": "regret-config71-q",
+    "solomonoff-regret-deafcdb9": "regret-config72-q",
+    "solomonoff-regret-0dee4f72": "regret-config73-q",
+    "freestate-interval-0eb13938": "interval-config74-config['freestate']['generators'][1]",
+    "freestate-interval-9e25aaf9": "interval-config75-config['effect']['entries']",
+    "freestate-interval-28b3de9b": "interval-config76-config['classical']['generators'][1]",
+    "freestate-or-410d1801": "or-config77-config['classicals'][1]['generators'][1]",
+    "freestate-witness-c8978e8f": "witness-config78-config['freestate_b']['generators'][0]",
+    "freestate-clone-check-d92d72d7": "clone-check-config79-config['psi']",
+    "freestate-interval-449d5083": "interval-config80-config['effect']['entries']",
+    "freestate-interval-bf623632": "interval-config81-config['effect']['dim']",
+    "freestate-interval-cb14557f": "interval-config82-config['freestate']['generators'][0]",
+    "freestate-witness-6ac1d701": "witness-config83-config['freestate_b']['dim']",
+    "freestate-clone-check-65b0cbb7": "clone-check-config84-config['phi']",
+    "freestate-mix-1d4fa11f": "mix-config85-weight",
+    "gadgets-bostrom-3818e049": "bostrom-config86-prior_heads",
+    "gadgets-bostrom-33655983": "bostrom-config87-heads_colors",
+    "gadgets-bostrom-eb0d9246": "bostrom-config88-counting_rule",
+    "gadgets-bostrom-4b9b3547": "bostrom-config89-prior_heads",
+    "gadgets-causal-4ff1e1cc": "causal-config90-config['nodes'][1]['kind']",
+    "gadgets-causal-e809f294": "causal-config91-config['edges'][1]",
+    "gadgets-newcomb-b61689b6": "newcomb-config92-policy",
+    "soph-kset-b4919892": "kset-config93-elements",
+    "soph-kset-14062a5b": "kset-config94-elements",
+    "soph-table-d7c5c87d": "table-config95-bound",
+    "soph-table-3e78e177": "table-config96-bound",
+    "gadgets-causal-29c7a987": "causal-config97-id",
+    "freestate-interval-55721ab1": "interval-config98-generators",
+    "freestate-mix-38ebfa86": "mix-config99-weight",
+    "gadgets-bostrom-a68cd675": "bostrom-config100-prior_heads",
+    "solomonoff-regret-d868abab": "regret-config101-eps",
+    "arena-run-6527b0b9": "run-config102-epsilon",
+    "arena-run-4bb2a7e4": "run-config103-delta",
+    "arena-run-23e30ed5": "run-config104-prob",
+    "arena-classify-78e312c6": "classify-config105-schedule",
+    "freestate-witness-9c735acb": "witness-config106-tol",
+    "gadgets-bostrom-3dd91e46": "bostrom-config107-copies_if_heads",
+}
+
+
+REFUSED_IDS = [RECORDED_IDS.get(refused_id(row), refused_id(row)) for row in REFUSED_CONFIGS]
 assert len(set(REFUSED_IDS)) == len(REFUSED_IDS), "two refused configs share an id"
+assert set(RECORDED_IDS) <= {refused_id(row) for row in REFUSED_CONFIGS}, "a recorded row was edited or removed"
 
 
+# The name predates the other four groups; it is kept so the recorded ids stay stable.
 @pytest.mark.parametrize("command, config, key", REFUSED_CONFIGS, ids=REFUSED_IDS)
-def test_a_refused_config_names_its_key(tmp_path, capsys, command, config, key):
+def test_solomonoff_config_types_are_strict(tmp_path, capsys, command, config, key):
     path = write_config(tmp_path, config)
     code, out, err = invoke(capsys, *command, "--config", path, "--seed", "1")
     assert code == 1, err
