@@ -1,12 +1,12 @@
 """Sequential prediction games against finite-state subjects.
 
 A subject is a total finite-state machine: for every (state, input bit) it
-names a successor state and an emission, which is a literal bit, a coin flip
-with a fixed bias, or a *freebit* — a one-shot Knightian bit whose value is
-not drawn from any distribution.  Transitions depend on the input only, so
-the state path is determined by the input trace and emissions never feed
-back; the "godlike" suffix distribution conditional on realized inputs is an
-exact product over steps.
+names a successor state and an emission, scored as the interval of its P(1):
+a literal bit b is [b, b], a coin of bias p is [p, p], and a *freebit*, a
+one-shot Knightian bit drawn from no distribution, is [0, 1].  Transitions
+depend on the input only, so the state path is determined by the input trace
+and emissions never feed back; with one end of each freebit pinned, the
+"godlike" suffix law conditional on realized inputs is a product over steps.
 
 The game: a predictor reads the recorded inputs and behaviors of the first t
 steps, then must publish a forecast — a conditional distribution over the
@@ -61,7 +61,9 @@ class ForecastViolatesCausality(KnightianError):
 
 # -- subjects --------------------------------------------------------------------
 
-Emission = tuple  # ("bit", "0"|"1") | ("prob", Fraction) | ("freebit", int)
+# ("bit", "0"|"1") | ("prob", int or Fraction) | ("freebit", index); scoring
+# reads it only through _ends, as the least and greatest P(1)
+Emission = tuple
 
 
 class Edge(Record):
@@ -93,22 +95,19 @@ class Subject(Record):
                 raise SubjectSpecError(
                     f"the edge from {s!r} on input {i!r} has 'to' state {edge.to!r}, not in 'states'"
                 )
-            kind = edge.emit[0]
-            if kind == "bit":
-                if edge.emit[1] not in ("0", "1"):
-                    raise SubjectSpecError(f"literal 'emit' {edge.emit[1]!r} must be '0' or '1'")
-            elif kind == "prob":
-                p = edge.emit[1]
-                if not (0 <= p <= 1):
-                    raise SubjectSpecError(f"'prob' = {p} must lie in [0, 1]")
-            elif kind == "freebit":
-                if not (0 <= edge.emit[1] < self.freebit_budget):
-                    raise SubjectSpecError(
-                        f"'freebit' = {edge.emit[1]} must lie in [0, 'freebit_budget' = "
-                        f"{self.freebit_budget})"
-                    )
-            else:
+            kind, value = edge.emit
+            if kind not in ("bit", "prob", "freebit"):
                 raise SubjectSpecError(f"unknown 'emit' kind {kind!r}")
+            if kind == "bit" and value not in ("0", "1"):
+                raise SubjectSpecError(f"literal 'emit' {value!r} must be '0' or '1'")
+            # a float or a bool is not exact
+            if kind == "prob" and (type(value) not in (int, Fraction) or not 0 <= value <= 1):
+                raise SubjectSpecError(f"'prob' = {value} must be an int or a Fraction in [0, 1]")
+            if kind == "freebit" and not 0 <= value < self.freebit_budget:
+                raise SubjectSpecError(
+                    f"'freebit' = {value} must lie in [0, 'freebit_budget' = "
+                    f"{self.freebit_budget})"
+                )
 
 
 def _trace(subject: Subject, inputs: str) -> list[Emission]:
@@ -138,17 +137,15 @@ def _window_emissions(subject: Subject, inputs: str, t: int, u: int) -> list[Emi
     return emissions
 
 
-def _law(emit: Emission) -> dict | None:
-    """Weights of behavior bits "0" and "1" under a literal or coin emission, else None.
-
-    A literal weighs int 0 and 1: products with Fractions stay cheap.
-    """
+def _ends(emit: Emission) -> tuple:
+    """The least and greatest P(1) of an emission: a literal b is (b, b), as
+    ints so that products stay cheap, a coin p is (p, p), a freebit (0, 1)."""
     kind, value = emit
     if kind == "bit":
-        return {"0": int(value == "0"), "1": int(value == "1")}
+        return int(value), int(value)
     if kind == "prob":
-        return {"0": 1 - value, "1": value}
-    return None
+        return value, value
+    return 0, 1
 
 
 def true_distribution(
@@ -160,8 +157,8 @@ def true_distribution(
 ) -> dict[str, Fraction]:
     """Exact distribution of behavior bits over [t, u) on the realized inputs.
 
-    The godlike view: freebit values are pinned by the assignment, and each
-    freebit index may be consumed at most once along the walk.
+    The godlike view: the assignment names each freebit's end (0 low, 1 high),
+    and each freebit index may be consumed at most once along the walk.
     """
     if len(assignment) != subject.freebit_budget:
         raise SubjectSpecError(
@@ -169,13 +166,12 @@ def true_distribution(
         )
     dist = {"": Fraction(1)}
     for emit in _window_emissions(subject, inputs, t, u):
-        law = _law(emit)
-        if law is None:  # a freebit, pinned by the assignment
-            law = {str(assignment[emit[1]]): 1}
+        lo, hi = _ends(emit)
+        p1 = lo if lo == hi else (lo, hi)[assignment[emit[1]]]
         dist = {
             suffix + b: p * q
             for suffix, p in dist.items()
-            for b, q in law.items()
+            for b, q in (("0", 1 - p1), ("1", p1))
             if q > 0
         }
     return dist
@@ -272,15 +268,15 @@ def _pattern_overlaps(
 ) -> tuple[list[int], dict[str, Fraction]]:
     """Overlap of the forecast with the true law, per pattern of consumed freebits.
 
-    An assignment a pins only the bits at the steps that consume a freebit, and
-    no index is consumed twice, so each suffix s fixes the values of the
-    freebits it consumes (its pattern), and the true law g_a(s) is either the
-    product c(s) of its literal and coin weights or 0.  Returns the consumed
-    indices in ascending order and, keyed by pattern (their bits in that
-    order), the sum of min(f(s), c(s)) over the suffixes with f(s) c(s) > 0.
-    Both laws sum to exactly 1, so TV(f, g_a) = 1 - the overlap of a's pattern.
+    An assignment a pins one end of each freebit's P(1) interval (0 low, 1
+    high).  The walk branches a freebit step on its end as well as its bit, so
+    a branch s has a pattern, the ends it pins, and a weight c(s); no index is
+    consumed twice, so a's branches are the suffixes s with g_a(s) = c(s) > 0.
+    Returns the consumed indices in ascending order and, keyed by pattern (its
+    ends in that order), the sum of min(f(s), c(s)) over the branches with
+    f(s) c(s) > 0; both laws sum to 1, so TV(f, g_a) = 1 - a's pattern's sum.
 
-    The suffixes are walked level by level, and prefixes that agree on the
+    The branches are walked level by level, and prefixes that agree on the
     forecast's memory, f, c and the pattern so far are lumped into one node
     with a multiplicity, as every continuation adds the same to each of them
     (lumpability: Kemeny and Snell, Finite Markov Chains, 1960).
@@ -296,28 +292,33 @@ def _pattern_overlaps(
     grows and becomes a Fraction once.
     """
     emissions = _window_emissions(subject, inputs, t, u)
+    consumed = []
     # node (memory, f, c, pattern in position order) -> multiplicity, with f and
     # c each flattened to its numerator and denominator
     level = {(forecast.memory, 1, 1, 1, 1, ""): 1}
     for v, emit in enumerate(emissions, start=t):
-        law = _law(emit)
-        weights = (
-            {"0": (1, 1), "1": (1, 1)} if law is None
-            else {b: (w.numerator, w.denominator) for b, w in law.items()}
-        )
+        lo, hi = _ends(emit)
+        # identity first: a coin's ends are one Fraction, and Fractions compare slowly
+        if lo is hi or lo == hi:
+            ends = (("", lo),)
+        else:  # a freebit branches on the end its assignment pins, "0" low, "1" high
+            ends = (("0", lo), ("1", hi))
+            consumed.append(emit[1])
+        # (pattern bit, behavior bit, weight) per branch of weight > 0
+        branches = [(e, b, w.numerator, w.denominator)
+                    for e, p in ends for b, w in (("0", 1 - p), ("1", p)) if w]
         children: dict[tuple, int] = {}
         for (memory, fn, fd, cn, cd, pattern), mult in level.items():
             p1 = forecast.prob_one(memory, v, inputs)
             pn, pd = p1.numerator, p1.denominator
-            for b, qn in (("0", pd - pn), ("1", pn)):
-                wn, wd = weights[b]
-                if qn and wn:
+            for e, b, wn, wd in branches:
+                qn = pn if b == "1" else pd - pn
+                if qn:
                     child = (forecast.step(memory, v, inputs, b), *_times(fn, fd, qn, pd),
-                             *_times(cn, cd, wn, wd), pattern + b if law is None else pattern)
+                             *_times(cn, cd, wn, wd), pattern + e)
                     children[child] = children.get(child, 0) + mult
         level = children
     # a pattern's bits go in ascending freebit index, not in position order
-    consumed = [value for kind, value in emissions if kind == "freebit"]
     order = sorted(range(len(consumed)), key=consumed.__getitem__)
     sums: dict[str, tuple[int, int]] = {}
     for (_, fn, fd, cn, cd, pattern), mult in level.items():
@@ -348,7 +349,7 @@ def adversary_resolution(
     One walk over the forecast's distinct futures scores every assignment at
     once (see _pattern_overlaps).  The worst case is the first pattern of
     least overlap in lexicographic order, with every freebit the window does
-    not consume set to 0: the first of the worst assignments in
+    not consume at its low end, 0: the first of the worst assignments in
     itertools.product order.
     """
     consumed, overlaps = _pattern_overlaps(subject, forecast, inputs, t, u)
@@ -410,9 +411,9 @@ class BayesPredictor:
     """Exact Bayesian filter over a finite family of candidate subjects.
 
     The reference class is handed to the constructor as a list of subjects.
-    Freebit emissions carry no distribution, so the filter scores them as
-    fair coin flips — the noncommittal likelihood — both in training and in
-    the posterior-predictive forecast.
+    The filter scores every emission at the midpoint of its P(1) interval, in
+    training and in the posterior-predictive forecast alike: so a freebit,
+    which carries no distribution, at 1/2, the noncommittal likelihood.
     """
 
     def __init__(self, family: list[Subject]):
@@ -422,8 +423,9 @@ class BayesPredictor:
 
     @staticmethod
     def _likelihood(subject: Subject, state: str, input_bit: str, behavior_bit: str) -> Fraction:
-        law = _law(subject.edges[(state, input_bit)].emit)
-        return Fraction(1, 2) if law is None else law[behavior_bit]
+        lo, hi = _ends(subject.edges[(state, input_bit)].emit)
+        p1 = lo if lo == hi else Fraction(lo + hi, 2)
+        return p1 if behavior_bit == "1" else 1 - p1
 
     def _step(self, memory: tuple, v: int, inputs: str, b: str) -> tuple[tuple, tuple]:
         """The filter after behavior bit b at time v: reweigh, normalize, move on."""

@@ -330,13 +330,27 @@ def reference_row(x, cs, bound, cfg):
 # -- arena: the whole forecast support and the two-sum interval ---------------------
 
 
+def reference_law(emit):
+    """Weights of behavior bits "0" and "1" under a literal or coin emission, else None.
+
+    Kept apart from arena's own rule, so that a fault there cannot pass here
+    too.  A literal weighs int 0 and 1, as the library's does.
+    """
+    kind, value = emit
+    if kind == "bit":
+        return {"0": int(value == "0"), "1": int(value == "1")}
+    if kind == "prob":
+        return {"0": 1 - value, "1": value}
+    return None
+
+
 def reference_pattern_overlaps(subject, forecast, inputs, t, u):
     """Per-pattern overlaps summed over every suffix of the forecast's support."""
     emissions = arena._window_emissions(subject, inputs, t, u)
     freebits = sorted(
         (value, pos) for pos, (kind, value) in enumerate(emissions) if kind == "freebit"
     )
-    factors = [(pos, law) for pos, law in enumerate(map(arena._law, emissions)) if law is not None]
+    factors = [(pos, law) for pos, law in enumerate(map(reference_law, emissions)) if law is not None]
     overlaps = {}
     for suffix, f in arena.forecast_distribution(forecast, inputs, t, u).items():
         c = 1
@@ -355,7 +369,7 @@ def reference_lumped_overlaps(subject, forecast, inputs, t, u):
     # node (memory, f, c, pattern in position order) -> multiplicity
     level = {(forecast.memory, Fraction(1), 1, ""): 1}
     for v, emit in enumerate(emissions, start=t):
-        law = arena._law(emit)
+        law = reference_law(emit)
         children: dict[tuple, int] = {}
         for (memory, f, c, pattern), mult in level.items():
             p1 = forecast.prob_one(memory, v, inputs)

@@ -9,7 +9,12 @@ import pytest
 from conftest import STOCK_PAYLOADS
 from knightian import arena, cli, cli_arena
 from knightian.errors import KnightianError
-from oracles import reference_clopper_pearson, reference_lumped_overlaps, reference_pattern_overlaps
+from oracles import (
+    reference_clopper_pearson,
+    reference_law,
+    reference_lumped_overlaps,
+    reference_pattern_overlaps,
+)
 
 F = Fraction
 
@@ -91,6 +96,15 @@ def test_subject_validation():
         arena.Subject(("a",), "a", edges, 0)
     with pytest.raises(arena.SubjectSpecError, match="literal 'emit' '2'"):
         arena.Subject(("a",), "a", {("a", i): arena.Edge("a", ("bit", "2")) for i in "01"}, 0)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, False, "1/2"], ids=repr)
+def test_subject_refuses_a_prob_that_is_not_exact(value):
+    edges = {("a", i): arena.Edge("a", ("prob", value)) for i in "01"}
+    with pytest.raises(arena.SubjectSpecError, match=r"'prob' = .* must be an int or a Fraction"):
+        arena.Subject(("a",), "a", edges, 0)
+    for exact in (0, 1, F(1, 3)):
+        arena.Subject(("a",), "a", {("a", i): arena.Edge("a", ("prob", exact)) for i in "01"}, 0)
 
 
 def test_stock_payloads_parse_to_the_stock_subjects():
@@ -291,7 +305,10 @@ def refiltering_forecast(family, training):
     """The Bayes conditional that re-filters the training record and the past on every call, its memory the past."""
     record_inputs, record_behavior = training
     t = len(record_behavior)
-    likelihood = arena.BayesPredictor._likelihood
+
+    def likelihood(cand, state, input_bit, b):
+        law = reference_law(cand.edges[(state, input_bit)].emit)
+        return F(1, 2) if law is None else law[b]  # a freebit as a fair coin
 
     def conditional(past, v, inputs):
         weights = [F(1, len(family))] * len(family)
@@ -540,6 +557,34 @@ def test_training_phase_freebit_is_an_error():
     subject = arena.one_freebit(1, 8)
     with pytest.raises(arena.SubjectSpecError, match="training"):
         arena.run_game(subject, arena.TablePredictor(1), cfg(t=4, u=8))
+
+
+def test_a_sure_coin_in_training_draws_where_a_literal_does_not():
+    # a coin of bias 1 and the literal "1" record the same behavior, but the
+    # coin spends one rng draw a step, so the oblivious adversary's draws differ
+    def subject(train_emit, t=4):
+        emits = [train_emit] * t + [("freebit", 0)]
+        edges = {(f"c{v}", i): arena.Edge(f"c{v + 1}", emits[v]) for v in range(t + 1) for i in "01"}
+        edges.update({(f"c{t + 1}", i): arena.Edge(f"c{t + 1}", ("bit", "0")) for i in "01"})
+        return arena.Subject(tuple(f"c{v}" for v in range(t + 2)), "c0", edges, 1)
+
+    seen = []
+
+    class Recording(arena.TablePredictor):
+        def emit_forecast(self, inputs, behavior):
+            seen.append(behavior)
+            return super().emit_forecast(inputs, behavior)
+
+    game = arena.GameConfig(t=4, u=5, epsilon=F(1, 2), delta=F(1, 20), trials=6, seed=2,
+                            input_model={"kind": "fixed", "bits": "01"}, adversary="oblivious")
+    coin = arena.run_game(subject(("prob", F(1))), Recording(0), game)
+    assert seen == ["1111"] * 6
+    seen.clear()
+    literal = arena.run_game(subject(("bit", "1")), Recording(0), game)
+    assert seen == ["1111"] * 6
+    # the forecast says 1 at the freebit: distance 0 where the draw pins it to 1
+    assert coin.distances == (1, 1, 1, 1, 0, 1)
+    assert literal.distances == (0, 0, 1, 0, 0, 0)
 
 
 def test_replay_is_byte_identical():
